@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .specfun import (
+# lower/upper_inc_gamma are not called here; perfbench/tracer.py wraps them by this binding
+from .specfun import (  # noqa: F401
     ConvergenceError,
     DEFAULT_SERIES,
     SeriesControl,
@@ -170,21 +171,57 @@ def derive_stats(params: SystemParams, *, printed_sigma2: bool = False) -> Chann
     return ChannelStats(lambda_=lam, sigma2=sigma2, lambda_e=params.snr_e_linear * n)
 
 
-def _poisson_mixture_weights(delta_half: float, ctl: SeriesControl):
-    """Poisson(lambda/(2 sigma^2)) weights of the chi-square mixture.
+def _poisson_window(mean: float, ctl: SeriesControl):
+    """Indices k and Poisson(mean) weights of the chi-square mixture.
 
-    Yields (k, weight) until the cumulative weight is within rel_tol of
-    one; raises if max_terms is hit first.
+    The window grows outward from the mode until each side leaves out
+    less than rel_tol/2 of the mass (Ding, AS 275; Benton & Krishnamoorthy
+    2003); the weights are formed in log space, so no power or factorial
+    overflows at large mean. Needing more than max_terms terms raises.
     """
-    w = math.exp(-delta_half)
-    cum = 0.0
-    for k in range(ctl.max_terms):
-        yield k, w
-        cum += w
-        if 1.0 - cum < ctl.rel_tol:
-            return
-        w *= delta_half / (k + 1)
-    raise ConvergenceError("rho_D mixture series", ctl.max_terms, 1.0 - cum)
+    mode = math.floor(mean)
+    k = np.arange(max(mode - ctl.max_terms, 0), mode + ctl.max_terms + 1)
+    half = 0.5 * ctl.rel_tol
+    # P(K < k) = Q(k, mean) rises with k and P(K > k) = P(k+1, mean) falls
+    starts = k[(k <= mode) & (sc.gammaincc(k, mean) < half)]
+    ends = k[(k >= mode) & (sc.gammainc(k + 1, mean) < half)]
+    if not (starts.size and ends.size and ends[0] - starts[-1] < ctl.max_terms):
+        lo = max(mode - ctl.max_terms // 2, 0)
+        left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + ctl.max_terms, mean)
+        raise ConvergenceError("rho_D mixture series", ctl.max_terms, float(left_out))
+    k = np.arange(starts[-1], ends[0] + 1)
+    return k, np.exp(k * math.log(mean) - mean - sc.gammaln(k + 1.0))
+
+
+def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
+               method: str, upper: bool):
+    """P(rho_D > x) if ``upper`` else P(rho_D <= x), for scalar or array x.
+
+    ``marcum`` is the erfc form of Q_{1/2}; ``series`` is the Poisson
+    mixture sum_k w_k P(k+1/2, u) (Q(k+1/2, u) for the upper tail) with
+    u = x/(2 g sigma^2), one array expression over x and k.
+    """
+    if method not in ("marcum", "series"):
+        raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
+        raise ValueError(f"{'ccdf' if upper else 'cdf'}_rho_d requires x >= 0, got x={x}")
+    if method == "marcum":
+        a = math.sqrt(stats.lambda_ / stats.sigma2)
+        b = np.sqrt(xs / (snr_d_linear * stats.sigma2))
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        q = 0.5 * (sc.erfc((b - a) * inv_sqrt2) + sc.erfc((b + a) * inv_sqrt2))
+        out = q if upper else 1.0 - q
+    else:
+        k, w = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+        u = xs[..., None] / (2.0 * snr_d_linear * stats.sigma2)
+        terms = (sc.gammaincc if upper else sc.gammainc)(k + 0.5, u)
+        # a row-wise sum, not a matrix product, so that every element sums
+        # exactly as a scalar call would
+        out = np.minimum((terms * w).sum(axis=-1), 1.0)
+        if upper:  # the window leaves out up to rel_tol; P(rho_D > 0) is 1
+            out = np.where(xs > 0.0, out, 1.0)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
@@ -204,17 +241,12 @@ def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
         raise ValueError(f"pdf_rho_d requires x >= 0, got x={x}")
     if x == 0.0:
         return math.inf
-    g = snr_d_linear
-    s2 = stats.sigma2
-    delta_half = stats.lambda_ / (2.0 * s2)
-    scale = 2.0 * g * s2
+    scale = 2.0 * snr_d_linear * stats.sigma2
     u = x / scale
-    total = 0.0
-    for k, w in _poisson_mixture_weights(delta_half, ctl):
-        # w * Gamma-density(k+1/2, scale=2 g s2) at x
-        log_dens = (k - 0.5) * math.log(u) - u - math.lgamma(k + 0.5) - math.log(scale)
-        total += w * math.exp(log_dens)
-    return total
+    k, w = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+    # w_k times the Gamma(k+1/2, scale=2 g s2) density at x
+    log_dens = (k - 0.5) * math.log(u) - u - sc.gammaln(k + 0.5) - math.log(scale)
+    return float(np.exp(log_dens) @ w)
 
 
 def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
@@ -222,67 +254,23 @@ def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
     """CDF of rho_D; the two methods are independent evaluation routes.
 
     ``marcum``  F(x) = 1 - Q_{1/2}(sqrt(lambda)/sigma, sqrt(x/(g sigma^2))),
-                erfc-based, accepts scalars or arrays.
-    ``series``  Poisson mixture of regularised lower incomplete gammas,
-                scalar only.
+                erfc-based.
+    ``series``  Poisson mixture of regularised lower incomplete gammas.
+
+    Both accept scalars or arrays and return the same shape.
     """
-    if method == "marcum":
-        return _cdf_rho_d_marcum(x, stats, snr_d_linear)
-    if method == "series":
-        return _cdf_rho_d_series(float(x), stats, snr_d_linear, ctl)
-    raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")
+    return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=False)
 
 
-def _cdf_rho_d_marcum(x, stats: ChannelStats, snr_d_linear: float):
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("cdf_rho_d requires x >= 0")
-    a = math.sqrt(stats.lambda_ / stats.sigma2)
-    b = np.sqrt(xs / (snr_d_linear * stats.sigma2))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    q = 0.5 * (sc.erfc((b - a) * inv_sqrt2) + sc.erfc((b + a) * inv_sqrt2))
-    out = 1.0 - q
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def _cdf_rho_d_series(x: float, stats: ChannelStats, snr_d_linear: float,
-                      ctl: SeriesControl) -> float:
-    if x < 0.0:
-        raise ValueError(f"cdf_rho_d requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    delta_half = stats.lambda_ / (2.0 * stats.sigma2)
-    u = x / (2.0 * snr_d_linear * stats.sigma2)
-    total = 0.0
-    for k, w in _poisson_mixture_weights(delta_half, ctl):
-        total += w * lower_inc_gamma(k + 0.5, u, ctl) / math.gamma(k + 0.5)
-    return min(total, 1.0)
-
-
-def ccdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
-               ctl: SeriesControl = DEFAULT_SERIES, method: str = "marcum") -> float:
+def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
+               ctl: SeriesControl = DEFAULT_SERIES, method: str = "marcum"):
     """P(rho_D > x), evaluated without the 1 - CDF cancellation.
 
     The series route sums upper incomplete gammas, which keeps deep
     upper-tail values accurate; the marcum route is Q_{1/2} directly.
+    Scalars or arrays, as in :func:`cdf_rho_d`.
     """
-    if x < 0.0:
-        raise ValueError(f"ccdf_rho_d requires x >= 0, got x={x}")
-    if method == "marcum":
-        a = math.sqrt(stats.lambda_ / stats.sigma2)
-        b = math.sqrt(x / (snr_d_linear * stats.sigma2))
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return 0.5 * (math.erfc((b - a) * inv_sqrt2) + math.erfc((b + a) * inv_sqrt2))
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")
-    if x == 0.0:
-        return 1.0
-    delta_half = stats.lambda_ / (2.0 * stats.sigma2)
-    u = x / (2.0 * snr_d_linear * stats.sigma2)
-    total = 0.0
-    for k, w in _poisson_mixture_weights(delta_half, ctl):
-        total += w * upper_inc_gamma(k + 0.5, u, ctl) / math.gamma(k + 0.5)
-    return min(total, 1.0)
+    return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=True)
 
 
 def pdf_rho_e(x: float, stats: ChannelStats) -> float:

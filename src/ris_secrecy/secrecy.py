@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
-from .specfun import DEFAULT_SERIES, SeriesControl, e1_scaled
+from .specfun import SeriesControl, e1_scaled
 
 
 class UnsupportedRegimeError(ValueError):
@@ -164,6 +164,56 @@ def _sop_region(thetas: ThetaSet, stats: ChannelStats, numerics: NumericsConfig)
     return upper, tail
 
 
+def _asymptotic_region(params: SystemParams):
+    """Theta set and eavesdropper-gain limit 1/theta4 of the high-SNR event."""
+    th = theta_coefficients(params)
+    if th.theta4 <= 0.0:
+        raise UnsupportedRegimeError(
+            f"sop_asymptotic requires theta4 > 0, got theta4={th.theta4}"
+        )
+    return th, 1.0 / th.theta4
+
+
+def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
+                     stats: ChannelStats, snr_d_linear: float,
+                     numerics: NumericsConfig) -> float:
+    """Chebyshev/series form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx.
+
+    Where c - d x <= 0 the destination cannot reach the target, so the
+    CDF factor is 1.
+    """
+    x, w = _chebyshev_on_interval(numerics.quad_order, upper)
+    denom = c - d * x
+    live = denom > 0.0
+    f = np.ones_like(x)
+    f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, snr_d_linear,
+                        numerics.series, method="series")
+    lam_e = stats.lambda_e
+    return float(np.sum(w * np.exp(-x / lam_e) / lam_e * f))
+
+
+def _adaptive(integrand, upper: float) -> float:
+    total, _ = integrate.quad(integrand, 0.0, upper, limit=300,
+                              epsabs=1e-12, epsrel=1e-12)
+    return total
+
+
+def _outage_integral_reference(a: float, b: float, c: float, d: float, upper: float,
+                               stats: ChannelStats, snr_d_linear: float) -> float:
+    """Adaptive-quadrature twin of :func:`_outage_integral` on the Marcum CDF."""
+    lam_e = stats.lambda_e
+
+    def integrand(xv: float) -> float:
+        denom = c - d * xv
+        if denom <= 0.0:
+            f = 1.0
+        else:
+            f = cdf_rho_d((a * xv + b) / denom, stats, snr_d_linear, method="marcum")
+        return math.exp(-xv / lam_e) / lam_e * f
+
+    return _adaptive(integrand, upper)
+
+
 def sop_detail(params: SystemParams, stats: ChannelStats,
                numerics: NumericsConfig = DEFAULT_NUMERICS) -> SopEvaluation:
     """Secrecy outage probability, Chebyshev/series closed form."""
@@ -171,20 +221,9 @@ def sop_detail(params: SystemParams, stats: ChannelStats,
     if th.theta3 <= 0.0:
         return SopEvaluation(1.0, 0.0, 1.0, 0.0, True)
     upper, tail = _sop_region(th, stats, numerics)
-    x, w = _chebyshev_on_interval(numerics.quad_order, upper)
-    g = params.snr_d_linear
-    lam_e = stats.lambda_e
-    total = 0.0
-    for xn, wn in zip(x, w):
-        denom = th.theta3 - th.theta2 * xn
-        if denom <= 0.0:  # at/beyond the saturation crossing: outage certain
-            f = 1.0
-        else:
-            threshold = (th.theta1 * xn + th.vartheta) / denom
-            f = cdf_rho_d(threshold, stats, g, numerics.series, method="series")
-        total += wn * math.exp(-xn / lam_e) / lam_e * f
-    value = min(float(total) + tail, 1.0)
-    return SopEvaluation(value, float(total), tail, upper, False)
+    total = _outage_integral(th.theta1, th.vartheta, th.theta3, th.theta2, upper,
+                             stats, params.snr_d_linear, numerics)
+    return SopEvaluation(min(total + tail, 1.0), total, tail, upper, False)
 
 
 def sop(params: SystemParams, stats: ChannelStats,
@@ -204,26 +243,11 @@ def sop_reference(params: SystemParams, stats: ChannelStats,
     th = theta_coefficients(params)
     if th.theta3 <= 0.0:
         return 1.0
-    g = params.snr_d_linear
-    lam_e = stats.lambda_e
-
-    if th.theta2 > numerics.theta2_epsilon:
-        upper = th.theta3 / th.theta2
-        tail = math.exp(-upper / lam_e)
-    else:
-        upper = np.inf
-        tail = 0.0
-
-    def integrand(xv: float) -> float:
-        denom = th.theta3 - th.theta2 * xv
-        if denom <= 0.0:
-            f = 1.0
-        else:
-            f = cdf_rho_d((th.theta1 * xv + th.vartheta) / denom, stats, g, method="marcum")
-        return math.exp(-xv / lam_e) / lam_e * f
-
-    total, _ = integrate.quad(integrand, 0.0, upper, limit=300,
-                              epsabs=1e-12, epsrel=1e-12)
+    upper, tail = _sop_region(th, stats, numerics)
+    if th.theta2 <= numerics.theta2_epsilon:
+        upper = np.inf  # no truncation: quad handles the infinite range
+    total = _outage_integral_reference(th.theta1, th.vartheta, th.theta3, th.theta2,
+                                       upper, stats, params.snr_d_linear)
     return min(total + tail, 1.0)
 
 
@@ -234,52 +258,18 @@ def sop_asymptotic(params: SystemParams, stats: ChannelStats,
     Only defined for theta4 > 0, where the ratio event has a finite
     saturation limit 1/theta4 for the eavesdropper gain.
     """
-    th = theta_coefficients(params)
-    if th.theta4 <= 0.0:
-        raise UnsupportedRegimeError(
-            f"sop_asymptotic requires theta4 > 0, got theta4={th.theta4}"
-        )
-    upper = 1.0 / th.theta4
-    tail = math.exp(-upper / stats.lambda_e)
-    x, w = _chebyshev_on_interval(numerics.quad_order, upper)
-    g = params.snr_d_linear
-    lam_e = stats.lambda_e
-    gamma_th = th.gamma_th
-    total = 0.0
-    for xn, wn in zip(x, w):
-        denom = 1.0 - th.theta4 * xn
-        if denom <= 0.0:
-            f = 1.0
-        else:
-            f = cdf_rho_d(gamma_th * xn / denom, stats, g, numerics.series,
-                          method="series")
-        total += wn * math.exp(-xn / lam_e) / lam_e * f
-    return min(float(total) + tail, 1.0)
+    th, upper = _asymptotic_region(params)
+    total = _outage_integral(th.gamma_th, 0.0, 1.0, th.theta4, upper,
+                             stats, params.snr_d_linear, numerics)
+    return min(total + math.exp(-upper / stats.lambda_e), 1.0)
 
 
 def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats) -> float:
     """Adaptive-quadrature twin of :func:`sop_asymptotic`."""
-    th = theta_coefficients(params)
-    if th.theta4 <= 0.0:
-        raise UnsupportedRegimeError(
-            f"sop_asymptotic requires theta4 > 0, got theta4={th.theta4}"
-        )
-    upper = 1.0 / th.theta4
-    g = params.snr_d_linear
-    lam_e = stats.lambda_e
-    gamma_th = th.gamma_th
-
-    def integrand(xv: float) -> float:
-        denom = 1.0 - th.theta4 * xv
-        if denom <= 0.0:
-            f = 1.0
-        else:
-            f = cdf_rho_d(gamma_th * xv / denom, stats, g, method="marcum")
-        return math.exp(-xv / lam_e) / lam_e * f
-
-    total, _ = integrate.quad(integrand, 0.0, upper, limit=300,
-                              epsabs=1e-12, epsrel=1e-12)
-    return min(total + math.exp(-upper / lam_e), 1.0)
+    th, upper = _asymptotic_region(params)
+    total = _outage_integral_reference(th.gamma_th, 0.0, 1.0, th.theta4, upper,
+                                       stats, params.snr_d_linear)
+    return min(total + math.exp(-upper / stats.lambda_e), 1.0)
 
 
 def _rho_d_tail_limit(stats: ChannelStats, snr_d_linear: float, eps: float) -> float:
@@ -293,28 +283,21 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     """Ergodic rate of the destination, E[log2(1 + gamma_D)], bits/s/Hz.
 
     Chebyshev/series form of (1/ln 2) int (1 - F_{gamma_D}(x))/(1+x) dx
-    over [0, 1/kappa_sum]. With ideal destination hardware there is no
+    over [0, 1/kappa_sum], with 1 - F_{gamma_D}(x) = P(rho_D > x/(1 -
+    kappa_sum x)). With ideal destination hardware there is no
     saturation point; the integral is then truncated where the channel
     CCDF falls below tail_epsilon.
     """
     kd = params.kappa_d_sum
     g = params.snr_d_linear
-    if kd > 0.0:
-        upper = 1.0 / kd
-        def ccdf(xv: float) -> float:
-            denom = 1.0 - kd * xv
-            if denom <= 0.0:  # SNDR cannot exceed the saturation point
-                return 0.0
-            return ccdf_rho_d(xv / denom, stats, g, numerics.series, method="series")
-    else:
-        upper = _rho_d_tail_limit(stats, g, numerics.tail_epsilon)
-        def ccdf(xv: float) -> float:
-            return ccdf_rho_d(xv, stats, g, numerics.series, method="series")
+    upper = 1.0 / kd if kd > 0.0 else _rho_d_tail_limit(stats, g, numerics.tail_epsilon)
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
-    total = 0.0
-    for xn, wn in zip(x, w):
-        total += wn * ccdf(xn) / (1.0 + xn)
-    return float(total) / math.log(2.0)
+    denom = 1.0 - kd * x
+    live = denom > 0.0  # the SNDR cannot exceed the saturation point
+    ccdf = np.zeros_like(x)
+    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, numerics.series,
+                            method="series")
+    return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0)
 
 
 def eavesdropper_rate(stats: ChannelStats, kappa_e_sum: float) -> float:
@@ -385,41 +368,29 @@ def avg_secrecy_capacity(params: SystemParams, stats: ChannelStats,
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)
 
 
+def _rate_reference(ccdf, kappa: float, cutoff: float) -> float:
+    """(1/ln 2) int_0^{1/kappa} ccdf(x/(1 - kappa x))/(1 + x) dx, adaptively.
+
+    ``ccdf`` is the channel-gain CCDF of the link; with ideal hardware
+    (kappa = 0) the map is the identity and the range ends at ``cutoff``.
+    """
+    upper = 1.0 / kappa if kappa > 0.0 else cutoff
+
+    def integrand(xv: float) -> float:
+        denom = 1.0 - kappa * xv
+        return ccdf(xv / denom) / (1.0 + xv) if denom > 0.0 else 0.0
+
+    return _adaptive(integrand, upper) / math.log(2.0)
+
+
 def avg_secrecy_capacity_reference(params: SystemParams, stats: ChannelStats,
                                    numerics: NumericsConfig = DEFAULT_NUMERICS) -> SecrecyCapacity:
     """Adaptive-quadrature twin of :func:`avg_secrecy_capacity`."""
-    kd = params.kappa_d_sum
-    ke = params.kappa_e_sum
     g = params.snr_d_linear
     lam_e = stats.lambda_e
-
-    if kd > 0.0:
-        upper_d = 1.0 / kd
-        def d_integrand(xv: float) -> float:
-            denom = 1.0 - kd * xv
-            if denom <= 0.0:
-                return 0.0
-            return ccdf_rho_d(xv / denom, stats, g, method="marcum") / (1.0 + xv)
-    else:
-        upper_d = _rho_d_tail_limit(stats, g, numerics.tail_epsilon)
-        def d_integrand(xv: float) -> float:
-            return ccdf_rho_d(xv, stats, g, method="marcum") / (1.0 + xv)
-    r_d, _ = integrate.quad(d_integrand, 0.0, upper_d, limit=300,
-                            epsabs=1e-12, epsrel=1e-12)
-    r_d /= math.log(2.0)
-
-    if ke > 0.0:
-        upper_e = 1.0 / ke
-        def e_integrand(xv: float) -> float:
-            denom = 1.0 - ke * xv
-            if denom <= 0.0:
-                return 0.0
-            return math.exp(-xv / (lam_e * denom)) / (1.0 + xv)
-    else:
-        upper_e = lam_e * math.log(1.0 / numerics.tail_epsilon)
-        def e_integrand(xv: float) -> float:
-            return math.exp(-xv / lam_e) / (1.0 + xv)
-    r_e, _ = integrate.quad(e_integrand, 0.0, upper_e, limit=300,
-                            epsabs=1e-12, epsrel=1e-12)
-    r_e /= math.log(2.0)
+    r_d = _rate_reference(lambda y: ccdf_rho_d(y, stats, g, method="marcum"),
+                          params.kappa_d_sum,
+                          _rho_d_tail_limit(stats, g, numerics.tail_epsilon))
+    r_e = _rate_reference(lambda y: math.exp(-y / lam_e), params.kappa_e_sum,
+                          lam_e * math.log(1.0 / numerics.tail_epsilon))
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)

@@ -1,9 +1,13 @@
-"""Scalar special-function kernel.
+"""Scalar special functions, an independent oracle for the closed forms.
 
-Self-contained (stdlib-only) implementations of the handful of special
-functions the secrecy closed forms are built from: the incomplete gamma
-pair, the modified Bessel function of the first kind, the order-1/2
-Marcum Q-function and the exponential integral on the negative axis.
+Self-contained (stdlib-only) implementations of the special functions
+behind the secrecy closed forms: the incomplete gamma pair, the
+modified Bessel function of the first kind, the order-1/2 Marcum
+Q-function and the exponential integral on the negative axis. The
+closed forms evaluate the destination law through ``scipy.special``
+(array-valued, regularised); of this module they call only
+:func:`e1_scaled`, and use :class:`SeriesControl` and
+:class:`ConvergenceError` for series truncation.
 
 Each routine carries an internal identity that the test suite checks
 (gamma additivity, the cosh/sinh forms of half-order Bessel functions,
@@ -38,9 +42,10 @@ class SeriesControl:
     """Truncation policy for the infinite series used throughout.
 
     A sum stops once the current term falls below ``rel_tol`` times the
-    partial sum in magnitude; ``max_terms`` is a hard cap that turns a
-    stalled sum into a :class:`ConvergenceError` instead of a silent
-    wrong answer.
+    partial sum in magnitude (a Poisson mixture, once less than
+    ``rel_tol`` of its mixing mass is left out); ``max_terms`` is a hard
+    cap that turns a stalled sum into a :class:`ConvergenceError`
+    instead of a silent wrong answer.
     """
 
     max_terms: int = 200

@@ -287,10 +287,7 @@ def _spec_to_mapping(spec: SweepSpec) -> dict:
 
 def load_config(path) -> SweepSpec:
     """Parse a single-sweep YAML config."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -137,12 +137,25 @@ def test_cdf_rho_d_limits_and_array_input():
     assert cdf_rho_d(0.0, st_, g, method="series") == 0.0
     assert cdf_rho_d(0.0, st_, g, method="marcum") == pytest.approx(0.0, abs=1e-15)
     assert cdf_rho_d(1e6, st_, g) == pytest.approx(1.0, abs=1e-12)
+    assert ccdf_rho_d(0.0, st_, g, method="series") == 1.0
     xs = np.array([0.0, 1.0, 10.0, 100.0])
-    out = cdf_rho_d(xs, st_, g, method="marcum")
-    assert out.shape == xs.shape
-    assert np.all(np.diff(out) > 0.0)
+    for method in ("marcum", "series"):
+        cdf = cdf_rho_d(xs, st_, g, method=method)
+        ccdf = ccdf_rho_d(xs, st_, g, method=method)
+        assert cdf.shape == ccdf.shape == xs.shape
+        assert np.all(np.diff(cdf) > 0.0)
+        assert np.all(np.diff(ccdf) < 0.0)
+    # the series kernel evaluates an array exactly as it does each element
+    grid = xs.reshape(2, 2)
+    for fn in (cdf_rho_d, ccdf_rho_d):
+        out = fn(grid, st_, g, method="series")
+        assert out.shape == grid.shape
+        assert out.tolist() == [[fn(float(v), st_, g, method="series") for v in row]
+                                for row in grid]
     with pytest.raises(ValueError):
         cdf_rho_d(1.0, st_, g, method="simpson")
+    with pytest.raises(ValueError):
+        ccdf_rho_d(np.array([1.0, -1.0]), st_, g, method="series")
 
 
 def test_ccdf_complements_cdf():

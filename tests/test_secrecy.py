@@ -23,7 +23,7 @@ from ris_secrecy.secrecy import (
     sop_reference,
     theta_coefficients,
 )
-from ris_secrecy.specfun import SeriesControl
+from ris_secrecy.specfun import ConvergenceError, SeriesControl
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0, **kw):
@@ -67,6 +67,62 @@ def test_sop_matches_adaptive_quadrature(n, gd, ge):
     p = params_for(n=n, snr_d_db=gd, snr_e_db=ge)
     stats = derive_stats(p)
     assert abs(sop(p, stats) - sop_reference(p, stats)) < 1e-6
+
+
+# (sop, sop_asymptotic, asc) at the GRID points and the fig2 base at N=96,
+# as the scalar-loop series evaluated them; the kernel must keep them.
+FROZEN = {
+    (5, 0.0, -10.0): (0.03859599205068675, 0.019180931616858393, 2.982867296298715),
+    (5, 0.0, 0.0): (0.3568262023401368, 0.31783680282597254, 1.4554098844676622),
+    (5, 10.0, -10.0): (0.005246221644889901, 0.0031894157045135227, 4.599073966720361),
+    (5, 10.0, 0.0): (0.03064742854964658, 0.026920559721588112, 3.0716165548893084),
+    (5, 20.0, -10.0): (0.0014679433493161272, 0.0009284441772860679, 5.063808441267518),
+    (5, 20.0, 0.0): (0.004170752862187167, 0.0037430755939624467, 3.5363510294364655),
+    (10, 0.0, -10.0): (0.0014011654677169394, 0.0008650312760608755, 3.903808471710432),
+    (10, 0.0, 0.0): (0.19727301268734027, 0.1811795152150139, 2.0639484186493045),
+    (10, 10.0, -10.0): (8.955823179268203e-05, 6.427288859656583e-05, 4.691680038861375),
+    (10, 10.0, 0.0): (0.020248221069426843, 0.017345874968667296, 2.8518199858002475),
+    (10, 20.0, -10.0): (2.2707745304432514e-05, 1.691149313467272e-05, 4.8137486341738605),
+    (10, 20.0, 0.0): (0.009155083471574186, 0.007567028352825289, 2.9738885811127327),
+    (96, 10.0, -10.0): (0.006770767894168361, 0.00552192869827094, 3.026101720050582),
+}
+
+
+@pytest.mark.parametrize("n,gd,ge", sorted(FROZEN))
+def test_closed_forms_frozen_values(n, gd, ge):
+    p = params_for(n=n, snr_d_db=gd, snr_e_db=ge)
+    stats = derive_stats(p)
+    got = (sop(p, stats), sop_asymptotic(p, stats), avg_secrecy_capacity(p, stats).value)
+    for value, want in zip(got, FROZEN[n, gd, ge]):
+        assert value == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+LARGE_N_CASES = [
+    pytest.param(n, metric, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="quad_order=100 under-resolves the rate integral at N>=96"))
+    if (n, metric) == (128, "asc") else (n, metric)
+    for n in (128, 256, 1024) for metric in ("sop", "sop_asymptotic", "asc")
+]
+
+
+@pytest.mark.parametrize("n,metric", LARGE_N_CASES)
+def test_large_n_value_or_named_error(n, metric):
+    # a closed form either agrees with its reference or names its failure;
+    # the series must not overflow however far the Poisson mode moves out
+    p = params_for(n=n)
+    stats = derive_stats(p)
+    closed, reference = {
+        "sop": (sop, sop_reference),
+        "sop_asymptotic": (sop_asymptotic, sop_asymptotic_reference),
+        "asc": (lambda p_, s_: avg_secrecy_capacity(p_, s_).value,
+                lambda p_, s_: avg_secrecy_capacity_reference(p_, s_).value),
+    }[metric]
+    try:
+        value = closed(p, stats)
+    except (ConvergenceError, UnsupportedRegimeError):
+        return
+    assert abs(value - reference(p, stats)) < 1e-6
 
 
 def test_sop_low_snr_tends_to_one():
