@@ -23,7 +23,7 @@ from pathlib import Path
 import yaml
 
 from .channel import LinkGeometry, SystemParams, derive_stats
-from .montecarlo import McConfig, simulate_metrics
+from .montecarlo import McConfig, draw_chunks, simulate_metrics
 from .secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
@@ -109,6 +109,10 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
     """Evaluate every requested metric at every grid point."""
     rows: list[Row] = []
     wants_mc = any(m.startswith("mc_") for m in spec.outputs) or spec.numerics.mc_check
+    # The fading draws depend on N and the McConfig only, so every point
+    # of a sweep over another axis is scored on one draw set, made at the
+    # first point that needs it. None draws lazily per point.
+    draws = None
     for value in spec.values:
         point_rows: dict[str, Row] = {}
         try:
@@ -124,7 +128,9 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
         mc_est = None
         if wants_mc:
             try:
-                mc_est = simulate_metrics(params, spec.mc)
+                if draws is None and spec.axis != "n_elements":
+                    draws = list(draw_chunks(spec.base.n_elements, spec.mc))
+                mc_est = simulate_metrics(params, spec.mc, draws)
             except Exception as exc:  # recorded per mc row below
                 mc_est = exc
 

@@ -11,11 +11,13 @@ from ris_secrecy.montecarlo import (
     EstimateWithCI,
     McConfig,
     TrialOutcome,
+    draw_chunks,
     empirical_cdf,
     estimate_asc,
     estimate_mean_sndr,
     estimate_sop,
     ks_distance,
+    model_law_chunks,
     sample_quantity,
     sample_trial,
     simulate_metrics,
@@ -47,6 +49,19 @@ def test_bitwise_determinism():
     assert a == b  # exact equality, field by field
     c = simulate_metrics(p, McConfig(trials=50_000, seed=124, stream_count=4))
     assert c["asc_eq19"].value != a["asc_eq19"].value
+
+
+def test_simulate_metrics_scores_a_given_draw_set_of_the_right_size():
+    p = params_for()
+    mc = McConfig(trials=3000, seed=4, stream_count=2)
+    draws = list(draw_chunks(p.n_elements, mc))
+    assert simulate_metrics(p, mc, draws) == simulate_metrics(p, mc)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_metrics(p, mc, draws[:-1])
+    with pytest.raises(ValueError, match="trials"):
+        simulate_metrics(p, McConfig(trials=4000, seed=4, stream_count=2), draws)
+    with pytest.raises(ValueError, match="eav_mode"):
+        model_law_chunks(derive_stats(p), McConfig(trials=3000, eav_mode="phase_sum"))
 
 
 def test_stream_count_changes_partition_not_contract():

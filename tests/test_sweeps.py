@@ -6,9 +6,9 @@ import math
 import pytest
 import yaml
 
-from ris_secrecy import cli
+from ris_secrecy import cli, montecarlo
 from ris_secrecy.channel import LinkGeometry, SystemParams
-from ris_secrecy.montecarlo import McConfig
+from ris_secrecy.montecarlo import _CHUNK, McConfig, simulate_metrics
 from ris_secrecy.secrecy import NumericsConfig
 from ris_secrecy.specfun import ConvergenceError, SeriesControl
 from ris_secrecy.sweeps import (
@@ -17,6 +17,7 @@ from ris_secrecy.sweeps import (
     PRESET_NAMES,
     Row,
     SweepSpec,
+    _params_at,
     emit,
     load_config,
     load_preset,
@@ -131,6 +132,62 @@ def test_run_sweep_mc_check_annotates_model_gaps():
     rows = run_sweep(spec)
     # at this operating point the Gaussian-sum model gap far exceeds 3 SE
     assert rows[0].error is not None and "mc-gap" in rows[0].error
+
+
+MC_AXES = (
+    ("snr_d_db", (0.0, 10.0, 20.0)),
+    ("snr_e_db", (-10.0, 0.0)),
+    ("c_th", (0.5, 1.0, 2.0)),
+    ("kappa2", (0.0, 0.01, 0.1)),
+    ("n_elements", (2, 5)),
+)
+
+
+def assert_mc_rows_equal_direct_simulation(spec):
+    rows = run_sweep(spec)
+    assert len(rows) == 2 * len(spec.values)
+    for r in rows:
+        direct = simulate_metrics(_params_at(spec, r.axis_value), spec.mc)
+        est = direct["sop" if r.metric == "mc_sop" else "asc_eq19"]
+        assert (r.value, r.std_error, r.trials, r.seed, r.error) == (
+            est.value, est.std_error, est.trials, est.seed, None)
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("axis, values", MC_AXES)
+def test_run_sweep_mc_rows_equal_per_point_simulation(axis, values, eav_mode):
+    # one draw set per sweep must score every point exactly as a
+    # per-point simulation with the same seed does
+    spec = small_spec(axis=axis, values=values, outputs=("mc_sop", "mc_asc"),
+                      mc=McConfig(trials=3000, seed=11, stream_count=2, eav_mode=eav_mode))
+    assert_mc_rows_equal_direct_simulation(spec)
+
+
+def test_run_sweep_mc_rows_equal_per_point_simulation_across_chunks():
+    spec = small_spec(base=base_params(n_elements=2), values=(0.0, 10.0),
+                      outputs=("mc_sop", "mc_asc"),
+                      mc=McConfig(trials=_CHUNK + 1000, seed=11, stream_count=1))
+    assert_mc_rows_equal_direct_simulation(spec)
+
+
+@pytest.mark.parametrize("axis, values", MC_AXES)
+def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, values):
+    drawn = []
+    original = montecarlo._draw_chunk
+
+    def counting(n_elements, rng, m, eav_mode):
+        drawn.append(n_elements)
+        return original(n_elements, rng, m, eav_mode)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
+    spec = small_spec(axis=axis, values=values, outputs=("mc_sop",),
+                      mc=McConfig(trials=2000, seed=11, stream_count=2))
+    run_sweep(spec)
+    # two streams of one chunk each per draw set
+    if axis == "n_elements":
+        assert drawn == [n for n in values for _ in range(2)]
+    else:
+        assert drawn == [spec.base.n_elements] * 2
 
 
 # --- table I/O ---------------------------------------------------------------
@@ -308,6 +365,14 @@ def test_cli_preset_writes_one_file_per_curve(tmp_path):
 
 def test_cli_selftest_quadrature_gate(capsys):
     code = cli.main(["selftest", "--quad-order", "100"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "selftest: PASS" in out
+    assert "FAIL" not in out
+
+
+def test_cli_selftest_strict_mc_gates_against_the_model_law(capsys):
+    code = cli.main(["selftest", "--strict-mc", "--trials", "200000"])
     out = capsys.readouterr().out
     assert code == 0
     assert "selftest: PASS" in out
