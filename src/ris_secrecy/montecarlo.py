@@ -17,6 +17,12 @@ presets' 1e5 trials. :func:`model_law_chunks` draws the Gaussian-sum
 model itself, to check the closed forms against the law they are
 derived for.
 
+Memory: drawing a chunk of m trials (m = trials per stream, at most
+``_CHUNK``) holds one m x N float64 array of f_R amplitudes plus one
+row block of about ``_BLOCK`` elements, or two m x N arrays in
+``phase_sum`` mode; at the presets' 25 000 trials per stream that is
+205 MB at N = 1024.
+
 Reproducibility contract: estimates are a pure function of
 (seed, stream_count, trials). Trials are partitioned over
 ``stream_count`` counter-based Philox streams (stream i is
@@ -44,6 +50,7 @@ import numpy as np
 from .channel import ChannelStats, SystemParams
 
 _CHUNK = 1 << 18
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,21 +104,40 @@ def _stream_chunks(mc: McConfig, chunk: int):
             yield i, rng, min(chunk, size - done)
 
 
-def _rayleigh_amplitudes(rng, shape):
-    # Unit average power: amplitude = sqrt(E), E ~ Exp(1).
-    return np.sqrt(rng.standard_exponential(shape))
-
-
 def _draw_chunk(n_elements: int, rng, m: int, eav_mode: str):
-    """Draw m trials of ``(X1^2, e)``; see :func:`draw_chunks`."""
-    f_r = _rayleigh_amplitudes(rng, (m, n_elements))
-    f_d = _rayleigh_amplitudes(rng, (m, n_elements))
-    x1_sq = (f_r * f_d).sum(axis=1) ** 2
+    """Draw m trials of ``(X1^2, e)``; see :func:`draw_chunks`.
+
+    The stream yields all of f_R, then all of f_D (then, for
+    ``phase_sum``, all of f_E and then the phases), each (m x N) in C
+    order. f_R is held whole; the later draws are taken in row blocks of
+    about ``_BLOCK`` elements, which consumes the same numbers in the
+    same order, and each row's sum depends on that row alone. Amplitudes
+    are sqrt(E), E ~ Exp(1) (Rayleigh, unit average power).
+    """
+    f_r = rng.standard_exponential((m, n_elements))
+    np.sqrt(f_r, out=f_r)
+    step = max(1, _BLOCK // n_elements)
+    blocks = [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    buf = np.empty((min(step, m), n_elements))
+    x1 = np.empty(m)
+    for rows in blocks:
+        f_d = rng.standard_exponential(out=buf[:rows.stop - rows.start])
+        np.sqrt(f_d, out=f_d)
+        np.multiply(f_r[rows], f_d, out=f_d)
+        f_d.sum(axis=1, out=x1[rows])
+    np.square(x1, out=x1)
     if eav_mode == "rayleigh":
-        return x1_sq, rng.standard_exponential(m)
-    f_e = _rayleigh_amplitudes(rng, (m, n_elements))
-    delta = rng.uniform(-math.pi, math.pi, (m, n_elements))
-    return x1_sq, np.abs((f_r * f_e * np.exp(1j * delta)).sum(axis=1)) ** 2
+        return x1, rng.standard_exponential(m)
+    f_e = rng.standard_exponential((m, n_elements))
+    np.sqrt(f_e, out=f_e)
+    f_re = np.multiply(f_r, f_e, out=f_r)
+    del f_e
+    x2 = np.empty(m, dtype=complex)
+    for rows in blocks:
+        z = np.exp(1j * rng.uniform(-math.pi, math.pi, (rows.stop - rows.start, n_elements)))
+        np.multiply(f_re[rows], z, out=z)
+        z.sum(axis=1, out=x2[rows])
+    return x1, np.abs(x2) ** 2
 
 
 def draw_chunks(n_elements: int, mc: McConfig):
@@ -122,8 +148,9 @@ def draw_chunks(n_elements: int, mc: McConfig):
     mode, X2^2 itself in ``phase_sum`` mode. Neither depends on the
     SNRs, the threshold or the impairment levels, so one draw set serves
     every operating point with this N and ``mc``. Each chunk is computed
-    by a helper that returns, so its (chunk x N) amplitude arrays are
-    freed before the chunk is handed out.
+    by a helper that returns, so no amplitude array outlives it: the
+    peak is one (chunk x N) array plus one row block, or two (chunk x N)
+    arrays in ``phase_sum`` mode.
     """
     for _, rng, m in _stream_chunks(mc, _CHUNK):
         yield _draw_chunk(n_elements, rng, m, mc.eav_mode)
@@ -286,21 +313,24 @@ def estimate_mean_sndr(params: SystemParams, mc: McConfig, link: str = "d",
     each channel draw. ``sampled`` draws the transmit/receive distortion
     and AWGN as complex Gaussians per symbol and measures the ratio of
     received signal power to distortion-plus-noise power over
-    ``n_symbols`` symbols (bias-corrected for the inverted sample mean).
-    Channel draws consume dedicated streams, so both modes see identical
-    channels for a given seed and the comparison isolates the folding
-    step itself.
+    ``n_symbols`` symbols (bias-corrected for the inverted sample mean,
+    so ``n_symbols`` must be at least 2). Channel draws consume dedicated
+    streams and ``n_symbols`` sets the chunk size in both modes, so both
+    see identical channels for a given seed and the comparison isolates
+    the folding step itself.
     """
     if link not in ("d", "e"):
         raise ValueError(f"link must be 'd' or 'e', got {link!r}")
     if mode not in ("folded", "sampled"):
         raise ValueError(f"mode must be 'folded' or 'sampled', got {mode!r}")
+    if n_symbols < 2:
+        raise ValueError(f"n_symbols must be >= 2, got {n_symbols}")
     kappa_t2 = params.kappa_d_t2 if link == "d" else params.kappa_e_t2
     kappa_r2 = params.kappa_d_r2 if link == "d" else params.kappa_e_r2
     noise_rngs = [np.random.Generator(np.random.Philox(key=mc.seed).jumped(mc.stream_count + i))
                   for i in range(mc.stream_count)]
     s = s_sq = 0.0
-    chunk = max(1, _CHUNK // max(n_symbols, 1) * 8)
+    chunk = max(1, _CHUNK // n_symbols * 8)
     for idx, rng, m in _stream_chunks(mc, chunk):
         rho_d, rho_e = _rho(params, mc.eav_mode,
                             *_draw_chunk(params.n_elements, rng, m, mc.eav_mode))

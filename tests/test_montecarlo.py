@@ -1,6 +1,8 @@
 """Simulator contracts: determinism, trial invariants, moment oracles."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from scipy import integrate
 
 from ris_secrecy.channel import SystemParams, derive_stats
 from ris_secrecy.montecarlo import (
+    _CHUNK,
     EstimateWithCI,
     McConfig,
     TrialOutcome,
+    _draw_chunk,
     draw_chunks,
     empirical_cdf,
     estimate_asc,
@@ -62,6 +66,80 @@ def test_simulate_metrics_scores_a_given_draw_set_of_the_right_size():
         simulate_metrics(p, McConfig(trials=4000, seed=4, stream_count=2), draws)
     with pytest.raises(ValueError, match="eav_mode"):
         model_law_chunks(derive_stats(p), McConfig(trials=3000, eav_mode="phase_sum"))
+
+
+# sha256 of every (X1^2, e) chunk of draw_chunks, computed before the
+# kernel drew in row blocks (numpy 2.4, x86-64). Keys: (N, stream_count,
+# trials, eav_mode); seed 2024 + N. With row blocks of 2^15 elements,
+# N=1 and N=5 at 1000 trials have fewer rows than one block, N=300 ends
+# on a ragged block, and the _CHUNK + 1000 stream spans two chunks.
+DRAW_DIGESTS = {
+    (1, 1, 1000, "rayleigh"): "da8ea0a62ca3c9d01e9f2681a028cdd73913e180e69a5241e37f646fbc951cf1",
+    (1, 3, 1000, "rayleigh"): "98612c9b57028325fd8e8d055d03cb23ffec69486df2720314cd32d168a548ae",
+    (5, 1, 1000, "rayleigh"): "2c619606ec89bd9797155fd528a15bf510f78a3dac42c8f337957ca395ef735e",
+    (5, 3, 1000, "rayleigh"): "612e7cfdb868f63b902aa7c21d858cceb8ae8f2c997d48dbada8f83d1f3e4ea6",
+    (300, 1, 1000, "rayleigh"): "327164d0ce05e0d8f6af3578565d2eeaa3c05254c10d94db2fdc6656db90f602",
+    (300, 3, 1000, "rayleigh"): "ce9b3d5e67ec09ba89eb6a078a20d2c386b41837333ecaf43a0675fc32bb0184",
+    (5, 1, _CHUNK + 1000, "rayleigh"): "72fbc0469e4e702309ab450e418b6c9dda65dcbb2e2dcd7bcdeb6e765f6aaf28",
+    (1, 1, 1000, "phase_sum"): "c08f1365418fcc4bcec71373d12efc789e4e0fe70a7b4216565b2f134cc49e6d",
+    (1, 3, 1000, "phase_sum"): "4016abfa4852cc915765e8f271301c2c5a6c10d4a3fc7a692bb7c59d87d9af4a",
+    (5, 1, 1000, "phase_sum"): "c05dd32c0cb0dc6a7fd382085ab716418330db48046be82147c18ee2da347b0f",
+    (5, 3, 1000, "phase_sum"): "37e021bea85c6b9d00fcb8ca5a059913d1d952014acf51eec565df67d6b87377",
+    (300, 1, 1000, "phase_sum"): "1bda8cdad72480aae8cdc61c034a0ef11ac469fd20d31756d8eddd38aa3c14fb",
+    (300, 3, 1000, "phase_sum"): "142a35dbd3384f1baac25f97593bf4b9834ebca206c74aac5733a1a215e2092a",
+    (5, 1, _CHUNK + 1000, "phase_sum"): "593fa287104866404546ad0704fae1c86be167ba4be8eb3d29fd5d84db1baa8e",
+}
+
+
+@pytest.mark.parametrize("key", list(DRAW_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_draw_chunks_golden_digest(key):
+    n, stream_count, trials, eav_mode = key
+    mc = McConfig(trials=trials, seed=2024 + n, stream_count=stream_count, eav_mode=eav_mode)
+    h = hashlib.sha256()
+    for x1_sq, e in draw_chunks(n, mc):
+        for a in (x1_sq, e):
+            h.update(np.int64(a.size).tobytes())
+            h.update(a.tobytes())
+    assert h.hexdigest() == DRAW_DIGESTS[key]
+
+
+def _reference_draw_chunk(n, rng, m, eav_mode):
+    # the whole-array form: every (m x N) draw at once, then the row sums
+    f_r = np.sqrt(rng.standard_exponential((m, n)))
+    f_d = np.sqrt(rng.standard_exponential((m, n)))
+    x1_sq = (f_r * f_d).sum(axis=1) ** 2
+    if eav_mode == "rayleigh":
+        return x1_sq, rng.standard_exponential(m)
+    f_e = np.sqrt(rng.standard_exponential((m, n)))
+    delta = rng.uniform(-math.pi, math.pi, (m, n))
+    return x1_sq, np.abs((f_r * f_e * np.exp(1j * delta)).sum(axis=1)) ** 2
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("n, m", [(1, 7), (7, 9367), (300, 1), (300, 250), (1024, 65)])
+def test_draw_chunk_equals_whole_array_reference(n, m, eav_mode):
+    # blocked draws must consume the stream exactly as whole-array draws
+    rng_a, rng_b = (np.random.Generator(np.random.Philox(key=n + m)) for _ in range(2))
+    got = _draw_chunk(n, rng_a, m, eav_mode)
+    want = _reference_draw_chunk(n, rng_b, m, eav_mode)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("eav_mode, arrays", [("rayleigh", 1.25), ("phase_sum", 2.25)])
+def test_draw_chunk_peak_memory(eav_mode, arrays):
+    # tracemalloc sees numpy's data buffers; one m x N float64 array is
+    # the f_R amplitudes, which the stream order forces to be held whole.
+    n, m = 1024, 4000
+    rng = np.random.Generator(np.random.Philox(key=0))
+    tracemalloc.start()
+    try:
+        _draw_chunk(n, rng, m, eav_mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * m * n * 8
 
 
 def test_stream_count_changes_partition_not_contract():
@@ -234,3 +312,9 @@ def test_estimate_mean_sndr_validation():
         estimate_mean_sndr(p, mc, link="x")
     with pytest.raises(ValueError):
         estimate_mean_sndr(p, mc, mode="analytic")
+    # the sampled mode divides by n_symbols - 1; both modes share the check
+    for mode in ("folded", "sampled"):
+        for n_symbols in (1, 0, -3):
+            with pytest.raises(ValueError, match="n_symbols"):
+                estimate_mean_sndr(p, mc, mode=mode, n_symbols=n_symbols)
+    assert math.isfinite(estimate_mean_sndr(p, mc, mode="sampled", n_symbols=2).value)
