@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Time one call of the destination-law kernel and of each closed form.
+
+The layer-by-layer view of the analytic path: the median wall time of one
+call of ``cdf_rho_d`` and ``ccdf_rho_d`` (series route, 100 points spread
+over the body and upper tail of rho_D) and of ``sop``, ``sop_asymptotic``
+and ``avg_secrecy_capacity``, at N in {1, 10, 64, 128} and the fig2 base
+point (kappa^2 = 0.01 on all four levels, snr_d = 10 dB, snr_e = -10 dB,
+c_th = 1). timeit's autorange runs each call first, which fills the
+caches before the timed rounds. Prints one JSON line, times in seconds;
+takes about 20 s.
+
+    python scripts/kernel_timing.py
+"""
+
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats
+from ris_secrecy.secrecy import avg_secrecy_capacity, sop, sop_asymptotic
+
+ELEMENTS = (1, 10, 64, 128)
+ROUNDS = 15          # the median is taken over this many rounds
+ROUND_S = 0.02       # each round repeats the call for about this long
+
+
+def per_call_s(call) -> float:
+    number, total = timeit.Timer(call).autorange()  # also fills the caches
+    number = max(1, round(number * ROUND_S / total))
+    return statistics.median(timeit.repeat(call, number=number, repeat=ROUNDS)) / number
+
+
+def main() -> int:
+    result = {}
+    for n in ELEMENTS:
+        p = SystemParams(n_elements=n, kappa_d_t2=0.01, kappa_d_r2=0.01,
+                         kappa_e_t2=0.01, kappa_e_r2=0.01,
+                         snr_d_db=10.0, snr_e_db=-10.0, c_th=1.0)
+        st = derive_stats(p)
+        g = p.snr_d_linear
+        xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
+        calls = {
+            "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method="series"),
+            "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method="series"),
+            "sop": lambda: sop(p, st),
+            "sop_asymptotic": lambda: sop_asymptotic(p, st),
+            "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),
+        }
+        result[str(n)] = {name: round(per_call_s(c), 9) for name, c in calls.items()}
+    print(json.dumps({
+        "unit": "s per call, median",
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "n_elements": result,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

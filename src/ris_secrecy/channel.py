@@ -8,13 +8,16 @@ both a Marcum-Q closed form and an incomplete-gamma series form. The
 eavesdropper sees an incoherent sum, so rho_E = snr_e * X2^2 is
 exponential with mean lambda_e = snr_e * N.
 
-Everything here is a pure function of immutable inputs.
+Everything here is a pure function of immutable inputs; the series
+window is cached per mixture mean and handed out read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
@@ -27,6 +30,8 @@ from .specfun import (  # noqa: F401
     lower_inc_gamma,
     upper_inc_gamma,
 )
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 def db_to_linear(db: float) -> float:
@@ -171,13 +176,40 @@ def derive_stats(params: SystemParams, *, printed_sigma2: bool = False) -> Chann
     return ChannelStats(lambda_=lam, sigma2=sigma2, lambda_e=params.snr_e_linear * n)
 
 
-def _poisson_window(mean: float, ctl: SeriesControl):
-    """Indices k and Poisson(mean) weights of the chi-square mixture.
+class _Window(NamedTuple):
+    """The Poisson window of one mixture mean; every array is read-only.
+
+    k          term indices k0..k1, w their Poisson(mean) weights, total = sum w
+    a          orders a_j = j + 1/2 for j < k1 (the recurrence terms)
+    log_gamma  gammaln(a_j + 1) for the same j
+    prefix     C_j = sum_{k <= j} w_k for j < k1
+    suffix     S_j = sum_{k > j} w_k for j < k1
+    """
+
+    k: np.ndarray
+    w: np.ndarray
+    total: float
+    a: np.ndarray
+    log_gamma: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _poisson_window(mean: float, ctl: SeriesControl) -> _Window:
+    """Indices k, Poisson(mean) weights and recurrence sums of the chi-square mixture.
 
     The window grows outward from the mode until each side leaves out
     less than rel_tol/2 of the mass (Ding, AS 275; Benton & Krishnamoorthy
     2003); the weights are formed in log space, so no power or factorial
     overflows at large mean. Needing more than max_terms terms raises.
+
+    Entries are cached per (mean, ctl), because finding the window costs
+    some 800 incomplete gammas and every closed-form evaluation at the
+    same N asks for the same one. The cache does not hold exceptions, so an
+    oversized window raises ConvergenceError on every call. The suffix
+    sums S_j are accumulated from the top end, never formed as total -
+    C_j: that difference cancels in the deep upper tail.
     """
     mode = math.floor(mean)
     k = np.arange(max(mode - ctl.max_terms, 0), mode + ctl.max_terms + 1)
@@ -190,7 +222,14 @@ def _poisson_window(mean: float, ctl: SeriesControl):
         left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + ctl.max_terms, mean)
         raise ConvergenceError("rho_D mixture series", ctl.max_terms, float(left_out))
     k = np.arange(starts[-1], ends[0] + 1)
-    return k, np.exp(k * math.log(mean) - mean - sc.gammaln(k + 1.0))
+    w = np.exp(k * math.log(mean) - mean - sc.gammaln(k + 1.0))
+    a = k[:-1] + 0.5
+    window = _Window(k, w, float(w.sum()), a, sc.gammaln(a + 1.0),
+                     np.cumsum(w)[:-1], np.cumsum(w[::-1])[::-1][1:].copy())
+    for arr in window:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return window
 
 
 def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
@@ -198,8 +237,18 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
     """P(rho_D > x) if ``upper`` else P(rho_D <= x), for scalar or array x.
 
     ``marcum`` is the erfc form of Q_{1/2}; ``series`` is the Poisson
-    mixture sum_k w_k P(k+1/2, u) (Q(k+1/2, u) for the upper tail) with
-    u = x/(2 g sigma^2), one array expression over x and k.
+    mixture sum_k w_k P(a_k, u) (Q(a_k, u) for the upper tail) with
+    a_k = k + 1/2 and u = x/(2 g sigma^2), summed by the adjacent-order
+    recurrence P(a+1, u) = P(a, u) - t(a), Q(a+1, u) = Q(a, u) + t(a),
+    t(a) = u^a e^-u / Gamma(a+1) (DLMF 8.8.5). Over the window k0..k1
+    that gives
+
+        sum_k w_k P(a_k, u) = P(a_k1, u) sum w + sum_{j<k1} t_j C_j,
+        sum_k w_k Q(a_k, u) = Q(a_k0, u) sum w + sum_{j<k1} t_j S_j,
+
+    with the prefix sums C_j = sum_{k<=j} w_k and suffix sums
+    S_j = sum_{k>j} w_k of the cached window: one incomplete gamma per
+    x and a sum of positive terms, with no cancellation in either tail.
     """
     if method not in ("marcum", "series"):
         raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")
@@ -213,12 +262,19 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
         q = 0.5 * (sc.erfc((b - a) * inv_sqrt2) + sc.erfc((b + a) * inv_sqrt2))
         out = q if upper else 1.0 - q
     else:
-        k, w = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
-        u = xs[..., None] / (2.0 * snr_d_linear * stats.sigma2)
-        terms = (sc.gammaincc if upper else sc.gammainc)(k + 0.5, u)
+        win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+        # clamped so that x = inf gives t = 0 rather than exp(inf - inf)
+        u = np.minimum(xs / (2.0 * snr_d_linear * stats.sigma2), _FLOAT_MAX)
+        with np.errstate(divide="ignore"):  # log(0) = -inf, so t = 0 at u = 0
+            log_u = np.log(u)[..., None]
+        t = np.exp(win.a * log_u - u[..., None] - win.log_gamma)
+        if upper:
+            end, coeff = sc.gammaincc(win.k[0] + 0.5, u), win.suffix
+        else:
+            end, coeff = sc.gammainc(win.k[-1] + 0.5, u), win.prefix
         # a row-wise sum, not a matrix product, so that every element sums
         # exactly as a scalar call would
-        out = np.minimum((terms * w).sum(axis=-1), 1.0)
+        out = np.minimum(end * win.total + (t * coeff).sum(axis=-1), 1.0)
         if upper:  # the window leaves out up to rel_tol; P(rho_D > 0) is 1
             out = np.where(xs > 0.0, out, 1.0)
     return float(out) if np.ndim(x) == 0 else out
@@ -243,7 +299,8 @@ def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
         return math.inf
     scale = 2.0 * snr_d_linear * stats.sigma2
     u = x / scale
-    k, w = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+    win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+    k, w = win.k, win.w
     # w_k times the Gamma(k+1/2, scale=2 g s2) density at x
     log_dens = (k - 0.5) * math.log(u) - u - sc.gammaln(k + 0.5) - math.log(scale)
     return float(np.exp(log_dens) @ w)
@@ -255,7 +312,11 @@ def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
 
     ``marcum``  F(x) = 1 - Q_{1/2}(sqrt(lambda)/sigma, sqrt(x/(g sigma^2))),
                 erfc-based.
-    ``series``  Poisson mixture of regularised lower incomplete gammas.
+    ``series``  Poisson mixture of regularised lower incomplete gammas,
+                summed by the adjacent-order recurrence: one incomplete
+                gamma per x plus the window's prefix sums (see
+                :func:`_rho_d_law`). The window is cached per mixture
+                mean and series control.
 
     Both accept scalars or arrays and return the same shape.
     """
@@ -266,8 +327,10 @@ def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
                ctl: SeriesControl = DEFAULT_SERIES, method: str = "marcum"):
     """P(rho_D > x), evaluated without the 1 - CDF cancellation.
 
-    The series route sums upper incomplete gammas, which keeps deep
-    upper-tail values accurate; the marcum route is Q_{1/2} directly.
+    The series route sums upper incomplete gammas by the recurrence of
+    :func:`_rho_d_law`, with suffix sums of the weights, so every term is
+    positive and deep upper-tail values stay accurate; the marcum route
+    is Q_{1/2} directly.
     Scalars or arrays, as in :func:`cdf_rho_d`.
     """
     return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=True)

@@ -11,8 +11,9 @@ is provided twice, through fully independent numerical routes:
   integral using the erfc/Marcum representation of the CDF.
 
 Agreement between the two validates the series, the quadrature rule and
-the algebra at once; the Monte Carlo module provides the third,
-model-independent route.
+the algebra at once. Both evaluate the Gaussian-sum model of the
+destination channel; the Monte Carlo module simulates the signal-level
+channel itself, so its gap to them measures the model's error as well.
 
 Both outage integrals have a finite upper limit only because the SNDRs
 saturate; the probability mass of the eavesdropper gain beyond that
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
 from .specfun import SeriesControl, e1_scaled
@@ -107,13 +107,32 @@ def theta_coefficients(params: SystemParams) -> ThetaSet:
     )
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _chebyshev_rule(q: int):
-    """Nodes and weights for int_{-1}^{1} h(phi) dphi ~ sum w_n h(phi_n)."""
+    """Nodes and weights for int_{-1}^{1} h(phi) dphi ~ sum w_n h(phi_n).
+
+    Cached and read-only, as is :func:`_quintic_map`: every caller
+    shares the same arrays.
+    """
     n = np.arange(1, q + 1, dtype=float)
     phi = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * q))
     w = (math.pi / q) * np.sqrt(1.0 - phi * phi)
-    return phi, w
+    return _read_only(phi, w)
+
+
+@lru_cache(maxsize=32)
+def _quintic_map(q: int):
+    """The map t(phi) of :func:`_chebyshev_on_interval` and dt/dphi at the q nodes."""
+    phi, _ = _chebyshev_rule(q)
+    t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
+    dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
+    return _read_only(t, dt)
 
 
 def _chebyshev_on_interval(q: int, upper: float):
@@ -127,9 +146,8 @@ def _chebyshev_on_interval(q: int, upper: float):
     nodes and weights deliver ~1e-12 accuracy by q = 100 on the smooth
     integrands used here.
     """
-    phi, w = _chebyshev_rule(q)
-    t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
-    dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
+    _, w = _chebyshev_rule(q)
+    t, dt = _quintic_map(q)
     x = np.clip(0.5 * upper * (1.0 + t), 0.0, upper)
     return x, 0.5 * upper * w * dt
 
@@ -193,6 +211,10 @@ def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
 
 
 def _adaptive(integrand, upper: float) -> float:
+    # imported here: only the *_reference twins integrate adaptively, and
+    # scipy.integrate (with scipy.optimize) is most of the package's import time
+    from scipy import integrate
+
     total, _ = integrate.quad(integrand, 0.0, upper, limit=300,
                               epsabs=1e-12, epsrel=1e-12)
     return total

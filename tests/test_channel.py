@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy import special as sc
 
 from ris_secrecy.channel import (
     ChannelStats,
     LinkGeometry,
     SystemParams,
+    _poisson_window,
     ccdf_rho_d,
     cdf_gamma_d,
     cdf_rho_d,
@@ -20,6 +22,7 @@ from ris_secrecy.channel import (
     pdf_rho_e,
 )
 from ris_secrecy.montecarlo import ks_distance
+from ris_secrecy.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0):
@@ -158,6 +161,45 @@ def test_cdf_rho_d_limits_and_array_input():
         ccdf_rho_d(np.array([1.0, -1.0]), st_, g, method="series")
 
 
+def _incomplete_gamma_matrix(x, st_, g, upper):
+    """Reference: the mixture summed term by term, one incomplete gamma per (x, k)."""
+    win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2), DEFAULT_SERIES)
+    xs = np.asarray(x)
+    terms = (sc.gammaincc if upper else sc.gammainc)(win.k + 0.5,
+                                                     xs[..., None] / (2.0 * g * st_.sigma2))
+    out = np.minimum((terms * win.w).sum(axis=-1), 1.0)
+    return np.where(xs > 0.0, out, 1.0) if upper else out
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 128])
+def test_series_recurrence_matches_incomplete_gamma_matrix(n):
+    p = params_for(n=n)
+    st_ = derive_stats(p)
+    g = p.snr_d_linear
+    mean = g * (st_.lambda_ + st_.sigma2)
+    # out to 40 sigma of X1, where the upper tail is below 1e-290
+    far = g * (math.sqrt(st_.lambda_) + 40.0 * math.sqrt(st_.sigma2)) ** 2
+    xs = np.concatenate([[0.0], np.geomspace(1e-12 * mean, far, 600), [math.inf]])
+    for upper, fn in ((False, cdf_rho_d), (True, ccdf_rho_d)):
+        ref = _incomplete_gamma_matrix(xs, st_, g, upper)
+        got = fn(xs, st_, g, method="series")
+        # relative where the reference is > 1e-290, absolute 1e-302 below
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(ref, 1e-290)), (upper, n)
+    assert ccdf_rho_d(math.inf, st_, g, method="series") == 0.0
+
+
+def test_poisson_window_is_cached_and_read_only():
+    mean = 7.3
+    win = _poisson_window(mean, DEFAULT_SERIES)
+    assert _poisson_window(mean, DEFAULT_SERIES) is win
+    arrays = [v for v in win if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_ccdf_complements_cdf():
     p = params_for(n=5)
     st_ = derive_stats(p)
@@ -240,8 +282,6 @@ def test_channel_stats_validation():
 
 
 def test_series_convergence_failure_surfaces():
-    from ris_secrecy.specfun import ConvergenceError, SeriesControl
-
     # N=32 puts the mixture's weight peak near k=26; 5 terms cannot reach it
     p = params_for(n=32)
     st_ = derive_stats(p)
@@ -250,3 +290,12 @@ def test_series_convergence_failure_surfaces():
         cdf_rho_d(10.0, st_, p.snr_d_linear, tiny, method="series")
     with pytest.raises(ConvergenceError):
         pdf_rho_d(10.0, st_, p.snr_d_linear, tiny)
+    # N=256 needs more than the default 200 terms; the window cache holds
+    # no failures, so every call raises
+    p = params_for(n=256)
+    st_ = derive_stats(p)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError):
+            cdf_rho_d(10.0, st_, p.snr_d_linear, method="series")
+    with pytest.raises(ConvergenceError):
+        ccdf_rho_d(10.0, st_, p.snr_d_linear, method="series")

@@ -11,6 +11,9 @@ from ris_secrecy.channel import SystemParams, derive_stats
 from ris_secrecy.secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
+    _chebyshev_on_interval,
+    _chebyshev_rule,
+    _quintic_map,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
     destination_rate,
@@ -349,3 +352,18 @@ def test_numerics_config_validation():
         NumericsConfig(quad_order=1)
     with pytest.raises(ValueError):
         NumericsConfig(tail_epsilon=0.0)
+
+
+def test_chebyshev_caches_are_read_only():
+    q = 37
+    for arr in (*_chebyshev_rule(q), *_quintic_map(q)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the cached map gives the nodes and weights of the uncached expressions
+    phi, w = _chebyshev_rule(q)
+    t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
+    dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
+    x, wx = _chebyshev_on_interval(q, 3.7)
+    assert x.tolist() == np.clip(0.5 * 3.7 * (1.0 + t), 0.0, 3.7).tolist()
+    assert wx.tolist() == (0.5 * 3.7 * w * dt).tolist()

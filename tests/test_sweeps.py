@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -353,6 +357,16 @@ def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweeps_mod, "run_sweep", boom)
     assert cli.main(["run", str(cfg)]) == 2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the *_reference twins need scipy.integrate; they import it on use
+    code = ("import sys, ris_secrecy.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])  # the package under test
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_preset_writes_one_file_per_curve(tmp_path):
