@@ -15,7 +15,8 @@ window is cached per mixture mean and handed out read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,6 +58,12 @@ class LinkGeometry:
     d_re: float
     chi: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {v!r}")
+
     def snr_d_db(self) -> float:
         return 10.0 * math.log10(self.p_s / ((self.d_sr * self.d_rd) ** self.chi * self.n0))
 
@@ -84,8 +91,13 @@ class SystemParams:
     geometry: LinkGeometry | None = None
 
     def __post_init__(self):
-        if int(self.n_elements) != self.n_elements or self.n_elements < 1:
-            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
+        n = self.n_elements
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_elements must be a positive integer, got {n!r}")
+        for name in ("snr_d_db", "snr_e_db"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         for name in ("kappa_d_t2", "kappa_d_r2", "kappa_e_t2", "kappa_e_r2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -54,6 +54,7 @@ def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
 
 
 def _cmd_run(args) -> int:
+    # per call: a module-level import binds run_sweep unwrapped, so traced run_sweep counts read 0
     from .sweeps import run_sweep
 
     spec = _apply_overrides(load_config(args.config), args)
@@ -69,7 +70,7 @@ def _cmd_run(args) -> int:
 def _cmd_preset(args) -> int:
     from pathlib import Path
 
-    from .sweeps import run_sweep
+    from .sweeps import run_sweep  # per call, as in _cmd_run
 
     curves = load_preset(args.name)
     out_dir = Path(args.out_dir)

@@ -43,6 +43,7 @@ mode useful for measuring how good the exponential model is.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class McConfig:
     eav_mode: str = "rayleigh"
 
     def __post_init__(self):
+        for name in ("trials", "seed", "stream_count"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
-import math
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from .channel import LinkGeometry, SystemParams, derive_stats
+from .channel import SystemParams, derive_stats
 from .montecarlo import McConfig, draw_chunks, simulate_metrics
 from .secrecy import (
     NumericsConfig,
@@ -31,7 +32,6 @@ from .secrecy import (
     sop,
     sop_asymptotic,
 )
-from .specfun import SeriesControl
 
 AXES = ("snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th")
 METRICS = ("sop", "sop_asymptotic", "asc", "mc_sop", "mc_asc")
@@ -118,7 +118,7 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
         try:
             params = _params_at(spec, value)
             stats = derive_stats(params)
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             for metric in METRICS:
                 if metric in spec.outputs:
                     point_rows[metric] = Row(spec.axis, value, metric, None, error=str(exc))
@@ -178,117 +178,62 @@ def _annotate_mc_gap(row: Row, mc_est) -> Row:
 
 # --- configuration I/O -----------------------------------------------------
 
-_BASE_FIELDS = ("n_elements", "kappa_d_t2", "kappa_d_r2", "kappa_e_t2",
-                "kappa_e_r2", "snr_d_db", "snr_e_db", "c_th")
-_GEOMETRY_FIELDS = ("p_s", "n0", "d_sr", "d_rd", "d_re", "chi")
-
-
 def _require_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(obj).__name__}")
     return obj
 
 
-def _check_keys(mapping: dict, allowed, where: str):
-    unknown = set(mapping) - set(allowed)
+# resolved once per class: load_preset runs on every figure reproduction
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _from_mapping(cls, mapping, where: str):
+    """Build config dataclass ``cls`` from a parsed YAML mapping.
+
+    The fields of ``cls`` are the schema: unknown keys and missing
+    required fields are rejected, nested config classes are read from
+    nested mappings, and YAML lists become tuples. Whatever the class
+    rejects comes back as a :class:`ConfigError` naming the section.
+    """
+    mapping = _require_mapping(mapping, where)
+    fields = dataclasses.fields(cls)
+    unknown = set(mapping) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-
-
-def _build_params(mapping: dict, where: str) -> SystemParams:
-    mapping = _require_mapping(mapping, where)
-    _check_keys(mapping, _BASE_FIELDS + ("geometry",), where)
-    geometry = None
-    if "geometry" in mapping:
-        gm = _require_mapping(mapping["geometry"], f"{where}.geometry")
-        _check_keys(gm, _GEOMETRY_FIELDS, f"{where}.geometry")
-        geometry = LinkGeometry(**{k: float(gm[k]) for k in _GEOMETRY_FIELDS})
-    kwargs = {k: mapping[k] for k in _BASE_FIELDS if k in mapping}
+    kwargs = {}
+    for f in fields:
+        if f.name not in mapping:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing required field {f.name!r}")
+            continue
+        value = mapping[f.name]
+        hint = _type_hints(cls)[f.name]
+        nested = [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
+        if nested:
+            value = _from_mapping(nested[0], value, f"{where}.{f.name}")
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[f.name] = value
     try:
-        return SystemParams(geometry=geometry, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _spec_from_mapping(mapping: dict, where: str = "config") -> SweepSpec:
-    mapping = _require_mapping(mapping, where)
-    _check_keys(mapping, ("axis", "values", "outputs", "base", "numerics",
-                          "mc", "kappa_convention"), where)
-    for key in ("axis", "values", "outputs", "base"):
-        if key not in mapping:
-            raise ConfigError(f"{where}: missing required field {key!r}")
-    base = _build_params(mapping["base"], f"{where}.base")
-
-    numerics = NumericsConfig()
-    if "numerics" in mapping:
-        nm = dict(_require_mapping(mapping["numerics"], f"{where}.numerics"))
-        _check_keys(nm, ("quad_order", "series", "tail_epsilon",
-                         "theta2_epsilon", "mc_check"), f"{where}.numerics")
-        series = SeriesControl()
-        if "series" in nm:
-            sm = _require_mapping(nm.pop("series"), f"{where}.numerics.series")
-            _check_keys(sm, ("max_terms", "rel_tol"), f"{where}.numerics.series")
-            try:
-                series = SeriesControl(**sm)
-            except ValueError as exc:
-                raise ConfigError(f"{where}.numerics.series: {exc}") from exc
-        try:
-            numerics = NumericsConfig(series=series, **nm)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.numerics: {exc}") from exc
-
-    mc = McConfig()
-    if "mc" in mapping:
-        mm = _require_mapping(mapping["mc"], f"{where}.mc")
-        _check_keys(mm, ("trials", "seed", "stream_count", "eav_mode"), f"{where}.mc")
-        try:
-            mc = McConfig(**mm)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.mc: {exc}") from exc
-
-    try:
-        return SweepSpec(
-            axis=mapping["axis"],
-            values=tuple(mapping["values"]),
-            base=base,
-            outputs=tuple(mapping["outputs"]),
-            numerics=numerics,
-            mc=mc,
-            kappa_convention=mapping.get("kappa_convention", "squared"),
-        )
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _spec_to_mapping(spec: SweepSpec) -> dict:
-    base = {k: getattr(spec.base, k) for k in _BASE_FIELDS}
-    if spec.base.geometry is not None:
-        base["geometry"] = {k: getattr(spec.base.geometry, k) for k in _GEOMETRY_FIELDS}
-    return {
-        "axis": spec.axis,
-        "values": list(spec.values),
-        "outputs": list(spec.outputs),
-        "kappa_convention": spec.kappa_convention,
-        "base": base,
-        "numerics": {
-            "quad_order": spec.numerics.quad_order,
-            "tail_epsilon": spec.numerics.tail_epsilon,
-            "theta2_epsilon": spec.numerics.theta2_epsilon,
-            "mc_check": spec.numerics.mc_check,
-            "series": {
-                "max_terms": spec.numerics.series.max_terms,
-                "rel_tol": spec.numerics.series.rel_tol,
-            },
-        },
-        "mc": {
-            "trials": spec.mc.trials,
-            "seed": spec.mc.seed,
-            "stream_count": spec.mc.stream_count,
-            "eav_mode": spec.mc.eav_mode,
-        },
-    }
+def _to_mapping(obj) -> dict:
+    """The mapping :func:`_from_mapping` reads back as ``obj``; ``None`` fields are left out."""
+    mapping = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if dataclasses.is_dataclass(value):
+            value = _to_mapping(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        mapping[f.name] = value
+    return mapping
 
 
 def load_config(path) -> SweepSpec:
@@ -298,13 +243,13 @@ def load_config(path) -> SweepSpec:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-    return _spec_from_mapping(data, where=str(path))
+    return _from_mapping(SweepSpec, data, str(path))
 
 
 def save_config(spec: SweepSpec, path) -> None:
     """Write a config that :func:`load_config` reads back identically."""
     Path(path).write_text(
-        yaml.safe_dump(_spec_to_mapping(spec), sort_keys=False), encoding="utf-8"
+        yaml.safe_dump(_to_mapping(spec), sort_keys=False), encoding="utf-8"
     )
 
 
@@ -318,7 +263,7 @@ def load_preset(name: str) -> dict[str, SweepSpec]:
     text = resources.files("ris_secrecy").joinpath("presets", f"{name}.yaml").read_text("utf-8")
     data = yaml.safe_load(text)
     curves = _require_mapping(_require_mapping(data, name).get("curves"), f"{name}.curves")
-    return {label: _spec_from_mapping(m, where=f"{name}.curves.{label}")
+    return {label: _from_mapping(SweepSpec, m, f"{name}.curves.{label}")
             for label, m in curves.items()}
 
 

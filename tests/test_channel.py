@@ -42,6 +42,11 @@ def test_params_invariants():
         SystemParams(n_elements=5, kappa_e_r2=-0.01)
     with pytest.raises(ValueError):
         SystemParams(n_elements=5, c_th=0.0)
+    for kw in ({"n_elements": 5.0}, {"n_elements": True}, {"snr_d_db": "10"},
+               {"snr_e_db": None}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SystemParams(**{"n_elements": 5, **kw})
+    assert SystemParams(n_elements=np.int64(5), snr_d_db=np.float64(1.0)).n_elements == 5
 
 
 def test_geometry_must_match_snr_fields():
@@ -52,6 +57,8 @@ def test_geometry_must_match_snr_fields():
     assert p.snr_e_db == pytest.approx(10.0 * math.log10(1.0 / (200.0 ** 2 * 1e-4)), abs=1e-12)
     with pytest.raises(ValueError):
         SystemParams(n_elements=5, snr_d_db=5.0, snr_e_db=p.snr_e_db, geometry=geo)
+    with pytest.raises(ValueError, match="n0"):  # how PyYAML reads `n0: 1e-4`
+        LinkGeometry(p_s=1.0, n0="1e-4", d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
 
 
 def test_derived_stats_frozen_values():

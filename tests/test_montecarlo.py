@@ -43,6 +43,10 @@ def test_mcconfig_validation():
         McConfig(eav_mode="gaussian")
     with pytest.raises(ValueError):
         McConfig(seed=-1)
+    for kw in ({"trials": 2000.0}, {"trials": "1e5"}, {"seed": 1.0}, {"stream_count": "4"}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            McConfig(**kw)
+    assert McConfig(trials=np.int64(2000), seed=np.uint64(2 ** 63)).trials == 2000
 
 
 def test_bitwise_determinism():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,16 +239,23 @@ def test_run_sweep_output_survives_serialisation(tmp_path):
 
 # --- config I/O --------------------------------------------------------------
 
-def test_config_round_trip(tmp_path):
+def _round_trip_specs():
     geo = LinkGeometry(p_s=2.0, n0=1e-6, d_sr=40.0, d_rd=5.0, d_re=8.0, chi=2.5)
-    spec = small_spec(
+    yield pytest.param(small_spec(
         base=SystemParams.from_geometry(7, geo, c_th=1.5, kappa_d_t2=0.02,
                                         kappa_d_r2=0.01, kappa_e_t2=0.03,
                                         kappa_e_r2=0.04),
         numerics=NumericsConfig(quad_order=64, series=SeriesControl(max_terms=150, rel_tol=1e-10)),
         mc=McConfig(trials=5000, seed=99, stream_count=3, eav_mode="phase_sum"),
         kappa_convention="amplitude",
-    )
+    ), id="geometry_phase_sum")
+    for name in PRESET_NAMES:
+        for label, spec in load_preset(name).items():
+            yield pytest.param(spec, id=f"{name}_{label}")
+
+
+@pytest.mark.parametrize("spec", _round_trip_specs())
+def test_config_round_trip(tmp_path, spec):
     path = tmp_path / "sweep.yaml"
     save_config(spec, path)
     assert load_config(path) == spec
@@ -280,6 +288,45 @@ def test_config_validation_messages(tmp_path):
     path.write_text("axis: [unterminated")
     with pytest.raises(ConfigError, match="YAML"):
         load_config(path)
+
+
+_GOOD_CONFIG = """\
+axis: snr_d_db
+values: [0.0, 10.0]
+outputs: [sop, mc_sop]
+base:
+  n_elements: 5
+  snr_d_db: 10.0
+  snr_e_db: -10.0
+numerics:
+  quad_order: 50
+  series: {max_terms: 200}
+mc: {trials: 2000, seed: 1}
+"""
+
+
+@pytest.mark.parametrize("old, new, section", [
+    ("  n_elements: 5\n", "", "base"),
+    ("  snr_e_db: -10.0\n",
+     "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, d_sr: 1.0, d_rd: 1.0, d_re: 1.0, chi: 2.0}\n",
+     "base.geometry"),
+    ("trials: 2000", "trials: 1e5", "mc"),  # PyYAML reads 1e5 as a string
+    ("trials: 2000", "trials: 2000.0", "mc"),
+    ("n_elements: 5", "n_elements: 5.0", "base"),
+    ("snr_e_db: -10.0", 'snr_e_db: "-10"', "base"),
+    ("quad_order: 50", "quad_order: '50'", "numerics"),
+    ("max_terms: 200", "max_terms: '200'", "numerics.series"),
+], ids=["missing_n_elements", "geometry_missing_n0", "trials_1e5", "trials_float",
+        "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string"])
+def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
+    assert old in _GOOD_CONFIG
+    path = tmp_path / "bad.yaml"
+    path.write_text(_GOOD_CONFIG.replace(old, new))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}.{section}: ')}"):
+        load_config(path)
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 # --- presets -----------------------------------------------------------------
