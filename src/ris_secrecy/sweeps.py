@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import io
 import json
+import numbers
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,6 +67,10 @@ class SweepSpec:
             raise ConfigError(f"axis: must be one of {AXES}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("values: must be non-empty")
+        if self.axis == "n_elements":
+            for v in self.values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ConfigError(f"values: n_elements must be integers, got {v!r}")
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and diffs:
             raise ConfigError("values: must be strictly monotone")
@@ -105,10 +110,14 @@ def _params_at(spec: SweepSpec, value) -> SystemParams:
     return dataclasses.replace(base, **{spec.axis: float(value)})
 
 
+_MC_ESTIMATES = {"mc_sop": "sop", "mc_asc": "asc_eq19"}
+
+
 def run_sweep(spec: SweepSpec) -> list[Row]:
     """Evaluate every requested metric at every grid point."""
     rows: list[Row] = []
-    wants_mc = any(m.startswith("mc_") for m in spec.outputs) or spec.numerics.mc_check
+    # Monte Carlo computes only the estimates the sweep emits or checks.
+    mc_keys = [k for m, k in _MC_ESTIMATES.items() if m in spec.outputs or spec.numerics.mc_check]
     # The fading draws depend on N and the McConfig only, so every point
     # of a sweep over another axis is scored on one draw set, made at the
     # first point that needs it. None draws lazily per point.
@@ -126,11 +135,11 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
             continue
 
         mc_est = None
-        if wants_mc:
+        if mc_keys:
             try:
                 if draws is None and spec.axis != "n_elements":
                     draws = list(draw_chunks(spec.base.n_elements, spec.mc))
-                mc_est = simulate_metrics(params, spec.mc, draws)
+                mc_est = simulate_metrics(params, spec.mc, draws, keys=mc_keys)
             except Exception as exc:  # recorded per mc row below
                 mc_est = exc
 
@@ -150,7 +159,7 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
                 else:
                     if isinstance(mc_est, Exception):
                         raise mc_est
-                    est = mc_est["sop" if metric == "mc_sop" else "asc_eq19"]
+                    est = mc_est[_MC_ESTIMATES[metric]]
                     row = Row(spec.axis, value, metric, est.value, est.std_error,
                               est.trials, est.seed)
             except Exception as exc:

@@ -107,6 +107,71 @@ def test_draw_chunks_golden_digest(key):
     assert h.hexdigest() == DRAW_DIGESTS[key]
 
 
+# (value, std_error) of every simulate_metrics estimate, computed before
+# the sums went through a per-point accumulator. The asc values go
+# through np.log2, whose float64 result may differ by 1 ULP between
+# numpy's AVX512_SKX loop and its plain one (about 2 elements in 10^4);
+# these sums came out the same on both (numpy 2.4.6, x86-64, checked
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"). Another
+# numpy release may need new pins.
+# Keys: (eav_mode, kappa^2, trials, stream_count); N=5, snr_d 5 dB,
+# snr_e 0 dB, c_th 1, seed 31. The _CHUNK + 1000 stream spans two chunks.
+SIMULATE_GOLDEN = {
+    ("rayleigh", 0.0, 3000, 3): {
+        "sop": (0.06466666666666666, 0.00449017033414431),
+        "asc_eq19": (3.284510475582647, 0.027203296016950117),
+        "asc_eq6": (3.292526383138069, 0.026834598101647074)},
+    ("rayleigh", 0.0, _CHUNK + 1000, 1): {
+        "sop": (0.06537105159152404, 0.00048185416119978213),
+        "asc_eq19": (3.318834221527933, 0.0029409721272908055),
+        "asc_eq6": (3.3267593218365223, 0.0029017558343368078)},
+    ("rayleigh", 0.01, 3000, 3): {
+        "sop": (0.106, 0.005620320275571491),
+        "asc_eq19": (2.45009934586721, 0.02093431753845483),
+        "asc_eq6": (2.456443415949899, 0.020648014974738345)},
+    ("rayleigh", 0.01, _CHUNK + 1000, 1): {
+        "sop": (0.1028030279998784, 0.0005920387280992061),
+        "asc_eq19": (2.474659197935418, 0.0022583949940410174),
+        "asc_eq6": (2.4809545974343954, 0.002227804308014845)},
+    ("phase_sum", 0.0, 3000, 3): {
+        "sop": (0.03933333333333333, 0.003549000902705916),
+        "asc_eq19": (3.351676877224095, 0.024553913603631093),
+        "asc_eq6": (3.3534407203051106, 0.02446503580319138)},
+    ("phase_sum", 0.0, _CHUNK + 1000, 1): {
+        "sop": (0.037633387042835864, 0.00037098828125868214),
+        "asc_eq19": (3.3918221253459744, 0.002632750873600841),
+        "asc_eq6": (3.394179428982543, 0.002619816330871575)},
+    ("phase_sum", 0.01, 3000, 3): {
+        "sop": (0.08133333333333333, 0.004990598568716389),
+        "asc_eq19": (2.518487941074655, 0.019686439648845245),
+        "asc_eq6": (2.5198041657654398, 0.019624101490036693)},
+    ("phase_sum", 0.01, _CHUNK + 1000, 1): {
+        "sop": (0.07507676405314201, 0.0005136991908942955),
+        "asc_eq19": (2.546754580474383, 0.0020997938379573263),
+        "asc_eq6": (2.548556653886113, 0.002090433105579066)},
+}
+
+
+@pytest.mark.parametrize("key", list(SIMULATE_GOLDEN), ids=lambda k: "-".join(map(str, k)))
+def test_simulate_metrics_golden_estimates(key):
+    eav_mode, k2, trials, stream_count = key
+    p = params_for(n=5, snr_d_db=5.0, snr_e_db=0.0, k2=k2)
+    mc = McConfig(trials=trials, seed=31, stream_count=stream_count, eav_mode=eav_mode)
+    out = simulate_metrics(p, mc)
+    assert {k: (est.value, est.std_error) for k, est in out.items()} == SIMULATE_GOLDEN[key]
+    assert all((est.trials, est.seed) == (trials, 31) for est in out.values())
+
+
+def test_simulate_metrics_computes_only_the_requested_estimates():
+    p = params_for()
+    mc = McConfig(trials=3000, seed=4, stream_count=2)
+    full = simulate_metrics(p, mc)
+    for keys in (("sop",), ("asc_eq19",), ("asc_eq6",), ("asc_eq19", "sop")):
+        assert simulate_metrics(p, mc, keys=keys) == {k: full[k] for k in keys}
+    with pytest.raises(ValueError, match="estimates"):
+        simulate_metrics(p, mc, keys=("sop", "ber"))
+
+
 def _reference_draw_chunk(n, rng, m, eav_mode):
     # the whole-array form: every (m x N) draw at once, then the row sums
     f_r = np.sqrt(rng.standard_exponential((m, n)))

@@ -1,6 +1,7 @@
 """Sweep configs, the run driver, table I/O and the command-line interface."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -68,6 +70,18 @@ def test_spec_validation_errors_name_the_field():
         small_spec(outputs=("sop", "ber"))
     with pytest.raises(ConfigError, match="kappa_convention"):
         small_spec(kappa_convention="db")
+
+
+@pytest.mark.parametrize("values", [(5.0, 5.5, 6.0), (4, 5.0), (5, 6.5), (True, 2)])
+def test_n_elements_axis_rejects_non_integer_values(values):
+    # int(5.5) would silently score the 5.5 point as N=5
+    with pytest.raises(ConfigError, match="values"):
+        small_spec(axis="n_elements", values=values)
+
+
+def test_n_elements_axis_accepts_numpy_integers():
+    spec = small_spec(axis="n_elements", values=(np.int64(2), np.int32(5)), outputs=("sop",))
+    assert [_params_at(spec, v).n_elements for v in spec.values] == [2, 5]
 
 
 def test_descending_grid_is_allowed():
@@ -193,6 +207,43 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
         assert drawn == [n for n in values for _ in range(2)]
     else:
         assert drawn == [spec.base.n_elements] * 2
+
+
+# sha256 of the Monte Carlo rows (axis value, metric, value, std_error,
+# trials, seed) of each bundled preset curve at its own 1e5 trials,
+# computed before the sweep scored only the estimates it emits. Like
+# SIMULATE_GOLDEN in test_montecarlo.py, the mc_asc digests hold with
+# numpy 2.4.6 on x86-64 with and without its AVX512_SKX log2 loop.
+PRESET_MC_DIGESTS = {
+    ("fig2", "n5"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
+    ("fig2", "n10"): "e2b821a9d670bfae9d1fc1a00ca6dcde66356d9883a252e4c433d4eae96767d5",
+    ("fig3", "snr_e_m10db"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
+    ("fig3", "snr_e_0db"): "b727ee9d8c4b0477751eefd519b5c5937ed5581cf59e4697d89934d1ca34a808",
+    ("fig3", "snr_e_10db"): "1c44137a8e95d3706bc9816a0fdf0a3a9fad291fa49e391d389e10093bdc0ed5",
+    ("fig4", "kappa2_0"): "9c3534aef96ff7986e5374b79f4385f65ef6d4a7d949d8b9b5c2d4dfaf700710",
+    ("fig4", "kappa2_0p01"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
+    ("fig4", "kappa2_0p1"): "ef980001cb64a2baa6283d446af959f6788e6a1231393ebe4d69d1273ca1388a",
+    ("fig5", "n5"): "50be477d7636e0720e39015a59530224372df3e0ebe3464d2145abf7c93f08b9",
+    ("fig5", "n10"): "1adf7b78ecbf5bef6cb9aeb953519fec0421acfdf80b78b7cf34f09de01e9823",
+    ("fig5", "n15"): "cd29f5cfc577d13d319be792e795d1186fb194171da4ff0c65d549d7d540bfb7",
+    ("fig6", "kappa2_0p01"): "50be477d7636e0720e39015a59530224372df3e0ebe3464d2145abf7c93f08b9",
+    ("fig6", "kappa2_0p05"): "bdd48150f81def4858982b95e07c01bb0ca6c7765ef6b8f8fb21a52277844d4e",
+    ("fig6", "kappa2_0p1"): "4ba6a5774d53b6f83cf854ece1f9c3e6316d2892e94c5d22b16408d7a6b9a084",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_mc_rows_golden_digest(name):
+    curves = load_preset(name)
+    assert {(name, label) for label in curves} == {k for k in PRESET_MC_DIGESTS if k[0] == name}
+    for label, spec in curves.items():
+        h = hashlib.sha256()
+        mc_rows = [r for r in run_sweep(spec) if r.metric in ("mc_sop", "mc_asc")]
+        assert len(mc_rows) == len(spec.values)
+        for r in mc_rows:
+            h.update(f"{float(r.axis_value)!r},{r.metric},{float(r.value).hex()},"
+                     f"{float(r.std_error).hex()},{r.trials},{r.seed}\n".encode())
+        assert h.hexdigest() == PRESET_MC_DIGESTS[name, label], label
 
 
 # --- table I/O ---------------------------------------------------------------
