@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Time one call of the destination-law kernel and of each closed form.
+"""Time one call of the destination-law kernel and of each closed form and its reference.
 
 The layer-by-layer view of the analytic path: the median wall time of one
 call of ``cdf_rho_d`` and ``ccdf_rho_d`` (series route, 100 points spread
-over the body and upper tail of rho_D) and of ``sop``, ``sop_asymptotic``
-and ``avg_secrecy_capacity``, at N in {1, 10, 64, 128} and the fig2 base
-point (kappa^2 = 0.01 on all four levels, snr_d = 10 dB, snr_e = -10 dB,
-c_th = 1). timeit's autorange runs each call first, which fills the
-caches before the timed rounds. Prints one JSON line, times in seconds;
-takes about 20 s.
+over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``
+and ``avg_secrecy_capacity``, and of their ``*_reference`` twins, at N in
+{1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
+levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). timeit's autorange runs
+each call first, which fills the caches before the timed rounds. Prints
+one JSON line, times in seconds; takes about 40 s.
 
     python scripts/kernel_timing.py
 """
@@ -28,7 +28,14 @@ import scipy
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats
-from ris_secrecy.secrecy import avg_secrecy_capacity, sop, sop_asymptotic
+from ris_secrecy.secrecy import (
+    avg_secrecy_capacity,
+    avg_secrecy_capacity_reference,
+    sop,
+    sop_asymptotic,
+    sop_asymptotic_reference,
+    sop_reference,
+)
 
 ELEMENTS = (1, 10, 64, 128)
 ROUNDS = 15          # the median is taken over this many rounds
@@ -56,6 +63,9 @@ def main() -> int:
             "sop": lambda: sop(p, st),
             "sop_asymptotic": lambda: sop_asymptotic(p, st),
             "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),
+            "sop_reference": lambda: sop_reference(p, st),
+            "sop_asymptotic_reference": lambda: sop_asymptotic_reference(p, st),
+            "avg_secrecy_capacity_reference": lambda: avg_secrecy_capacity_reference(p, st),
         }
         result[str(n)] = {name: round(per_call_s(c), 9) for name, c in calls.items()}
     print(json.dumps({

@@ -1,30 +1,31 @@
 """Closed-form secrecy metrics and their quadrature reference versions.
 
 The secrecy outage probability and both ergodic-rate terms of the
-average secrecy capacity reduce to one-dimensional integrals of the
-channel CDFs against the exponential eavesdropper density. Each metric
-is provided twice, through fully independent numerical routes:
+average secrecy capacity are integrals over the destination and
+eavesdropper channel gains. Each metric is provided twice, through
+independent numerical routes that integrate in opposite orders:
 
-* the closed form: Gauss-Chebyshev quadrature of the incomplete-gamma
-  series representation, and
-* a ``*_reference`` twin: adaptive quadrature (scipy) of the same
-  integral using the erfc/Marcum representation of the CDF.
+* the closed form: Gauss-Chebyshev quadrature of the destination CDF
+  (incomplete-gamma series) against the eavesdropper density, and
+* a ``*_reference`` twin: adaptive quadrature (scipy), over the Gaussian
+  destination amplitude, of the outage probability or rate given it.
 
 Agreement between the two validates the series, the quadrature rule and
 the algebra at once. Both evaluate the Gaussian-sum model of the
 destination channel; the Monte Carlo module simulates the signal-level
 channel itself, so its gap to them measures the model's error as well.
 
-Both outage integrals have a finite upper limit only because the SNDRs
-saturate; the probability mass of the eavesdropper gain beyond that
-limit makes outage certain and must be added as a closed-form tail term
-(exp(-limit/lambda_e)). Dropping it is visibly wrong for lambda_e of a
-few: the tail reaches ~1e-2.
+Both closed-form outage integrals have a finite upper limit only because
+the SNDRs saturate; the probability mass of the eavesdropper gain beyond
+that limit makes outage certain and must be added as a closed-form tail
+term (exp(-limit/lambda_e)). Dropping it is visibly wrong for lambda_e
+of a few: the tail reaches ~1e-2.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -82,10 +83,13 @@ class NumericsConfig:
     mc_check: bool = False
 
     def __post_init__(self):
-        if self.quad_order < 2:
-            raise ValueError(f"quad_order must be >= 2, got {self.quad_order}")
-        if not 0.0 < self.tail_epsilon < 1e-3:
-            raise ValueError(f"tail_epsilon must be in (0, 1e-3), got {self.tail_epsilon}")
+        q, eps, eps2 = self.quad_order, self.tail_epsilon, self.theta2_epsilon
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 2:
+            raise ValueError(f"quad_order must be an integer >= 2, got {q!r}")
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1e-3:
+            raise ValueError(f"tail_epsilon must be a real number in (0, 1e-3), got {eps!r}")
+        if isinstance(eps2, bool) or not isinstance(eps2, numbers.Real):
+            raise ValueError(f"theta2_epsilon must be a real number, got {eps2!r}")
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -210,30 +214,56 @@ def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
     return float(np.sum(w * np.exp(-x / lam_e) / lam_e * f))
 
 
-def _adaptive(integrand, upper: float) -> float:
+def _piecewise_quad(f, edges) -> float:
+    """Sum of the adaptive-quadrature integrals of f between consecutive ``edges``."""
     # imported here: only the *_reference twins integrate adaptively, and
     # scipy.integrate (with scipy.optimize) is most of the package's import time
     from scipy import integrate
 
-    total, _ = integrate.quad(integrand, 0.0, upper, limit=300,
-                              epsabs=1e-12, epsrel=1e-12)
-    return total
+    return sum(integrate.quad(f, a, b, limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+               for a, b in zip(edges, edges[1:]))
 
 
-def _outage_integral_reference(a: float, b: float, c: float, d: float, upper: float,
-                               stats: ChannelStats, snr_d_linear: float) -> float:
-    """Adaptive-quadrature twin of :func:`_outage_integral` on the Marcum CDF."""
+def _conditional_expectation(h, stats: ChannelStats, g: float, cuts,
+                             tail_epsilon: float) -> float:
+    """E[h(g X1^2)] over X1 ~ N(sqrt(lambda), sigma^2), by adaptive quadrature.
+
+    The range sqrt(lambda) +- sigma sqrt(2 ln(1/tail_epsilon)) is that of
+    :func:`_rho_d_tail_limit`. It is split at X1 = 0, at the mean and at
+    +-c for each amplitude c in ``cuts``, where h has a kink or a narrow
+    feature.
+    """
+    mu, sigma = math.sqrt(stats.lambda_), math.sqrt(stats.sigma2)
+    half = sigma * math.sqrt(2.0 * math.log(1.0 / tail_epsilon))
+    inner = sorted(x for x in {0.0, mu, *cuts, *(-c for c in cuts)} if abs(x - mu) < half)
+    total = _piecewise_quad(lambda x: h(g * x * x) * math.exp(-0.5 * ((x - mu) / sigma) ** 2),
+                            [mu - half, *inner, mu + half])
+    return total / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def _outage_reference(a: float, b: float, c: float, d: float, stats: ChannelStats,
+                      g: float, tail_epsilon: float) -> float:
+    """Twin of :func:`_outage_integral` in the other order: E[exp(-t(rho_D)/lambda_e)].
+
+    Given rho_D = rho, outage needs rho_E > t(rho) = max(c rho - b, 0)/(a + d rho),
+    and cannot happen where a + d rho <= 0. So the conditional probability
+    is 1 up to X1 = x_k = sqrt(b/(c g)), falls on a scale of at most
+    sqrt(a lambda_e/(c g)) beyond it, and reaches 0 where a + d rho = 0.
+    """
     lam_e = stats.lambda_e
 
-    def integrand(xv: float) -> float:
-        denom = c - d * xv
-        if denom <= 0.0:
-            f = 1.0
-        else:
-            f = cdf_rho_d((a * xv + b) / denom, stats, snr_d_linear, method="marcum")
-        return math.exp(-xv / lam_e) / lam_e * f
+    def outage_given(rho: float) -> float:
+        excess, den = c * rho - b, a + d * rho
+        if excess <= 0.0:
+            return 1.0
+        return math.exp(-excess / (den * lam_e)) if den > 0.0 else 0.0
 
-    return _adaptive(integrand, upper)
+    x_k = math.sqrt(b / (c * g))
+    width = 10.0 * math.sqrt(a * lam_e / (c * g))
+    cuts = [x_k, x_k - width, x_k + width]
+    if d < 0.0:
+        cuts.append(math.sqrt(a / (-d * g)))
+    return min(_conditional_expectation(outage_given, stats, g, cuts, tail_epsilon), 1.0)
 
 
 def sop_detail(params: SystemParams, stats: ChannelStats,
@@ -256,21 +286,12 @@ def sop(params: SystemParams, stats: ChannelStats,
 
 def sop_reference(params: SystemParams, stats: ChannelStats,
                   numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
-    """Adaptive-quadrature evaluation of the same outage integral.
-
-    Independent of the closed form in both the CDF representation
-    (Marcum/erfc instead of the gamma series) and the quadrature
-    (adaptive instead of Chebyshev).
-    """
+    """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last."""
     th = theta_coefficients(params)
     if th.theta3 <= 0.0:
         return 1.0
-    upper, tail = _sop_region(th, stats, numerics)
-    if th.theta2 <= numerics.theta2_epsilon:
-        upper = np.inf  # no truncation: quad handles the infinite range
-    total = _outage_integral_reference(th.theta1, th.vartheta, th.theta3, th.theta2,
-                                       upper, stats, params.snr_d_linear)
-    return min(total + tail, 1.0)
+    return _outage_reference(th.theta1, th.vartheta, th.theta3, th.theta2, stats,
+                             params.snr_d_linear, numerics.tail_epsilon)
 
 
 def sop_asymptotic(params: SystemParams, stats: ChannelStats,
@@ -287,11 +308,10 @@ def sop_asymptotic(params: SystemParams, stats: ChannelStats,
 
 
 def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats) -> float:
-    """Adaptive-quadrature twin of :func:`sop_asymptotic`."""
-    th, upper = _asymptotic_region(params)
-    total = _outage_integral_reference(th.gamma_th, 0.0, 1.0, th.theta4, upper,
-                                       stats, params.snr_d_linear)
-    return min(total + math.exp(-upper / stats.lambda_e), 1.0)
+    """Adaptive-quadrature twin of :func:`sop_asymptotic`, integrating over X1 last."""
+    th, _ = _asymptotic_region(params)
+    return _outage_reference(th.gamma_th, 0.0, 1.0, th.theta4, stats,
+                             params.snr_d_linear, DEFAULT_NUMERICS.tail_epsilon)
 
 
 def _rho_d_tail_limit(stats: ChannelStats, snr_d_linear: float, eps: float) -> float:
@@ -390,29 +410,16 @@ def avg_secrecy_capacity(params: SystemParams, stats: ChannelStats,
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)
 
 
-def _rate_reference(ccdf, kappa: float, cutoff: float) -> float:
-    """(1/ln 2) int_0^{1/kappa} ccdf(x/(1 - kappa x))/(1 + x) dx, adaptively.
-
-    ``ccdf`` is the channel-gain CCDF of the link; with ideal hardware
-    (kappa = 0) the map is the identity and the range ends at ``cutoff``.
-    """
-    upper = 1.0 / kappa if kappa > 0.0 else cutoff
-
-    def integrand(xv: float) -> float:
-        denom = 1.0 - kappa * xv
-        return ccdf(xv / denom) / (1.0 + xv) if denom > 0.0 else 0.0
-
-    return _adaptive(integrand, upper) / math.log(2.0)
-
-
 def avg_secrecy_capacity_reference(params: SystemParams, stats: ChannelStats,
                                    numerics: NumericsConfig = DEFAULT_NUMERICS) -> SecrecyCapacity:
-    """Adaptive-quadrature twin of :func:`avg_secrecy_capacity`."""
-    g = params.snr_d_linear
-    lam_e = stats.lambda_e
-    r_d = _rate_reference(lambda y: ccdf_rho_d(y, stats, g, method="marcum"),
-                          params.kappa_d_sum,
-                          _rho_d_tail_limit(stats, g, numerics.tail_epsilon))
-    r_e = _rate_reference(lambda y: math.exp(-y / lam_e), params.kappa_e_sum,
-                          lam_e * math.log(1.0 / numerics.tail_epsilon))
+    """Adaptive-quadrature twin of :func:`avg_secrecy_capacity`.
+
+    R_D = E[log2(1 + gamma_D)] over X1, and R_E the same expectation over
+    rho_E = lambda_e s, s ~ Exp(1), rather than through the E1 form.
+    """
+    kd, ke, lam_e = params.kappa_d_sum, params.kappa_e_sum, stats.lambda_e
+    r_d = _conditional_expectation(lambda rho: math.log2(1.0 + rho / (kd * rho + 1.0)),
+                                   stats, params.snr_d_linear, (), numerics.tail_epsilon)
+    r_e = _piecewise_quad(lambda s: math.log2(1.0 + lam_e * s / (ke * lam_e * s + 1.0))
+                          * math.exp(-s), [0.0, math.inf])
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)

@@ -1,4 +1,9 @@
-"""Closed-form secrecy metrics vs their quadrature references and invariants."""
+"""Closed-form secrecy metrics vs their quadrature references and invariants.
+
+The references are in turn checked against the arbitrary-precision values
+of ``oracle`` (tests/oracle.py), and the oracle against Monte Carlo of the
+Gaussian-sum model.
+"""
 
 import math
 
@@ -7,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import oracle
 from ris_secrecy.channel import SystemParams, derive_stats
+from ris_secrecy.montecarlo import McConfig, model_law_chunks, simulate_metrics
 from ris_secrecy.secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
@@ -245,6 +252,72 @@ def test_asymptote_improves_with_snr():
     assert rel_gap(30.0) < rel_gap(10.0)
 
 
+# --- references against the arbitrary-precision oracle -----------------------
+
+def assert_references_match_oracle(p, tol):
+    """Each reference within ``tol`` of the oracle: absolute for SOPs, relative for rates."""
+    stats = derive_stats(p)
+    assert abs(sop_reference(p, stats) - oracle.sop(p, stats)) <= tol
+    if theta_coefficients(p).theta4 > 0.0:
+        assert abs(sop_asymptotic_reference(p, stats) - oracle.sop_asymptotic(p, stats)) <= tol
+    else:
+        with pytest.raises(UnsupportedRegimeError):
+            sop_asymptotic_reference(p, stats)
+    ref = avg_secrecy_capacity_reference(p, stats)
+    r_d, r_e = oracle.rates(p, stats)
+    assert ref.r_d == pytest.approx(r_d, rel=tol, abs=0.0)
+    assert ref.r_e == pytest.approx(r_e, rel=tol, abs=0.0)
+
+
+ORACLE_POINTS = [
+    # theta3/theta2 is huge while lambda_e = 0.01: the outage mass sits in a
+    # sliver of the eavesdropper range
+    pytest.param(params_for(n=1, snr_d_db=-20.0, snr_e_db=-20.0, k2=1e-4, c_th=0.1), id="n1_-20dB"),
+    pytest.param(params_for(n=1, snr_d_db=0.0, snr_e_db=-20.0, k2=1e-4, c_th=0.1), id="n1_0dB"),
+    # ideal hardware at high SNR: the rate integrand spans ~1e10
+    pytest.param(params_for(n=64, snr_d_db=60.0, snr_e_db=0.0, k2=0.0), id="n64_60dB"),
+    pytest.param(params_for(n=34, snr_d_db=56.3, snr_e_db=-14.75, k2=0.0, c_th=3.0), id="n34_56dB"),
+    # the fig2 base point at large N, where the closed forms' series window is widest
+    *(pytest.param(params_for(n=n), id=f"fig2_n{n}") for n in (96, 128, 256, 1024)),
+]
+
+
+@pytest.mark.parametrize("p", ORACLE_POINTS)
+def test_references_match_oracle_at_frozen_points(p):
+    assert_references_match_oracle(p, 1e-10)
+
+
+KAPPA2_LEVELS = (0.0, 1e-4, 1e-2, 0.1)
+
+
+@given(st.integers(min_value=1, max_value=1024),
+       st.floats(min_value=-20.0, max_value=60.0),
+       st.floats(min_value=-20.0, max_value=10.0),
+       st.tuples(*[st.sampled_from(KAPPA2_LEVELS)] * 4),
+       st.sampled_from((0.1, 1.0, 3.0)))
+@settings(max_examples=10, deadline=None)
+def test_references_match_oracle_over_the_box(n, gd, ge, k2s, c_th):
+    # each impairment level drawn on its own, so theta2 and theta4 take both signs
+    kappas = dict(zip(("kappa_d_t2", "kappa_d_r2", "kappa_e_t2", "kappa_e_r2"), k2s))
+    assert_references_match_oracle(params_for(n=n, snr_d_db=gd, snr_e_db=ge, c_th=c_th, **kappas),
+                                   1e-9)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(params_for(n=1, snr_d_db=0.0, snr_e_db=-20.0, k2=1e-4, c_th=0.1), id="n1_0dB"),
+    # high snr_d, weak eavesdropper: the outage probability given X1 falls
+    # from 1 to 0 in a narrow band of amplitudes just above x_k
+    pytest.param(params_for(n=2, snr_d_db=45.0, snr_e_db=-20.0, k2=1e-4, c_th=3.0), id="n2_45dB"),
+])
+def test_oracle_matches_model_law_monte_carlo(p):
+    stats = derive_stats(p)
+    mc = McConfig(trials=2_000_000, seed=1)
+    est = simulate_metrics(p, mc, model_law_chunks(stats, mc), keys=("sop", "asc_eq19"))
+    r_d, r_e = oracle.rates(p, stats)
+    for key, want in (("sop", oracle.sop(p, stats)), ("asc_eq19", r_d - r_e)):
+        assert abs(est[key].value - want) <= 3.0 * est[key].std_error
+
+
 # --- average secrecy capacity ------------------------------------------------
 
 @pytest.mark.parametrize("n,gd,ge", GRID)
@@ -352,6 +425,11 @@ def test_numerics_config_validation():
         NumericsConfig(quad_order=1)
     with pytest.raises(ValueError):
         NumericsConfig(tail_epsilon=0.0)
+    for kw in ({"quad_order": 2.5}, {"quad_order": 100.5}, {"quad_order": True},
+               {"tail_epsilon": "1e-12"}, {"theta2_epsilon": None}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            NumericsConfig(**kw)
+    assert NumericsConfig(quad_order=np.int64(64)).quad_order == 64
 
 
 def test_chebyshev_caches_are_read_only():

@@ -301,3 +301,8 @@ def test_series_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(rel_tol=0.1)
+    for kw in ({"max_terms": 150.5}, {"max_terms": True}, {"max_terms": "200"},
+               {"rel_tol": "1e-9"}, {"rel_tol": True}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SeriesControl(**kw)
+    assert SeriesControl(max_terms=np.int64(300)).max_terms == 300

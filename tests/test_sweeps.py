@@ -367,8 +367,11 @@ mc: {trials: 2000, seed: 1}
     ("snr_e_db: -10.0", 'snr_e_db: "-10"', "base"),
     ("quad_order: 50", "quad_order: '50'", "numerics"),
     ("max_terms: 200", "max_terms: '200'", "numerics.series"),
+    ("quad_order: 50", "quad_order: 2.5", "numerics"),
+    ("max_terms: 200", "max_terms: 150.5", "numerics.series"),
 ], ids=["missing_n_elements", "geometry_missing_n0", "trials_1e5", "trials_float",
-        "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string"])
+        "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
+        "quad_order_float", "max_terms_float"])
 def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
     assert old in _GOOD_CONFIG
     path = tmp_path / "bad.yaml"
