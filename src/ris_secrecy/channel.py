@@ -15,14 +15,14 @@ window is cached per mixture mean and handed out read-only.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sc
 
+from ._schema import check_field_types
 # lower/upper_inc_gamma are not called here; perfbench/tracer.py wraps them by this binding
 from .specfun import (  # noqa: F401
     ConvergenceError,
@@ -59,10 +59,7 @@ class LinkGeometry:
     chi: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got {v!r}")
+        check_field_types(self)
 
     def snr_d_db(self) -> float:
         return 10.0 * math.log10(self.p_s / ((self.d_sr * self.d_rd) ** self.chi * self.n0))
@@ -91,13 +88,13 @@ class SystemParams:
     geometry: LinkGeometry | None = None
 
     def __post_init__(self):
-        n = self.n_elements
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_elements must be a positive integer, got {n!r}")
+        check_field_types(self)
+        if self.n_elements < 1:
+            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements!r}")
         for name in ("snr_d_db", "snr_e_db"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("kappa_d_t2", "kappa_d_r2", "kappa_e_t2", "kappa_e_r2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
@@ -112,7 +109,7 @@ class SystemParams:
                 ("snr_e_db", self.geometry.snr_e_db()),
             ):
                 have = getattr(self, name)
-                if abs(have - want) > 1e-9 * max(1.0, abs(want)):
+                if not abs(have - want) <= 1e-9 * max(1.0, abs(want)):  # NaN fails
                     raise ValueError(
                         f"{name}={have} inconsistent with geometry "
                         f"(path-loss value {want})"

@@ -41,16 +41,19 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
+def _override(config, args, *names):
+    """Apply CLI flags to ``config``; a value it rejects is a ConfigError naming the flag."""
+    for name in (n for n in names if getattr(args, n) is not None):
+        try:
+            config = dataclasses.replace(config, **{name: getattr(args, name)})
+        except ValueError as exc:
+            raise ConfigError(f"--{name.replace('_', '-')}: {exc}") from exc
+    return config
+
+
 def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
-    mc = spec.mc
-    numerics = spec.numerics
-    if args.trials is not None:
-        mc = dataclasses.replace(mc, trials=args.trials)
-    if args.seed is not None:
-        mc = dataclasses.replace(mc, seed=args.seed)
-    if args.quad_order is not None:
-        numerics = dataclasses.replace(numerics, quad_order=args.quad_order)
-    return dataclasses.replace(spec, mc=mc, numerics=numerics)
+    return dataclasses.replace(spec, mc=_override(spec.mc, args, "trials", "seed"),
+                               numerics=_override(spec.numerics, args, "quad_order"))
 
 
 def _cmd_run(args) -> int:
@@ -94,7 +97,8 @@ _SELFTEST_SCENARIOS = (
 
 
 def _cmd_selftest(args) -> int:
-    numerics = NumericsConfig(quad_order=args.quad_order or 200)
+    numerics = _override(NumericsConfig(quad_order=200), args, "quad_order")
+    mc = _override(McConfig(), args, "trials", "seed") if args.trials else None
     quad_tol = 1e-6
     ok = True
     for n, gd, ge in _SELFTEST_SCENARIOS:
@@ -120,8 +124,7 @@ def _cmd_selftest(args) -> int:
         print(f"[{'PASS' if good else 'FAIL'}] {label} asc closed={c_cf.value:.8f} "
               f"quadrature={c_ref.value:.8f} |diff|={gap:.2e}")
 
-        if args.trials:
-            mc = McConfig(trials=args.trials, seed=args.seed or 0)
+        if mc is not None:
             if args.strict_mc:
                 est = simulate_metrics(params, mc, model_law_chunks(stats, mc))
                 against = "Gaussian-sum model simulation"

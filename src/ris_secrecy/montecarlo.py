@@ -45,11 +45,12 @@ mode useful for measuring how good the exponential model is.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
+from ._schema import check_field_types
 from .channel import ChannelStats, SystemParams
 
 _CHUNK = 1 << 18
@@ -63,21 +64,16 @@ class McConfig:
     trials: int = 1_000_000
     seed: int = 0
     stream_count: int = 4
-    eav_mode: str = "rayleigh"
+    eav_mode: Literal["rayleigh", "phase_sum"] = "rayleigh"
 
     def __post_init__(self):
-        for name in ("trials", "seed", "stream_count"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        check_field_types(self)
         if self.trials < 1_000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.stream_count < 1:
             raise ValueError(f"stream_count must be >= 1, got {self.stream_count}")
-        if self.eav_mode not in ("rayleigh", "phase_sum"):
-            raise ValueError(f"eav_mode must be 'rayleigh' or 'phase_sum', got {self.eav_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ of a few: the tail reaches ~1e-2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from ._schema import check_field_types
 from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
 from .specfun import SeriesControl, e1_scaled
 
@@ -83,13 +83,11 @@ class NumericsConfig:
     mc_check: bool = False
 
     def __post_init__(self):
-        q, eps, eps2 = self.quad_order, self.tail_epsilon, self.theta2_epsilon
-        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or q < 2:
-            raise ValueError(f"quad_order must be an integer >= 2, got {q!r}")
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 < eps < 1e-3:
-            raise ValueError(f"tail_epsilon must be a real number in (0, 1e-3), got {eps!r}")
-        if isinstance(eps2, bool) or not isinstance(eps2, numbers.Real):
-            raise ValueError(f"theta2_epsilon must be a real number, got {eps2!r}")
+        check_field_types(self)
+        if self.quad_order < 2:
+            raise ValueError(f"quad_order must be >= 2, got {self.quad_order!r}")
+        if not 0.0 < self.tail_epsilon < 1e-3:
+            raise ValueError(f"tail_epsilon must be in (0, 1e-3), got {self.tail_epsilon!r}")
 
 
 DEFAULT_NUMERICS = NumericsConfig()

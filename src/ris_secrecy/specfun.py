@@ -18,8 +18,9 @@ kernel can be validated without trusting any single evaluation path.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+
+from ._schema import check_field_types
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -53,11 +54,11 @@ class SeriesControl:
     rel_tol: float = 1e-12
 
     def __post_init__(self):
-        m, tol = self.max_terms, self.rel_tol
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"max_terms must be an integer >= 1, got {m!r}")
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol <= 1e-3:
-            raise ValueError(f"rel_tol must be a real number in (0, 1e-3], got {tol!r}")
+        check_field_types(self)
+        if self.max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
+        if not 0.0 < self.rel_tol <= 1e-3:
+            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol!r}")
 
 
 DEFAULT_SERIES = SeriesControl()

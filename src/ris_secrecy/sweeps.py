@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
-import numbers
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -24,6 +22,7 @@ from pathlib import Path
 
 import yaml
 
+from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
 from .montecarlo import McConfig, draw_chunks, simulate_metrics
 from .secrecy import (
@@ -34,8 +33,9 @@ from .secrecy import (
     sop_asymptotic,
 )
 
-AXES = ("snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th")
-METRICS = ("sop", "sop_asymptotic", "asc", "mc_sop", "mc_asc")
+Axis = typing.Literal["snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th"]
+Metric = typing.Literal["sop", "sop_asymptotic", "asc", "mc_sop", "mc_asc"]
+AXES, METRICS = typing.get_args(Axis), typing.get_args(Metric)
 CSV_COLUMNS = ("axis", "axis_value", "metric", "value", "std_error",
                "trials", "seed", "error")
 
@@ -54,35 +54,25 @@ class SweepSpec:
     kappa itself).
     """
 
-    axis: str
+    axis: Axis
     values: tuple
     base: SystemParams
-    outputs: tuple
+    outputs: tuple[Metric, ...]
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
     mc: McConfig = field(default_factory=McConfig)
-    kappa_convention: str = "squared"
+    kappa_convention: typing.Literal["squared", "amplitude"] = "squared"
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"axis: must be one of {AXES}, got {self.axis!r}")
+        check_field_types(self, ConfigError)
         if len(self.values) == 0:
             raise ConfigError("values: must be non-empty")
-        if self.axis == "n_elements":
-            for v in self.values:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ConfigError(f"values: n_elements must be integers, got {v!r}")
+        if self.axis == "n_elements" and not fits(self.values, tuple[int, ...]):
+            raise ConfigError(f"values: n_elements must be integers, got {self.values!r}")
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and diffs:
             raise ConfigError("values: must be strictly monotone")
         if len(self.outputs) == 0:
             raise ConfigError("outputs: must be non-empty")
-        for m in self.outputs:
-            if m not in METRICS:
-                raise ConfigError(f"outputs: unknown metric {m!r}, expected subset of {METRICS}")
-        if self.kappa_convention not in ("squared", "amplitude"):
-            raise ConfigError(
-                f"kappa_convention: must be 'squared' or 'amplitude', got {self.kappa_convention!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,10 +183,6 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-# resolved once per class: load_preset runs on every figure reproduction
-_type_hints = functools.cache(typing.get_type_hints)
-
-
 def _from_mapping(cls, mapping, where: str):
     """Build config dataclass ``cls`` from a parsed YAML mapping.
 
@@ -217,7 +203,7 @@ def _from_mapping(cls, mapping, where: str):
                 raise ConfigError(f"{where}: missing required field {f.name!r}")
             continue
         value = mapping[f.name]
-        hint = _type_hints(cls)[f.name]
+        hint = type_hints(cls)[f.name]
         nested = [t for t in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(t)]
         if nested:
             value = _from_mapping(nested[0], value, f"{where}.{f.name}")
@@ -308,16 +294,6 @@ def emit(table: list[Row], fmt: str, path=None) -> str:
     return text
 
 
-def _parse_cell(col: str, text: str):
-    if text == "":
-        return None
-    if col in ("axis", "metric", "error"):
-        return text
-    if col in ("trials", "seed"):
-        return int(text)
-    return float(text)
-
-
 def load_table(path, fmt: str) -> list[Row]:
     """Read back a table written by :func:`emit`."""
     text = Path(path).read_text(encoding="utf-8")
@@ -329,8 +305,7 @@ def load_table(path, fmt: str) -> list[Row]:
     header = next(reader)
     if tuple(header) != CSV_COLUMNS:
         raise ConfigError(f"{path}: unexpected CSV header {header}")
-    rows = []
-    for record in reader:
-        kwargs = {col: _parse_cell(col, cell) for col, cell in zip(CSV_COLUMNS, record)}
-        rows.append(Row(**kwargs))
-    return rows
+    # each cell's type is its Row field's annotation, X of an ``X | None``
+    parse = {col: (typing.get_args(hint) or (hint,))[0] for col, hint in type_hints(Row).items()}
+    return [Row(**{c: parse[c](cell) if cell else None for c, cell in zip(CSV_COLUMNS, record)})
+            for record in reader]

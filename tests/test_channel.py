@@ -43,7 +43,7 @@ def test_params_invariants():
     with pytest.raises(ValueError):
         SystemParams(n_elements=5, c_th=0.0)
     for kw in ({"n_elements": 5.0}, {"n_elements": True}, {"snr_d_db": "10"},
-               {"snr_e_db": None}):
+               {"snr_e_db": None}, {"kappa_d_t2": "0.01"}, {"c_th": "1"}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             SystemParams(**{"n_elements": 5, **kw})
     assert SystemParams(n_elements=np.int64(5), snr_d_db=np.float64(1.0)).n_elements == 5
@@ -59,6 +59,16 @@ def test_geometry_must_match_snr_fields():
         SystemParams(n_elements=5, snr_d_db=5.0, snr_e_db=p.snr_e_db, geometry=geo)
     with pytest.raises(ValueError, match="n0"):  # how PyYAML reads `n0: 1e-4`
         LinkGeometry(p_s=1.0, n0="1e-4", d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
+    nan_geo = LinkGeometry(p_s=1.0, n0=math.nan, d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
+    with pytest.raises(ValueError, match="geometry"):  # a NaN gap is not > tol
+        SystemParams(n_elements=5, snr_d_db=p.snr_d_db, snr_e_db=p.snr_e_db, geometry=nan_geo)
+
+
+@pytest.mark.parametrize("name", ["snr_d_db", "snr_e_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_snr_fields_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(n_elements=5, **{name: value})
 
 
 def test_derived_stats_frozen_values():

@@ -369,9 +369,13 @@ mc: {trials: 2000, seed: 1}
     ("max_terms: 200", "max_terms: '200'", "numerics.series"),
     ("quad_order: 50", "quad_order: 2.5", "numerics"),
     ("max_terms: 200", "max_terms: 150.5", "numerics.series"),
+    ("snr_d_db: 10.0", "snr_d_db: .nan", "base"),
+    ("quad_order: 50", "quad_order: 50\n  mc_check: 'false'", "numerics"),
+    ("quad_order: 50", "quad_order: 50\n  mc_check: 2", "numerics"),
 ], ids=["missing_n_elements", "geometry_missing_n0", "trials_1e5", "trials_float",
         "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
-        "quad_order_float", "max_terms_float"])
+        "quad_order_float", "max_terms_float", "snr_d_db_nan", "mc_check_string",
+        "mc_check_int"])
 def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
     assert old in _GOOD_CONFIG
     path = tmp_path / "bad.yaml"
@@ -440,6 +444,22 @@ def test_cli_exit_code_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("axis: nonsense\nvalues: [1]\noutputs: [sop]\nbase: {n_elements: 5}\n")
     assert cli.main(["run", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["preset", "fig2", "--trials", "10"], "--trials"),
+    (["run", "{cfg}", "--quad-order", "1"], "--quad-order"),
+    (["selftest", "--trials", "10"], "--trials"),
+], ids=["preset_trials", "run_quad_order", "selftest_trials"])
+def test_cli_rejected_flag_is_a_named_config_error(tmp_path, capsys, argv, flag):
+    cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",))
+    argv = [a.format(cfg=cfg) for a in argv]
+    if argv[0] == "preset":
+        argv += ["--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: {flag}: ") and out.err.count("\n") == 1
+    assert out.out == ""
 
 
 def test_cli_exit_code_io_error(tmp_path):
