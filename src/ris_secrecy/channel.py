@@ -60,6 +60,12 @@ class LinkGeometry:
 
     def __post_init__(self):
         check_field_types(self)
+        for name in ("p_s", "n0", "d_sr", "d_rd", "d_re"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:  # NaN fails
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if not math.isfinite(self.chi):
+            raise ValueError(f"chi must be finite, got {self.chi}")
 
     def snr_d_db(self) -> float:
         return 10.0 * math.log10(self.p_s / ((self.d_sr * self.d_rd) ** self.chi * self.n0))
@@ -99,8 +105,8 @@ class SystemParams:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if not self.c_th > 0.0:
-            raise ValueError(f"c_th must be > 0, got {self.c_th}")
+        if not 0.0 < self.c_th < 1024.0:  # 2**c_th is finite exactly below 1024
+            raise ValueError(f"c_th must be > 0 and < 1024 (2**c_th finite), got {self.c_th}")
         if self.geometry is not None:
             # The dB fields are the single source of truth; a supplied
             # geometry must reproduce them exactly (up to rounding).

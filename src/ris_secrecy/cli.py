@@ -33,7 +33,15 @@ from .secrecy import (
     sop_reference,
 )
 from .specfun import ConvergenceError
-from .sweeps import ConfigError, PRESET_NAMES, SweepSpec, emit, load_config, load_preset
+from .sweeps import (
+    ConfigError,
+    PRESET_NAMES,
+    SweepSpec,
+    emit,
+    load_config,
+    load_preset,
+    run_sweeps,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -73,14 +81,11 @@ def _cmd_run(args) -> int:
 def _cmd_preset(args) -> int:
     from pathlib import Path
 
-    from .sweeps import run_sweep  # per call, as in _cmd_run
-
     curves = load_preset(args.name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, spec in curves.items():
-        spec = _apply_overrides(spec, args)
-        table = run_sweep(spec)
+    specs = [_apply_overrides(spec, args) for spec in curves.values()]
+    for label, table in zip(curves, run_sweeps(specs)):
         path = out_dir / f"{args.name}_{label}.{args.format}"
         emit(table, args.format, path)
         print(f"wrote {path}")

@@ -15,7 +15,8 @@ only the sums of the estimates it is asked for; :func:`simulate_metrics`
 scores one point with it. A sweep over any axis but ``n_elements``
 therefore draws one set, keeps it (16 B per trial, 1.6 MB at the
 presets' 1e5 trials) and scores every grid point on it (common random
-numbers), for the estimates it emits only. :func:`model_law_chunks`
+numbers), for the estimates it emits only; the curves of one
+``sweeps.run_sweeps`` call share one set per (N, McConfig). :func:`model_law_chunks`
 draws the Gaussian-sum model itself, to check the closed forms against
 the law they are derived for.
 

@@ -7,6 +7,11 @@ error column rather than aborting the sweep. Rows are ordered by (grid
 position, canonical metric order) regardless of how the points are
 evaluated, and all randomness is pinned by the embedded Monte Carlo
 seed, so emitting the same spec twice produces byte-identical files.
+
+The Monte Carlo fading depends on N and the McConfig only. A sweep over
+any other axis scores all its points on one draw set, and the curves of
+one :func:`run_sweeps` call share one draw set per (N, McConfig), which
+changes no value.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,8 +72,11 @@ class SweepSpec:
         check_field_types(self, ConfigError)
         if len(self.values) == 0:
             raise ConfigError("values: must be non-empty")
-        if self.axis == "n_elements" and not fits(self.values, tuple[int, ...]):
-            raise ConfigError(f"values: n_elements must be integers, got {self.values!r}")
+        if self.axis == "n_elements":
+            if not fits(self.values, tuple[int, ...]):
+                raise ConfigError(f"values: n_elements must be integers, got {self.values!r}")
+        elif not (fits(self.values, tuple[float, ...]) and all(map(math.isfinite, self.values))):
+            raise ConfigError(f"values: {self.axis} must be finite numbers, got {self.values!r}")
         diffs = [b - a for a, b in zip(self.values, self.values[1:])]
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)) and diffs:
             raise ConfigError("values: must be strictly monotone")
@@ -103,15 +112,35 @@ def _params_at(spec: SweepSpec, value) -> SystemParams:
 _MC_ESTIMATES = {"mc_sop": "sop", "mc_asc": "asc_eq19"}
 
 
-def run_sweep(spec: SweepSpec) -> list[Row]:
-    """Evaluate every requested metric at every grid point."""
+def _mc_keys(spec: SweepSpec) -> list[str]:
+    """The Monte Carlo estimates a sweep emits or checks; only these are computed."""
+    return [k for m, k in _MC_ESTIMATES.items() if m in spec.outputs or spec.numerics.mc_check]
+
+
+def _draw_key(spec: SweepSpec):
+    """``(N, McConfig)`` of the one draw set the sweep scores on, or None.
+
+    The fading draws depend on N and the McConfig only, so every point of
+    a sweep over another axis is scored on one set. An ``n_elements``
+    sweep draws per point, and a sweep without Monte Carlo draws nothing.
+    """
+    if spec.axis == "n_elements" or not _mc_keys(spec):
+        return None
+    return spec.base.n_elements, spec.mc
+
+
+def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
+    """Evaluate every requested metric at every grid point.
+
+    ``draw_sets`` maps ``(N, McConfig)`` to a stored draw set. The sweep
+    scores on the set of its key and stores it there if it makes it;
+    without ``draw_sets`` it makes its own and drops it on return.
+    """
     rows: list[Row] = []
-    # Monte Carlo computes only the estimates the sweep emits or checks.
-    mc_keys = [k for m, k in _MC_ESTIMATES.items() if m in spec.outputs or spec.numerics.mc_check]
-    # The fading draws depend on N and the McConfig only, so every point
-    # of a sweep over another axis is scored on one draw set, made at the
-    # first point that needs it. None draws lazily per point.
-    draws = None
+    mc_keys = _mc_keys(spec)
+    draw_key = _draw_key(spec)
+    if draw_sets is None:
+        draw_sets = {}
     for value in spec.values:
         point_rows: dict[str, Row] = {}
         try:
@@ -127,9 +156,11 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
         mc_est = None
         if mc_keys:
             try:
-                if draws is None and spec.axis != "n_elements":
-                    draws = list(draw_chunks(spec.base.n_elements, spec.mc))
-                mc_est = simulate_metrics(params, spec.mc, draws, keys=mc_keys)
+                # made at the first point that needs it; no key draws lazily per point
+                if draw_key is not None and draw_key not in draw_sets:
+                    draw_sets[draw_key] = list(draw_chunks(*draw_key))
+                mc_est = simulate_metrics(params, spec.mc, draw_sets.get(draw_key),
+                                          keys=mc_keys)
             except Exception as exc:  # recorded per mc row below
                 mc_est = exc
 
@@ -162,6 +193,24 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
     return rows
 
 
+def run_sweeps(specs):
+    """Yield :func:`run_sweep`'s table of each spec, in order.
+
+    Curves with the same ``(N, McConfig)`` score on one draw set: exact,
+    since the draws depend on nothing else. A set is dropped as soon as
+    no later spec needs it, before the table that used it last is
+    yielded.
+    """
+    specs = list(specs)
+    keys = [_draw_key(spec) for spec in specs]
+    draw_sets: dict = {}
+    for i, spec in enumerate(specs):
+        table = run_sweep(spec, draw_sets)  # the module global, as wrapped when traced
+        for key in set(draw_sets).difference(keys[i + 1:]):
+            del draw_sets[key]
+        yield table
+
+
 def _annotate_mc_gap(row: Row, mc_est) -> Row:
     """Flag analytic values that sit outside 3 standard errors of the MC."""
     key = {"sop": "sop", "asc": "asc_eq19"}.get(row.metric)
@@ -176,6 +225,10 @@ def _annotate_mc_gap(row: Row, mc_est) -> Row:
 
 
 # --- configuration I/O -----------------------------------------------------
+
+# libyaml's parser where PyYAML was built with it; both build the same objects
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 def _require_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
@@ -235,7 +288,7 @@ def load_config(path) -> SweepSpec:
     """Parse a single-sweep YAML config."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     return _from_mapping(SweepSpec, data, str(path))
@@ -256,7 +309,7 @@ def load_preset(name: str) -> dict[str, SweepSpec]:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
     text = resources.files("ris_secrecy").joinpath("presets", f"{name}.yaml").read_text("utf-8")
-    data = yaml.safe_load(text)
+    data = yaml.load(text, Loader=_YAML_LOADER)
     curves = _require_mapping(_require_mapping(data, name).get("curves"), f"{name}.curves")
     return {label: _from_mapping(SweepSpec, m, f"{name}.curves.{label}")
             for label, m in curves.items()}

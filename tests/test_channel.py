@@ -59,9 +59,33 @@ def test_geometry_must_match_snr_fields():
         SystemParams(n_elements=5, snr_d_db=5.0, snr_e_db=p.snr_e_db, geometry=geo)
     with pytest.raises(ValueError, match="n0"):  # how PyYAML reads `n0: 1e-4`
         LinkGeometry(p_s=1.0, n0="1e-4", d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
-    nan_geo = LinkGeometry(p_s=1.0, n0=math.nan, d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
-    with pytest.raises(ValueError, match="geometry"):  # a NaN gap is not > tol
-        SystemParams(n_elements=5, snr_d_db=p.snr_d_db, snr_e_db=p.snr_e_db, geometry=nan_geo)
+    with pytest.raises(ValueError, match="n0"):  # a NaN geometry is rejected as it is built
+        LinkGeometry(p_s=1.0, n0=math.nan, d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
+
+
+_GEOMETRY = dict(p_s=1.0, n0=1e-4, d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0)
+
+
+@pytest.mark.parametrize("name", ["p_s", "n0", "d_sr", "d_rd", "d_re"])
+@pytest.mark.parametrize("value", [0, -1.0, math.inf, math.nan])
+def test_geometry_powers_and_distances_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        LinkGeometry(**{**_GEOMETRY, name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_geometry_path_loss_exponent_must_be_finite(value):
+    with pytest.raises(ValueError, match="^chi must be finite"):
+        LinkGeometry(**{**_GEOMETRY, "chi": value})
+    assert LinkGeometry(**{**_GEOMETRY, "chi": -2.0}).chi == -2.0  # any finite exponent
+
+
+@pytest.mark.parametrize("c_th", [1024.0, 2000, math.inf])
+def test_c_th_must_keep_the_threshold_finite(c_th):
+    # 2.0 ** c_th overflows from 1024 on; below it the threshold is finite
+    with pytest.raises(ValueError, match="^c_th must be > 0 and < 1024"):
+        SystemParams(n_elements=5, c_th=c_th)
+    assert math.isfinite(SystemParams(n_elements=5, c_th=math.nextafter(1024.0, 0)).gamma_th)
 
 
 @pytest.mark.parametrize("name", ["snr_d_db", "snr_e_db"])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ris_secrecy import cli, montecarlo
+from ris_secrecy import cli, montecarlo, sweeps
 from ris_secrecy.channel import LinkGeometry, SystemParams
 from ris_secrecy.montecarlo import _CHUNK, McConfig, simulate_metrics
 from ris_secrecy.secrecy import NumericsConfig
@@ -30,6 +30,7 @@ from ris_secrecy.sweeps import (
     load_preset,
     load_table,
     run_sweep,
+    run_sweeps,
     save_config,
 )
 
@@ -77,6 +78,15 @@ def test_n_elements_axis_rejects_non_integer_values(values):
     # int(5.5) would silently score the 5.5 point as N=5
     with pytest.raises(ConfigError, match="values"):
         small_spec(axis="n_elements", values=values)
+
+
+@pytest.mark.parametrize("values", [(0, True), ("0", "10"), (0.0, math.nan), (-math.inf, 0.0)],
+                         ids=["bool", "strings", "nan", "inf"])
+def test_other_axes_take_finite_real_values_only(values):
+    # True once ran as an axis_value; strings failed on the monotone check
+    with pytest.raises(ConfigError, match="^values: snr_d_db must be finite numbers"):
+        small_spec(values=values)
+    assert small_spec(values=(np.float32(0.0), 5, 10.0)).values[1] == 5
 
 
 def test_n_elements_axis_accepts_numpy_integers():
@@ -139,6 +149,15 @@ def test_run_sweep_records_per_point_errors():
         by_metric.setdefault(r.metric, []).append(r)
     assert all(r.error is None and r.value is not None for r in by_metric["sop"])
     assert all(r.value is None and "theta4" in r.error for r in by_metric["sop_asymptotic"])
+
+
+def test_c_th_past_1024_is_a_named_error_row():
+    # 2.0 ** 2000 once surfaced as "(34, 'Numerical result out of range')"
+    spec = small_spec(axis="c_th", values=(1000.0, 2000.0), outputs=("sop",))
+    low, high = run_sweep(spec)
+    assert low.error is None and low.value == 1.0
+    assert high.value is None
+    assert high.error.startswith("c_th must be > 0 and < 1024"), high.error
 
 
 def test_run_sweep_mc_check_annotates_model_gaps():
@@ -232,18 +251,81 @@ PRESET_MC_DIGESTS = {
 }
 
 
+def _mc_digest(table) -> str:
+    h = hashlib.sha256()
+    for r in table:
+        if r.metric in ("mc_sop", "mc_asc"):
+            h.update(f"{float(r.axis_value)!r},{r.metric},{float(r.value).hex()},"
+                     f"{float(r.std_error).hex()},{r.trials},{r.seed}\n".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_mc_rows_golden_digest(name):
     curves = load_preset(name)
     assert {(name, label) for label in curves} == {k for k in PRESET_MC_DIGESTS if k[0] == name}
     for label, spec in curves.items():
-        h = hashlib.sha256()
-        mc_rows = [r for r in run_sweep(spec) if r.metric in ("mc_sop", "mc_asc")]
-        assert len(mc_rows) == len(spec.values)
-        for r in mc_rows:
-            h.update(f"{float(r.axis_value)!r},{r.metric},{float(r.value).hex()},"
-                     f"{float(r.std_error).hex()},{r.trials},{r.seed}\n".encode())
-        assert h.hexdigest() == PRESET_MC_DIGESTS[name, label], label
+        table = run_sweep(spec)
+        assert sum(r.metric in ("mc_sop", "mc_asc") for r in table) == len(spec.values)
+        assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
+
+
+# --- run_sweeps: one draw set per (N, McConfig) across curves -----------------
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
+    curves = load_preset(name)
+    tables = list(run_sweeps(curves.values()))
+    assert tables == [run_sweep(spec) for spec in curves.values()]
+    for label, table in zip(curves, tables):
+        assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
+
+
+def count_draw_sets(monkeypatch) -> list:
+    """Patch ``sweeps.draw_chunks`` to log the (N, seed) of each draw set made."""
+    made, original = [], sweeps.draw_chunks
+
+    def counting(n_elements, mc):
+        made.append((n_elements, mc.seed))
+        return original(n_elements, mc)
+
+    monkeypatch.setattr(sweeps, "draw_chunks", counting)
+    return made
+
+
+@pytest.mark.parametrize("name, sets", [("fig2", 2), ("fig3", 1), ("fig4", 1),
+                                        ("fig5", 3), ("fig6", 1)])
+def test_cli_preset_makes_one_draw_set_per_n_and_mc_config(tmp_path, monkeypatch, name, sets):
+    made = count_draw_sets(monkeypatch)
+    assert cli.main(["preset", name, "--out-dir", str(tmp_path), "--trials", "1000"]) == 0
+    assert len(made) == len(set(made)) == sets
+
+
+def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
+    specs = [small_spec(base=base_params(n_elements=n)) for n in (5, 10, 5)]
+    stores, original = [], sweeps.run_sweep
+
+    def spy(spec, draw_sets=None):
+        stores.append(draw_sets)
+        return original(spec, draw_sets)
+
+    monkeypatch.setattr(sweeps, "run_sweep", spy)
+    made = count_draw_sets(monkeypatch)
+    held = []
+    for _ in run_sweeps(specs):
+        held.append(sorted(n for n, _ in stores[0]))
+    assert all(store is stores[0] for store in stores)
+    # the N=5 set outlives the N=10 curve, the N=10 set does not
+    assert held == [[5], [5], []]
+    assert made == [(5, 11), (10, 11)]
+
+
+def test_run_sweeps_does_not_share_across_seeds(monkeypatch):
+    specs = [small_spec(mc=McConfig(trials=2000, seed=seed, stream_count=2)) for seed in (11, 12)]
+    made = count_draw_sets(monkeypatch)
+    tables = list(run_sweeps(specs))
+    assert made == [(5, 11), (5, 12)]
+    assert tables == [run_sweep(spec) for spec in specs]
 
 
 # --- table I/O ---------------------------------------------------------------
@@ -361,6 +443,13 @@ mc: {trials: 2000, seed: 1}
     ("  snr_e_db: -10.0\n",
      "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, d_sr: 1.0, d_rd: 1.0, d_re: 1.0, chi: 2.0}\n",
      "base.geometry"),
+    # n0: 0 once ended in a ZeroDivisionError, n0: -1 in "math domain error"
+    ("  snr_e_db: -10.0\n",
+     "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, n0: 0, d_sr: 1.0, d_rd: 1.0, d_re: 1.0, chi: 2.0}\n",
+     "base.geometry"),
+    ("  snr_e_db: -10.0\n",
+     "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, n0: -1, d_sr: 1.0, d_rd: 1.0, d_re: 1.0, chi: 2.0}\n",
+     "base.geometry"),
     ("trials: 2000", "trials: 1e5", "mc"),  # PyYAML reads 1e5 as a string
     ("trials: 2000", "trials: 2000.0", "mc"),
     ("n_elements: 5", "n_elements: 5.0", "base"),
@@ -372,7 +461,8 @@ mc: {trials: 2000, seed: 1}
     ("snr_d_db: 10.0", "snr_d_db: .nan", "base"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 'false'", "numerics"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 2", "numerics"),
-], ids=["missing_n_elements", "geometry_missing_n0", "trials_1e5", "trials_float",
+], ids=["missing_n_elements", "geometry_missing_n0", "geometry_n0_zero",
+        "geometry_n0_negative", "trials_1e5", "trials_float",
         "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
         "quad_order_float", "max_terms_float", "snr_d_db_nan", "mc_check_string",
         "mc_check_int"])
@@ -388,6 +478,17 @@ def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, se
 
 
 # --- presets -----------------------------------------------------------------
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_parse_alike_with_and_without_libyaml(monkeypatch, name):
+    text = (Path(sweeps.__file__).parent / "presets" / f"{name}.yaml").read_text("utf-8")
+    # repr tells 1 from 1.0, which == does not
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.safe_load(text))
+    assert sweeps._YAML_LOADER is yaml.CSafeLoader
+    fast = load_preset(name)
+    monkeypatch.setattr(sweeps, "_YAML_LOADER", yaml.SafeLoader)
+    assert load_preset(name) == fast
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_bundled_presets_load_with_expected_defaults(name):
