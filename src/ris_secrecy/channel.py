@@ -8,6 +8,11 @@ both a Marcum-Q closed form and an incomplete-gamma series form. The
 eavesdropper sees an incoherent sum, so rho_E = snr_e * X2^2 is
 exponential with mean lambda_e = snr_e * N.
 
+The series form sums a Poisson mixture of regularised incomplete gammas
+from ``scipy.special``; :class:`SeriesControl` sets its truncation, and a
+series that needs more than ``max_terms`` terms raises
+:class:`ConvergenceError` rather than return a truncated value.
+
 Everything here is a pure function of immutable inputs; the series
 window is cached per mixture mean and handed out read-only.
 """
@@ -23,16 +28,51 @@ import numpy as np
 from scipy import special as sc
 
 from ._schema import check_field_types
-# lower/upper_inc_gamma are not called here; perfbench/tracer.py wraps them by this binding
-from .specfun import (  # noqa: F401
-    ConvergenceError,
-    DEFAULT_SERIES,
-    SeriesControl,
-    lower_inc_gamma,
-    upper_inc_gamma,
-)
+
+# Nothing calls these; perfbench/tracer.py wraps the names. They go when
+# the tracer wraps _rho_d_law instead (ROADMAP item 4).
+lower_inc_gamma = upper_inc_gamma = None
 
 _FLOAT_MAX = np.finfo(float).max
+
+SNR_DB_LIMIT = 3000.0  # 10**(dB/10) is a positive finite float within +-3000 dB
+
+
+class ConvergenceError(ArithmeticError):
+    """A series or continued fraction did not reach the requested tolerance."""
+
+    def __init__(self, name: str, terms: int, residual: float):
+        self.name = name
+        self.terms = terms
+        self.residual = residual
+        super().__init__(
+            f"{name}: no convergence after {terms} terms (residual {residual:.3e})"
+        )
+
+
+@dataclass(frozen=True)
+class SeriesControl:
+    """Truncation policy for the infinite series used throughout.
+
+    A sum stops once the current term falls below ``rel_tol`` times the
+    partial sum in magnitude (a Poisson mixture, once less than
+    ``rel_tol`` of its mixing mass is left out); ``max_terms`` is a hard
+    cap that turns a stalled sum into a :class:`ConvergenceError`
+    instead of a silent wrong answer.
+    """
+
+    max_terms: int = 200
+    rel_tol: float = 1e-12
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
+        if not 0.0 < self.rel_tol <= 1e-3:
+            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol!r}")
+
+
+DEFAULT_SERIES = SeriesControl()
 
 
 def db_to_linear(db: float) -> float:
@@ -67,11 +107,17 @@ class LinkGeometry:
         if not math.isfinite(self.chi):
             raise ValueError(f"chi must be finite, got {self.chi}")
 
+    # 10 log10(p_s / ((d_sr d_x)^chi n0)) in the log domain, where no
+    # power of a distance can overflow
     def snr_d_db(self) -> float:
-        return 10.0 * math.log10(self.p_s / ((self.d_sr * self.d_rd) ** self.chi * self.n0))
+        return self._snr_db(self.d_rd)
 
     def snr_e_db(self) -> float:
-        return 10.0 * math.log10(self.p_s / ((self.d_sr * self.d_re) ** self.chi * self.n0))
+        return self._snr_db(self.d_re)
+
+    def _snr_db(self, d_second: float) -> float:
+        return 10.0 * (math.log10(self.p_s) - math.log10(self.n0)
+                       - self.chi * (math.log10(self.d_sr) + math.log10(d_second)))
 
 
 @dataclass(frozen=True)
@@ -99,8 +145,9 @@ class SystemParams:
             raise ValueError(f"n_elements must be a positive integer, got {self.n_elements!r}")
         for name in ("snr_d_db", "snr_e_db"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+            if not -SNR_DB_LIMIT <= v <= SNR_DB_LIMIT:  # NaN fails
+                raise ValueError(f"{name} must be finite and within "
+                                 f"+-{SNR_DB_LIMIT:g} dB, got {v}")
         for name in ("kappa_d_t2", "kappa_d_r2", "kappa_e_t2", "kappa_e_r2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
@@ -174,20 +221,16 @@ class ChannelStats:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-def derive_stats(params: SystemParams, *, printed_sigma2: bool = False) -> ChannelStats:
+def derive_stats(params: SystemParams) -> ChannelStats:
     """Channel statistics from the scenario parameters.
 
     The variance of a single unit-power Rayleigh amplitude product is
     1 - pi^2/16, so the coherent sum of n_elements of them has variance
-    N (1 - pi^2/16); ``printed_sigma2=True`` selects the squared-factor
-    variant N (1 - pi^2/16)^2 seen in some write-ups of this model (it
-    does not match the moments of the simulated channel and exists for
-    comparison only).
+    N (1 - pi^2/16).
     """
     n = params.n_elements
     lam = (n * math.pi / 4.0) ** 2
-    unit_var = 1.0 - math.pi ** 2 / 16.0
-    sigma2 = n * (unit_var ** 2 if printed_sigma2 else unit_var)
+    sigma2 = n * (1.0 - math.pi ** 2 / 16.0)
     return ChannelStats(lambda_=lam, sigma2=sigma2, lambda_e=params.snr_e_linear * n)
 
 
@@ -349,34 +392,3 @@ def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
     Scalars or arrays, as in :func:`cdf_rho_d`.
     """
     return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=True)
-
-
-def pdf_rho_e(x: float, stats: ChannelStats) -> float:
-    """Density of the exponential eavesdropper channel gain rho_E."""
-    if x < 0.0:
-        raise ValueError(f"pdf_rho_e requires x >= 0, got x={x}")
-    return math.exp(-x / stats.lambda_e) / stats.lambda_e
-
-
-def cdf_rho_e(x: float, stats: ChannelStats) -> float:
-    if x < 0.0:
-        raise ValueError(f"cdf_rho_e requires x >= 0, got x={x}")
-    return -math.expm1(-x / stats.lambda_e)
-
-
-def cdf_gamma_d(x: float, params: SystemParams, stats: ChannelStats,
-                ctl: SeriesControl = DEFAULT_SERIES, method: str = "series") -> float:
-    """CDF of the destination SNDR gamma_D = rho_D / (kappa_sum rho_D + 1).
-
-    For x below the saturation point 1/kappa_sum this is
-    1 - sum_k w_k Gamma(k+1/2, y/(2 g sigma^2)) / Gamma(k+1/2) with
-    y = x / (1 - x kappa_sum); at or above it the SNDR bound makes the
-    event certain, so the CDF is exactly 1.
-    """
-    if x < 0.0:
-        raise ValueError(f"cdf_gamma_d requires x >= 0, got x={x}")
-    ks = params.kappa_d_sum
-    if ks > 0.0 and x >= 1.0 / ks:
-        return 1.0
-    y = x / (1.0 - x * ks)
-    return 1.0 - ccdf_rho_d(y, stats, params.snr_d_linear, ctl, method=method)

@@ -32,7 +32,6 @@ from .secrecy import (
     sop,
     sop_reference,
 )
-from .specfun import ConvergenceError
 from .sweeps import (
     ConfigError,
     PRESET_NAMES,
@@ -191,7 +190,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # ConvergenceError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

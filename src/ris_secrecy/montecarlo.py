@@ -309,24 +309,6 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
     return acc.estimates()
 
 
-def estimate_sop(params: SystemParams, mc: McConfig) -> EstimateWithCI:
-    """Fraction of trials whose secrecy rate falls below c_th."""
-    return simulate_metrics(params, mc)["sop"]
-
-
-def estimate_asc(params: SystemParams, mc: McConfig,
-                 definition: str = "eq19") -> EstimateWithCI:
-    """Average secrecy capacity estimate.
-
-    ``eq19``: mean of log2(1+gamma_D) - log2(1+gamma_E) (difference of
-    ergodic rates, matching the analytical closed form). ``eq6``: mean
-    of the zero-clipped instantaneous secrecy rate.
-    """
-    if definition not in ("eq19", "eq6"):
-        raise ValueError(f"definition must be 'eq19' or 'eq6', got {definition!r}")
-    return simulate_metrics(params, mc)["asc_eq19" if definition == "eq19" else "asc_eq6"]
-
-
 def sample_quantity(quantity: str, params: SystemParams, mc: McConfig) -> np.ndarray:
     """All trial values of one per-trial quantity (unsorted)."""
     if quantity not in ("rho_d", "rho_e", "gamma_d", "gamma_e", "x1"):
@@ -345,18 +327,6 @@ def sample_quantity(quantity: str, params: SystemParams, mc: McConfig) -> np.nda
         else:
             parts.append(np.sqrt(rho_d / params.snr_d_linear))
     return np.concatenate(parts)
-
-
-def empirical_cdf(quantity: str, params: SystemParams, mc: McConfig):
-    """Empirical CDF of a per-trial quantity.
-
-    Returns ``(x, f_hat)`` with x the sorted samples and f_hat the step
-    heights i/n; the usual validation surface for the analytical
-    channel laws.
-    """
-    x = np.sort(sample_quantity(quantity, params, mc))
-    f_hat = np.arange(1, x.size + 1, dtype=float) / x.size
-    return x, f_hat
 
 
 def ks_distance(sorted_samples: np.ndarray, cdf) -> float:

@@ -20,6 +20,11 @@ the SNDRs saturate; the probability mass of the eavesdropper gain beyond
 that limit makes outage certain and must be added as a closed-form tail
 term (exp(-limit/lambda_e)). Dropping it is visibly wrong for lambda_e
 of a few: the tail reaches ~1e-2.
+
+The eavesdropper's ergodic rate is exact: a difference of two values of
+the scaled exponential integral e^t E1(t), which :func:`e1_scaled`
+evaluates by series or continued fraction under a
+:class:`~ris_secrecy.channel.SeriesControl`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,15 @@ from functools import lru_cache
 import numpy as np
 
 from ._schema import check_field_types
-from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
-from .specfun import SeriesControl, e1_scaled
+from .channel import (
+    DEFAULT_SERIES,
+    ChannelStats,
+    ConvergenceError,
+    SeriesControl,
+    SystemParams,
+    cdf_rho_d,
+    ccdf_rho_d,
+)
 
 
 class UnsupportedRegimeError(ValueError):
@@ -340,6 +352,62 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0)
 
 
+EULER_GAMMA = 0.57721566490153286061
+
+_TINY = 1e-300  # Lentz underflow guard
+
+
+def _e1_cf(t: float, ctl: SeriesControl) -> float:
+    # Modified Lentz evaluation of e^t E1(t) = 1/(t+1- 1/(t+3- 4/(t+5- ...))),
+    # reliable for t >= 1.
+    b = t + 1.0
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, ctl.max_terms + 1):
+        an = -float(i * i)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < ctl.rel_tol:
+            return h
+    raise ConvergenceError("e1 fraction", ctl.max_terms, abs(delta - 1.0))
+
+
+def _e1_series(t: float, ctl: SeriesControl) -> float:
+    # E1(t) = -euler - ln t + sum_k (-1)^(k+1) t^k / (k k!), for small t.
+    term = 1.0
+    total = 0.0
+    for k in range(1, ctl.max_terms + 1):
+        term *= -t / k
+        contrib = -term / k
+        total += contrib
+        if abs(contrib) < ctl.rel_tol * max(abs(total), 1e-30):
+            return -EULER_GAMMA - math.log(t) + total
+    raise ConvergenceError("e1 series", ctl.max_terms, abs(contrib))
+
+
+def e1_scaled(t: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+    """Exponentially scaled exponential integral e^t E1(t) for t > 0.
+
+    Stays finite for arbitrarily large t (where e^t alone would
+    overflow); used by the eavesdropper ergodic-rate closed form whose
+    arguments scale like 1/(kappa^2 lambda_E).
+    """
+    if t <= 0.0:
+        raise ValueError(f"e1_scaled requires t > 0, got t={t}")
+    if t < 1.0:
+        return math.exp(t) * _e1_series(t, ctl)
+    return _e1_cf(t, ctl)
+
+
 def eavesdropper_rate(stats: ChannelStats, kappa_e_sum: float) -> float:
     """Ergodic rate of the eavesdropper, E[log2(1 + gamma_E)], exact.
 
@@ -356,22 +424,6 @@ def eavesdropper_rate(stats: ChannelStats, kappa_e_sum: float) -> float:
     total = e1_scaled(1.0 / ((1.0 + kappa_e_sum) * lam_e))
     if kappa_e_sum > 0.0:
         total -= e1_scaled(1.0 / (kappa_e_sum * lam_e))
-    return total / math.log(2.0)
-
-
-def eavesdropper_rate_gain_clipped(stats: ChannelStats, kappa_e_sum: float) -> float:
-    """Rate of the simpler gain-clipped model E[log2(1 + min(rho_E, 1/k))].
-
-    Exact Ei closed form of int_0^{1/k} e^{-x/lambda_e}/(1+x) dx; clipping
-    the gain instead of applying the SNDR map upper-bounds the true
-    eavesdropper rate. Kept as an oracle target for the Ei identity and
-    to quantify the gap to :func:`eavesdropper_rate`.
-    """
-    if kappa_e_sum <= 0.0:
-        raise UnsupportedRegimeError("gain-clipped rate requires kappa_e_sum > 0")
-    lam_e = stats.lambda_e
-    mu = 1.0 / (kappa_e_sum * lam_e)
-    total = e1_scaled(1.0 / lam_e) - math.exp(-mu) * e1_scaled(1.0 / lam_e + mu)
     return total / math.log(2.0)
 
 

@@ -17,26 +17,21 @@ see README "Model accuracy".
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
-from ris_secrecy.channel import SystemParams, cdf_rho_d, derive_stats, pdf_rho_d
+from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats, pdf_rho_d
 from ris_secrecy.montecarlo import McConfig, ks_distance, sample_quantity
 from ris_secrecy.secrecy import (
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
+    e1_scaled,
     sop,
     sop_asymptotic,
     sop_reference,
     theta_coefficients,
-)
-from ris_secrecy.specfun import (
-    bessel_i,
-    exp_integral_ei,
-    lower_inc_gamma,
-    marcum_q_half,
-    upper_inc_gamma,
 )
 from ris_secrecy.sweeps import emit, load_preset, run_sweep
 
@@ -56,46 +51,49 @@ def check(ok: bool, label: str) -> bool:
     return ok
 
 
-# --- criterion 1: special-function identity suite (< 5 s) ---------------------
+# --- criterion 1: special functions of the closed forms (< 5 s) ---------------
 
 def test_criterion_1_special_function_identities():
+    """The destination law's series route and e^t E1(t), against independent routes.
+
+    rho_D = g X1^2 with X1 ~ N(sqrt(lambda), sigma^2), so P(rho_D <= x) is
+    P(|Z + a| <= b) with a = sqrt(lambda/sigma^2) and b = sqrt(x/(g sigma^2)):
+    1 - (erfc((b-a)/sqrt2) + erfc((b+a)/sqrt2))/2, which mpmath evaluates at
+    30 digits. The grid of b covers a +- 9 standard deviations at each N.
+    """
     t0 = time.monotonic()
     ok = True
 
-    worst = 0.0
-    for s in [0.5 + k for k in range(21)]:
-        for x in np.linspace(0.0, 50.0, 11):
-            total = lower_inc_gamma(s, float(x)) + upper_inc_gamma(s, float(x))
-            worst = max(worst, abs(total - math.gamma(s)) / math.gamma(s))
-    ok &= check(worst < 1e-10, f"additivity gamma+Gamma=Gamma(s), worst rel {worst:.2e} < 1e-10")
+    worst_sum = worst_routes = worst_mp = 0.0
+    for n in (1, 2, 5, 10, 64, 128):
+        p = SystemParams(n_elements=n)
+        stats = derive_stats(p)
+        g = p.snr_d_linear
+        a = math.sqrt(stats.lambda_ / stats.sigma2)
+        b = np.linspace(max(a - 9.0, 0.0), a + 9.0, 61)
+        x = g * stats.sigma2 * b * b
+        cdf = cdf_rho_d(x, stats, g, method="series")
+        ccdf = ccdf_rho_d(x, stats, g, method="series")
+        worst_sum = max(worst_sum, float(np.max(np.abs(cdf + ccdf - 1.0))))
+        worst_routes = max(worst_routes, float(np.max(np.abs(
+            cdf - cdf_rho_d(x, stats, g, method="marcum")))))
+        with mp.workdps(30):
+            a_mp = mp.sqrt(mp.mpf(stats.lambda_) / mp.mpf(stats.sigma2))
+            for xi, lo, hi in zip(x, cdf, ccdf):
+                b_mp = mp.sqrt(mp.mpf(float(xi)) / (mp.mpf(g) * mp.mpf(stats.sigma2)))
+                q = (mp.erfc((b_mp - a_mp) / mp.sqrt(2)) + mp.erfc((b_mp + a_mp) / mp.sqrt(2))) / 2
+                worst_mp = max(worst_mp, abs(float(1 - q) - lo), abs(float(q) - hi))
+    ok &= check(worst_sum < 1e-10, f"series cdf + ccdf = 1, worst {worst_sum:.2e} < 1e-10")
+    ok &= check(worst_routes < 1e-8,
+                f"series route vs Marcum route, worst {worst_routes:.2e} < 1e-8")
+    ok &= check(worst_mp < 1e-10, f"series route vs mpmath erfc, worst {worst_mp:.2e} < 1e-10")
 
-    rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(200):
-        a, b = rng.uniform(0.0, 10.0, 2)
-        half_delta, u = 0.5 * a * a, 0.5 * b * b
-        series, w = 0.0, math.exp(-half_delta)
-        for k in range(400):
-            series += w * lower_inc_gamma(k + 0.5, u) / math.gamma(k + 0.5)
-            w *= half_delta / (k + 1)
-            if w < 1e-18 and k > half_delta:  # weights peak near k = a^2/2
-                break
-        worst = max(worst, abs(marcum_q_half(a, b) - (1.0 - series)))
-    ok &= check(worst < 1e-8, f"Marcum-1/2 erfc form vs gamma-series CDF, worst {worst:.2e} < 1e-8")
-
-    worst = 0.0
-    for z in np.geomspace(1e-3, 30.0, 60):
-        z = float(z)
-        err = abs(bessel_i(-0.5, z) - math.sqrt(2.0 / (math.pi * z)) * math.cosh(z))
-        worst = max(worst, err / math.cosh(z))
-    ok &= check(worst < 1e-10, f"I_-1/2 cosh identity, worst scaled err {worst:.2e} < 1e-10")
-
-    h, worst = 1e-5, 0.0
-    for x in np.linspace(-20.0, -0.1, 50):
-        x = float(x)
-        fd = (exp_integral_ei(x + h) - exp_integral_ei(x - h)) / (2.0 * h)
-        worst = max(worst, abs(fd - math.exp(x) / x) / abs(math.exp(x) / x))
-    ok &= check(worst < 1e-4, f"Ei derivative e^x/x finite-difference, worst rel {worst:.2e} < 1e-4")
+    with mp.workdps(30):
+        for t in np.geomspace(1e-3, 1e6, 91):
+            want = mp.exp(mp.mpf(float(t))) * mp.e1(mp.mpf(float(t)))
+            worst = max(worst, float(abs(e1_scaled(float(t)) - want) / want))
+    ok &= check(worst < 1e-10, f"e1_scaled vs mpmath e^t E1(t), worst rel {worst:.2e} < 1e-10")
 
     elapsed = time.monotonic() - t0
     ok &= check(elapsed < 5.0, f"criterion 1 runtime {elapsed:.2f} s < 5 s")

@@ -9,20 +9,19 @@ from scipy import integrate
 from scipy import special as sc
 
 from ris_secrecy.channel import (
+    DEFAULT_SERIES,
     ChannelStats,
+    ConvergenceError,
     LinkGeometry,
+    SeriesControl,
     SystemParams,
     _poisson_window,
     ccdf_rho_d,
-    cdf_gamma_d,
     cdf_rho_d,
-    cdf_rho_e,
     derive_stats,
     pdf_rho_d,
-    pdf_rho_e,
 )
 from ris_secrecy.montecarlo import ks_distance
-from ris_secrecy.specfun import DEFAULT_SERIES, ConvergenceError, SeriesControl
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0):
@@ -89,10 +88,24 @@ def test_c_th_must_keep_the_threshold_finite(c_th):
 
 
 @pytest.mark.parametrize("name", ["snr_d_db", "snr_e_db"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
 def test_snr_fields_must_be_finite(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    # 10**(4000/10) once raised a stray OverflowError in db_to_linear
+    with pytest.raises(ValueError, match=f"{name} must be finite and within \\+-3000 dB"):
         SystemParams(n_elements=5, **{name: value})
+    for edge in (3000.0, -3000.0):  # the linear SNR stays a positive finite float
+        linear = getattr(SystemParams(n_elements=5, **{name: edge}), name.replace("db", "linear"))
+        assert 0.0 < linear < math.inf
+
+
+@pytest.mark.parametrize("chi", [200.0, -200.0])
+def test_large_path_loss_exponent_is_a_named_snr_error(chi):
+    # the SNRs are formed in the log domain: chi = +-200 over 100 m^2 is -+4000 dB,
+    # where (d_sr d_rd)**chi once overflowed or divided by zero
+    geo = LinkGeometry(**{**_GEOMETRY, "n0": 1.0, "chi": chi})
+    assert geo.snr_d_db() == pytest.approx(-20.0 * chi, rel=1e-15)
+    with pytest.raises(ValueError, match="^snr_d_db must be finite and within"):
+        SystemParams.from_geometry(5, geo)
 
 
 def test_derived_stats_frozen_values():
@@ -100,11 +113,6 @@ def test_derived_stats_frozen_values():
     assert st_.lambda_ == pytest.approx(15.421256876702122, rel=1e-14)  # (5 pi/4)^2
     assert st_.sigma2 == pytest.approx(1.9157486246595756, rel=1e-14)  # 5 (1 - pi^2/16)
     assert st_.lambda_e == pytest.approx(0.5, rel=1e-14)  # 0.1 * 5
-
-
-def test_printed_sigma2_variant_flag():
-    st_ = derive_stats(params_for(n=5), printed_sigma2=True)
-    assert st_.sigma2 == pytest.approx(5.0 * (1.0 - math.pi ** 2 / 16.0) ** 2, rel=1e-14)
 
 
 def test_stats_moment_oracle():
@@ -270,49 +278,6 @@ def test_cdf_against_model_law_samples():
 def test_cdf_rho_d_monotone(x, dx):
     st_ = derive_stats(params_for(n=5))
     assert cdf_rho_d(x + dx, st_, 10.0) >= cdf_rho_d(x, st_, 10.0)
-
-
-# --- SNDR law ----------------------------------------------------------------
-
-def test_cdf_gamma_d_zero_and_saturation():
-    p = params_for(n=5, k2=0.01)  # kappa sum 0.02 per link
-    st_ = derive_stats(p)
-    assert cdf_gamma_d(0.0, p, st_) == 0.0
-    assert cdf_gamma_d(50.0, p, st_) == 1.0  # exactly at 1/0.02
-    assert cdf_gamma_d(73.2, p, st_) == 1.0
-    # below saturation the upper tail is still representable here
-    assert cdf_gamma_d(48.0, p, st_) < 1.0
-
-
-def test_cdf_gamma_d_matches_mapped_rho_cdf():
-    p = params_for(n=5, k2=0.01)
-    st_ = derive_stats(p)
-    for x in (0.1, 1.0, 10.0, 49.0):
-        mapped = x / (1.0 - p.kappa_d_sum * x)
-        assert cdf_gamma_d(x, p, st_) == pytest.approx(
-            cdf_rho_d(mapped, st_, p.snr_d_linear, method="series"), rel=1e-10
-        )
-
-
-def test_cdf_gamma_d_ideal_hardware_equals_rho_cdf():
-    p = params_for(n=5, k2=0.0)
-    st_ = derive_stats(p)
-    for x in (0.5, 5.0, 120.0):
-        assert cdf_gamma_d(x, p, st_) == pytest.approx(
-            cdf_rho_d(x, st_, p.snr_d_linear), rel=1e-10
-        )
-
-
-# --- eavesdropper law --------------------------------------------------------
-
-def test_rho_e_exponential_forms():
-    st_ = derive_stats(params_for(n=5, snr_e_db=-10.0))
-    assert cdf_rho_e(st_.lambda_e, st_) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-    val, _ = integrate.quad(lambda x: pdf_rho_e(x, st_), 0.0, 60.0 * st_.lambda_e)
-    assert val == pytest.approx(1.0, abs=1e-9)
-    assert pdf_rho_e(0.0, st_) == pytest.approx(1.0 / st_.lambda_e, rel=1e-14)
-    with pytest.raises(ValueError):
-        cdf_rho_e(-1.0, st_)
 
 
 def test_channel_stats_validation():

@@ -16,10 +16,7 @@ from ris_secrecy.montecarlo import (
     TrialOutcome,
     _draw_chunk,
     draw_chunks,
-    empirical_cdf,
-    estimate_asc,
     estimate_mean_sndr,
-    estimate_sop,
     ks_distance,
     model_law_chunks,
     sample_quantity,
@@ -213,8 +210,8 @@ def test_draw_chunk_peak_memory(eav_mode, arrays):
 
 def test_stream_count_changes_partition_not_contract():
     p = params_for()
-    a = estimate_sop(p, McConfig(trials=40_000, seed=9, stream_count=1))
-    b = estimate_sop(p, McConfig(trials=40_000, seed=9, stream_count=8))
+    a = simulate_metrics(p, McConfig(trials=40_000, seed=9, stream_count=1), keys=("sop",))["sop"]
+    b = simulate_metrics(p, McConfig(trials=40_000, seed=9, stream_count=8), keys=("sop",))["sop"]
     # different partitions draw different numbers, but stay statistically
     # compatible
     assert abs(a.value - b.value) < 5.0 * math.hypot(a.std_error, b.std_error)
@@ -294,11 +291,11 @@ def test_rho_e_mean_and_exact_exponential_law():
 
 def test_estimate_sop_certain_outage_and_determinism():
     p = params_for(c_th=50.0)  # unreachable target rate
-    est = estimate_sop(p, McConfig(trials=10_000, seed=1))
+    est = simulate_metrics(p, McConfig(trials=10_000, seed=1), keys=("sop",))["sop"]
     assert est.value == 1.0
     p2 = params_for(n=5, snr_d_db=0.0, snr_e_db=0.0)
-    a = estimate_sop(p2, McConfig(trials=20_000, seed=40))
-    b = estimate_sop(p2, McConfig(trials=20_000, seed=40))
+    a = simulate_metrics(p2, McConfig(trials=20_000, seed=40), keys=("sop",))["sop"]
+    b = simulate_metrics(p2, McConfig(trials=20_000, seed=40), keys=("sop",))["sop"]
     assert a == b
     assert 0.0 < a.value < 1.0
     assert a.std_error == pytest.approx(
@@ -309,11 +306,11 @@ def test_estimate_sop_certain_outage_and_determinism():
 def test_asc_definitions_dominance():
     p = params_for(n=5, snr_d_db=0.0, snr_e_db=0.0)
     mc = McConfig(trials=100_000, seed=8)
-    eq19 = estimate_asc(p, mc, definition="eq19")
-    eq6 = estimate_asc(p, mc, definition="eq6")
+    est = simulate_metrics(p, mc, keys=("asc_eq19", "asc_eq6"))
+    eq19, eq6 = est["asc_eq19"], est["asc_eq6"]
     assert eq6.value >= eq19.value  # max(v,0) >= v trial by trial
     with pytest.raises(ValueError):
-        estimate_asc(p, mc, definition="eq13")
+        simulate_metrics(p, mc, keys=("asc_eq13",))
 
 
 def test_asc_vanishing_eavesdropper():
@@ -321,7 +318,7 @@ def test_asc_vanishing_eavesdropper():
     # differs from E[log2(1+gamma_D)] only by the negligible E-link term
     p = params_for(k2=0.0, snr_e_db=-100.0)
     mc = McConfig(trials=100_000, seed=12)
-    est = estimate_asc(p, mc, definition="eq19")
+    est = simulate_metrics(p, mc, keys=("asc_eq19",))["asc_eq19"]
     gd = sample_quantity("gamma_d", p, mc)
     direct = float(np.log2(1.0 + gd).mean())
     assert abs(est.value - direct) < 1e-8
@@ -329,20 +326,23 @@ def test_asc_vanishing_eavesdropper():
 
 def test_standard_error_scaling():
     p = params_for(n=5, snr_d_db=0.0, snr_e_db=0.0)
-    a = estimate_sop(p, McConfig(trials=50_000, seed=3))
-    b = estimate_sop(p, McConfig(trials=200_000, seed=3))
+    a = simulate_metrics(p, McConfig(trials=50_000, seed=3), keys=("sop",))["sop"]
+    b = simulate_metrics(p, McConfig(trials=200_000, seed=3), keys=("sop",))["sop"]
     ratio = b.std_error / a.std_error
     assert 0.4 <= ratio <= 0.6  # quadrupling trials halves the SE within 20%
 
 
 def test_empirical_cdf_shape():
+    # the empirical CDF is the sorted draws against step heights i/n
     p = params_for()
-    x, f = empirical_cdf("rho_d", p, McConfig(trials=10_000, seed=6))
+    x = np.sort(sample_quantity("rho_d", p, McConfig(trials=10_000, seed=6)))
+    f = np.arange(1, x.size + 1, dtype=float) / x.size
+    assert x.shape == (10_000,) and np.all(x > 0.0)
     assert np.all(np.diff(x) >= 0.0)
     assert np.all(np.diff(f) > 0.0)
     assert f[-1] == 1.0
     with pytest.raises(ValueError):
-        empirical_cdf("rho_q", p, McConfig(trials=10_000, seed=6))
+        sample_quantity("rho_q", p, McConfig(trials=10_000, seed=6))
 
 
 def test_ks_distance_discriminates():

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from ris_secrecy._schema import check_field_types, fits, type_hints
-from ris_secrecy.channel import LinkGeometry, SystemParams
+from ris_secrecy.channel import LinkGeometry, SeriesControl, SystemParams
 from ris_secrecy.montecarlo import McConfig
 from ris_secrecy.secrecy import NumericsConfig
-from ris_secrecy.specfun import SeriesControl
 from ris_secrecy.sweeps import ConfigError, SweepSpec
 
 # the required fields of each config class, with valid values

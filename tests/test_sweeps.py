@@ -14,10 +14,9 @@ import pytest
 import yaml
 
 from ris_secrecy import cli, montecarlo, sweeps
-from ris_secrecy.channel import LinkGeometry, SystemParams
+from ris_secrecy.channel import ConvergenceError, LinkGeometry, SeriesControl, SystemParams
 from ris_secrecy.montecarlo import _CHUNK, McConfig, simulate_metrics
 from ris_secrecy.secrecy import NumericsConfig
-from ris_secrecy.specfun import ConvergenceError, SeriesControl
 from ris_secrecy.sweeps import (
     CSV_COLUMNS,
     ConfigError,
@@ -158,6 +157,17 @@ def test_c_th_past_1024_is_a_named_error_row():
     assert low.error is None and low.value == 1.0
     assert high.value is None
     assert high.error.startswith("c_th must be > 0 and < 1024"), high.error
+
+
+@pytest.mark.parametrize("axis", ["snr_d_db", "snr_e_db"])
+def test_snr_past_3000_db_is_a_named_error_row(axis):
+    # 10 ** 400 once surfaced as "(34, 'Numerical result out of range')" on
+    # snr_d_db, and on snr_e_db made run_sweep itself raise OverflowError
+    spec = small_spec(axis=axis, values=(0.0, 4000.0), outputs=("sop", "mc_sop"),
+                      mc=McConfig(trials=2000, seed=1))
+    rows = run_sweep(spec)
+    assert [r.error is None for r in rows] == [True, True, False, False]
+    assert all(r.error.startswith(f"{axis} must be finite and within") for r in rows[2:])
 
 
 def test_run_sweep_mc_check_annotates_model_gaps():
@@ -461,11 +471,20 @@ mc: {trials: 2000, seed: 1}
     ("snr_d_db: 10.0", "snr_d_db: .nan", "base"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 'false'", "numerics"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 2", "numerics"),
+    ("snr_d_db: 10.0", "snr_d_db: 4000.0", "base"),
+    # chi = +-200 puts the geometry's SNRs at -+4000 dB, where (d_sr d_rd)**chi
+    # once ended in a numerical failure (exit 2)
+    ("  snr_e_db: -10.0\n",
+     "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, n0: 1.0, d_sr: 10.0, d_rd: 10.0, d_re: 10.0, "
+     "chi: 200.0}\n", "base"),
+    ("  snr_e_db: -10.0\n",
+     "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, n0: 1.0, d_sr: 10.0, d_rd: 10.0, d_re: 10.0, "
+     "chi: -200.0}\n", "base"),
 ], ids=["missing_n_elements", "geometry_missing_n0", "geometry_n0_zero",
         "geometry_n0_negative", "trials_1e5", "trials_float",
         "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
         "quad_order_float", "max_terms_float", "snr_d_db_nan", "mc_check_string",
-        "mc_check_int"])
+        "mc_check_int", "snr_d_db_4000", "geometry_chi_200", "geometry_chi_minus_200"])
 def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
     assert old in _GOOD_CONFIG
     path = tmp_path / "bad.yaml"
