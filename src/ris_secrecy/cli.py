@@ -11,7 +11,9 @@ Subcommands:
   simulator, and its gap (the error of the Gaussian-sum channel model)
   is only reported. ``--strict-mc`` instead simulates the Gaussian-sum
   model the closed forms are derived for, and fails the run beyond 3
-  standard errors.
+  standard errors. ``--seed`` and ``--strict-mc`` apply to that
+  comparison only, so without ``--trials`` they are a configuration
+  error.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O error.
@@ -102,7 +104,14 @@ _SELFTEST_SCENARIOS = (
 
 def _cmd_selftest(args) -> int:
     numerics = _override(NumericsConfig(quad_order=200), args, "quad_order")
-    mc = _override(McConfig(), args, "trials", "seed") if args.trials else None
+    mc = None
+    if args.trials is not None:
+        mc = _override(McConfig(), args, "trials", "seed")
+    else:
+        for flag, given in (("--seed", args.seed is not None), ("--strict-mc", args.strict_mc)):
+            if given:
+                raise ConfigError(f"{flag}: applies to the Monte Carlo comparison only; "
+                                  "give --trials too")
     quad_tol = 1e-6
     ok = True
     for n, gd, ge in _SELFTEST_SCENARIOS:

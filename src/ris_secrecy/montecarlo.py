@@ -15,7 +15,9 @@ only the sums of the estimates it is asked for; :func:`simulate_metrics`
 scores one point with it. A sweep over any axis but ``n_elements``
 therefore draws one set, keeps it (16 B per trial, 1.6 MB at the
 presets' 1e5 trials) and scores every grid point on it (common random
-numbers), for the estimates it emits only; the curves of one
+numbers), for the estimates it emits only; a ``snr_d_db`` sweep also
+scores the eavesdropper link, which it leaves unchanged, once per chunk
+through a :class:`LinkMemo`. The curves of one
 ``sweeps.run_sweeps`` call share one set per (N, McConfig). :func:`model_law_chunks`
 draws the Gaussian-sum model itself, to check the closed forms against
 the law they are derived for.
@@ -24,7 +26,11 @@ Memory: drawing a chunk of m trials (m = trials per stream, at most
 ``_CHUNK``) holds one m x N float64 array of f_R amplitudes plus one
 row block of about ``_BLOCK`` elements, or two m x N arrays in
 ``phase_sum`` mode; at the presets' 25 000 trials per stream that is
-205 MB at N = 1024.
+205 MB at N = 1024. A ``snr_d_db`` sweep's :class:`LinkMemo` keeps 8 B
+per trial for each of the eavesdropper's outage threshold and rates
+that it emits, on top of the draw set's 16 B: a 2-point N = 5 sweep at
+1e7 trials peaks at 295 MiB with one of them and 370 MiB with both,
+against 219 MiB without the memo.
 
 Reproducibility contract: estimates are a pure function of
 (seed, stream_count, trials). Trials are partitioned over
@@ -218,6 +224,32 @@ def _one_plus_sndr(unit, scale: float, kappa_sum: float):
     return g
 
 
+class LinkMemo:
+    """The eavesdropper link's per-chunk scoring arrays on one stored draw set.
+
+    A sweep over ``snr_d_db`` scores all its points on ``draws`` with the
+    same eavesdropper (SNR scale, kappa-sum) and gamma_th, so that link's
+    arrays are the same at every point. The memo keeps one entry, replaced
+    when that key or the estimates asked for change, holding per chunk
+    only what the estimates read: the outage threshold gamma_th (1 +
+    gamma_E) for ``sop`` and log2(1 + gamma_E) for the rates. That is 8 B
+    per trial for each of the two, so at most the draw set's own 16 B.
+    """
+
+    def __init__(self, draws):
+        self.draws = draws
+        self._key = None
+        self._kept: list = []  # arrays of chunk 0, 1, ...
+
+    def arrays(self, chunk: int, key, compute):
+        """``compute()``'s arrays on chunk ``chunk`` (counted from 0), kept under ``key``."""
+        if key != self._key:
+            self._key, self._kept = key, []
+        if chunk == len(self._kept):
+            self._kept.append(compute())
+        return self._kept[chunk]
+
+
 class PointAccumulator:
     """Running Monte Carlo sums of one operating point over ``(X1^2, e)`` chunks.
 
@@ -225,10 +257,12 @@ class PointAccumulator:
     rate difference v = log2(1+gamma_D) - log2(1+gamma_E) and its
     square, the sums ``s6``/``s6_sq`` of max(v, 0) and its square, and
     the trial count; only the sums behind the estimates named in
-    ``keys`` (a subset of :data:`ESTIMATES`) are computed.
+    ``keys`` (a subset of :data:`ESTIMATES`) are computed. With a
+    :class:`LinkMemo` the eavesdropper's arrays of each chunk come from it.
     """
 
-    def __init__(self, params: SystemParams, mc: McConfig, keys=ESTIMATES):
+    def __init__(self, params: SystemParams, mc: McConfig, keys=ESTIMATES,
+                 memo: LinkMemo | None = None):
         unknown = set(keys) - set(ESTIMATES)
         if unknown:
             raise ValueError(f"unknown estimates {sorted(unknown)}, expected a subset of {ESTIMATES}")
@@ -238,22 +272,37 @@ class PointAccumulator:
         self.d_scale, self.e_scale = _scales(params, mc.eav_mode)
         self.kappa_d_sum, self.kappa_e_sum = params.kappa_d_sum, params.kappa_e_sum
         self.gamma_th = params.gamma_th
+        self.memo = memo
+        self.chunks = 0
         self.trials = 0
         self.n_out = 0
         self.s19 = self.s19_sq = 0.0
         self.s6 = self.s6_sq = 0.0
 
+    def _eavesdropper(self, e):
+        """``(gamma_th (1 + gamma_E), log2(1 + gamma_E))`` of a chunk; None where not asked."""
+        def compute():
+            one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
+            threshold = self.gamma_th * one_e if "sop" in self.keys else None
+            return threshold, np.log2(one_e, out=one_e) if self.rates else None
+
+        if self.memo is None:
+            return compute()
+        key = (self.e_scale, self.kappa_e_sum, self.gamma_th, self.keys)
+        return self.memo.arrays(self.chunks, key, compute)
+
     def update(self, x1_sq, e) -> None:
         """Add one chunk of draws."""
         one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
-        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
-        if "sop" in self.keys:
+        eav = self._eavesdropper(e)
+        threshold, log_e = eav
+        if threshold is not None:
             # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E), exact
             # for any positive threshold rate.
-            self.n_out += np.count_nonzero(one_d < self.gamma_th * one_e)
+            self.n_out += np.count_nonzero(one_d < threshold)
         if self.rates:
             v = np.log2(one_d, out=one_d)
-            v -= np.log2(one_e, out=one_e)
+            v -= log_e
             if "asc_eq19" in self.keys:
                 self.s19 += v.sum()
                 self.s19_sq += (v * v).sum()
@@ -262,11 +311,12 @@ class PointAccumulator:
                 self.s6 += v.sum()
                 self.s6_sq += (v * v).sum()
         self.trials += x1_sq.size
-        # Hold this chunk's eavesdropper array until the next update, that
+        self.chunks += 1
+        # Hold this chunk's eavesdropper arrays until the next update, that
         # is across the next draw, as the scoring loop always did. Freed
-        # before the draw, it let glibc's heap keep freed amplitude arrays
+        # before the draw, they let glibc's heap keep freed amplitude arrays
         # resident: N = 8..1024 at 1e5 trials peaked at 276 MiB, not 252.
-        self._held = one_e
+        self._held = eav
 
     def estimates(self) -> dict:
         """The requested estimates; ``ValueError`` unless ``mc.trials`` trials were added."""
@@ -287,7 +337,7 @@ class PointAccumulator:
 
 
 def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
-                     keys=ESTIMATES) -> dict:
+                     keys=ESTIMATES, memo: LinkMemo | None = None) -> dict:
     """Score one operating point on a set of fading draws.
 
     ``draws`` is any iterable of the ``(X1^2, e)`` chunks of
@@ -300,10 +350,17 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
     Returns the estimates named in ``keys``, of ``sop``, ``asc_eq19``
     (difference of ergodic rates, may be negative) and ``asc_eq6`` (mean
     of the zero-clipped instantaneous secrecy rate); all three by default.
+
+    ``memo`` is a :class:`LinkMemo` made for this ``draws`` list, which a
+    sweep over ``snr_d_db`` passes to each of its points in turn; the
+    estimates are the same with and without it. ``ValueError`` when
+    ``memo`` was made for other draws.
     """
+    if memo is not None and memo.draws is not draws:
+        raise ValueError("memo was made for another draw set")
     if draws is None:
         draws = draw_chunks(params.n_elements, mc)
-    acc = PointAccumulator(params, mc, keys)
+    acc = PointAccumulator(params, mc, keys, memo)
     for x1_sq, e in draws:
         acc.update(x1_sq, e)
     return acc.estimates()

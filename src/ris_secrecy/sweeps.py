@@ -11,7 +11,12 @@ seed, so emitting the same spec twice produces byte-identical files.
 The Monte Carlo fading depends on N and the McConfig only. A sweep over
 any other axis scores all its points on one draw set, and the curves of
 one :func:`run_sweeps` call share one draw set per (N, McConfig), which
-changes no value.
+changes no value. On that set a sweep over ``snr_d_db``, the axis of
+every bundled preset curve, scores the eavesdropper link, which the axis
+leaves unchanged, once per chunk and reuses those arrays at every point
+through a ``LinkMemo``, which it drops on return. That is bit for bit
+the per-point result, and costs 8 B per trial for each of the outage
+threshold and the rates it emits, on top of the draw set's 16 B.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import yaml
 
 from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
-from .montecarlo import McConfig, draw_chunks, simulate_metrics
+from .montecarlo import LinkMemo, McConfig, draw_chunks, simulate_metrics
 from .secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
@@ -134,13 +139,16 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
 
     ``draw_sets`` maps ``(N, McConfig)`` to a stored draw set. The sweep
     scores on the set of its key and stores it there if it makes it;
-    without ``draw_sets`` it makes its own and drops it on return.
+    without ``draw_sets`` it makes its own and drops it on return. A
+    ``snr_d_db`` sweep scores the eavesdropper link once per chunk of that
+    set, through a :class:`LinkMemo` it drops on return.
     """
     rows: list[Row] = []
     mc_keys = _mc_keys(spec)
     draw_key = _draw_key(spec)
     if draw_sets is None:
         draw_sets = {}
+    memo = None
     for value in spec.values:
         point_rows: dict[str, Row] = {}
         try:
@@ -159,8 +167,10 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
                 # made at the first point that needs it; no key draws lazily per point
                 if draw_key is not None and draw_key not in draw_sets:
                     draw_sets[draw_key] = list(draw_chunks(*draw_key))
-                mc_est = simulate_metrics(params, spec.mc, draw_sets.get(draw_key),
-                                          keys=mc_keys)
+                draws = draw_sets.get(draw_key)
+                if memo is None and spec.axis == "snr_d_db":
+                    memo = LinkMemo(draws)  # the eavesdropper link stays put
+                mc_est = simulate_metrics(params, spec.mc, draws, keys=mc_keys, memo=memo)
             except Exception as exc:  # recorded per mc row below
                 mc_est = exc
 

@@ -11,7 +11,9 @@ from scipy import integrate
 from ris_secrecy.channel import SystemParams, derive_stats
 from ris_secrecy.montecarlo import (
     _CHUNK,
+    ESTIMATES,
     EstimateWithCI,
+    LinkMemo,
     McConfig,
     TrialOutcome,
     _draw_chunk,
@@ -67,6 +69,25 @@ def test_simulate_metrics_scores_a_given_draw_set_of_the_right_size():
         simulate_metrics(p, McConfig(trials=4000, seed=4, stream_count=2), draws)
     with pytest.raises(ValueError, match="eav_mode"):
         model_law_chunks(derive_stats(p), McConfig(trials=3000, eav_mode="phase_sum"))
+
+
+def test_link_memo_serves_its_own_draw_set_only():
+    # at 0 dB on both links about a third of the trials are outages
+    p = params_for(snr_d_db=0.0, snr_e_db=0.0)
+    mc = McConfig(trials=3000, seed=4, stream_count=2)
+    draws = list(draw_chunks(p.n_elements, mc))
+    memo = LinkMemo(draws)
+    # a point whose eavesdropper SNR, threshold or estimates differ from
+    # the previous point's replaces the memo's entry
+    for q, keys in ((p, ESTIMATES), (params_for(snr_d_db=5.0, snr_e_db=0.0), ESTIMATES),
+                    (params_for(snr_d_db=0.0, snr_e_db=0.0, c_th=2.0), ESTIMATES),
+                    (p, ESTIMATES), (params_for(snr_d_db=0.0, snr_e_db=5.0), ESTIMATES),
+                    (p, ("sop",)), (p, ("asc_eq6",)), (p, ESTIMATES)):
+        assert (simulate_metrics(q, mc, draws, keys=keys, memo=memo)
+                == simulate_metrics(q, mc, keys=keys))
+    for other in (list(draws), None):
+        with pytest.raises(ValueError, match="another draw set"):
+            simulate_metrics(p, mc, other, memo=memo)
 
 
 # sha256 of every (X1^2, e) chunk of draw_chunks, computed before the

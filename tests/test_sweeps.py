@@ -1,5 +1,6 @@
 """Sweep configs, the run driver, table I/O and the command-line interface."""
 
+import collections
 import dataclasses
 import hashlib
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,22 +195,32 @@ MC_AXES = (
 
 def assert_mc_rows_equal_direct_simulation(spec):
     rows = run_sweep(spec)
-    assert len(rows) == 2 * len(spec.values)
+    assert len(rows) == len(spec.outputs) * len(spec.values)
     for r in rows:
+        # all three estimates, drawn per point, with no memo
         direct = simulate_metrics(_params_at(spec, r.axis_value), spec.mc)
-        est = direct["sop" if r.metric == "mc_sop" else "asc_eq19"]
-        assert (r.value, r.std_error, r.trials, r.seed, r.error) == (
-            est.value, est.std_error, est.trials, est.seed, None)
+        if r.metric in ("mc_sop", "mc_asc"):
+            est = direct["sop" if r.metric == "mc_sop" else "asc_eq19"]
+            assert (r.value, r.std_error, r.trials, r.seed, r.error) == (
+                est.value, est.std_error, est.trials, est.seed, None)
+        else:  # the mc-gap note is made from the same estimates
+            assert r == sweeps._annotate_mc_gap(dataclasses.replace(r, error=None), direct)
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 @pytest.mark.parametrize("axis, values", MC_AXES)
 def test_run_sweep_mc_rows_equal_per_point_simulation(axis, values, eav_mode):
-    # one draw set per sweep must score every point exactly as a
-    # per-point simulation with the same seed does
-    spec = small_spec(axis=axis, values=values, outputs=("mc_sop", "mc_asc"),
-                      mc=McConfig(trials=3000, seed=11, stream_count=2, eav_mode=eav_mode))
-    assert_mc_rows_equal_direct_simulation(spec)
+    # one draw set per sweep, and on snr_d_db the eavesdropper's memo, must score
+    # every point exactly as a per-point simulation with the same seed
+    # does: on both grid directions, and with mc_check computing both
+    # estimates (the sop row's mc-gap note reads the one not emitted)
+    mc = McConfig(trials=3000, seed=11, stream_count=2, eav_mode=eav_mode)
+    for grid in (values, values[::-1]):
+        assert_mc_rows_equal_direct_simulation(
+            small_spec(axis=axis, values=grid, outputs=("mc_sop", "mc_asc"), mc=mc))
+        assert_mc_rows_equal_direct_simulation(
+            small_spec(axis=axis, values=grid, outputs=("sop", "mc_asc"), mc=mc,
+                       numerics=NumericsConfig(quad_order=50, mc_check=True)))
 
 
 def test_run_sweep_mc_rows_equal_per_point_simulation_across_chunks():
@@ -236,6 +248,54 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
         assert drawn == [n for n in values for _ in range(2)]
     else:
         assert drawn == [spec.base.n_elements] * 2
+
+
+@pytest.mark.parametrize("axis, values", MC_AXES)
+def test_run_sweep_scores_the_unswept_link_once_per_chunk(monkeypatch, axis, values):
+    # every link is scored per chunk and point, save the eavesdropper's on
+    # snr_d_db sweeps, which the sweep's memo scores once per chunk
+    spec = small_spec(axis=axis, values=values, outputs=("mc_sop", "mc_asc"),
+                      mc=McConfig(trials=2000, seed=11, stream_count=2))
+    points = [_params_at(spec, v) for v in values]
+    d_scales = {montecarlo._scales(p, "rayleigh")[0] for p in points}
+    assert not d_scales & {montecarlo._scales(p, "rayleigh")[1] for p in points}
+    scored = collections.Counter()
+    original = montecarlo._one_plus_sndr
+
+    def counting(unit, scale, kappa_sum):
+        scored["d" if scale in d_scales else "e"] += 1
+        return original(unit, scale, kappa_sum)
+
+    monkeypatch.setattr(montecarlo, "_one_plus_sndr", counting)
+    run_sweep(spec)
+    chunks = 2  # two streams of one chunk each
+    assert scored == {"d": chunks * len(values),
+                      "e": chunks if axis == "snr_d_db" else chunks * len(values)}
+
+
+@pytest.mark.parametrize("outputs, mc_check, bytes_per_trial", [
+    (("mc_sop",), False, 28.0),
+    (("mc_asc",), False, 28.0),
+    (("mc_sop", "mc_asc"), False, 36.0),
+    (("sop", "mc_asc"), True, 36.0),
+], ids=["mc_sop", "mc_asc", "mc_sop_and_mc_asc", "mc_check"])
+def test_run_sweep_peak_memory_per_trial(outputs, mc_check, bytes_per_trial):
+    # tracemalloc sees numpy's data buffers. A stored draw set holds 16 B
+    # per trial and the eavesdropper's memo 8 B for each of the outage
+    # threshold and the rates, so 16 B at most (the mc_check case computes
+    # all three estimates); the rest is one chunk's scoring arrays (a
+    # quarter of the trials per stream).
+    trials = 1_000_000
+    spec = small_spec(values=(0.0, 10.0, 20.0), outputs=outputs,
+                      mc=McConfig(trials=trials, seed=11),
+                      numerics=NumericsConfig(quad_order=50, mc_check=mc_check))
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= bytes_per_trial + 0.5
 
 
 # sha256 of the Monte Carlo rows (axis value, metric, value, std_error,
@@ -570,7 +630,11 @@ def test_cli_exit_code_config_error(tmp_path):
     (["preset", "fig2", "--trials", "10"], "--trials"),
     (["run", "{cfg}", "--quad-order", "1"], "--quad-order"),
     (["selftest", "--trials", "10"], "--trials"),
-], ids=["preset_trials", "run_quad_order", "selftest_trials"])
+    (["selftest", "--trials", "0"], "--trials"),
+    (["selftest", "--seed", "3"], "--seed"),
+    (["selftest", "--strict-mc"], "--strict-mc"),
+], ids=["preset_trials", "run_quad_order", "selftest_trials", "selftest_trials_zero",
+        "selftest_seed_without_trials", "selftest_strict_mc_without_trials"])
 def test_cli_rejected_flag_is_a_named_config_error(tmp_path, capsys, argv, flag):
     cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",))
     argv = [a.format(cfg=cfg) for a in argv]
