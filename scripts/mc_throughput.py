@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Monte Carlo throughput in trials/s at small and large N, and over the large-N grid.
+
+The layer-by-layer view of the simulator: the median wall time of
+``simulate_metrics`` (draw and score all three estimates) at N = 5 and
+N = 1024, and of the N = 8..1024 grid of the ``large_n`` benchmark
+workload scored two ways: point by point with ``simulate_metrics``, and
+on one grouped pass with ``simulate_points``, which draws each Philox
+stream once for the largest N. All at the fig2 base point with its
+Monte Carlo settings (4 streams), at ``--trials`` trials per point.
+Throughput is trials scored per second, summed over the grid's points.
+Prints one JSON line; takes about 40 s at the default size.
+
+    python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
+"""
+
+import argparse
+import dataclasses
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ris_secrecy.montecarlo import simulate_metrics, simulate_points
+from ris_secrecy.sweeps import load_preset
+
+SINGLE = (5, 1024)
+GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
+
+
+def median_s(call, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--trials", type=int, default=100_000, help="trials per point")
+    parser.add_argument("--repeat", type=int, default=3, help="rounds; the median is kept")
+    args = parser.parse_args(argv)
+    spec = load_preset("fig2")["n5"]
+    mc = dataclasses.replace(spec.mc, trials=args.trials)
+    points = {n: dataclasses.replace(spec.base, n_elements=n) for n in SINGLE + GRID}
+    grid = [points[n] for n in GRID]
+    result = {f"n{n}": args.trials / median_s(lambda p=points[n]: simulate_metrics(p, mc),
+                                               args.repeat)
+              for n in SINGLE}
+    grid_trials = args.trials * len(GRID)
+    result["grid_per_n"] = grid_trials / median_s(
+        lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
+    result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
+    print(json.dumps({
+        "unit": "trials/s, median",
+        "trials": args.trials,
+        "stream_count": mc.stream_count,
+        "grid": GRID,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "trials_per_s": {k: round(v) for k, v in result.items()},
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,19 +18,26 @@ presets' 1e5 trials) and scores every grid point on it (common random
 numbers), for the estimates it emits only; a ``snr_d_db`` sweep also
 scores the eavesdropper link, which it leaves unchanged, once per chunk
 through a :class:`LinkMemo`. The curves of one
-``sweeps.run_sweeps`` call share one set per (N, McConfig). :func:`model_law_chunks`
-draws the Gaussian-sum model itself, to check the closed forms against
-the law they are derived for.
+``sweeps.run_sweeps`` call share one set per (N, McConfig). An
+``n_elements`` sweep stores nothing: :func:`simulate_points` draws each
+Philox stream once for the largest N, cuts the draws of every N at most
+half of it from that stream's prefix (see :func:`_n_groups`), and
+updates each point's accumulator with its chunk as it is drawn.
+:func:`model_law_chunks` draws the Gaussian-sum model itself, to check
+the closed forms against the law they are derived for.
 
 Memory: drawing a chunk of m trials (m = trials per stream, at most
 ``_CHUNK``) holds one m x N float64 array of f_R amplitudes plus one
 row block of about ``_BLOCK`` elements, or two m x N arrays in
 ``phase_sum`` mode; at the presets' 25 000 trials per stream that is
-205 MB at N = 1024. A ``snr_d_db`` sweep's :class:`LinkMemo` keeps 8 B
-per trial for each of the eavesdropper's outage threshold and rates
-that it emits, on top of the draw set's 16 B: a 2-point N = 5 sweep at
-1e7 trials peaks at 295 MiB with one of them and 370 MiB with both,
-against 219 MiB without the memo.
+205 MB at N = 1024. A grouped draw holds the largest N's stream prefix
+in place of its f_R, at most (N_max + 1) m floats (one row of m more),
+plus each smaller N's X1^2 and e, 2m floats each: over N = 8..1024 at
+1e5 trials that is 205.0 MB plus 3.2 MB. A ``snr_d_db`` sweep's
+:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
+outage threshold and rates that it emits, on top of the draw set's
+16 B: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of
+them and 370 MiB with both, against 219 MiB without the memo.
 
 Reproducibility contract: estimates are a pure function of
 (seed, stream_count, trials). Trials are partitioned over
@@ -114,40 +121,79 @@ def _stream_chunks(mc: McConfig, chunk: int):
             yield i, rng, min(chunk, size - done)
 
 
-def _draw_chunk(n_elements: int, rng, m: int, eav_mode: str):
-    """Draw m trials of ``(X1^2, e)``; see :func:`draw_chunks`.
-
-    The stream yields all of f_R, then all of f_D (then, for
-    ``phase_sum``, all of f_E and then the phases), each (m x N) in C
-    order. f_R is held whole; the later draws are taken in row blocks of
-    about ``_BLOCK`` elements, which consumes the same numbers in the
-    same order, and each row's sum depends on that row alone. Amplitudes
-    are sqrt(E), E ~ Exp(1) (Rayleigh, unit average power).
-    """
-    f_r = rng.standard_exponential((m, n_elements))
-    np.sqrt(f_r, out=f_r)
+def _row_blocks(m: int, n_elements: int) -> list[slice]:
+    """Row slices of about ``_BLOCK`` elements of an (m x N) array."""
     step = max(1, _BLOCK // n_elements)
-    blocks = [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
-    buf = np.empty((min(step, m), n_elements))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _x1_sq(f_r, f_d_rows):
+    """Squared row sums of f_R * f_D, one row block at a time.
+
+    ``f_d_rows(rows, buf)`` gives the f_D amplitudes of ``rows``, as a
+    view or written into ``buf``; the product goes into ``buf``.
+    """
+    m, n_elements = f_r.shape
+    blocks = _row_blocks(m, n_elements)
+    buf = np.empty((blocks[0].stop, n_elements))
     x1 = np.empty(m)
     for rows in blocks:
-        f_d = rng.standard_exponential(out=buf[:rows.stop - rows.start])
-        np.sqrt(f_d, out=f_d)
-        np.multiply(f_r[rows], f_d, out=f_d)
-        f_d.sum(axis=1, out=x1[rows])
-    np.square(x1, out=x1)
+        out = buf[:rows.stop - rows.start]
+        np.multiply(f_r[rows], f_d_rows(rows, out), out=out)
+        out.sum(axis=1, out=x1[rows])
+    return np.square(x1, out=x1)
+
+
+def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
+    """Draw m trials of ``(X1^2, e)`` for each N of ``group``; see :func:`draw_chunks`.
+
+    ``group`` is an ascending tuple of N; the pairs come back in its
+    order, each equal to what a fresh stream draws for that N alone. The
+    stream yields all of f_R, then all of f_D, then e (for
+    ``phase_sum``: all of f_E and then the phases instead of e), each
+    (m x N) in C order. So for N the values [0, Nm), [Nm, 2Nm) and
+    [2Nm, (2N+1)m) are f_R, f_D and e, and every smaller N's draws are a
+    prefix of the largest N's stream. That prefix is held whole: the
+    largest N's f_R, and as far as the smaller N's last e reaches, which
+    is at most one row of m further when each is at most half the
+    largest. The largest N's f_D continues from the prefix's rest with
+    fresh draws in row blocks of about ``_BLOCK`` elements, which
+    consumes the same numbers in the same order; each row's sum depends
+    on that row alone. Amplitudes are sqrt(E), E ~ Exp(1) (Rayleigh,
+    unit average power).
+    """
+    *smaller, n_elements = group
+    held = rng.standard_exponential(max([n_elements * m] + [(2 * n + 1) * m for n in smaller]))
+    e_raw = [held[2 * n * m:(2 * n + 1) * m].copy() for n in smaller]
+    np.sqrt(held, out=held)
+    pairs = []
+    for n, e in zip(smaller, e_raw):
+        f_r, f_d = held[:2 * n * m].reshape(2, m, n)
+        pairs.append((_x1_sq(f_r, lambda rows, _, f_d=f_d: f_d[rows]), e))
+    f_r, rest = held[:n_elements * m].reshape(m, n_elements), held[n_elements * m:]
+
+    def f_d_rows(rows, buf):
+        flat = buf.reshape(-1)
+        start = rows.start * n_elements
+        kept = min(max(rest.size - start, 0), flat.size)
+        flat[:kept] = rest[start:start + kept]
+        fresh = rng.standard_exponential(out=flat[kept:])
+        np.sqrt(fresh, out=fresh)
+        return buf
+
+    x1 = _x1_sq(f_r, f_d_rows)
     if eav_mode == "rayleigh":
-        return x1, rng.standard_exponential(m)
+        return pairs + [(x1, rng.standard_exponential(m))]
     f_e = rng.standard_exponential((m, n_elements))
     np.sqrt(f_e, out=f_e)
     f_re = np.multiply(f_r, f_e, out=f_r)
     del f_e
     x2 = np.empty(m, dtype=complex)
-    for rows in blocks:
+    for rows in _row_blocks(m, n_elements):
         z = np.exp(1j * rng.uniform(-math.pi, math.pi, (rows.stop - rows.start, n_elements)))
         np.multiply(f_re[rows], z, out=z)
         z.sum(axis=1, out=x2[rows])
-    return x1, np.abs(x2) ** 2
+    return pairs + [(x1, np.abs(x2) ** 2)]
 
 
 def draw_chunks(n_elements: int, mc: McConfig):
@@ -163,7 +209,23 @@ def draw_chunks(n_elements: int, mc: McConfig):
     arrays in ``phase_sum`` mode.
     """
     for _, rng, m in _stream_chunks(mc, _CHUNK):
-        yield _draw_chunk(n_elements, rng, m, mc.eav_mode)
+        yield _draw_chunk((n_elements,), rng, m, mc.eav_mode)[0]
+
+
+def _n_groups(n_values, mc: McConfig) -> list[tuple]:
+    """Ascending tuples of N that one :func:`_draw_chunk` call per stream serves.
+
+    Every N at most half the largest joins the largest N's group, so the
+    held prefix is at most (N_max + 1) m floats: the largest N's f_R plus
+    one row of m. Each other N is its own group, as is every N unless
+    the mode is ``rayleigh`` and every stream is one chunk.
+    """
+    n_values = sorted(set(n_values), reverse=True)
+    if not n_values or mc.eav_mode != "rayleigh" or -(-mc.trials // mc.stream_count) > _CHUNK:
+        return [(n,) for n in n_values]
+    top = n_values[0]
+    return [tuple(n for n in n_values[::-1] if 2 * n <= top) + (top,)] + [
+        (n,) for n in n_values[1:] if 2 * n > top]
 
 
 def model_law_chunks(stats: ChannelStats, mc: McConfig):
@@ -205,7 +267,7 @@ def _sndr(rho, kappa_sum, out=None):
 def sample_trial(params: SystemParams, rng: np.random.Generator,
                  eav_mode: str = "rayleigh") -> TrialOutcome:
     """Draw a single trial; the batch estimators use the same math."""
-    rho_d, rho_e = _rho(params, eav_mode, *_draw_chunk(params.n_elements, rng, 1, eav_mode))
+    rho_d, rho_e = _rho(params, eav_mode, *_draw_chunk((params.n_elements,), rng, 1, eav_mode)[0])
     gamma_d = float(_sndr(rho_d, params.kappa_d_sum)[0])
     gamma_e = float(_sndr(rho_e, params.kappa_e_sum)[0])
     r_s = max(math.log2((1.0 + gamma_d) / (1.0 + gamma_e)), 0.0)
@@ -291,8 +353,8 @@ class PointAccumulator:
         key = (self.e_scale, self.kappa_e_sum, self.gamma_th, self.keys)
         return self.memo.arrays(self.chunks, key, compute)
 
-    def update(self, x1_sq, e) -> None:
-        """Add one chunk of draws."""
+    def update(self, x1_sq, e):
+        """Add one chunk of draws; returns the eavesdropper arrays it scored with."""
         one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
         eav = self._eavesdropper(e)
         threshold, log_e = eav
@@ -312,11 +374,7 @@ class PointAccumulator:
                 self.s6_sq += (v * v).sum()
         self.trials += x1_sq.size
         self.chunks += 1
-        # Hold this chunk's eavesdropper arrays until the next update, that
-        # is across the next draw, as the scoring loop always did. Freed
-        # before the draw, they let glibc's heap keep freed amplitude arrays
-        # resident: N = 8..1024 at 1e5 trials peaked at 276 MiB, not 252.
-        self._held = eav
+        return eav
 
     def estimates(self) -> dict:
         """The requested estimates; ``ValueError`` unless ``mc.trials`` trials were added."""
@@ -362,8 +420,34 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
         draws = draw_chunks(params.n_elements, mc)
     acc = PointAccumulator(params, mc, keys, memo)
     for x1_sq, e in draws:
-        acc.update(x1_sq, e)
+        # Hold this chunk's eavesdropper arrays until the next update, that
+        # is across the next lazy draw. Freed before the draw, they let
+        # glibc's heap keep freed amplitude arrays resident: drawing per
+        # point over N = 8..1024 at 1e5 trials peaked at 276 MiB, not 252.
+        held = acc.update(x1_sq, e)
     return acc.estimates()
+
+
+def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
+    """Score several operating points on one pass over the draws of their N values.
+
+    Returns, for each of ``points``, what ``simulate_metrics(params, mc,
+    keys=keys)`` returns, bit for bit, but draws each Philox stream once
+    per group of N (see :func:`_n_groups`) rather than once per point: one
+    draw for the largest N of a group serves every smaller N in it. Each
+    chunk updates the accumulators of the points with its N, in stream
+    order, and is then dropped; nothing is stored.
+    """
+    accs = [PointAccumulator(params, mc, keys) for params in points]
+    by_n: dict[int, list] = {}
+    for params, acc in zip(points, accs):
+        by_n.setdefault(params.n_elements, []).append(acc)
+    for group in _n_groups(by_n, mc):
+        for _, rng, m in _stream_chunks(mc, _CHUNK):
+            for n, (x1_sq, e) in zip(group, _draw_chunk(group, rng, m, mc.eav_mode)):
+                for acc in by_n[n]:
+                    acc.update(x1_sq, e)
+    return [acc.estimates() for acc in accs]
 
 
 def sample_quantity(quantity: str, params: SystemParams, mc: McConfig) -> np.ndarray:
@@ -426,7 +510,7 @@ def estimate_mean_sndr(params: SystemParams, mc: McConfig, link: str = "d",
     chunk = max(1, _CHUNK // n_symbols * 8)
     for idx, rng, m in _stream_chunks(mc, chunk):
         rho_d, rho_e = _rho(params, mc.eav_mode,
-                            *_draw_chunk(params.n_elements, rng, m, mc.eav_mode))
+                            *_draw_chunk((params.n_elements,), rng, m, mc.eav_mode)[0])
         rho = rho_d if link == "d" else rho_e
         if mode == "folded":
             g = _sndr(rho, kappa_t2 + kappa_r2)

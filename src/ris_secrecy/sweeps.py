@@ -17,6 +17,17 @@ leaves unchanged, once per chunk and reuses those arrays at every point
 through a ``LinkMemo``, which it drops on return. That is bit for bit
 the per-point result, and costs 8 B per trial for each of the outage
 threshold and the rates it emits, on top of the draw set's 16 B.
+
+A sweep over ``n_elements`` stores no draws. Its points are scored on
+one pass of ``montecarlo.simulate_points``: a smaller N's draws are a
+prefix of a larger N's Philox stream, so each stream is drawn once for
+the largest N, every N at most half of it is cut from that prefix, and
+each point's accumulator takes its chunk as it is drawn. The held
+prefix is at most (N_max + 1) x trials-per-stream floats, one row more
+than the largest N's own f_R. Groups form only in ``rayleigh`` mode with
+one chunk per stream; otherwise each N draws its own streams, as a
+per-point simulation does. The values are bit for bit the per-point
+ones.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import yaml
 
 from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
-from .montecarlo import LinkMemo, McConfig, draw_chunks, simulate_metrics
+from .montecarlo import LinkMemo, McConfig, draw_chunks, simulate_metrics, simulate_points
 from .secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
@@ -127,11 +138,44 @@ def _draw_key(spec: SweepSpec):
 
     The fading draws depend on N and the McConfig only, so every point of
     a sweep over another axis is scored on one set. An ``n_elements``
-    sweep draws per point, and a sweep without Monte Carlo draws nothing.
+    sweep scores its points on one grouped pass instead, and a sweep
+    without Monte Carlo draws nothing.
     """
     if spec.axis == "n_elements" or not _mc_keys(spec):
         return None
     return spec.base.n_elements, spec.mc
+
+
+def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
+    """Each point's Monte Carlo estimates, or the exception that stopped them.
+
+    An ``n_elements`` sweep scores all its points on one pass of
+    ``simulate_points``, which draws each stream once per group of N.
+    Any other sweep scores each point on the stored set of its
+    ``(N, McConfig)`` key, made at the first point and kept in
+    ``draw_sets``; a ``snr_d_db`` sweep scores the eavesdropper link once
+    per chunk of that set through a :class:`LinkMemo`.
+    """
+    keys = _mc_keys(spec)
+    if not keys:
+        return [None] * len(points)
+    if spec.axis == "n_elements":
+        try:
+            return simulate_points(points, spec.mc, keys)
+        except Exception as exc:  # recorded per mc row
+            return [exc] * len(points)
+    draw_key, memo, out = _draw_key(spec), None, []
+    for params in points:
+        try:
+            if draw_key not in draw_sets:
+                draw_sets[draw_key] = list(draw_chunks(*draw_key))
+            draws = draw_sets[draw_key]
+            if memo is None and spec.axis == "snr_d_db":
+                memo = LinkMemo(draws)  # the eavesdropper link stays put
+            out.append(simulate_metrics(params, spec.mc, draws, keys=keys, memo=memo))
+        except Exception as exc:  # recorded per mc row
+            out.append(exc)
+    return out
 
 
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
@@ -141,39 +185,30 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     scores on the set of its key and stores it there if it makes it;
     without ``draw_sets`` it makes its own and drops it on return. A
     ``snr_d_db`` sweep scores the eavesdropper link once per chunk of that
-    set, through a :class:`LinkMemo` it drops on return.
+    set, through a :class:`LinkMemo` it drops on return. An
+    ``n_elements`` sweep stores nothing: it scores its points as each
+    chunk is drawn.
     """
-    rows: list[Row] = []
-    mc_keys = _mc_keys(spec)
-    draw_key = _draw_key(spec)
-    if draw_sets is None:
-        draw_sets = {}
-    memo = None
+    points = []  # (value, params, stats), or (value, error, None)
     for value in spec.values:
-        point_rows: dict[str, Row] = {}
         try:
             params = _params_at(spec, value)
-            stats = derive_stats(params)
+            points.append((value, params, derive_stats(params)))
         except ValueError as exc:
+            points.append((value, exc, None))
+    valid = [params for _, params, stats in points if stats is not None]
+    estimates = iter(_mc_estimates(spec, valid, {} if draw_sets is None else draw_sets))
+    rows: list[Row] = []
+    for value, params, stats in points:
+        point_rows: dict[str, Row] = {}
+        if stats is None:
             for metric in METRICS:
                 if metric in spec.outputs:
-                    point_rows[metric] = Row(spec.axis, value, metric, None, error=str(exc))
+                    point_rows[metric] = Row(spec.axis, value, metric, None, error=str(params))
             rows.extend(point_rows[m] for m in METRICS if m in point_rows)
             continue
 
-        mc_est = None
-        if mc_keys:
-            try:
-                # made at the first point that needs it; no key draws lazily per point
-                if draw_key is not None and draw_key not in draw_sets:
-                    draw_sets[draw_key] = list(draw_chunks(*draw_key))
-                draws = draw_sets.get(draw_key)
-                if memo is None and spec.axis == "snr_d_db":
-                    memo = LinkMemo(draws)  # the eavesdropper link stays put
-                mc_est = simulate_metrics(params, spec.mc, draws, keys=mc_keys, memo=memo)
-            except Exception as exc:  # recorded per mc row below
-                mc_est = exc
-
+        mc_est = next(estimates)
         for metric in METRICS:
             if metric not in spec.outputs:
                 continue

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from ris_secrecy.channel import SystemParams, derive_stats
 from ris_secrecy.montecarlo import (
+    _BLOCK,
     _CHUNK,
     ESTIMATES,
     EstimateWithCI,
@@ -17,6 +18,7 @@ from ris_secrecy.montecarlo import (
     McConfig,
     TrialOutcome,
     _draw_chunk,
+    _n_groups,
     draw_chunks,
     estimate_mean_sndr,
     ks_distance,
@@ -207,7 +209,7 @@ def _reference_draw_chunk(n, rng, m, eav_mode):
 def test_draw_chunk_equals_whole_array_reference(n, m, eav_mode):
     # blocked draws must consume the stream exactly as whole-array draws
     rng_a, rng_b = (np.random.Generator(np.random.Philox(key=n + m)) for _ in range(2))
-    got = _draw_chunk(n, rng_a, m, eav_mode)
+    got = _draw_chunk((n,), rng_a, m, eav_mode)[0]
     want = _reference_draw_chunk(n, rng_b, m, eav_mode)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -222,11 +224,67 @@ def test_draw_chunk_peak_memory(eav_mode, arrays):
     rng = np.random.Generator(np.random.Philox(key=0))
     tracemalloc.start()
     try:
-        _draw_chunk(n, rng, m, eav_mode)
+        _draw_chunk((n,), rng, m, eav_mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= arrays * m * n * 8
+
+
+GROUPS = [
+    ((1, 2), 7),
+    ((3, 7), 9367),
+    ((8, 16, 32, 64, 96, 128, 256, 512, 1024), 3000),
+    ((1, 2, 4, 9, 18), 1),
+    ((5, 10), 250),  # N = N_max / 2: the prefix runs one row of m past f_R
+]
+
+
+@pytest.mark.parametrize("group, m", GROUPS, ids=lambda g: str(g))
+def test_group_draw_equals_each_n_on_a_fresh_stream(group, m):
+    # every N's pair must be what the stream draws for that N alone, and
+    # the stream must end where the largest N's draw ends
+    key, stream = 3, 2
+    rng = np.random.Generator(np.random.Philox(key=key).jumped(stream))
+    got = _draw_chunk(group, rng, m, "rayleigh")
+    assert len(got) == len(group)
+    for n, pair in zip(group, got):
+        fresh = np.random.Generator(np.random.Philox(key=key).jumped(stream))
+        for a, b in zip(pair, _reference_draw_chunk(n, fresh, m, "rayleigh")):
+            assert a.tobytes() == b.tobytes(), n
+    assert rng.random() == fresh.random()  # fresh drew the largest N
+
+
+@pytest.mark.parametrize("values, mc, groups", [
+    ((8, 16, 32, 64, 96, 128, 256, 512, 1024), McConfig(trials=100_000),
+     [(8, 16, 32, 64, 96, 128, 256, 512, 1024)]),
+    ((2, 5), McConfig(trials=2000, stream_count=2), [(2, 5)]),
+    ((4, 3), McConfig(trials=2000), [(4,), (3,)]),
+    ((1, 2, 3, 5, 7, 12), McConfig(trials=2000), [(1, 2, 3, 5, 12), (7,)]),
+    ((2, 5), McConfig(trials=2000, eav_mode="phase_sum"), [(5,), (2,)]),
+    ((), McConfig(trials=2000), []),
+    ((2, 5), McConfig(trials=_CHUNK + 1, stream_count=1), [(5,), (2,)]),
+    ((2, 5), McConfig(trials=2 * _CHUNK, stream_count=2), [(2, 5)]),
+], ids=["large_n", "2-5", "no-pair", "two-groups", "phase_sum", "empty", "multi-chunk",
+      "chunk-sized"])
+def test_n_groups_join_each_n_at_most_half_the_largest_to_it(values, mc, groups):
+    assert _n_groups(values, mc) == groups
+
+
+@pytest.mark.parametrize("group", [(1024,), (512, 1024), (8, 16, 32, 64, 96, 128, 256, 512, 1024)],
+                         ids=["1024", "512-1024", "large_n-grid"])
+def test_group_draw_peak_memory(group):
+    # the held prefix is (N_max + 1) m floats at most; on top come each
+    # N's X1^2 and e (2m floats) and one row block of f_R * f_D
+    n_max, m = group[-1], 4000
+    rng = np.random.Generator(np.random.Philox(key=0))
+    tracemalloc.start()
+    try:
+        _draw_chunk(group, rng, m, "rayleigh")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((n_max + 1 + 2 * len(group)) * m + 2 * _BLOCK) * 8
 
 
 def test_stream_count_changes_partition_not_contract():

@@ -197,8 +197,13 @@ def assert_mc_rows_equal_direct_simulation(spec):
     rows = run_sweep(spec)
     assert len(rows) == len(spec.outputs) * len(spec.values)
     for r in rows:
+        try:
+            params = _params_at(spec, r.axis_value)
+        except ValueError as exc:  # an invalid point keeps its error rows
+            assert (r.value, r.error) == (None, str(exc))
+            continue
         # all three estimates, drawn per point, with no memo
-        direct = simulate_metrics(_params_at(spec, r.axis_value), spec.mc)
+        direct = simulate_metrics(params, spec.mc)
         if r.metric in ("mc_sop", "mc_asc"):
             est = direct["sop" if r.metric == "mc_sop" else "asc_eq19"]
             assert (r.value, r.std_error, r.trials, r.seed, r.error) == (
@@ -230,24 +235,45 @@ def test_run_sweep_mc_rows_equal_per_point_simulation_across_chunks():
     assert_mc_rows_equal_direct_simulation(spec)
 
 
+@pytest.mark.parametrize("n_mc", [
+    (3, 4, McConfig(trials=3000, seed=11, stream_count=2)),  # nothing groups
+    # N = 0 is an error point; N = 2 is half of 4, so its e lies past 4's f_R
+    (0, 2, 4, McConfig(trials=3000, seed=11, stream_count=2)),
+    (2, 5, McConfig(trials=_CHUNK + 1000, seed=11, stream_count=1)),  # two chunks per stream
+], ids=["3-4", "0-2-4", "multi-chunk"])
+def test_n_elements_sweep_mc_rows_equal_per_point_simulation(n_mc):
+    # the grouped pass must score every point as a per-point simulation
+    # does, on both grid directions and with mc_check computing both
+    # estimates; MC_AXES holds the grouped (2, 5) grid in both modes
+    *values, mc = n_mc
+    for grid in (tuple(values), tuple(values[::-1])):
+        spec = small_spec(axis="n_elements", values=grid, mc=mc)
+        assert_mc_rows_equal_direct_simulation(
+            dataclasses.replace(spec, outputs=("mc_sop", "mc_asc")))
+        assert_mc_rows_equal_direct_simulation(
+            dataclasses.replace(spec, outputs=("sop", "mc_asc"),
+                                numerics=NumericsConfig(quad_order=50, mc_check=True)))
+
+
 @pytest.mark.parametrize("axis, values", MC_AXES)
 def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, values):
     drawn = []
     original = montecarlo._draw_chunk
 
-    def counting(n_elements, rng, m, eav_mode):
-        drawn.append(n_elements)
-        return original(n_elements, rng, m, eav_mode)
+    def counting(group, rng, m, eav_mode):
+        drawn.append(group)
+        return original(group, rng, m, eav_mode)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
     spec = small_spec(axis=axis, values=values, outputs=("mc_sop",),
                       mc=McConfig(trials=2000, seed=11, stream_count=2))
     run_sweep(spec)
-    # two streams of one chunk each per draw set
+    # two streams of one chunk each per draw set; an n_elements sweep
+    # draws each stream once for its group of N (2 is at most half of 5)
     if axis == "n_elements":
-        assert drawn == [n for n in values for _ in range(2)]
+        assert drawn == [tuple(sorted(values))] * 2
     else:
-        assert drawn == [spec.base.n_elements] * 2
+        assert drawn == [(spec.base.n_elements,)] * 2
 
 
 @pytest.mark.parametrize("axis, values", MC_AXES)
