@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Monte Carlo throughput in trials/s at small and large N, and over the large-N grid.
+"""Monte Carlo throughput in trials/s at small and large N and over the large-N grid.
 
 The layer-by-layer view of the simulator: the median wall time of
 ``simulate_metrics`` (draw and score all three estimates) at N = 5 and
@@ -9,6 +9,10 @@ on one grouped pass with ``simulate_points``, which draws each Philox
 stream once for the largest N. All at the fig2 base point with its
 Monte Carlo settings (4 streams), at ``--trials`` trials per point.
 Throughput is trials scored per second, summed over the grid's points.
+Under it, the draw itself: exponentials/s of one Philox fill of 2^20
+floats and of 25 625 000 floats (the grouped ``large_n`` prefix at 1e5
+trials), filled sequentially and through ``montecarlo._fill_exponential``,
+which splits a fill that large over two threads when two CPUs are at hand.
 Prints one JSON line; takes about 40 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
@@ -28,11 +32,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ris_secrecy.montecarlo import simulate_metrics, simulate_points
+from ris_secrecy.montecarlo import (
+    _fill_exponential,
+    _usable_cpus,
+    simulate_metrics,
+    simulate_points,
+)
 from ris_secrecy.sweeps import load_preset
 
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
+FILLS = (1 << 20, 25_625_000)  # the split threshold; the large_n prefix, (1024 + 1) x 25 000
 
 
 def median_s(call, repeat: int) -> float:
@@ -60,15 +70,25 @@ def main(argv=None) -> int:
     result["grid_per_n"] = grid_trials / median_s(
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
     result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
+    fills = {}
+    for size in FILLS:
+        out = np.empty(size)
+        rng = np.random.Generator(np.random.Philox(key=mc.seed))
+        fills[f"sequential_{size}"] = size / median_s(
+            lambda: rng.standard_exponential(out=out), args.repeat)
+        fills[f"split_{size}"] = size / median_s(lambda: _fill_exponential(rng, out), args.repeat)
+        del out
     print(json.dumps({
-        "unit": "trials/s, median",
+        "unit": "per s, median",
         "trials": args.trials,
         "stream_count": mc.stream_count,
         "grid": GRID,
         "nproc": os.cpu_count(),
+        "usable_cpus": _usable_cpus(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
+        "exponentials_per_s": {k: round(v) for k, v in fills.items()},
     }))
     return 0
 

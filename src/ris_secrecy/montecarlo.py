@@ -33,7 +33,10 @@ row block of about ``_BLOCK`` elements, or two m x N arrays in
 205 MB at N = 1024. A grouped draw holds the largest N's stream prefix
 in place of its f_R, at most (N_max + 1) m floats (one row of m more),
 plus each smaller N's X1^2 and e, 2m floats each: over N = 8..1024 at
-1e5 trials that is 205.0 MB plus 3.2 MB. A ``snr_d_db`` sweep's
+1e5 trials that is 205.0 MB plus 3.2 MB. A fill of the held prefix
+(or of f_E) with at least ``_SPLIT_MIN`` floats runs on two threads (see
+:func:`_fill_exponential`) into that same array, and adds only
+O(sqrt(K)) floats of scratch for a fill of 2K. A ``snr_d_db`` sweep's
 :class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
 outage threshold and rates that it emits, on top of the draw set's
 16 B: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of
@@ -44,7 +47,10 @@ Reproducibility contract: estimates are a pure function of
 ``stream_count`` counter-based Philox streams (stream i is
 ``Philox(key=seed).jumped(i)``) and per-stream partial sums are combined
 in stream order, so results do not depend on how the streams would be
-scheduled.
+scheduled. The contract also holds across threads: a large fill is
+split over two threads within one stream, bit for bit the sequential
+fill (see :func:`_fill_exponential`), so the values do not depend on
+the CPU count either.
 
 Eavesdropper channel modes
 --------------------------
@@ -59,6 +65,8 @@ mode useful for measuring how good the exponential model is.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -69,6 +77,8 @@ from .channel import ChannelStats, SystemParams
 
 _CHUNK = 1 << 18
 _BLOCK = 1 << 15
+_SPLIT_MIN = 1 << 20  # fewer floats than this fill on one thread
+_WORDS_PER_SAMPLE = 1.03359  # mean 64-bit words one ziggurat exponential reads
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,9 @@ class McConfig:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.stream_count < 1:
-            raise ValueError(f"stream_count must be >= 1, got {self.stream_count}")
+        if not 1 <= self.stream_count <= self.trials:
+            raise ValueError(f"stream_count must be in [1, trials={self.trials}], "
+                             f"got {self.stream_count}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,123 @@ def _stream_chunks(mc: McConfig, chunk: int):
         size = base + (1 if i < extra else 0)
         for done in range(0, size, chunk):
             yield i, rng, min(chunk, size - done)
+
+
+def _philox_position(state: dict) -> int:
+    """Index of the next 64-bit word that a ``Philox`` state reads.
+
+    Counter value c yields words 4(c - 1) .. 4c - 1, and ``buffer_pos``
+    of them are read.
+    """
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    return 4 * counter - (4 - state["buffer_pos"])
+
+
+def _philox_at(key, position: int) -> np.random.Philox:
+    """A ``Philox`` bit generator with ``key`` whose next word is word ``position``."""
+    counter, skip = divmod(position, 4)
+    bit_gen = np.random.Philox(counter=counter % (1 << 256), key=key)
+    bit_gen.random_raw(skip)
+    return bit_gen
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bridge(rng, probe: np.random.Generator, limit: int, margin: int):
+    """Walk ``rng`` and ``probe`` forward until both start a sample at the same word.
+
+    ``rng`` draws true samples; ``probe`` re-parses the words where a
+    clone of the stream started. Whichever is behind draws about half the
+    gap in samples (each reads at least one word, so it rarely
+    overshoots, and an overshoot only swaps the sides). Returns the
+    samples ``rng`` drew, the count ``probe`` drew and whether a common
+    start was found: ``False`` once ``rng`` would draw more than
+    ``margin`` samples beyond the probe's count, or the probe more than
+    ``limit``.
+    """
+    bridge, drawn, skipped = [], 0, 0
+    here = _philox_position(rng.bit_generator.state)
+    there = _philox_position(probe.bit_generator.state)
+    while here != there:
+        count = max(1, abs(here - there) // 2)
+        if here < there:
+            if drawn + count > margin + skipped:
+                return bridge, skipped, False
+            bridge.append(rng.standard_exponential(count))
+            drawn += count
+            here = _philox_position(rng.bit_generator.state)
+        else:
+            if skipped + count > limit:
+                return bridge, skipped, False
+            probe.standard_exponential(count)
+            skipped += count
+            there = _philox_position(probe.bit_generator.state)
+    return bridge, skipped, True
+
+
+def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
+    """``rng.standard_exponential(out=out)``, bit for bit, on two threads when large.
+
+    Leaves ``rng`` in the state the sequential fill leaves it in. numpy's
+    ziggurat reads a Philox stream only word by word, so a sample depends
+    only on the words from its own start on, and two parses of the stream
+    agree from the first word at which both start a sample. A fill of at
+    least ``_SPLIT_MIN`` floats on a C-contiguous ``out`` with two CPUs
+    at hand is split in two: this thread fills the first k = n/2 floats,
+    and a worker fills ``out[k + margin:]`` from a clone stream started
+    where sample k should start (``_WORDS_PER_SAMPLE`` words each). The
+    guess misses by about 0.21 sqrt(k) words; the margin is about 8 times
+    that. :func:`_bridge` then finds a sample start common to the true
+    stream and the clone, and the clone's samples from there move down
+    into place, the few missing at the end come from the clone, and
+    ``rng`` takes over the clone's state. Without a common start the rest
+    is filled sequentially. Scratch is O(sqrt(k)) floats.
+    """
+    n = out.size
+    bit_gen = rng.bit_generator
+    k = n // 2
+    margin = int(1.7 * math.sqrt(k)) + 1
+    limit = n - k - margin  # the clone's sample count
+    if (n < _SPLIT_MIN or limit < 2 * margin or _usable_cpus() < 2
+            or not out.flags.c_contiguous or not isinstance(bit_gen, np.random.Philox)):
+        return rng.standard_exponential(out=out)
+    flat = out.reshape(-1)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    start = _philox_position(state) + round(k * _WORDS_PER_SAMPLE)
+    clone = np.random.Generator(_philox_at(key, start))
+    probe = np.random.Generator(_philox_at(key, start))
+    worker = threading.Thread(target=clone.standard_exponential,
+                              kwargs={"out": flat[k + margin:]})
+    worker.start()
+    try:
+        rng.standard_exponential(out=flat[:k])
+        bridge, skipped, synced = _bridge(rng, probe, min(2 * margin, limit), margin)
+    finally:
+        worker.join()
+    at = k
+    for part in bridge:
+        flat[at:at + part.size] = part
+        at += part.size
+    if not synced:
+        rng.standard_exponential(out=flat[at:])
+        return out
+    # a 1-D forward copy between overlapping slices is a memmove in
+    # numpy: no temporary
+    shift = k + margin + skipped - at
+    flat[at:n - shift] = flat[k + margin + skipped:]
+    clone.standard_exponential(out=flat[n - shift:])
+    state = bit_gen.state  # keeps rng's buffered 32-bit half, which exponentials never read
+    clone_state = clone.bit_generator.state
+    state.update(state=clone_state["state"], buffer=clone_state["buffer"],
+                 buffer_pos=clone_state["buffer_pos"])
+    bit_gen.state = state
+    return out
 
 
 def _row_blocks(m: int, n_elements: int) -> list[slice]:
@@ -163,7 +291,8 @@ def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
     unit average power).
     """
     *smaller, n_elements = group
-    held = rng.standard_exponential(max([n_elements * m] + [(2 * n + 1) * m for n in smaller]))
+    held = _fill_exponential(
+        rng, np.empty(max([n_elements * m] + [(2 * n + 1) * m for n in smaller])))
     e_raw = [held[2 * n * m:(2 * n + 1) * m].copy() for n in smaller]
     np.sqrt(held, out=held)
     pairs = []
@@ -184,7 +313,7 @@ def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
     x1 = _x1_sq(f_r, f_d_rows)
     if eav_mode == "rayleigh":
         return pairs + [(x1, rng.standard_exponential(m))]
-    f_e = rng.standard_exponential((m, n_elements))
+    f_e = _fill_exponential(rng, np.empty((m, n_elements)))
     np.sqrt(f_e, out=f_e)
     f_re = np.multiply(f_r, f_e, out=f_r)
     del f_e

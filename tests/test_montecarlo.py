@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from ris_secrecy import montecarlo
 from ris_secrecy.channel import SystemParams, derive_stats
 from ris_secrecy.montecarlo import (
     _BLOCK,
@@ -18,6 +22,7 @@ from ris_secrecy.montecarlo import (
     McConfig,
     TrialOutcome,
     _draw_chunk,
+    _fill_exponential,
     _n_groups,
     draw_chunks,
     estimate_mean_sndr,
@@ -44,6 +49,10 @@ def test_mcconfig_validation():
         McConfig(eav_mode="gaussian")
     with pytest.raises(ValueError):
         McConfig(seed=-1)
+    # more streams than trials would only build empty streams
+    with pytest.raises(ValueError, match="stream_count"):
+        McConfig(trials=1000, stream_count=1001)
+    assert McConfig(trials=1000, stream_count=1000).stream_count == 1000
     for kw in ({"trials": 2000.0}, {"trials": "1e5"}, {"seed": 1.0}, {"stream_count": "4"}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             McConfig(**kw)
@@ -285,6 +294,125 @@ def test_group_draw_peak_memory(group):
     finally:
         tracemalloc.stop()
     assert peak <= ((n_max + 1 + 2 * len(group)) * m + 2 * _BLOCK) * 8
+
+
+def _twin_streams(seed, jump, words, half_word):
+    """Two generators on one Philox stream, ``words`` 64-bit words in.
+
+    With ``half_word`` each has also drawn one 32-bit integer, so half of
+    a word is buffered, which exponential draws never read.
+    """
+    pair = []
+    for _ in range(2):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(jump))
+        rng.bit_generator.random_raw(words)
+        if half_word:
+            rng.integers(0, 2 ** 32, dtype=np.uint32)
+        pair.append(rng)
+    return pair
+
+
+def _assert_filled_like_sequential(rng, twin, got, n):
+    # the values, and every kind of draw after them, must be the sequential fill's
+    assert got.tobytes() == twin.standard_exponential(n).tobytes()
+    assert rng.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist() == \
+        twin.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist()
+    assert rng.standard_exponential(5).tobytes() == twin.standard_exponential(5).tobytes()
+
+
+def _spy_bridge(monkeypatch):
+    """Record whether each split fill found a common sample start."""
+    synced = []
+    bridge = montecarlo._bridge
+
+    def spy(*args):
+        result = bridge(*args)
+        synced.append(result[2])
+        return result
+
+    monkeypatch.setattr(montecarlo, "_bridge", spy)
+    return synced
+
+
+@given(n=st.one_of(st.sampled_from([0, 1, 2, 3, 59, 61, 101]), st.integers(0, 20_000)),
+       seed=st.integers(0, 2 ** 64 - 1), jump=st.integers(0, 3), words=st.integers(0, 3),
+       half_word=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fill_exponential_is_the_sequential_fill(n, seed, jump, words, half_word):
+    # with the threshold at 0 every array large enough for the margin
+    # splits, whatever the CPU count
+    rng, twin = _twin_streams(seed, jump, words, half_word)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_SPLIT_MIN", 0)
+        mp.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        got = _fill_exponential(rng, np.empty(n))
+    _assert_filled_like_sequential(rng, twin, got, n)
+
+
+@pytest.mark.parametrize("words_per_sample", [0.6, 1.5], ids=["clone-early", "clone-late"])
+def test_fill_exponential_falls_back_exactly_without_a_common_start(monkeypatch,
+                                                                    words_per_sample):
+    # a clone started far from sample k finds no common start within the
+    # window, and the rest is filled sequentially
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_WORDS_PER_SAMPLE", words_per_sample)
+    synced = _spy_bridge(monkeypatch)
+    n = 200_001
+    rng, twin = _twin_streams(8, 1, 3, True)
+    got = _fill_exponential(rng, np.empty(n))
+    assert synced == [False]
+    _assert_filled_like_sequential(rng, twin, got, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_fill_splits_and_syncs(monkeypatch, seed):
+    # at 2^21 floats the clone's guess must land within the margin: the
+    # split path, never the fallback
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    synced = _spy_bridge(monkeypatch)
+    n = 1 << 21
+    rng, twin = _twin_streams(seed, seed, seed % 4, False)
+    got = _fill_exponential(rng, np.empty(n))
+    assert synced == [True]
+    _assert_filled_like_sequential(rng, twin, got, n)
+
+
+def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
+    # four callers, each with its own worker, on two or fewer cores and
+    # with a short switch interval: no fill may touch another's stream
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    n, seeds = montecarlo._SPLIT_MIN + 3, range(4)
+    got = {}
+
+    def fill(seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        got[seed] = (_fill_exponential(rng, np.empty(n)), rng.random())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=fill, args=(seed,)) for seed in seeds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in seeds:
+        twin = np.random.Generator(np.random.Philox(key=seed))
+        assert got[seed][0].tobytes() == twin.standard_exponential(n).tobytes()
+        assert got[seed][1] == twin.random()
+
+
+def test_fill_exponential_stays_on_one_thread_below_the_threshold_or_one_cpu(monkeypatch):
+    synced = _spy_bridge(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    _fill_exponential(rng, np.empty(montecarlo._SPLIT_MIN - 1))
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    _fill_exponential(rng, np.empty(1 << 21))
+    assert synced == []
 
 
 def test_stream_count_changes_partition_not_contract():

@@ -548,6 +548,7 @@ mc: {trials: 2000, seed: 1}
      "base.geometry"),
     ("trials: 2000", "trials: 1e5", "mc"),  # PyYAML reads 1e5 as a string
     ("trials: 2000", "trials: 2000.0", "mc"),
+    ("seed: 1}", "seed: 1, stream_count: 2001}", "mc"),
     ("n_elements: 5", "n_elements: 5.0", "base"),
     ("snr_e_db: -10.0", 'snr_e_db: "-10"', "base"),
     ("quad_order: 50", "quad_order: '50'", "numerics"),
@@ -567,7 +568,7 @@ mc: {trials: 2000, seed: 1}
      "  snr_e_db: -10.0\n  geometry: {p_s: 1.0, n0: 1.0, d_sr: 10.0, d_rd: 10.0, d_re: 10.0, "
      "chi: -200.0}\n", "base"),
 ], ids=["missing_n_elements", "geometry_missing_n0", "geometry_n0_zero",
-        "geometry_n0_negative", "trials_1e5", "trials_float",
+        "geometry_n0_negative", "trials_1e5", "trials_float", "stream_count_above_trials",
         "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
         "quad_order_float", "max_terms_float", "snr_d_db_nan", "mc_check_string",
         "mc_check_int", "snr_d_db_4000", "geometry_chi_200", "geometry_chi_minus_200"])
@@ -659,10 +660,13 @@ def test_cli_exit_code_config_error(tmp_path):
     (["selftest", "--trials", "0"], "--trials"),
     (["selftest", "--seed", "3"], "--seed"),
     (["selftest", "--strict-mc"], "--strict-mc"),
+    (["run", "{cfg}", "--trials", "1000"], "--trials"),  # fewer trials than the file's streams
 ], ids=["preset_trials", "run_quad_order", "selftest_trials", "selftest_trials_zero",
-        "selftest_seed_without_trials", "selftest_strict_mc_without_trials"])
+        "selftest_seed_without_trials", "selftest_strict_mc_without_trials",
+        "run_trials_below_stream_count"])
 def test_cli_rejected_flag_is_a_named_config_error(tmp_path, capsys, argv, flag):
-    cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",))
+    cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",),
+                       mc=McConfig(trials=2000, seed=11, stream_count=1500))
     argv = [a.format(cfg=cfg) for a in argv]
     if argv[0] == "preset":
         argv += ["--out-dir", str(tmp_path)]
