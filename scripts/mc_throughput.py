@@ -13,7 +13,12 @@ Under it, the draw itself: exponentials/s of one Philox fill of 2^20
 floats and of 25 625 000 floats (the grouped ``large_n`` prefix at 1e5
 trials), filled sequentially and through ``montecarlo._fill_exponential``,
 which splits a fill that large over two threads when two CPUs are at hand.
-Prints one JSON line; takes about 40 s at the default size.
+And the seconds of one grouped ``montecarlo._draw_chunk`` over that grid
+for one stream's trials (25 000 at the default), with the process pinned
+to two of its CPUs and to one (``os.sched_setaffinity``, restored
+afterwards): with two, the largest N's f_D is drawn on two threads as
+well. A pin the process cannot have is reported as null.
+Prints one JSON line; takes about 45 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
 """
@@ -33,6 +38,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.montecarlo import (
+    _draw_chunk,
     _fill_exponential,
     _usable_cpus,
     simulate_metrics,
@@ -52,6 +58,21 @@ def median_s(call, repeat: int) -> float:
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
+    """Median seconds of one grouped draw over ``GRID`` with the process on ``cpus`` CPUs."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < cpus:
+        return None
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    os.sched_setaffinity(0, allowed[:cpus])
+    try:
+        return median_s(lambda: _draw_chunk(GRID, rng, m, "rayleigh"), repeat)
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def main(argv=None) -> int:
@@ -78,6 +99,8 @@ def main(argv=None) -> int:
             lambda: rng.standard_exponential(out=out), args.repeat)
         fills[f"split_{size}"] = size / median_s(lambda: _fill_exponential(rng, out), args.repeat)
         del out
+    m = -(-args.trials // mc.stream_count)
+    draws = {f"cpus_{cpus}": pinned_draw_s(cpus, m, mc.seed, args.repeat) for cpus in (2, 1)}
     print(json.dumps({
         "unit": "per s, median",
         "trials": args.trials,
@@ -89,6 +112,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
         "exponentials_per_s": {k: round(v) for k, v in fills.items()},
+        "grouped_draw_m": m,
+        "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
     }))
     return 0
 

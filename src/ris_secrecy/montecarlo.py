@@ -36,7 +36,11 @@ plus each smaller N's X1^2 and e, 2m floats each: over N = 8..1024 at
 1e5 trials that is 205.0 MB plus 3.2 MB. A fill of the held prefix
 (or of f_E) with at least ``_SPLIT_MIN`` floats runs on two threads (see
 :func:`_fill_exponential`) into that same array, and adds only
-O(sqrt(K)) floats of scratch for a fill of 2K. A ``snr_d_db`` sweep's
+O(sqrt(K)) floats of scratch for a fill of 2K. In ``rayleigh`` mode the
+largest N's f_D is split the same way once its second half reaches
+``_SPLIT_MIN`` floats (see :func:`_x1_split`): a worker draws that half
+into f_R rows already summed, so no buffer is added, only the worker's
+own row block while it scores the smaller N. A ``snr_d_db`` sweep's
 :class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
 outage threshold and rates that it emits, on top of the draw set's
 16 B: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of
@@ -47,10 +51,11 @@ Reproducibility contract: estimates are a pure function of
 ``stream_count`` counter-based Philox streams (stream i is
 ``Philox(key=seed).jumped(i)``) and per-stream partial sums are combined
 in stream order, so results do not depend on how the streams would be
-scheduled. The contract also holds across threads: a large fill is
-split over two threads within one stream, bit for bit the sequential
-fill (see :func:`_fill_exponential`), so the values do not depend on
-the CPU count either.
+scheduled. The contract also holds across threads: a large fill, and
+a large f_D, is split over two threads within one stream, bit for bit
+the sequential draw (see :func:`_fill_exponential` and
+:func:`_x1_split`), so the values do not depend on the CPU count
+either.
 
 Eavesdropper channel modes
 --------------------------
@@ -189,6 +194,61 @@ def _bridge(rng, probe: np.random.Generator, limit: int, margin: int):
     return bridge, skipped, True
 
 
+def _clone_ahead(rng, samples: int):
+    """A clone and a probe of ``rng``'s Philox stream, started ``samples`` samples ahead.
+
+    The start word is a guess, ``_WORDS_PER_SAMPLE`` words per sample past
+    ``rng``'s next word; :func:`_bridge` finds where the clone really is.
+    """
+    state = rng.bit_generator.state
+    start = _philox_position(state) + round(samples * _WORDS_PER_SAMPLE)
+    key = state["state"]["key"]
+    return tuple(np.random.Generator(_philox_at(key, start)) for _ in range(2))
+
+
+def _take_over(rng, clone) -> None:
+    """Move ``rng`` to where ``clone`` is in the stream.
+
+    Keeps ``rng``'s buffered 32-bit half, which exponentials never read.
+    """
+    bit_gen = rng.bit_generator
+    state, clone_state = bit_gen.state, clone.bit_generator.state
+    state.update(state=clone_state["state"], buffer=clone_state["buffer"],
+                 buffer_pos=clone_state["buffer_pos"])
+    bit_gen.state = state
+
+
+class _Worker(threading.Thread):
+    """``target()`` on a thread of its own, started at once.
+
+    :meth:`result` joins the thread, then returns what ``target`` returned
+    or re-raises what it raised in the joining thread.
+    """
+
+    def __init__(self, target):
+        super().__init__()
+        self._call, self._outcome = target, (None, None)
+        self.start()
+
+    def run(self):
+        try:
+            self._outcome = (self._call(), None)
+        except BaseException as exc:  # handed to the joining thread
+            self._outcome = (None, exc)
+
+    def result(self):
+        self.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
+def _two_threads(rng) -> bool:
+    """Whether a draw from ``rng`` may be split over two threads."""
+    return isinstance(rng.bit_generator, np.random.Philox) and _usable_cpus() >= 2
+
+
 def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
     """``rng.standard_exponential(out=out)``, bit for bit, on two threads when large.
 
@@ -199,36 +259,30 @@ def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
     least ``_SPLIT_MIN`` floats on a C-contiguous ``out`` with two CPUs
     at hand is split in two: this thread fills the first k = n/2 floats,
     and a worker fills ``out[k + margin:]`` from a clone stream started
-    where sample k should start (``_WORDS_PER_SAMPLE`` words each). The
-    guess misses by about 0.21 sqrt(k) words; the margin is about 8 times
-    that. :func:`_bridge` then finds a sample start common to the true
-    stream and the clone, and the clone's samples from there move down
-    into place, the few missing at the end come from the clone, and
-    ``rng`` takes over the clone's state. Without a common start the rest
-    is filled sequentially. Scratch is O(sqrt(k)) floats.
+    where sample k should start (:func:`_clone_ahead`). The guess misses
+    by about 0.21 sqrt(k) words; the margin is about 8 times that.
+    :func:`_bridge` then finds a sample start common to the true stream
+    and the clone, and the clone's samples from there move down into
+    place, the few missing at the end come from the clone, and ``rng``
+    takes over the clone's state. Without a common start the rest is
+    filled sequentially. Scratch is O(sqrt(k)) floats.
     """
     n = out.size
-    bit_gen = rng.bit_generator
     k = n // 2
     margin = int(1.7 * math.sqrt(k)) + 1
     limit = n - k - margin  # the clone's sample count
-    if (n < _SPLIT_MIN or limit < 2 * margin or _usable_cpus() < 2
-            or not out.flags.c_contiguous or not isinstance(bit_gen, np.random.Philox)):
+    if n < _SPLIT_MIN or limit < 2 * margin or not out.flags.c_contiguous or not _two_threads(rng):
         return rng.standard_exponential(out=out)
     flat = out.reshape(-1)
-    state = bit_gen.state
-    key = state["state"]["key"]
-    start = _philox_position(state) + round(k * _WORDS_PER_SAMPLE)
-    clone = np.random.Generator(_philox_at(key, start))
-    probe = np.random.Generator(_philox_at(key, start))
-    worker = threading.Thread(target=clone.standard_exponential,
-                              kwargs={"out": flat[k + margin:]})
-    worker.start()
+    clone, probe = _clone_ahead(rng, k)
+    worker = _Worker(lambda: clone.standard_exponential(out=flat[k + margin:]))
     try:
         rng.standard_exponential(out=flat[:k])
         bridge, skipped, synced = _bridge(rng, probe, min(2 * margin, limit), margin)
-    finally:
+    except BaseException:
         worker.join()
+        raise
+    worker.result()
     at = k
     for part in bridge:
         flat[at:at + part.size] = part
@@ -241,35 +295,119 @@ def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
     shift = k + margin + skipped - at
     flat[at:n - shift] = flat[k + margin + skipped:]
     clone.standard_exponential(out=flat[n - shift:])
-    state = bit_gen.state  # keeps rng's buffered 32-bit half, which exponentials never read
-    clone_state = clone.bit_generator.state
-    state.update(state=clone_state["state"], buffer=clone_state["buffer"],
-                 buffer_pos=clone_state["buffer_pos"])
-    bit_gen.state = state
+    _take_over(rng, clone)
     return out
 
 
-def _row_blocks(m: int, n_elements: int) -> list[slice]:
-    """Row slices of about ``_BLOCK`` elements of an (m x N) array."""
-    step = max(1, _BLOCK // n_elements)
-    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+def _block_rows(n_elements: int) -> int:
+    """Rows of one row block: about ``_BLOCK`` elements of N columns."""
+    return max(1, _BLOCK // n_elements)
 
 
-def _x1_sq(f_r, f_d_rows):
-    """Squared row sums of f_R * f_D, one row block at a time.
+def _row_blocks(m: int, n_elements: int):
+    """Row slices of about ``_BLOCK`` elements of an (m x N) array, made lazily."""
+    step = _block_rows(n_elements)
+    return (slice(lo, min(lo + step, m)) for lo in range(0, m, step))
+
+
+def _row_sums(f_r, f_d_rows, out, after=None):
+    """Row sums of f_R * f_D into ``out``, one row block at a time.
 
     ``f_d_rows(rows, buf)`` gives the f_D amplitudes of ``rows``, as a
     view or written into ``buf``; the product goes into ``buf``.
+    ``after()``, when given, runs once each block is summed.
     """
     m, n_elements = f_r.shape
-    blocks = _row_blocks(m, n_elements)
-    buf = np.empty((blocks[0].stop, n_elements))
-    x1 = np.empty(m)
-    for rows in blocks:
-        out = buf[:rows.stop - rows.start]
-        np.multiply(f_r[rows], f_d_rows(rows, out), out=out)
-        out.sum(axis=1, out=x1[rows])
+    buf = np.empty((min(m, _block_rows(n_elements)), n_elements))
+    for rows in _row_blocks(m, n_elements):
+        prod = buf[:rows.stop - rows.start]
+        np.multiply(f_r[rows], f_d_rows(rows, prod), out=prod)
+        prod.sum(axis=1, out=out[rows])
+        if after is not None:
+            after()
+    return out
+
+
+def _x1_sq(f_r, f_d_rows):
+    """Squared row sums of f_R * f_D; see :func:`_row_sums`."""
+    x1 = _row_sums(f_r, f_d_rows, np.empty(len(f_r)))
     return np.square(x1, out=x1)
+
+
+def _x1_split(f_r, f_d_rows, drawn: int, rng, before):
+    """``(X1^2, before())`` with f_D's second half drawn on a worker, or None.
+
+    ``f_d_rows`` is the caller's row-block f_D source (see
+    :func:`_row_sums`), which takes ``rng`` from f_D value ``drawn`` on.
+    This thread sums rows [0, h) from it, h = ceil(m/2) + ceil(3 margin /
+    N) with ``margin`` as in :func:`_fill_exponential`, and releases a
+    permit after each row block. A worker first calls ``before()``,
+    which must only read f_R, then draws f_D of rows [h, m) from a clone
+    stream (:func:`_clone_ahead`) into ``region``, the first h N floats
+    of f_R, from ``margin`` on: it writes, and square-roots, each block's
+    span only once this thread has summed that block. :func:`_bridge`
+    finds the clone's sample that is true f_D value h N + (bridge
+    samples); the second half then lies in place at ``region[lo:lo +
+    s2]``, the bridge samples just before the clone's and the few at the
+    end from the clone, and ``rng`` takes over the clone's state. The
+    bridge keeps lo within 3 margins, which h leaves room for. Without
+    a common start ``rng`` draws the rest there itself. Either way the
+    values, and ``rng`` after them, are the sequential draw's.
+    Returns None, having done nothing, when the second half is below
+    ``_SPLIT_MIN`` floats or :func:`_two_threads` says no.
+    """
+    m, n = f_r.shape
+    half = -(-m // 2)
+    margin = int(1.7 * math.sqrt(half * n)) + 1
+    h = half + -(-3 * margin // n)
+    s2 = (m - h) * n  # f_D floats of rows [h, m)
+    if s2 < max(_SPLIT_MIN, 3 * margin) or not _two_threads(rng):
+        return None
+    region = f_r[:h].reshape(-1)
+    clone, probe = _clone_ahead(rng, h * n - drawn)
+    permits, stop = threading.Semaphore(0), threading.Event()
+
+    def draw_second_half():
+        pairs = before()
+        for rows in _row_blocks(h, n):
+            lo, hi = max(margin, rows.start * n), min(s2, rows.stop * n)
+            if lo >= s2:
+                break
+            permits.acquire()
+            if stop.is_set():
+                return None
+            if lo < hi:
+                span = region[lo:hi]
+                np.sqrt(clone.standard_exponential(out=span), out=span)
+        return pairs
+
+    worker = _Worker(draw_second_half)
+    x1 = np.empty(m)
+    try:
+        _row_sums(f_r[:h], f_d_rows, x1[:h], after=permits.release)
+        bridge, skipped, synced = _bridge(rng, probe, 2 * margin, margin)
+    except BaseException:
+        stop.set()
+        permits.release(-(-h // _block_rows(n)))  # one per block
+        worker.join()
+        raise
+    pairs = worker.result()
+    lo = at = margin + skipped - sum(part.size for part in bridge)
+    for part in bridge:
+        region[at:at + part.size] = part
+        at += part.size
+    if synced:
+        clone.standard_exponential(out=region[s2:lo + s2])
+        _take_over(rng, clone)
+        raw = (region[lo:at], region[s2:lo + s2])
+    else:
+        rng.standard_exponential(out=region[at:lo + s2])
+        raw = (region[lo:lo + s2],)
+    for part in raw:
+        np.sqrt(part, out=part)
+    f_d = region[lo:lo + s2].reshape(m - h, n)
+    _row_sums(f_r[h:], lambda rows, _: f_d[rows], x1[h:])
+    return np.square(x1, out=x1), pairs
 
 
 def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
@@ -287,18 +425,25 @@ def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
     largest. The largest N's f_D continues from the prefix's rest with
     fresh draws in row blocks of about ``_BLOCK`` elements, which
     consumes the same numbers in the same order; each row's sum depends
-    on that row alone. Amplitudes are sqrt(E), E ~ Exp(1) (Rayleigh,
-    unit average power).
+    on that row alone. In ``rayleigh`` mode a large f_D is drawn on two
+    threads (:func:`_x1_split`): this thread draws the first half of the
+    rows, and a worker scores the smaller N, then draws the second half
+    into the f_R rows this thread has summed. Amplitudes are sqrt(E),
+    E ~ Exp(1) (Rayleigh, unit average power).
     """
     *smaller, n_elements = group
     held = _fill_exponential(
         rng, np.empty(max([n_elements * m] + [(2 * n + 1) * m for n in smaller])))
     e_raw = [held[2 * n * m:(2 * n + 1) * m].copy() for n in smaller]
     np.sqrt(held, out=held)
-    pairs = []
-    for n, e in zip(smaller, e_raw):
-        f_r, f_d = held[:2 * n * m].reshape(2, m, n)
-        pairs.append((_x1_sq(f_r, lambda rows, _, f_d=f_d: f_d[rows]), e))
+
+    def smaller_pairs():
+        pairs = []
+        for n, e in zip(smaller, e_raw):
+            f_r, f_d = held[:2 * n * m].reshape(2, m, n)
+            pairs.append((_x1_sq(f_r, lambda rows, _, f_d=f_d: f_d[rows]), e))
+        return pairs
+
     f_r, rest = held[:n_elements * m].reshape(m, n_elements), held[n_elements * m:]
 
     def f_d_rows(rows, buf):
@@ -310,7 +455,14 @@ def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
         np.sqrt(fresh, out=fresh)
         return buf
 
-    x1 = _x1_sq(f_r, f_d_rows)
+    # phase_sum reads f_R again for f_E, so only rayleigh may reuse its rows
+    split = (_x1_split(f_r, f_d_rows, rest.size, rng, smaller_pairs)
+             if eav_mode == "rayleigh" else None)
+    if split is None:
+        pairs = smaller_pairs()
+        x1 = _x1_sq(f_r, f_d_rows)
+    else:
+        x1, pairs = split
     if eav_mode == "rayleigh":
         return pairs + [(x1, rng.standard_exponential(m))]
     f_e = _fill_exponential(rng, np.empty((m, n_elements)))

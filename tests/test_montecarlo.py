@@ -240,28 +240,36 @@ def test_draw_chunk_peak_memory(eav_mode, arrays):
     assert peak <= arrays * m * n * 8
 
 
-GROUPS = [
-    ((1, 2), 7),
-    ((3, 7), 9367),
-    ((8, 16, 32, 64, 96, 128, 256, 512, 1024), 3000),
-    ((1, 2, 4, 9, 18), 1),
-    ((5, 10), 250),  # N = N_max / 2: the prefix runs one row of m past f_R
+GROUPS = [  # (group, m, whether f_D's second half is large enough to split)
+    ((1, 2), 7, False),
+    ((3, 7), 9367, False),
+    ((8, 16, 32, 64, 96, 128, 256, 512, 1024), 3000, True),
+    ((1, 2, 4, 9, 18), 1, False),
+    ((5, 10), 250, False),  # N = N_max / 2: the prefix runs one row of m past f_R
+    ((4, 512, 1024), 2101, True),  # odd m, and the prefix runs one row past f_R
 ]
 
 
-@pytest.mark.parametrize("group, m", GROUPS, ids=lambda g: str(g))
-def test_group_draw_equals_each_n_on_a_fresh_stream(group, m):
+def _assert_each_n_drawn_alone(got, rng, group, m, fresh_streams):
     # every N's pair must be what the stream draws for that N alone, and
     # the stream must end where the largest N's draw ends
-    key, stream = 3, 2
-    rng = np.random.Generator(np.random.Philox(key=key).jumped(stream))
-    got = _draw_chunk(group, rng, m, "rayleigh")
     assert len(got) == len(group)
-    for n, pair in zip(group, got):
-        fresh = np.random.Generator(np.random.Philox(key=key).jumped(stream))
+    for n, pair, fresh in zip(group, got, fresh_streams):
         for a, b in zip(pair, _reference_draw_chunk(n, fresh, m, "rayleigh")):
             assert a.tobytes() == b.tobytes(), n
-    assert rng.random() == fresh.random()  # fresh drew the largest N
+    _assert_same_state(rng, fresh)  # fresh drew the largest N
+
+
+@pytest.mark.parametrize("group, m, splits",
+                         [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in GROUPS])
+def test_group_draw_equals_each_n_on_a_fresh_stream(monkeypatch, group, m, splits):
+    # with two CPUs the largest N's f_D is split wherever it is large enough
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    split = _spy_split(monkeypatch)
+    rng, *fresh = _twin_streams(3, 2, 0, False, count=len(group) + 1)
+    got = _draw_chunk(group, rng, m, "rayleigh")
+    assert split == [splits]
+    _assert_each_n_drawn_alone(got, rng, group, m, fresh)
 
 
 @pytest.mark.parametrize("values, mc, groups", [
@@ -296,73 +304,133 @@ def test_group_draw_peak_memory(group):
     assert peak <= ((n_max + 1 + 2 * len(group)) * m + 2 * _BLOCK) * 8
 
 
-def _twin_streams(seed, jump, words, half_word):
-    """Two generators on one Philox stream, ``words`` 64-bit words in.
+def _twin_streams(seed, jump, words, half_word, count=2):
+    """``count`` generators on one Philox stream, ``words`` 64-bit words in.
 
     With ``half_word`` each has also drawn one 32-bit integer, so half of
     a word is buffered, which exponential draws never read.
     """
-    pair = []
-    for _ in range(2):
+    streams = []
+    for _ in range(count):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(jump))
         rng.bit_generator.random_raw(words)
         if half_word:
             rng.integers(0, 2 ** 32, dtype=np.uint32)
-        pair.append(rng)
-    return pair
+        streams.append(rng)
+    return streams
 
 
-def _assert_filled_like_sequential(rng, twin, got, n):
-    # the values, and every kind of draw after them, must be the sequential fill's
-    assert got.tobytes() == twin.standard_exponential(n).tobytes()
+def _assert_same_state(rng, twin):
+    # every kind of draw after the one compared must be the sequential draw's
     assert rng.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist() == \
         twin.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist()
     assert rng.standard_exponential(5).tobytes() == twin.standard_exponential(5).tobytes()
 
 
-def _spy_bridge(monkeypatch):
-    """Record whether each split fill found a common sample start."""
-    synced = []
-    bridge = montecarlo._bridge
+def _assert_filled_like_sequential(rng, twin, got, n):
+    assert got.tobytes() == twin.standard_exponential(n).tobytes()
+    _assert_same_state(rng, twin)
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap ``montecarlo.<name>``; the list returned gets ``record(result)`` of each call."""
+    calls = []
+    wrapped = getattr(montecarlo, name)
 
     def spy(*args):
-        result = bridge(*args)
-        synced.append(result[2])
+        result = wrapped(*args)
+        calls.append(record(result))
         return result
 
-    monkeypatch.setattr(montecarlo, "_bridge", spy)
-    return synced
+    monkeypatch.setattr(montecarlo, name, spy)
+    return calls
+
+
+def _spy_bridge(monkeypatch):
+    """Record whether each split draw found a common sample start."""
+    return _spy(monkeypatch, "_bridge", lambda result: result[2])
+
+
+def _spy_split(monkeypatch):
+    """Record whether each draw of the largest N's f_D was split over two threads."""
+    return _spy(monkeypatch, "_x1_split", lambda result: result is not None)
+
+
+def _copy(rng):
+    """A generator at ``rng``'s place in its stream."""
+    bit_gen = np.random.Philox(key=0)
+    bit_gen.state = rng.bit_generator.state
+    return np.random.Generator(bit_gen)
 
 
 @given(n=st.one_of(st.sampled_from([0, 1, 2, 3, 59, 61, 101]), st.integers(0, 20_000)),
        seed=st.integers(0, 2 ** 64 - 1), jump=st.integers(0, 3), words=st.integers(0, 3),
-       half_word=st.booleans())
+       half_word=st.booleans(), n_max=st.integers(1, 64), with_half=st.booleans(),
+       m=st.integers(2000, 6000))
 @settings(max_examples=80, deadline=None)
-def test_fill_exponential_is_the_sequential_fill(n, seed, jump, words, half_word):
+def test_fill_exponential_is_the_sequential_fill(n, seed, jump, words, half_word, n_max,
+                                                 with_half, m):
     # with the threshold at 0 every array large enough for the margin
-    # splits, whatever the CPU count
+    # splits, whatever the CPU count, and so does the f_D of a group draw
+    # of at least 2000 rows, which here continues the stream after the fill
     rng, twin = _twin_streams(seed, jump, words, half_word)
+    group = (n_max // 2, n_max) if with_half and n_max > 1 else (n_max,)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_SPLIT_MIN", 0)
         mp.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        split = _spy_split(mp)
         got = _fill_exponential(rng, np.empty(n))
-    _assert_filled_like_sequential(rng, twin, got, n)
+        _assert_filled_like_sequential(rng, twin, got, n)
+        fresh = [_copy(twin) for _ in group]
+        drawn = _draw_chunk(group, rng, m, "rayleigh")
+    assert split == [True]
+    _assert_each_n_drawn_alone(drawn, rng, group, m, fresh)
+
+
+# f_D of rows [h, m) of this group at m = 40 001 is 98 380 floats, split
+# once the threshold is 0
+SMALL_SPLIT = ((2, 5), 40_001)
 
 
 @pytest.mark.parametrize("words_per_sample", [0.6, 1.5], ids=["clone-early", "clone-late"])
 def test_fill_exponential_falls_back_exactly_without_a_common_start(monkeypatch,
                                                                     words_per_sample):
-    # a clone started far from sample k finds no common start within the
-    # window, and the rest is filled sequentially
+    # a clone started far from its sample finds no common start within
+    # the window, and the rest is drawn sequentially: in a fill, and in
+    # the split f_D of a group draw
     monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(montecarlo, "_WORDS_PER_SAMPLE", words_per_sample)
     synced = _spy_bridge(monkeypatch)
+    split = _spy_split(monkeypatch)
     n = 200_001
     rng, twin = _twin_streams(8, 1, 3, True)
     got = _fill_exponential(rng, np.empty(n))
     assert synced == [False]
     _assert_filled_like_sequential(rng, twin, got, n)
+    group, m = SMALL_SPLIT
+    rng, *fresh = _twin_streams(8, 1, 3, True, count=len(group) + 1)
+    got = _draw_chunk(group, rng, m, "rayleigh")
+    assert (synced, split) == ([False] * 3, [True])  # the prefix fill, then f_D
+    _assert_each_n_drawn_alone(got, rng, group, m, fresh)
+
+
+@pytest.mark.parametrize("samples_off", [-900, 450], ids=["clone-early", "clone-late"])
+def test_split_draws_sync_near_the_edges_of_their_window(monkeypatch, samples_off):
+    # margin is 538 for both splits of SMALL_SPLIT's draw: a clone 900
+    # samples early makes the probe skip nearly 2 margins, one 450 late
+    # makes rng draw nearly one; both must still sync and stay exact
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    clone_ahead = montecarlo._clone_ahead
+    monkeypatch.setattr(montecarlo, "_clone_ahead",
+                        lambda rng, samples: clone_ahead(rng, samples + samples_off))
+    synced = _spy_bridge(monkeypatch)
+    group, m = SMALL_SPLIT
+    rng, *fresh = _twin_streams(6, 0, 0, False, count=len(group) + 1)
+    got = _draw_chunk(group, rng, m, "rayleigh")
+    assert synced == [True, True]  # the prefix fill, then f_D
+    _assert_each_n_drawn_alone(got, rng, group, m, fresh)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -379,20 +447,23 @@ def test_large_fill_splits_and_syncs(monkeypatch, seed):
 
 
 def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
-    # four callers, each with its own worker, on two or fewer cores and
-    # with a short switch interval: no fill may touch another's stream
+    # four callers, each with its own workers, on two or fewer cores and
+    # with a short switch interval: no fill, and no group draw with a
+    # split f_D, may touch another's stream
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    n, seeds = montecarlo._SPLIT_MIN + 3, range(4)
+    split = _spy_split(monkeypatch)
+    n, group, m, seeds = montecarlo._SPLIT_MIN + 3, (512, 1024), 2101, range(4)
     got = {}
 
-    def fill(seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        got[seed] = (_fill_exponential(rng, np.empty(n)), rng.random())
+    def run(seed):
+        rngs = [np.random.Generator(np.random.Philox(key=seed)) for _ in range(2)]
+        got[seed] = (_fill_exponential(rngs[0], np.empty(n)),
+                     _draw_chunk(group, rngs[1], m, "rayleigh"), rngs)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=fill, args=(seed,)) for seed in seeds]
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -400,10 +471,71 @@ def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
+    assert split == [True] * len(seeds)
     for seed in seeds:
-        twin = np.random.Generator(np.random.Philox(key=seed))
-        assert got[seed][0].tobytes() == twin.standard_exponential(n).tobytes()
-        assert got[seed][1] == twin.random()
+        filled, drawn, (rng_fill, rng_draw) = got[seed]
+        twin, *fresh = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(3))
+        _assert_filled_like_sequential(rng_fill, twin, filled, n)
+        _assert_each_n_drawn_alone(drawn, rng_draw, group, m, fresh)
+
+
+class _Interrupted(Exception):
+    """Raised on purpose in the middle of a split draw."""
+
+
+def _assert_split_draw_raises_and_leaves_no_thread(monkeypatch):
+    # only the f_D split starts a thread: the prefix fills sequentially
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_fill_exponential",
+                        lambda rng, out: rng.standard_exponential(out=out))
+    split = _spy(monkeypatch, "_x1_split", lambda result: result)
+    before = set(threading.enumerate())
+    group, m = SMALL_SPLIT
+    with pytest.raises(_Interrupted):
+        _draw_chunk(group, np.random.Generator(np.random.Philox(key=5)), m, "rayleigh")
+    assert split == []  # raised out of the split itself
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("where", ["rows", "bridge"])
+def test_f_d_split_stops_its_worker_when_the_caller_raises(monkeypatch, where):
+    # in "rows" the caller raises instead of releasing its first permit,
+    # so the worker waits for it; in "bridge" every permit was released
+    if where == "bridge":
+        def bridge(*args):
+            raise _Interrupted
+        monkeypatch.setattr(montecarlo, "_bridge", bridge)
+    else:
+        row_sums = montecarlo._row_sums
+
+        def interrupted_row_sums(f_r, f_d_rows, out, after=None):
+            if after is None:
+                return row_sums(f_r, f_d_rows, out)
+
+            def interrupt():
+                raise _Interrupted
+
+            return row_sums(f_r, f_d_rows, out, interrupt)
+
+        monkeypatch.setattr(montecarlo, "_row_sums", interrupted_row_sums)
+    _assert_split_draw_raises_and_leaves_no_thread(monkeypatch)
+
+
+def test_f_d_split_hands_the_worker_exception_to_the_caller(monkeypatch):
+    # the worker scores the smaller N first; an error there reaches the caller
+    raised_on = []
+
+    def x1_sq(*args):
+        raised_on.append(threading.current_thread())
+        raise _Interrupted
+
+    monkeypatch.setattr(montecarlo, "_x1_sq", x1_sq)
+    _assert_split_draw_raises_and_leaves_no_thread(monkeypatch)
+    assert raised_on and raised_on[0] is not threading.current_thread()
 
 
 def test_fill_exponential_stays_on_one_thread_below_the_threshold_or_one_cpu(monkeypatch):
