@@ -3,8 +3,9 @@
 
 The layer-by-layer view of the analytic path: the median wall time of one
 call of ``cdf_rho_d`` and ``ccdf_rho_d`` (series route, 100 points spread
-over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``
-and ``avg_secrecy_capacity``, and of their ``*_reference`` twins, at N in
+over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``,
+``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
+the ``*_reference`` twins, at N in
 {1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
 levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). timeit's autorange runs
 each call first, which fills the caches before the timed rounds. Prints
@@ -31,6 +32,7 @@ from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stat
 from ris_secrecy.secrecy import (
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
+    eavesdropper_rate,
     sop,
     sop_asymptotic,
     sop_asymptotic_reference,
@@ -63,6 +65,7 @@ def main() -> int:
             "sop": lambda: sop(p, st),
             "sop_asymptotic": lambda: sop_asymptotic(p, st),
             "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),
+            "eavesdropper_rate": lambda: eavesdropper_rate(st, p.kappa_e_sum),
             "sop_reference": lambda: sop_reference(p, st),
             "sop_asymptotic_reference": lambda: sop_asymptotic_reference(p, st),
             "avg_secrecy_capacity_reference": lambda: avg_secrecy_capacity_reference(p, st),

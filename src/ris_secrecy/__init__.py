@@ -21,13 +21,10 @@ from .channel import (
 from .montecarlo import (
     EstimateWithCI,
     McConfig,
-    TrialOutcome,
     draw_chunks,
-    estimate_mean_sndr,
     ks_distance,
     model_law_chunks,
     sample_quantity,
-    sample_trial,
     simulate_metrics,
 )
 from .secrecy import (
@@ -78,7 +75,6 @@ __all__ = [
     "SweepSpec",
     "SystemParams",
     "ThetaSet",
-    "TrialOutcome",
     "UnsupportedRegimeError",
     "avg_secrecy_capacity",
     "avg_secrecy_capacity_reference",
@@ -91,7 +87,6 @@ __all__ = [
     "e1_scaled",
     "eavesdropper_rate",
     "emit",
-    "estimate_mean_sndr",
     "ks_distance",
     "load_config",
     "load_preset",
@@ -101,7 +96,6 @@ __all__ = [
     "run_sweep",
     "run_sweeps",
     "sample_quantity",
-    "sample_trial",
     "save_config",
     "simulate_metrics",
     "sop",

@@ -39,7 +39,7 @@ SNR_DB_LIMIT = 3000.0  # 10**(dB/10) is a positive finite float within +-3000 dB
 
 
 class ConvergenceError(ArithmeticError):
-    """A series or continued fraction did not reach the requested tolerance."""
+    """A series did not reach the requested tolerance within ``max_terms`` terms."""
 
     def __init__(self, name: str, terms: int, residual: float):
         self.name = name
@@ -52,7 +52,7 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for the infinite series used throughout.
+    """Truncation policy for the Poisson-mixture series of the destination law.
 
     A sum stops once the current term falls below ``rel_tol`` times the
     partial sum in magnitude (a Poisson mixture, once less than

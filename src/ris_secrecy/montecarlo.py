@@ -107,17 +107,6 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """One channel realisation pushed through the SNDR and rate maps."""
-
-    gamma_d: float
-    gamma_e: float
-    r_s: float
-    rho_d: float
-    rho_e: float
-
-
-@dataclass(frozen=True)
 class EstimateWithCI:
     """Point estimate with its Monte Carlo standard error."""
 
@@ -127,14 +116,14 @@ class EstimateWithCI:
     seed: int
 
 
-def _stream_chunks(mc: McConfig, chunk: int):
-    """``(stream index, generator, chunk size)`` of every chunk, in stream order."""
+def _stream_chunks(mc: McConfig):
+    """``(generator, chunk size)`` of every chunk of at most ``_CHUNK`` trials, in stream order."""
     base, extra = divmod(mc.trials, mc.stream_count)
     for i in range(mc.stream_count):
         rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(i))
         size = base + (1 if i < extra else 0)
-        for done in range(0, size, chunk):
-            yield i, rng, min(chunk, size - done)
+        for done in range(0, size, _CHUNK):
+            yield rng, min(_CHUNK, size - done)
 
 
 def _philox_position(state: dict) -> int:
@@ -489,7 +478,7 @@ def draw_chunks(n_elements: int, mc: McConfig):
     peak is one (chunk x N) array plus one row block, or two (chunk x N)
     arrays in ``phase_sum`` mode.
     """
-    for _, rng, m in _stream_chunks(mc, _CHUNK):
+    for rng, m in _stream_chunks(mc):
         yield _draw_chunk((n_elements,), rng, m, mc.eav_mode)[0]
 
 
@@ -523,7 +512,7 @@ def model_law_chunks(stats: ChannelStats, mc: McConfig):
                          f"eav_mode must be 'rayleigh', got {mc.eav_mode!r}")
     mean, sd = math.sqrt(stats.lambda_), math.sqrt(stats.sigma2)
     return ((rng.normal(mean, sd, m) ** 2, rng.standard_exponential(m))
-            for _, rng, m in _stream_chunks(mc, _CHUNK))
+            for rng, m in _stream_chunks(mc))
 
 
 def _scales(params: SystemParams, eav_mode: str):
@@ -543,17 +532,6 @@ def _sndr(rho, kappa_sum, out=None):
     den = kappa_sum * rho
     den += 1.0
     return np.divide(rho, den, out=out)
-
-
-def sample_trial(params: SystemParams, rng: np.random.Generator,
-                 eav_mode: str = "rayleigh") -> TrialOutcome:
-    """Draw a single trial; the batch estimators use the same math."""
-    rho_d, rho_e = _rho(params, eav_mode, *_draw_chunk((params.n_elements,), rng, 1, eav_mode)[0])
-    gamma_d = float(_sndr(rho_d, params.kappa_d_sum)[0])
-    gamma_e = float(_sndr(rho_e, params.kappa_e_sum)[0])
-    r_s = max(math.log2((1.0 + gamma_d) / (1.0 + gamma_e)), 0.0)
-    return TrialOutcome(gamma_d=gamma_d, gamma_e=gamma_e, r_s=r_s,
-                        rho_d=float(rho_d[0]), rho_e=float(rho_e[0]))
 
 
 ESTIMATES = ("sop", "asc_eq19", "asc_eq6")
@@ -724,7 +702,7 @@ def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
     for params, acc in zip(points, accs):
         by_n.setdefault(params.n_elements, []).append(acc)
     for group in _n_groups(by_n, mc):
-        for _, rng, m in _stream_chunks(mc, _CHUNK):
+        for rng, m in _stream_chunks(mc):
             for n, (x1_sq, e) in zip(group, _draw_chunk(group, rng, m, mc.eav_mode)):
                 for acc in by_n[n]:
                     acc.update(x1_sq, e)
@@ -762,54 +740,3 @@ def ks_distance(sorted_samples: np.ndarray, cdf) -> float:
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
 
-
-def estimate_mean_sndr(params: SystemParams, mc: McConfig, link: str = "d",
-                       mode: str = "folded", n_symbols: int = 4096) -> EstimateWithCI:
-    """Mean SNDR, with the distortion noise either folded or sampled.
-
-    ``folded`` applies the deterministic SNDR map rho/(kappa rho + 1) to
-    each channel draw. ``sampled`` draws the transmit/receive distortion
-    and AWGN as complex Gaussians per symbol and measures the ratio of
-    received signal power to distortion-plus-noise power over
-    ``n_symbols`` symbols (bias-corrected for the inverted sample mean,
-    so ``n_symbols`` must be at least 2). Channel draws consume dedicated
-    streams and ``n_symbols`` sets the chunk size in both modes, so both
-    see identical channels for a given seed and the comparison isolates
-    the folding step itself.
-    """
-    if link not in ("d", "e"):
-        raise ValueError(f"link must be 'd' or 'e', got {link!r}")
-    if mode not in ("folded", "sampled"):
-        raise ValueError(f"mode must be 'folded' or 'sampled', got {mode!r}")
-    if n_symbols < 2:
-        raise ValueError(f"n_symbols must be >= 2, got {n_symbols}")
-    kappa_t2 = params.kappa_d_t2 if link == "d" else params.kappa_e_t2
-    kappa_r2 = params.kappa_d_r2 if link == "d" else params.kappa_e_r2
-    noise_rngs = [np.random.Generator(np.random.Philox(key=mc.seed).jumped(mc.stream_count + i))
-                  for i in range(mc.stream_count)]
-    s = s_sq = 0.0
-    chunk = max(1, _CHUNK // n_symbols * 8)
-    for idx, rng, m in _stream_chunks(mc, chunk):
-        rho_d, rho_e = _rho(params, mc.eav_mode,
-                            *_draw_chunk((params.n_elements,), rng, m, mc.eav_mode)[0])
-        rho = rho_d if link == "d" else rho_e
-        if mode == "folded":
-            g = _sndr(rho, kappa_t2 + kappa_r2)
-        else:
-            # Unit-power symbols through channel power rho (noise-
-            # normalised), so the per-symbol disturbance
-            # h*eta_t + eta_r + n is CN(0, rho*kappa_t2 + rho*kappa_r2 + 1).
-            w_var = rho * (kappa_t2 + kappa_r2) + 1.0
-            nrng = noise_rngs[idx]
-            w = 0.5 * w_var[:, None] * (
-                nrng.standard_normal((m, n_symbols)) ** 2
-                + nrng.standard_normal((m, n_symbols)) ** 2
-            )
-            w_bar = w.mean(axis=1) * (n_symbols / (n_symbols - 1.0))
-            g = rho / w_bar
-        s += g.sum()
-        s_sq += (g * g).sum()
-    t = mc.trials
-    mean = float(s) / t
-    var = max(float(s_sq) / t - mean * mean, 0.0)
-    return EstimateWithCI(mean, math.sqrt(var / t), t, mc.seed)

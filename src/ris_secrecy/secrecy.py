@@ -23,8 +23,8 @@ of a few: the tail reaches ~1e-2.
 
 The eavesdropper's ergodic rate is exact: a difference of two values of
 the scaled exponential integral e^t E1(t), which :func:`e1_scaled`
-evaluates by series or continued fraction under a
-:class:`~ris_secrecy.channel.SeriesControl`.
+takes from scipy's ``exp1`` and, for large t, from its asymptotic
+series.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special as sc
 
 from ._schema import check_field_types
 from .channel import (
-    DEFAULT_SERIES,
     ChannelStats,
-    ConvergenceError,
     SeriesControl,
     SystemParams,
     cdf_rho_d,
@@ -352,60 +351,26 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0)
 
 
-EULER_GAMMA = 0.57721566490153286061
-
-_TINY = 1e-300  # Lentz underflow guard
-
-
-def _e1_cf(t: float, ctl: SeriesControl) -> float:
-    # Modified Lentz evaluation of e^t E1(t) = 1/(t+1- 1/(t+3- 4/(t+5- ...))),
-    # reliable for t >= 1.
-    b = t + 1.0
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, ctl.max_terms + 1):
-        an = -float(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < ctl.rel_tol:
-            return h
-    raise ConvergenceError("e1 fraction", ctl.max_terms, abs(delta - 1.0))
-
-
-def _e1_series(t: float, ctl: SeriesControl) -> float:
-    # E1(t) = -euler - ln t + sum_k (-1)^(k+1) t^k / (k k!), for small t.
-    term = 1.0
-    total = 0.0
-    for k in range(1, ctl.max_terms + 1):
-        term *= -t / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < ctl.rel_tol * max(abs(total), 1e-30):
-            return -EULER_GAMMA - math.log(t) + total
-    raise ConvergenceError("e1 series", ctl.max_terms, abs(contrib))
-
-
-def e1_scaled(t: float, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def e1_scaled(t: float) -> float:
     """Exponentially scaled exponential integral e^t E1(t) for t > 0.
 
     Stays finite for arbitrarily large t (where e^t alone would
     overflow); used by the eavesdropper ergodic-rate closed form whose
-    arguments scale like 1/(kappa^2 lambda_E).
+    arguments scale like 1/(kappa^2 lambda_E). Below t = 50 it is
+    ``exp(t) * scipy.special.exp1(t)``; from there on the first 30 terms
+    of the asymptotic series sum_k (-1)^k k!/t^(k+1) (Abramowitz and
+    Stegun 5.1.51), the last below 1e-18 of the sum. ``ValueError`` unless t > 0
+    (NaN included); e1_scaled(inf) is 0.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"e1_scaled requires t > 0, got t={t}")
-    if t < 1.0:
-        return math.exp(t) * _e1_series(t, ctl)
-    return _e1_cf(t, ctl)
+    if t < 50.0:
+        return math.exp(t) * float(sc.exp1(t))
+    term, total = 1.0 / t, 0.0
+    for k in range(1, 31):
+        total += term
+        term *= -k / t
+    return total
 
 
 def eavesdropper_rate(stats: ChannelStats, kappa_e_sum: float) -> float:

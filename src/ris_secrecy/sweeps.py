@@ -127,6 +127,16 @@ def _params_at(spec: SweepSpec, value) -> SystemParams:
 
 _MC_ESTIMATES = {"mc_sop": "sop", "mc_asc": "asc_eq19"}
 
+# Each analytic metric's value at (params, stats, numerics). The lambdas
+# look the closed forms up as module globals at call time, so that
+# wrappers installed on this module see every call.
+_CLOSED_FORMS = {
+    "sop": lambda params, stats, numerics: sop(params, stats, numerics),
+    "sop_asymptotic": lambda params, stats, numerics: sop_asymptotic(params, stats, numerics),
+    "asc": lambda params, stats, numerics: avg_secrecy_capacity(
+        params, stats, numerics, ideal_hardware_fallback=True).value,
+}
+
 
 def _mc_keys(spec: SweepSpec) -> list[str]:
     """The Monte Carlo estimates a sweep emits or checks; only these are computed."""
@@ -213,15 +223,9 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
             if metric not in spec.outputs:
                 continue
             try:
-                if metric == "sop":
-                    row = Row(spec.axis, value, metric, sop(params, stats, spec.numerics))
-                elif metric == "sop_asymptotic":
-                    row = Row(spec.axis, value, metric,
-                              sop_asymptotic(params, stats, spec.numerics))
-                elif metric == "asc":
-                    cap = avg_secrecy_capacity(params, stats, spec.numerics,
-                                               ideal_hardware_fallback=True)
-                    row = Row(spec.axis, value, metric, cap.value)
+                closed_form = _CLOSED_FORMS.get(metric)
+                if closed_form is not None:
+                    row = Row(spec.axis, value, metric, closed_form(params, stats, spec.numerics))
                 else:
                     if isinstance(mc_est, Exception):
                         raise mc_est
@@ -258,7 +262,7 @@ def run_sweeps(specs):
 
 def _annotate_mc_gap(row: Row, mc_est) -> Row:
     """Flag analytic values that sit outside 3 standard errors of the MC."""
-    key = {"sop": "sop", "asc": "asc_eq19"}.get(row.metric)
+    key = _MC_ESTIMATES.get("mc_" + row.metric)
     if key is None or row.value is None:
         return row
     est = mc_est[key]

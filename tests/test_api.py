@@ -5,12 +5,11 @@ import ris_secrecy
 PUBLIC_API = {
     "ChannelStats", "ConfigError", "ConvergenceError", "EstimateWithCI", "LinkGeometry",
     "McConfig", "NumericsConfig", "Row", "SecrecyCapacity", "SeriesControl",
-    "SopEvaluation", "SweepSpec", "SystemParams", "ThetaSet", "TrialOutcome",
-    "UnsupportedRegimeError", "avg_secrecy_capacity", "avg_secrecy_capacity_reference",
-    "ccdf_rho_d", "cdf_rho_d", "db_to_linear", "derive_stats", "destination_rate",
-    "draw_chunks", "e1_scaled", "eavesdropper_rate", "emit", "estimate_mean_sndr",
-    "ks_distance", "load_config", "load_preset", "load_table", "model_law_chunks",
-    "pdf_rho_d", "run_sweep", "run_sweeps", "sample_quantity", "sample_trial",
+    "SopEvaluation", "SweepSpec", "SystemParams", "ThetaSet", "UnsupportedRegimeError",
+    "avg_secrecy_capacity", "avg_secrecy_capacity_reference", "ccdf_rho_d", "cdf_rho_d",
+    "db_to_linear", "derive_stats", "destination_rate", "draw_chunks", "e1_scaled",
+    "eavesdropper_rate", "emit", "ks_distance", "load_config", "load_preset", "load_table",
+    "model_law_chunks", "pdf_rho_d", "run_sweep", "run_sweeps", "sample_quantity",
     "save_config", "simulate_metrics", "sop", "sop_asymptotic", "sop_asymptotic_reference",
     "sop_detail", "sop_reference", "theta_coefficients",
 }

@@ -20,16 +20,13 @@ from ris_secrecy.montecarlo import (
     EstimateWithCI,
     LinkMemo,
     McConfig,
-    TrialOutcome,
     _draw_chunk,
     _fill_exponential,
     _n_groups,
     draw_chunks,
-    estimate_mean_sndr,
     ks_distance,
     model_law_chunks,
     sample_quantity,
-    sample_trial,
     simulate_metrics,
 )
 
@@ -556,22 +553,22 @@ def test_stream_count_changes_partition_not_contract():
     assert abs(a.value - b.value) < 5.0 * math.hypot(a.std_error, b.std_error)
 
 
-def test_sample_trial_fields_and_reproducibility():
+def test_sample_quantity_sndr_map_and_reproducibility():
     p = params_for()
-    out1 = sample_trial(p, np.random.Generator(np.random.Philox(key=77)))
-    out2 = sample_trial(p, np.random.Generator(np.random.Philox(key=77)))
-    assert out1 == out2
-    assert isinstance(out1, TrialOutcome)
-    assert out1.rho_d >= 0.0 and out1.rho_e >= 0.0
-    assert out1.r_s >= 0.0
-    assert out1.gamma_d == pytest.approx(out1.rho_d / (0.02 * out1.rho_d + 1.0), rel=1e-14)
+    mc = McConfig(trials=2000, seed=77)
+    rho_d = sample_quantity("rho_d", p, mc)
+    assert np.array_equal(rho_d, sample_quantity("rho_d", p, mc))
+    assert rho_d.min() >= 0.0
+    np.testing.assert_allclose(sample_quantity("gamma_d", p, mc),
+                               rho_d / (0.02 * rho_d + 1.0), rtol=1e-14, atol=0.0)
 
 
 def test_zero_impairment_sndr_equals_gain():
     p = params_for(k2=0.0)
-    out = sample_trial(p, np.random.Generator(np.random.Philox(key=5)))
-    assert out.gamma_d == out.rho_d
-    assert out.gamma_e == out.rho_e
+    mc = McConfig(trials=2000, seed=5)
+    for link in ("d", "e"):
+        assert np.array_equal(sample_quantity("gamma_" + link, p, mc),
+                              sample_quantity("rho_" + link, p, mc))
 
 
 def test_saturation_bound_holds_every_trial():
@@ -693,36 +690,41 @@ def test_ks_distance_discriminates():
     assert bad > 0.05
 
 
+def _folded_and_sampled_sndr(p, mc, link, n_symbols=256):
+    """Per-trial SNDR of one link, with the distortion noise folded and sampled.
+
+    The folded SNDR is ``sample_quantity``'s rho/(kappa rho + 1). The
+    sampled one sends unit-power symbols through channel power rho
+    (noise-normalised), so the per-symbol disturbance h eta_t + eta_r + n
+    is CN(0, rho (kappa_t2 + kappa_r2) + 1). It is drawn from a Philox key
+    of its own, and rho is divided by its mean power over ``n_symbols``
+    symbols times n/(n - 1), which makes the sampled SNDR unbiased for the
+    folded one at any n >= 2 (the mean of an inverse gamma). Both see the
+    same channel draws, so their difference isolates the fold.
+    """
+    rho = sample_quantity("rho_" + link, p, mc)
+    kappa = p.kappa_d_sum if link == "d" else p.kappa_e_sum
+    rng = np.random.Generator(np.random.Philox(key=[mc.seed, 1]))
+    sampled = np.empty_like(rho)
+    for lo in range(0, rho.size, 2048):
+        r = rho[lo:lo + 2048]
+        w = rng.standard_normal((r.size, n_symbols)) ** 2
+        w += rng.standard_normal((r.size, n_symbols)) ** 2
+        w_bar = 0.5 * (kappa * r + 1.0) * w.mean(axis=1) * (n_symbols / (n_symbols - 1.0))
+        sampled[lo:lo + r.size] = r / w_bar
+    return sample_quantity("gamma_" + link, p, mc), sampled
+
+
+def _assert_means_agree(folded, sampled):
+    se = [x.std() / math.sqrt(x.size) for x in (folded, sampled)]
+    assert abs(folded.mean() - sampled.mean()) < 3.0 * math.hypot(*se)
+
+
 def test_sampled_distortion_noise_agrees_with_folded_sndr():
-    # identical channel streams in both modes; the difference isolates
-    # the distortion-noise folding step
     p = params_for(n=5, snr_d_db=10.0)
-    mc = McConfig(trials=20_000, seed=19)
-    folded = estimate_mean_sndr(p, mc, link="d", mode="folded")
-    sampled = estimate_mean_sndr(p, mc, link="d", mode="sampled", n_symbols=4096)
-    tol = 3.0 * math.hypot(folded.std_error, sampled.std_error)
-    assert abs(folded.value - sampled.value) < tol
+    _assert_means_agree(*_folded_and_sampled_sndr(p, McConfig(trials=20_000, seed=19), "d"))
 
 
 def test_sampled_distortion_noise_eavesdropper_link():
     p = params_for(n=5, snr_e_db=0.0)
-    mc = McConfig(trials=20_000, seed=21)
-    folded = estimate_mean_sndr(p, mc, link="e", mode="folded")
-    sampled = estimate_mean_sndr(p, mc, link="e", mode="sampled", n_symbols=4096)
-    tol = 3.0 * math.hypot(folded.std_error, sampled.std_error)
-    assert abs(folded.value - sampled.value) < tol
-
-
-def test_estimate_mean_sndr_validation():
-    p = params_for()
-    mc = McConfig(trials=1000, seed=0)
-    with pytest.raises(ValueError):
-        estimate_mean_sndr(p, mc, link="x")
-    with pytest.raises(ValueError):
-        estimate_mean_sndr(p, mc, mode="analytic")
-    # the sampled mode divides by n_symbols - 1; both modes share the check
-    for mode in ("folded", "sampled"):
-        for n_symbols in (1, 0, -3):
-            with pytest.raises(ValueError, match="n_symbols"):
-                estimate_mean_sndr(p, mc, mode=mode, n_symbols=n_symbols)
-    assert math.isfinite(estimate_mean_sndr(p, mc, mode="sampled", n_symbols=2).value)
+    _assert_means_agree(*_folded_and_sampled_sndr(p, McConfig(trials=20_000, seed=21), "e"))
