@@ -66,11 +66,7 @@ def _apply_overrides(spec: SweepSpec, args) -> SweepSpec:
 
 
 def _cmd_run(args) -> int:
-    # per call: a module-level import binds run_sweep unwrapped, so traced run_sweep counts read 0
-    from .sweeps import run_sweep
-
-    spec = _apply_overrides(load_config(args.config), args)
-    table = run_sweep(spec)
+    [table] = run_sweeps([_apply_overrides(load_config(args.config), args)])
     text = emit(table, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)

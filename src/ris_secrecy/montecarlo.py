@@ -72,6 +72,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -158,29 +159,29 @@ def _bridge(rng, probe: np.random.Generator, limit: int, margin: int):
     clone of the stream started. Whichever is behind draws about half the
     gap in samples (each reads at least one word, so it rarely
     overshoots, and an overshoot only swaps the sides). Returns the
-    samples ``rng`` drew, the count ``probe`` drew and whether a common
-    start was found: ``False`` once ``rng`` would draw more than
-    ``margin`` samples beyond the probe's count, or the probe more than
-    ``limit``.
+    samples ``rng`` drew, as one array, the count ``probe`` drew and
+    whether a common start was found: ``False`` once ``rng`` would draw
+    more than ``margin`` samples beyond the probe's count, or the probe
+    more than ``limit``.
     """
-    bridge, drawn, skipped = [], 0, 0
+    bridge, drawn, skipped = [np.empty(0)], 0, 0
     here = _philox_position(rng.bit_generator.state)
     there = _philox_position(probe.bit_generator.state)
     while here != there:
         count = max(1, abs(here - there) // 2)
         if here < there:
             if drawn + count > margin + skipped:
-                return bridge, skipped, False
+                return np.concatenate(bridge), skipped, False
             bridge.append(rng.standard_exponential(count))
             drawn += count
             here = _philox_position(rng.bit_generator.state)
         else:
             if skipped + count > limit:
-                return bridge, skipped, False
+                return np.concatenate(bridge), skipped, False
             probe.standard_exponential(count)
             skipped += count
             there = _philox_position(probe.bit_generator.state)
-    return bridge, skipped, True
+    return np.concatenate(bridge), skipped, True
 
 
 def _clone_ahead(rng, samples: int):
@@ -207,32 +208,6 @@ def _take_over(rng, clone) -> None:
     bit_gen.state = state
 
 
-class _Worker(threading.Thread):
-    """``target()`` on a thread of its own, started at once.
-
-    :meth:`result` joins the thread, then returns what ``target`` returned
-    or re-raises what it raised in the joining thread.
-    """
-
-    def __init__(self, target):
-        super().__init__()
-        self._call, self._outcome = target, (None, None)
-        self.start()
-
-    def run(self):
-        try:
-            self._outcome = (self._call(), None)
-        except BaseException as exc:  # handed to the joining thread
-            self._outcome = (None, exc)
-
-    def result(self):
-        self.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def _two_threads(rng) -> bool:
     """Whether a draw from ``rng`` may be split over two threads."""
     return isinstance(rng.bit_generator, np.random.Philox) and _usable_cpus() >= 2
@@ -254,7 +229,9 @@ def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
     and the clone, and the clone's samples from there move down into
     place, the few missing at the end come from the clone, and ``rng``
     takes over the clone's state. Without a common start the rest is
-    filled sequentially. Scratch is O(sqrt(k)) floats.
+    filled sequentially. Scratch is O(sqrt(k)) floats. The worker runs
+    on a one-worker executor, which joins it on leaving its ``with``
+    block on every path; the worker's error is re-raised here.
     """
     n = out.size
     k = n // 2
@@ -264,18 +241,13 @@ def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
         return rng.standard_exponential(out=out)
     flat = out.reshape(-1)
     clone, probe = _clone_ahead(rng, k)
-    worker = _Worker(lambda: clone.standard_exponential(out=flat[k + margin:]))
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(clone.standard_exponential, out=flat[k + margin:])
         rng.standard_exponential(out=flat[:k])
         bridge, skipped, synced = _bridge(rng, probe, min(2 * margin, limit), margin)
-    except BaseException:
-        worker.join()
-        raise
-    worker.result()
-    at = k
-    for part in bridge:
-        flat[at:at + part.size] = part
-        at += part.size
+        worker.result()
+    at = k + bridge.size
+    flat[k:at] = bridge
     if not synced:
         rng.standard_exponential(out=flat[at:])
         return out
@@ -341,7 +313,10 @@ def _x1_split(f_r, f_d_rows, drawn: int, rng, before):
     end from the clone, and ``rng`` takes over the clone's state. The
     bridge keeps lo within 3 margins, which h leaves room for. Without
     a common start ``rng`` draws the rest there itself. Either way the
-    values, and ``rng`` after them, are the sequential draw's.
+    values, and ``rng`` after them, are the sequential draw's. The
+    worker runs on a one-worker executor, which joins it on leaving its
+    ``with`` block on every path; if this thread raises, it first sets
+    ``stop`` and releases every permit, so that the worker returns.
     Returns None, having done nothing, when the second half is below
     ``_SPLIT_MIN`` floats or :func:`_two_threads` says no.
     """
@@ -370,21 +345,20 @@ def _x1_split(f_r, f_d_rows, drawn: int, rng, before):
                 np.sqrt(clone.standard_exponential(out=span), out=span)
         return pairs
 
-    worker = _Worker(draw_second_half)
     x1 = np.empty(m)
-    try:
-        _row_sums(f_r[:h], f_d_rows, x1[:h], after=permits.release)
-        bridge, skipped, synced = _bridge(rng, probe, 2 * margin, margin)
-    except BaseException:
-        stop.set()
-        permits.release(-(-h // _block_rows(n)))  # one per block
-        worker.join()
-        raise
-    pairs = worker.result()
-    lo = at = margin + skipped - sum(part.size for part in bridge)
-    for part in bridge:
-        region[at:at + part.size] = part
-        at += part.size
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(draw_second_half)
+        try:
+            _row_sums(f_r[:h], f_d_rows, x1[:h], after=permits.release)
+            bridge, skipped, synced = _bridge(rng, probe, 2 * margin, margin)
+        except BaseException:
+            stop.set()
+            permits.release(-(-h // _block_rows(n)))  # one per block
+            raise
+        pairs = worker.result()
+    at = margin + skipped
+    lo = at - bridge.size
+    region[lo:at] = bridge
     if synced:
         clone.standard_exponential(out=region[s2:lo + s2])
         _take_over(rng, clone)

@@ -83,14 +83,14 @@ class NumericsConfig:
     ``quad_order`` is the Chebyshev node count; it is deliberately
     independent of the surface element count. ``tail_epsilon`` bounds
     the mass discarded when an integration limit has to be truncated
-    (ideal-hardware regimes with no saturation point). ``mc_check``
-    asks drivers to cross-validate closed forms against simulation.
+    (ideal-hardware regimes with no saturation point); a theta2 of at
+    most 1e-12 counts as no saturation point. ``mc_check`` asks drivers
+    to cross-validate closed forms against simulation.
     """
 
     quad_order: int = 100
     series: SeriesControl = field(default_factory=SeriesControl)
     tail_epsilon: float = 1e-12
-    theta2_epsilon: float = 1e-12
     mc_check: bool = False
 
     def __post_init__(self):
@@ -102,6 +102,9 @@ class NumericsConfig:
 
 
 DEFAULT_NUMERICS = NumericsConfig()
+
+# theta2 at or below this counts as no saturation crossing (_sop_region)
+_THETA2_EPSILON = 1e-12
 
 
 def theta_coefficients(params: SystemParams) -> ThetaSet:
@@ -184,7 +187,7 @@ class SopEvaluation:
 
 def _sop_region(thetas: ThetaSet, stats: ChannelStats, numerics: NumericsConfig):
     """Integration limit and certain-outage tail mass for the SOP integral."""
-    if thetas.theta2 > numerics.theta2_epsilon:
+    if thetas.theta2 > _THETA2_EPSILON:
         upper = thetas.theta3 / thetas.theta2
         tail = math.exp(-upper / stats.lambda_e)
     else:
@@ -402,24 +405,17 @@ class SecrecyCapacity:
 
 
 def avg_secrecy_capacity(params: SystemParams, stats: ChannelStats,
-                         numerics: NumericsConfig = DEFAULT_NUMERICS,
-                         ideal_hardware_fallback: bool = False) -> SecrecyCapacity:
+                         numerics: NumericsConfig = DEFAULT_NUMERICS) -> SecrecyCapacity:
     """Average secrecy capacity R_D - R_E (difference of ergodic rates).
 
     This is the unclipped definition, so it can go negative when the
     eavesdropper's link dominates; the Monte Carlo module estimates both
     this and the zero-clipped definition so the gap is measurable.
 
-    The destination closed form needs a saturation point (kappa sum >
-    0); ``ideal_hardware_fallback=True`` enables the tail-truncated
-    numeric path for kappa = 0 instead of raising.
+    At kappa = 0 (ideal hardware) the destination rate has no saturation
+    point, and its integral is truncated where the discarded mass is
+    below ``numerics.tail_epsilon``.
     """
-    if (params.kappa_d_sum == 0.0 or params.kappa_e_sum == 0.0) and not ideal_hardware_fallback:
-        raise UnsupportedRegimeError(
-            "closed-form average secrecy capacity requires positive per-link "
-            "impairment sums; pass ideal_hardware_fallback=True for the "
-            "truncated numeric path"
-        )
     r_d = destination_rate(params, stats, numerics)
     r_e = eavesdropper_rate(stats, params.kappa_e_sum)
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)

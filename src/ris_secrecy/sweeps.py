@@ -47,13 +47,7 @@ import yaml
 from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
 from .montecarlo import LinkMemo, McConfig, draw_chunks, simulate_metrics, simulate_points
-from .secrecy import (
-    NumericsConfig,
-    UnsupportedRegimeError,
-    avg_secrecy_capacity,
-    sop,
-    sop_asymptotic,
-)
+from .secrecy import NumericsConfig, avg_secrecy_capacity, sop, sop_asymptotic
 
 Axis = typing.Literal["snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th"]
 Metric = typing.Literal["sop", "sop_asymptotic", "asc", "mc_sop", "mc_asc"]
@@ -133,8 +127,7 @@ _MC_ESTIMATES = {"mc_sop": "sop", "mc_asc": "asc_eq19"}
 _CLOSED_FORMS = {
     "sop": lambda params, stats, numerics: sop(params, stats, numerics),
     "sop_asymptotic": lambda params, stats, numerics: sop_asymptotic(params, stats, numerics),
-    "asc": lambda params, stats, numerics: avg_secrecy_capacity(
-        params, stats, numerics, ideal_hardware_fallback=True).value,
+    "asc": lambda params, stats, numerics: avg_secrecy_capacity(params, stats, numerics).value,
 }
 
 
@@ -162,26 +155,28 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     An ``n_elements`` sweep scores all its points on one pass of
     ``simulate_points``, which draws each stream once per group of N.
     Any other sweep scores each point on the stored set of its
-    ``(N, McConfig)`` key, made at the first point and kept in
+    ``(N, McConfig)`` key, made once before the first point and kept in
     ``draw_sets``; a ``snr_d_db`` sweep scores the eavesdropper link once
-    per chunk of that set through a :class:`LinkMemo`.
+    per chunk of that set through a :class:`LinkMemo`. Nothing is drawn
+    without a point, and a draw that raises is tried once and its error
+    given to every point.
     """
     keys = _mc_keys(spec)
-    if not keys:
+    if not keys or not points:
         return [None] * len(points)
-    if spec.axis == "n_elements":
-        try:
+    draw_key = _draw_key(spec)
+    try:
+        if spec.axis == "n_elements":
             return simulate_points(points, spec.mc, keys)
-        except Exception as exc:  # recorded per mc row
-            return [exc] * len(points)
-    draw_key, memo, out = _draw_key(spec), None, []
+        if draw_key not in draw_sets:
+            draw_sets[draw_key] = list(draw_chunks(*draw_key))
+    except Exception as exc:  # recorded per mc row
+        return [exc] * len(points)
+    draws, out = draw_sets[draw_key], []
+    # the eavesdropper link stays put
+    memo = LinkMemo(draws) if spec.axis == "snr_d_db" else None
     for params in points:
         try:
-            if draw_key not in draw_sets:
-                draw_sets[draw_key] = list(draw_chunks(*draw_key))
-            draws = draw_sets[draw_key]
-            if memo is None and spec.axis == "snr_d_db":
-                memo = LinkMemo(draws)  # the eavesdropper link stays put
             out.append(simulate_metrics(params, spec.mc, draws, keys=keys, memo=memo))
         except Exception as exc:  # recorded per mc row
             out.append(exc)

@@ -425,8 +425,10 @@ def test_split_draws_sync_near_the_edges_of_their_window(monkeypatch, samples_of
     synced = _spy_bridge(monkeypatch)
     group, m = SMALL_SPLIT
     rng, *fresh = _twin_streams(6, 0, 0, False, count=len(group) + 1)
+    before = set(threading.enumerate())
     got = _draw_chunk(group, rng, m, "rayleigh")
     assert synced == [True, True]  # the prefix fill, then f_D
+    assert set(threading.enumerate()) <= before  # both workers have ended
     _assert_each_n_drawn_alone(got, rng, group, m, fresh)
 
 
@@ -438,8 +440,10 @@ def test_large_fill_splits_and_syncs(monkeypatch, seed):
     synced = _spy_bridge(monkeypatch)
     n = 1 << 21
     rng, twin = _twin_streams(seed, seed, seed % 4, False)
+    before = set(threading.enumerate())
     got = _fill_exponential(rng, np.empty(n))
     assert synced == [True]
+    assert set(threading.enumerate()) <= before  # the worker has ended
     _assert_filled_like_sequential(rng, twin, got, n)
 
 

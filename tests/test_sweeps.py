@@ -275,6 +275,17 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
     else:
         assert drawn == [(spec.base.n_elements,)] * 2
 
+    # a draw that raises is tried once, and its error fills every mc row
+    def failing(group, rng, m, eav_mode):
+        drawn.append(group)
+        raise MemoryError("no room for the draw")
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
+    drawn.clear()
+    rows = run_sweep(spec)
+    assert len(drawn) == 1
+    assert [(r.metric, r.error) for r in rows] == [("mc_sop", "no room for the draw")] * len(values)
+
 
 @pytest.mark.parametrize("axis, values", MC_AXES)
 def test_run_sweep_scores_the_unswept_link_once_per_chunk(monkeypatch, axis, values):
@@ -687,7 +698,7 @@ def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
 
     cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",))
 
-    def boom(spec):
+    def boom(spec, draw_sets=None):
         raise ConvergenceError("series", 10, 1.0)
 
     monkeypatch.setattr(sweeps_mod, "run_sweep", boom)
