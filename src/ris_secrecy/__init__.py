@@ -10,7 +10,6 @@ from .channel import (
     ChannelStats,
     ConvergenceError,
     LinkGeometry,
-    SeriesControl,
     SystemParams,
     cdf_rho_d,
     ccdf_rho_d,
@@ -70,7 +69,6 @@ __all__ = [
     "NumericsConfig",
     "Row",
     "SecrecyCapacity",
-    "SeriesControl",
     "SopEvaluation",
     "SweepSpec",
     "SystemParams",

@@ -9,9 +9,9 @@ eavesdropper sees an incoherent sum, so rho_E = snr_e * X2^2 is
 exponential with mean lambda_e = snr_e * N.
 
 The series form sums a Poisson mixture of regularised incomplete gammas
-from ``scipy.special``; :class:`SeriesControl` sets its truncation, and a
-series that needs more than ``max_terms`` terms raises
-:class:`ConvergenceError` rather than return a truncated value.
+from ``scipy.special``. Its window leaves out less than ``_REL_TOL`` of
+the mixing mass, and a window that needs more than ``_MAX_TERMS`` terms
+raises :class:`ConvergenceError` rather than return a truncated value.
 
 Everything here is a pure function of immutable inputs; the series
 window is cached per mixture mean and handed out read-only.
@@ -35,11 +35,18 @@ lower_inc_gamma = upper_inc_gamma = None
 
 _FLOAT_MAX = np.finfo(float).max
 
+# The Poisson window of the destination-law series: at most _MAX_TERMS
+# terms, leaving out less than _REL_TOL of the mixing mass. A larger cap
+# alone turns the ConvergenceError at N >= 256 into values off their
+# twins by up to 1.8e-5, because the 100-node rule under-resolves there.
+_MAX_TERMS = 200
+_REL_TOL = 1e-12
+
 SNR_DB_LIMIT = 3000.0  # 10**(dB/10) is a positive finite float within +-3000 dB
 
 
 class ConvergenceError(ArithmeticError):
-    """A series did not reach the requested tolerance within ``max_terms`` terms."""
+    """A series did not reach its tolerance within its cap on the number of terms."""
 
     def __init__(self, name: str, terms: int, residual: float):
         self.name = name
@@ -48,31 +55,6 @@ class ConvergenceError(ArithmeticError):
         super().__init__(
             f"{name}: no convergence after {terms} terms (residual {residual:.3e})"
         )
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the Poisson-mixture series of the destination law.
-
-    A sum stops once the current term falls below ``rel_tol`` times the
-    partial sum in magnitude (a Poisson mixture, once less than
-    ``rel_tol`` of its mixing mass is left out); ``max_terms`` is a hard
-    cap that turns a stalled sum into a :class:`ConvergenceError`
-    instead of a silent wrong answer.
-    """
-
-    max_terms: int = 200
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol!r}")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 
 def db_to_linear(db: float) -> float:
@@ -254,15 +236,15 @@ class _Window(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _poisson_window(mean: float, ctl: SeriesControl) -> _Window:
+def _poisson_window(mean: float) -> _Window:
     """Indices k, Poisson(mean) weights and recurrence sums of the chi-square mixture.
 
     The window grows outward from the mode until each side leaves out
-    less than rel_tol/2 of the mass (Ding, AS 275; Benton & Krishnamoorthy
+    less than _REL_TOL/2 of the mass (Ding, AS 275; Benton & Krishnamoorthy
     2003); the weights are formed in log space, so no power or factorial
-    overflows at large mean. Needing more than max_terms terms raises.
+    overflows at large mean. Needing more than _MAX_TERMS terms raises.
 
-    Entries are cached per (mean, ctl), because finding the window costs
+    Entries are cached per mean, because finding the window costs
     some 800 incomplete gammas and every closed-form evaluation at the
     same N asks for the same one. The cache does not hold exceptions, so an
     oversized window raises ConvergenceError on every call. The suffix
@@ -270,15 +252,15 @@ def _poisson_window(mean: float, ctl: SeriesControl) -> _Window:
     C_j: that difference cancels in the deep upper tail.
     """
     mode = math.floor(mean)
-    k = np.arange(max(mode - ctl.max_terms, 0), mode + ctl.max_terms + 1)
-    half = 0.5 * ctl.rel_tol
+    k = np.arange(max(mode - _MAX_TERMS, 0), mode + _MAX_TERMS + 1)
+    half = 0.5 * _REL_TOL
     # P(K < k) = Q(k, mean) rises with k and P(K > k) = P(k+1, mean) falls
     starts = k[(k <= mode) & (sc.gammaincc(k, mean) < half)]
     ends = k[(k >= mode) & (sc.gammainc(k + 1, mean) < half)]
-    if not (starts.size and ends.size and ends[0] - starts[-1] < ctl.max_terms):
-        lo = max(mode - ctl.max_terms // 2, 0)
-        left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + ctl.max_terms, mean)
-        raise ConvergenceError("rho_D mixture series", ctl.max_terms, float(left_out))
+    if not (starts.size and ends.size and ends[0] - starts[-1] < _MAX_TERMS):
+        lo = max(mode - _MAX_TERMS // 2, 0)
+        left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + _MAX_TERMS, mean)
+        raise ConvergenceError("rho_D mixture series", _MAX_TERMS, float(left_out))
     k = np.arange(starts[-1], ends[0] + 1)
     w = np.exp(k * math.log(mean) - mean - sc.gammaln(k + 1.0))
     a = k[:-1] + 0.5
@@ -290,8 +272,7 @@ def _poisson_window(mean: float, ctl: SeriesControl) -> _Window:
     return window
 
 
-def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
-               method: str, upper: bool):
+def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, method: str, upper: bool):
     """P(rho_D > x) if ``upper`` else P(rho_D <= x), for scalar or array x.
 
     ``marcum`` is the erfc form of Q_{1/2}; ``series`` is the Poisson
@@ -320,7 +301,7 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
         q = 0.5 * (sc.erfc((b - a) * inv_sqrt2) + sc.erfc((b + a) * inv_sqrt2))
         out = q if upper else 1.0 - q
     else:
-        win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+        win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2))
         # clamped so that x = inf gives t = 0 rather than exp(inf - inf)
         u = np.minimum(xs / (2.0 * snr_d_linear * stats.sigma2), _FLOAT_MAX)
         with np.errstate(divide="ignore"):  # log(0) = -inf, so t = 0 at u = 0
@@ -333,13 +314,12 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, ctl: SeriesControl,
         # a row-wise sum, not a matrix product, so that every element sums
         # exactly as a scalar call would
         out = np.minimum(end * win.total + (t * coeff).sum(axis=-1), 1.0)
-        if upper:  # the window leaves out up to rel_tol; P(rho_D > 0) is 1
+        if upper:  # the window leaves out up to _REL_TOL; P(rho_D > 0) is 1
             out = np.where(xs > 0.0, out, 1.0)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
-              ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float) -> float:
     """Density of rho_D = snr_d * X1^2 (series form).
 
     f(x) = sum_k  lambda^k e^{-lambda/(2 s2)} x^{k-1/2} e^{-x/(2 g s2)}
@@ -357,15 +337,14 @@ def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float,
         return math.inf
     scale = 2.0 * snr_d_linear * stats.sigma2
     u = x / scale
-    win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2), ctl)
+    win = _poisson_window(stats.lambda_ / (2.0 * stats.sigma2))
     k, w = win.k, win.w
     # w_k times the Gamma(k+1/2, scale=2 g s2) density at x
     log_dens = (k - 0.5) * math.log(u) - u - sc.gammaln(k + 0.5) - math.log(scale)
     return float(np.exp(log_dens) @ w)
 
 
-def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
-              ctl: SeriesControl = DEFAULT_SERIES, method: str = "marcum"):
+def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float, method: str = "marcum"):
     """CDF of rho_D; the two methods are independent evaluation routes.
 
     ``marcum``  F(x) = 1 - Q_{1/2}(sqrt(lambda)/sigma, sqrt(x/(g sigma^2))),
@@ -374,15 +353,14 @@ def cdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
                 summed by the adjacent-order recurrence: one incomplete
                 gamma per x plus the window's prefix sums (see
                 :func:`_rho_d_law`). The window is cached per mixture
-                mean and series control.
+                mean.
 
     Both accept scalars or arrays and return the same shape.
     """
-    return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=False)
+    return _rho_d_law(x, stats, snr_d_linear, method, upper=False)
 
 
-def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
-               ctl: SeriesControl = DEFAULT_SERIES, method: str = "marcum"):
+def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float, method: str = "marcum"):
     """P(rho_D > x), evaluated without the 1 - CDF cancellation.
 
     The series route sums upper incomplete gammas by the recurrence of
@@ -391,4 +369,4 @@ def ccdf_rho_d(x, stats: ChannelStats, snr_d_linear: float,
     is Q_{1/2} directly.
     Scalars or arrays, as in :func:`cdf_rho_d`.
     """
-    return _rho_d_law(x, stats, snr_d_linear, ctl, method, upper=True)
+    return _rho_d_law(x, stats, snr_d_linear, method, upper=True)

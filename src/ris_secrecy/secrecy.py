@@ -30,20 +30,14 @@ series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as sc
 
 from ._schema import check_field_types
-from .channel import (
-    ChannelStats,
-    SeriesControl,
-    SystemParams,
-    cdf_rho_d,
-    ccdf_rho_d,
-)
+from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
 
 
 class UnsupportedRegimeError(ValueError):
@@ -78,18 +72,18 @@ class ThetaSet:
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Quadrature order and series truncation for the closed forms.
+    """Quadrature settings of the closed forms.
 
     ``quad_order`` is the Chebyshev node count; it is deliberately
     independent of the surface element count. ``tail_epsilon`` bounds
     the mass discarded when an integration limit has to be truncated
     (ideal-hardware regimes with no saturation point); a theta2 of at
     most 1e-12 counts as no saturation point. ``mc_check`` asks drivers
-    to cross-validate closed forms against simulation.
+    to cross-validate closed forms against simulation. The truncation of
+    the destination-law series is fixed in :mod:`.channel`.
     """
 
     quad_order: int = 100
-    series: SeriesControl = field(default_factory=SeriesControl)
     tail_epsilon: float = 1e-12
     mc_check: bool = False
 
@@ -123,32 +117,22 @@ def theta_coefficients(params: SystemParams) -> ThetaSet:
     )
 
 
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=32)
 def _chebyshev_rule(q: int):
-    """Nodes and weights for int_{-1}^{1} h(phi) dphi ~ sum w_n h(phi_n).
+    """Weights w, map t(phi) and dt/dphi at the q first-kind Chebyshev nodes phi.
 
-    Cached and read-only, as is :func:`_quintic_map`: every caller
-    shares the same arrays.
+    sum w_n h(phi_n) approximates int_{-1}^{1} h(phi) dphi, and t is the
+    map of :func:`_chebyshev_on_interval`. Cached and read-only: every
+    caller shares the same arrays.
     """
     n = np.arange(1, q + 1, dtype=float)
     phi = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * q))
     w = (math.pi / q) * np.sqrt(1.0 - phi * phi)
-    return _read_only(phi, w)
-
-
-@lru_cache(maxsize=32)
-def _quintic_map(q: int):
-    """The map t(phi) of :func:`_chebyshev_on_interval` and dt/dphi at the q nodes."""
-    phi, _ = _chebyshev_rule(q)
     t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
     dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
-    return _read_only(t, dt)
+    for arr in (w, t, dt):
+        arr.setflags(write=False)
+    return w, t, dt
 
 
 def _chebyshev_on_interval(q: int, upper: float):
@@ -162,8 +146,7 @@ def _chebyshev_on_interval(q: int, upper: float):
     nodes and weights deliver ~1e-12 accuracy by q = 100 on the smooth
     integrands used here.
     """
-    _, w = _chebyshev_rule(q)
-    t, dt = _quintic_map(q)
+    w, t, dt = _chebyshev_rule(q)
     x = np.clip(0.5 * upper * (1.0 + t), 0.0, upper)
     return x, 0.5 * upper * w * dt
 
@@ -221,7 +204,7 @@ def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
     live = denom > 0.0
     f = np.ones_like(x)
     f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, snr_d_linear,
-                        numerics.series, method="series")
+                        method="series")
     lam_e = stats.lambda_e
     return float(np.sum(w * np.exp(-x / lam_e) / lam_e * f))
 
@@ -349,8 +332,7 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     denom = 1.0 - kd * x
     live = denom > 0.0  # the SNDR cannot exceed the saturation point
     ccdf = np.zeros_like(x)
-    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, numerics.series,
-                            method="series")
+    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
     return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0)
 
 

@@ -158,21 +158,27 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     ``(N, McConfig)`` key, made once before the first point and kept in
     ``draw_sets``; a ``snr_d_db`` sweep scores the eavesdropper link once
     per chunk of that set through a :class:`LinkMemo`. Nothing is drawn
-    without a point, and a draw that raises is tried once and its error
-    given to every point.
+    without a point. A draw that raises is tried once: its error, kept
+    under the key without its traceback, is given to every point of
+    every curve with that key.
     """
     keys = _mc_keys(spec)
     if not keys or not points:
         return [None] * len(points)
     draw_key = _draw_key(spec)
-    try:
-        if spec.axis == "n_elements":
+    if spec.axis == "n_elements":
+        try:
             return simulate_points(points, spec.mc, keys)
-        if draw_key not in draw_sets:
+        except Exception as exc:  # recorded per mc row
+            return [exc] * len(points)
+    if draw_key not in draw_sets:
+        try:
             draw_sets[draw_key] = list(draw_chunks(*draw_key))
-    except Exception as exc:  # recorded per mc row
-        return [exc] * len(points)
+        except Exception as exc:  # frees the failed draw's frames and arrays
+            draw_sets[draw_key] = exc.with_traceback(None)
     draws, out = draw_sets[draw_key], []
+    if isinstance(draws, Exception):
+        return [draws] * len(points)
     # the eavesdropper link stays put
     memo = LinkMemo(draws) if spec.axis == "snr_d_db" else None
     for params in points:
@@ -186,11 +192,12 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps ``(N, McConfig)`` to a stored draw set. The sweep
-    scores on the set of its key and stores it there if it makes it;
-    without ``draw_sets`` it makes its own and drops it on return. A
-    ``snr_d_db`` sweep scores the eavesdropper link once per chunk of that
-    set, through a :class:`LinkMemo` it drops on return. An
+    ``draw_sets`` maps ``(N, McConfig)`` to a stored draw set, or to the
+    error of its failed draw. The sweep scores on the set of its key and
+    stores it, or the error, there if it makes it; without ``draw_sets``
+    it makes its own and drops it on return. A ``snr_d_db`` sweep scores
+    the eavesdropper link once per chunk of that set, through a
+    :class:`LinkMemo` it drops on return. An
     ``n_elements`` sweep stores nothing: it scores its points as each
     chunk is drawn.
     """
@@ -221,9 +228,9 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
                 closed_form = _CLOSED_FORMS.get(metric)
                 if closed_form is not None:
                     row = Row(spec.axis, value, metric, closed_form(params, stats, spec.numerics))
+                elif isinstance(mc_est, Exception):  # raising it would grow a kept traceback
+                    row = Row(spec.axis, value, metric, None, error=str(mc_est))
                 else:
-                    if isinstance(mc_est, Exception):
-                        raise mc_est
                     est = mc_est[_MC_ESTIMATES[metric]]
                     row = Row(spec.axis, value, metric, est.value, est.std_error,
                               est.trials, est.seed)
@@ -241,9 +248,9 @@ def run_sweeps(specs):
     """Yield :func:`run_sweep`'s table of each spec, in order.
 
     Curves with the same ``(N, McConfig)`` score on one draw set: exact,
-    since the draws depend on nothing else. A set is dropped as soon as
-    no later spec needs it, before the table that used it last is
-    yielded.
+    since the draws depend on nothing else. A set, or the error of its
+    draw, is dropped as soon as no later spec needs it, before the table
+    that used it last is yielded.
     """
     specs = list(specs)
     keys = [_draw_key(spec) for spec in specs]

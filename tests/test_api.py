@@ -4,8 +4,8 @@ import ris_secrecy
 
 PUBLIC_API = {
     "ChannelStats", "ConfigError", "ConvergenceError", "EstimateWithCI", "LinkGeometry",
-    "McConfig", "NumericsConfig", "Row", "SecrecyCapacity", "SeriesControl",
-    "SopEvaluation", "SweepSpec", "SystemParams", "ThetaSet", "UnsupportedRegimeError",
+    "McConfig", "NumericsConfig", "Row", "SecrecyCapacity", "SopEvaluation", "SweepSpec",
+    "SystemParams", "ThetaSet", "UnsupportedRegimeError",
     "avg_secrecy_capacity", "avg_secrecy_capacity_reference", "ccdf_rho_d", "cdf_rho_d",
     "db_to_linear", "derive_stats", "destination_rate", "draw_chunks", "e1_scaled",
     "eavesdropper_rate", "emit", "ks_distance", "load_config", "load_preset", "load_table",

@@ -9,11 +9,9 @@ from scipy import integrate
 from scipy import special as sc
 
 from ris_secrecy.channel import (
-    DEFAULT_SERIES,
     ChannelStats,
     ConvergenceError,
     LinkGeometry,
-    SeriesControl,
     SystemParams,
     _poisson_window,
     ccdf_rho_d,
@@ -212,7 +210,7 @@ def test_cdf_rho_d_limits_and_array_input():
 
 def _incomplete_gamma_matrix(x, st_, g, upper):
     """Reference: the mixture summed term by term, one incomplete gamma per (x, k)."""
-    win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2), DEFAULT_SERIES)
+    win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2))
     xs = np.asarray(x)
     terms = (sc.gammaincc if upper else sc.gammainc)(win.k + 0.5,
                                                      xs[..., None] / (2.0 * g * st_.sigma2))
@@ -239,8 +237,8 @@ def test_series_recurrence_matches_incomplete_gamma_matrix(n):
 
 def test_poisson_window_is_cached_and_read_only():
     mean = 7.3
-    win = _poisson_window(mean, DEFAULT_SERIES)
-    assert _poisson_window(mean, DEFAULT_SERIES) is win
+    win = _poisson_window(mean)
+    assert _poisson_window(mean) is win
     arrays = [v for v in win if isinstance(v, np.ndarray)]
     assert len(arrays) == 6
     for arr in arrays:
@@ -288,20 +286,14 @@ def test_channel_stats_validation():
 
 
 def test_series_convergence_failure_surfaces():
-    # N=32 puts the mixture's weight peak near k=26; 5 terms cannot reach it
-    p = params_for(n=32)
-    st_ = derive_stats(p)
-    tiny = SeriesControl(max_terms=5, rel_tol=1e-12)
-    with pytest.raises(ConvergenceError):
-        cdf_rho_d(10.0, st_, p.snr_d_linear, tiny, method="series")
-    with pytest.raises(ConvergenceError):
-        pdf_rho_d(10.0, st_, p.snr_d_linear, tiny)
-    # N=256 needs more than the default 200 terms; the window cache holds
-    # no failures, so every call raises
+    # N=256 needs more than the 200 terms the window allows; the window
+    # cache holds no failures, so every call raises
     p = params_for(n=256)
     st_ = derive_stats(p)
     for _ in range(2):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
             cdf_rho_d(10.0, st_, p.snr_d_linear, method="series")
     with pytest.raises(ConvergenceError):
         ccdf_rho_d(10.0, st_, p.snr_d_linear, method="series")
+    with pytest.raises(ConvergenceError):
+        pdf_rho_d(10.0, st_, p.snr_d_linear)

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from ris_secrecy._schema import check_field_types, fits, type_hints
-from ris_secrecy.channel import LinkGeometry, SeriesControl, SystemParams
+from ris_secrecy.channel import LinkGeometry, SystemParams
 from ris_secrecy.montecarlo import McConfig
 from ris_secrecy.secrecy import NumericsConfig
 from ris_secrecy.sweeps import ConfigError, SweepSpec
 
 # the required fields of each config class, with valid values
 _REQUIRED = {
-    SeriesControl: {},
     LinkGeometry: dict(p_s=1.0, n0=1e-4, d_sr=10.0, d_rd=10.0, d_re=20.0, chi=2.0),
     SystemParams: dict(n_elements=5),
     NumericsConfig: {},

@@ -13,14 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracle
-from ris_secrecy.channel import ConvergenceError, SeriesControl, SystemParams, derive_stats
+from ris_secrecy.channel import ConvergenceError, SystemParams, derive_stats
 from ris_secrecy.montecarlo import McConfig, model_law_chunks, simulate_metrics
 from ris_secrecy.secrecy import (
     NumericsConfig,
     UnsupportedRegimeError,
     _chebyshev_on_interval,
     _chebyshev_rule,
-    _quintic_map,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
     destination_rate,
@@ -212,7 +211,7 @@ def test_sop_monotone_trends():
 def test_sop_stays_in_unit_interval(n, k2, gd, ge, c_th):
     p = params_for(n=n, snr_d_db=gd, snr_e_db=ge, k2=k2, c_th=c_th)
     stats = derive_stats(p)
-    value = sop(p, stats, NumericsConfig(quad_order=24, series=SeriesControl(rel_tol=1e-9)))
+    value = sop(p, stats, NumericsConfig(quad_order=24))
     assert 0.0 <= value <= 1.0
 
 
@@ -436,12 +435,14 @@ def test_numerics_config_validation():
 
 def test_chebyshev_caches_are_read_only():
     q = 37
-    for arr in (*_chebyshev_rule(q), *_quintic_map(q)):
+    assert _chebyshev_rule(q) is _chebyshev_rule(q)
+    for arr in _chebyshev_rule(q):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # the cached map gives the nodes and weights of the uncached expressions
-    phi, w = _chebyshev_rule(q)
+    # the cached rule gives the nodes and weights of the uncached expressions
+    phi = np.cos((2.0 * np.arange(1, q + 1) - 1.0) * math.pi / (2.0 * q))
+    w = (math.pi / q) * np.sqrt(1.0 - phi * phi)
     t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
     dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
     x, wx = _chebyshev_on_interval(q, 3.7)

@@ -1,13 +1,11 @@
-"""Special functions the closed forms call: e^t E1(t) and the series-truncation policy."""
+"""The special function of the eavesdropper rate: the scaled exponential integral e^t E1(t)."""
 
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from scipy import special as sc
 
-from ris_secrecy.channel import SeriesControl
 from ris_secrecy.secrecy import e1_scaled
 
 
@@ -34,16 +32,3 @@ def test_e1_scaled_edges():
             want = mp.exp(mp.mpf(t)) * mp.e1(mp.mpf(t))
             assert float(abs(e1_scaled(t) - want) / want) < 1e-15, t
 
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.1)
-    for kw in ({"max_terms": 150.5}, {"max_terms": True}, {"max_terms": "200"},
-               {"rel_tol": "1e-9"}, {"rel_tol": True}):
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            SeriesControl(**kw)
-    assert SeriesControl(max_terms=np.int64(300)).max_terms == 300

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from ris_secrecy import cli, montecarlo, sweeps
-from ris_secrecy.channel import ConvergenceError, LinkGeometry, SeriesControl, SystemParams
+from ris_secrecy.channel import ConvergenceError, LinkGeometry, SystemParams
 from ris_secrecy.montecarlo import _CHUNK, McConfig, simulate_metrics
 from ris_secrecy.secrecy import NumericsConfig
 from ris_secrecy.sweeps import (
@@ -427,6 +427,23 @@ def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
     assert made == [(5, 11), (10, 11)]
 
 
+def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
+    drawn = []
+
+    def failing(group, rng, m, eav_mode):
+        drawn.append(group)
+        raise MemoryError("no room for the draw")
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
+    curves = load_preset("fig3")  # three curves on one (N, McConfig)
+    tables = list(run_sweeps(curves.values()))
+    assert len(tables) == 3 and len(drawn) == 1
+    for table in tables:
+        mc_rows = [r for r in table if r.metric.startswith("mc_")]
+        assert len(mc_rows) == 21
+        assert all(r.value is None and r.error == "no room for the draw" for r in mc_rows)
+
+
 def test_run_sweeps_does_not_share_across_seeds(monkeypatch):
     specs = [small_spec(mc=McConfig(trials=2000, seed=seed, stream_count=2)) for seed in (11, 12)]
     made = count_draw_sets(monkeypatch)
@@ -485,7 +502,7 @@ def _round_trip_specs():
         base=SystemParams.from_geometry(7, geo, c_th=1.5, kappa_d_t2=0.02,
                                         kappa_d_r2=0.01, kappa_e_t2=0.03,
                                         kappa_e_r2=0.04),
-        numerics=NumericsConfig(quad_order=64, series=SeriesControl(max_terms=150, rel_tol=1e-10)),
+        numerics=NumericsConfig(quad_order=64, tail_epsilon=1e-10),
         mc=McConfig(trials=5000, seed=99, stream_count=3, eav_mode="phase_sum"),
         kappa_convention="amplitude",
     ), id="geometry_phase_sum")
@@ -499,6 +516,18 @@ def test_config_round_trip(tmp_path, spec):
     path = tmp_path / "sweep.yaml"
     save_config(spec, path)
     assert load_config(path) == spec
+
+
+def test_readme_sample_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    sample = readme.split("A sweep config is YAML:", 1)[1].split("```yaml\n", 1)[1]
+    path = tmp_path / "sample.yaml"
+    path.write_text(sample.split("```", 1)[0])
+    spec = load_config(path)
+    assert spec.axis == "snr_d_db" and spec.mc.trials == 100_000
+    saved = tmp_path / "saved.yaml"
+    save_config(spec, saved)
+    assert load_config(saved) == spec
 
 
 def test_config_validation_messages(tmp_path):
@@ -540,7 +569,6 @@ base:
   snr_e_db: -10.0
 numerics:
   quad_order: 50
-  series: {max_terms: 200}
 mc: {trials: 2000, seed: 1}
 """
 
@@ -563,9 +591,9 @@ mc: {trials: 2000, seed: 1}
     ("n_elements: 5", "n_elements: 5.0", "base"),
     ("snr_e_db: -10.0", 'snr_e_db: "-10"', "base"),
     ("quad_order: 50", "quad_order: '50'", "numerics"),
-    ("max_terms: 200", "max_terms: '200'", "numerics.series"),
     ("quad_order: 50", "quad_order: 2.5", "numerics"),
-    ("max_terms: 200", "max_terms: 150.5", "numerics.series"),
+    ("quad_order: 50", "quad_order: 50\n  series: {max_terms: 200}",
+     "numerics: unknown field(s) ['series']"),
     ("snr_d_db: 10.0", "snr_d_db: .nan", "base"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 'false'", "numerics"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 2", "numerics"),
@@ -580,14 +608,15 @@ mc: {trials: 2000, seed: 1}
      "chi: -200.0}\n", "base"),
 ], ids=["missing_n_elements", "geometry_missing_n0", "geometry_n0_zero",
         "geometry_n0_negative", "trials_1e5", "trials_float", "stream_count_above_trials",
-        "n_elements_float", "snr_e_db_string", "quad_order_string", "max_terms_string",
-        "quad_order_float", "max_terms_float", "snr_d_db_nan", "mc_check_string",
+        "n_elements_float", "snr_e_db_string", "quad_order_string",
+        "quad_order_float", "series_removed", "snr_d_db_nan", "mc_check_string",
         "mc_check_int", "snr_d_db_4000", "geometry_chi_200", "geometry_chi_minus_200"])
 def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
     assert old in _GOOD_CONFIG
     path = tmp_path / "bad.yaml"
     path.write_text(_GOOD_CONFIG.replace(old, new))
-    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}.{section}: ')}"):
+    # the section the message names, or the whole message
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}.{section}')}(: |$)"):
         load_config(path)
     assert cli.main(["run", str(path)]) == 1
     err = capsys.readouterr().err
