@@ -5,20 +5,18 @@ The layer-by-layer view of the simulator: the median wall time of
 ``simulate_metrics`` (draw and score all three estimates) at N = 5 and
 N = 1024, and of the N = 8..1024 grid of the ``large_n`` benchmark
 workload scored two ways: point by point with ``simulate_metrics``, and
-on one grouped pass with ``simulate_points``, which draws each Philox
-stream once for the largest N. All at the fig2 base point with its
-Monte Carlo settings (4 streams), at ``--trials`` trials per point.
-Throughput is trials scored per second, summed over the grid's points.
-Under it, the draw itself: exponentials/s of one Philox fill of 2^20
-floats and of 25 625 000 floats (the grouped ``large_n`` prefix at 1e5
-trials), filled sequentially and through ``montecarlo._fill_exponential``,
-which splits a fill that large over two threads when two CPUs are at hand.
-And the seconds of one grouped ``montecarlo._draw_chunk`` over that grid
-for one stream's trials (25 000 at the default), with the process pinned
-to two of its CPUs and to one (``os.sched_setaffinity``, restored
-afterwards): with two, the largest N's f_D is drawn on two threads as
-well. A pin the process cannot have is reported as null.
-Prints one JSON line; takes about 45 s at the default size.
+on one grouped pass with ``simulate_points``, which draws each chunk
+once for the largest N. All at the fig2 base point with its Monte Carlo
+settings (4 streams), at ``--trials`` trials per point. Throughput is
+trials scored per second, summed over the grid's points. Under it, the
+draw itself: Rayleigh amplitudes/s by inversion on one thread, over one
+block of 2^17 (``montecarlo._BLOCK``) and over 2^20 values. And the
+seconds of one grouped ``montecarlo._draw_chunk`` over that grid for
+one stream's trials (25 000 at the default), with the process pinned to
+two of its CPUs and to one (``os.sched_setaffinity``, restored
+afterwards): the draw uses one worker thread per usable CPU. A pin the
+process cannot have is reported as null.
+Prints one JSON line; takes about 30 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
 """
@@ -38,8 +36,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.montecarlo import (
+    _BLOCK,
     _draw_chunk,
-    _fill_exponential,
+    _exponentials,
     _usable_cpus,
     simulate_metrics,
     simulate_points,
@@ -48,7 +47,7 @@ from ris_secrecy.sweeps import load_preset
 
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
-FILLS = (1 << 20, 25_625_000)  # the split threshold; the large_n prefix, (1024 + 1) x 25 000
+AMPLITUDES = (_BLOCK, 1 << 20)
 
 
 def median_s(call, repeat: int) -> float:
@@ -67,10 +66,9 @@ def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
     allowed = sorted(os.sched_getaffinity(0))
     if len(allowed) < cpus:
         return None
-    rng = np.random.Generator(np.random.Philox(key=seed))
     os.sched_setaffinity(0, allowed[:cpus])
     try:
-        return median_s(lambda: _draw_chunk(GRID, rng, m, "rayleigh"), repeat)
+        return median_s(lambda: _draw_chunk(GRID, seed, (0, m, 0, m), "rayleigh"), repeat)
     finally:
         os.sched_setaffinity(0, allowed)
 
@@ -91,14 +89,11 @@ def main(argv=None) -> int:
     result["grid_per_n"] = grid_trials / median_s(
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
     result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
-    fills = {}
-    for size in FILLS:
-        out = np.empty(size)
-        rng = np.random.Generator(np.random.Philox(key=mc.seed))
-        fills[f"sequential_{size}"] = size / median_s(
-            lambda: rng.standard_exponential(out=out), args.repeat)
-        fills[f"split_{size}"] = size / median_s(lambda: _fill_exponential(rng, out), args.repeat)
-        del out
+    amplitudes = {}
+    for size in AMPLITUDES:
+        out = np.empty((1, size))
+        amplitudes[f"one_thread_{size}"] = size / median_s(
+            lambda: np.sqrt(_exponentials(mc.seed, 0, size, out), out=out), args.repeat)
     m = -(-args.trials // mc.stream_count)
     draws = {f"cpus_{cpus}": pinned_draw_s(cpus, m, mc.seed, args.repeat) for cpus in (2, 1)}
     print(json.dumps({
@@ -111,7 +106,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
-        "exponentials_per_s": {k: round(v) for k, v in fills.items()},
+        "amplitudes_per_s": {k: round(v) for k, v in amplitudes.items()},
         "grouped_draw_m": m,
         "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
     }))

@@ -20,42 +20,46 @@ scores the eavesdropper link, which it leaves unchanged, once per chunk
 through a :class:`LinkMemo`. The curves of one
 ``sweeps.run_sweeps`` call share one set per (N, McConfig). An
 ``n_elements`` sweep stores nothing: :func:`simulate_points` draws each
-Philox stream once for the largest N, cuts the draws of every N at most
-half of it from that stream's prefix (see :func:`_n_groups`), and
-updates each point's accumulator with its chunk as it is drawn.
+chunk once, for the largest N, takes every N's X1 from the same running
+sum, and updates each point's accumulator with its chunk as it is drawn.
 :func:`model_law_chunks` draws the Gaussian-sum model itself, to check
 the closed forms against the law they are derived for.
 
-Memory: drawing a chunk of m trials (m = trials per stream, at most
-``_CHUNK``) holds one m x N float64 array of f_R amplitudes plus one
-row block of about ``_BLOCK`` elements, or two m x N arrays in
-``phase_sum`` mode; at the presets' 25 000 trials per stream that is
-205 MB at N = 1024. A grouped draw holds the largest N's stream prefix
-in place of its f_R, at most (N_max + 1) m floats (one row of m more),
-plus each smaller N's X1^2 and e, 2m floats each: over N = 8..1024 at
-1e5 trials that is 205.0 MB plus 3.2 MB. A fill of the held prefix
-(or of f_E) with at least ``_SPLIT_MIN`` floats runs on two threads (see
-:func:`_fill_exponential`) into that same array, and adds only
-O(sqrt(K)) floats of scratch for a fill of 2K. In ``rayleigh`` mode the
-largest N's f_D is split the same way once its second half reaches
-``_SPLIT_MIN`` floats (see :func:`_x1_split`): a worker draws that half
-into f_R rows already summed, so no buffer is added, only the worker's
-own row block while it scores the smaller N. A ``snr_d_db`` sweep's
-:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
-outage threshold and rates that it emits, on top of the draw set's
-16 B: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of
-them and 370 MiB with both, against 219 MiB without the memo.
+Stream layout: every fading value is drawn by inversion from one 64-bit
+Philox word, so each sits at a known word. Stream i is
+``Philox(key=seed).jumped(i)``, whose words start at i 2^130, and holds
+S trials. From its start, element i's f_R and f_D take words [2iS,
+(2i+1)S) and [(2i+1)S, (2i+2)S), and e words from 2^100 on; in
+``phase_sum`` mode element i's f_E and residual phase take words from
+2^101 + iS and 2^102 + iS instead of e. Trial t is word t of each
+region, so a chunk is one trial range of every region, and a smaller
+N's draws are the first columns of a larger N's. X1 (and X2) is summed
+in element order, so each N's X1 is a snapshot of one running sum. The
+values therefore depend neither on the chunking, nor on which N are
+drawn together, nor on the CPU count. Amplitudes are sqrt(E), E =
+-log(1 - u) with u uniform on the 2^-53 grid of [0, 1). Inversion caps
+E at -log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16.
 
-Reproducibility contract: estimates are a pure function of
-(seed, stream_count, trials). Trials are partitioned over
-``stream_count`` counter-based Philox streams (stream i is
-``Philox(key=seed).jumped(i)``) and per-stream partial sums are combined
-in stream order, so results do not depend on how the streams would be
-scheduled. The contract also holds across threads: a large fill, and
-a large f_D, is split over two threads within one stream, bit for bit
-the sequential draw (see :func:`_fill_exponential` and
-:func:`_x1_split`), so the values do not depend on the CPU count
-either.
+Memory: a chunk of m trials (at most ``_CHUNK``) is drawn in blocks of
+elements of about ``_BLOCK`` amplitudes. Once X1 reads ``_SPLIT_MIN``
+words, the blocks are drawn on up to :func:`_usable_cpus` worker
+threads (see :func:`_in_order`); below that, as for every preset, the
+caller draws them alone. A draw holds the running sums, each N's X1^2
+and e (m floats each; ``rayleigh`` mode shares one e) and at most one
+block per worker plus the one being added, 1 MiB each over N = 8..1024
+at 1e5 trials. A ``snr_d_db`` sweep's
+:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
+outage threshold and rates that it emits, on top of the draw set's 16 B:
+a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of them
+and 370 MiB with both, against 219 MiB without the memo.
+
+Reproducibility contract: estimates are a pure function of (seed,
+stream_count, trials). Trials are partitioned over ``stream_count``
+counter-based Philox streams and per-stream partial sums are combined in
+stream order, so results do not depend on how the streams would be
+scheduled. The bits do depend on numpy's float64 ``log`` loop: its
+AVX512F build and its plain one differ by one ulp in about 3.5 values in
+10^3.
 
 Eavesdropper channel modes
 --------------------------
@@ -69,9 +73,9 @@ mode useful for measuring how good the exponential model is.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
@@ -82,9 +86,14 @@ from ._schema import check_field_types
 from .channel import ChannelStats, SystemParams
 
 _CHUNK = 1 << 18
-_BLOCK = 1 << 15
-_SPLIT_MIN = 1 << 20  # fewer floats than this fill on one thread
-_WORDS_PER_SAMPLE = 1.03359  # mean 64-bit words one ziggurat exponential reads
+_BLOCK = 1 << 17  # amplitudes of f_R and f_D in one block of elements
+_SPLIT_MIN = 1 << 20  # a chunk whose X1 reads fewer words is drawn by the caller alone
+# word offsets from a stream's start: Philox.jumped() moves 2^128 counters
+# of four words, and the f_R / f_D columns end far below 2^100
+_STREAM_WORDS = 1 << 130
+_E_WORDS = 1 << 100
+_F_E_WORDS = 1 << 101
+_PHASE_WORDS = 1 << 102
 
 
 @dataclass(frozen=True)
@@ -117,24 +126,21 @@ class EstimateWithCI:
     seed: int
 
 
-def _stream_chunks(mc: McConfig):
-    """``(generator, chunk size)`` of every chunk of at most ``_CHUNK`` trials, in stream order."""
+def _chunk_spans(mc: McConfig):
+    """``(stream, S, start, m)`` of each chunk: trials [start, start + m) of a stream's S."""
     base, extra = divmod(mc.trials, mc.stream_count)
     for i in range(mc.stream_count):
-        rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(i))
         size = base + (1 if i < extra else 0)
-        for done in range(0, size, _CHUNK):
-            yield rng, min(_CHUNK, size - done)
+        for start in range(0, size, _CHUNK):
+            yield i, size, start, min(_CHUNK, size - start)
 
 
-def _philox_position(state: dict) -> int:
-    """Index of the next 64-bit word that a ``Philox`` state reads.
-
-    Counter value c yields words 4(c - 1) .. 4c - 1, and ``buffer_pos``
-    of them are read.
-    """
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    return 4 * counter - (4 - state["buffer_pos"])
+def _stream_chunks(mc: McConfig):
+    """``(generator, chunk size)`` of every chunk; each stream draws its chunks in turn."""
+    for i, _, start, m in _chunk_spans(mc):
+        if start == 0:
+            rng = np.random.Generator(np.random.Philox(key=mc.seed).jumped(i))
+        yield rng, m
 
 
 def _philox_at(key, position: int) -> np.random.Philox:
@@ -152,292 +158,111 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _bridge(rng, probe: np.random.Generator, limit: int, margin: int):
-    """Walk ``rng`` and ``probe`` forward until both start a sample at the same word.
+def _uniforms(key, first: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) into the rows of ``out``, row r from word ``first + r stride`` on.
 
-    ``rng`` draws true samples; ``probe`` re-parses the words where a
-    clone of the stream started. Whichever is behind draws about half the
-    gap in samples (each reads at least one word, so it rarely
-    overshoots, and an overshoot only swaps the sides). Returns the
-    samples ``rng`` drew, as one array, the count ``probe`` drew and
-    whether a common start was found: ``False`` once ``rng`` would draw
-    more than ``margin`` samples beyond the probe's count, or the probe
-    more than ``limit``.
+    ``Generator.random`` reads one word per value, so when ``stride`` is
+    the row length the rows are one run of words, drawn by one generator.
     """
-    bridge, drawn, skipped = [np.empty(0)], 0, 0
-    here = _philox_position(rng.bit_generator.state)
-    there = _philox_position(probe.bit_generator.state)
-    while here != there:
-        count = max(1, abs(here - there) // 2)
-        if here < there:
-            if drawn + count > margin + skipped:
-                return np.concatenate(bridge), skipped, False
-            bridge.append(rng.standard_exponential(count))
-            drawn += count
-            here = _philox_position(rng.bit_generator.state)
-        else:
-            if skipped + count > limit:
-                return np.concatenate(bridge), skipped, False
-            probe.standard_exponential(count)
-            skipped += count
-            there = _philox_position(probe.bit_generator.state)
-    return np.concatenate(bridge), skipped, True
-
-
-def _clone_ahead(rng, samples: int):
-    """A clone and a probe of ``rng``'s Philox stream, started ``samples`` samples ahead.
-
-    The start word is a guess, ``_WORDS_PER_SAMPLE`` words per sample past
-    ``rng``'s next word; :func:`_bridge` finds where the clone really is.
-    """
-    state = rng.bit_generator.state
-    start = _philox_position(state) + round(samples * _WORDS_PER_SAMPLE)
-    key = state["state"]["key"]
-    return tuple(np.random.Generator(_philox_at(key, start)) for _ in range(2))
-
-
-def _take_over(rng, clone) -> None:
-    """Move ``rng`` to where ``clone`` is in the stream.
-
-    Keeps ``rng``'s buffered 32-bit half, which exponentials never read.
-    """
-    bit_gen = rng.bit_generator
-    state, clone_state = bit_gen.state, clone.bit_generator.state
-    state.update(state=clone_state["state"], buffer=clone_state["buffer"],
-                 buffer_pos=clone_state["buffer_pos"])
-    bit_gen.state = state
-
-
-def _two_threads(rng) -> bool:
-    """Whether a draw from ``rng`` may be split over two threads."""
-    return isinstance(rng.bit_generator, np.random.Philox) and _usable_cpus() >= 2
-
-
-def _fill_exponential(rng, out: np.ndarray) -> np.ndarray:
-    """``rng.standard_exponential(out=out)``, bit for bit, on two threads when large.
-
-    Leaves ``rng`` in the state the sequential fill leaves it in. numpy's
-    ziggurat reads a Philox stream only word by word, so a sample depends
-    only on the words from its own start on, and two parses of the stream
-    agree from the first word at which both start a sample. A fill of at
-    least ``_SPLIT_MIN`` floats on a C-contiguous ``out`` with two CPUs
-    at hand is split in two: this thread fills the first k = n/2 floats,
-    and a worker fills ``out[k + margin:]`` from a clone stream started
-    where sample k should start (:func:`_clone_ahead`). The guess misses
-    by about 0.21 sqrt(k) words; the margin is about 8 times that.
-    :func:`_bridge` then finds a sample start common to the true stream
-    and the clone, and the clone's samples from there move down into
-    place, the few missing at the end come from the clone, and ``rng``
-    takes over the clone's state. Without a common start the rest is
-    filled sequentially. Scratch is O(sqrt(k)) floats. The worker runs
-    on a one-worker executor, which joins it on leaving its ``with``
-    block on every path; the worker's error is re-raised here.
-    """
-    n = out.size
-    k = n // 2
-    margin = int(1.7 * math.sqrt(k)) + 1
-    limit = n - k - margin  # the clone's sample count
-    if n < _SPLIT_MIN or limit < 2 * margin or not out.flags.c_contiguous or not _two_threads(rng):
-        return rng.standard_exponential(out=out)
-    flat = out.reshape(-1)
-    clone, probe = _clone_ahead(rng, k)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(clone.standard_exponential, out=flat[k + margin:])
-        rng.standard_exponential(out=flat[:k])
-        bridge, skipped, synced = _bridge(rng, probe, min(2 * margin, limit), margin)
-        worker.result()
-    at = k + bridge.size
-    flat[k:at] = bridge
-    if not synced:
-        rng.standard_exponential(out=flat[at:])
-        return out
-    # a 1-D forward copy between overlapping slices is a memmove in
-    # numpy: no temporary
-    shift = k + margin + skipped - at
-    flat[at:n - shift] = flat[k + margin + skipped:]
-    clone.standard_exponential(out=flat[n - shift:])
-    _take_over(rng, clone)
+    if stride == out.shape[1]:
+        return np.random.Generator(_philox_at(key, first)).random(out=out)
+    for r, row in enumerate(out):
+        np.random.Generator(_philox_at(key, first + r * stride)).random(out=row)
     return out
 
 
-def _block_rows(n_elements: int) -> int:
-    """Rows of one row block: about ``_BLOCK`` elements of N columns."""
-    return max(1, _BLOCK // n_elements)
+def _exponentials(key, first: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Exp(1) values -log(1 - u) of the uniforms u of :func:`_uniforms`, in place.
 
-
-def _row_blocks(m: int, n_elements: int):
-    """Row slices of about ``_BLOCK`` elements of an (m x N) array, made lazily."""
-    step = _block_rows(n_elements)
-    return (slice(lo, min(lo + step, m)) for lo in range(0, m, step))
-
-
-def _row_sums(f_r, f_d_rows, out, after=None):
-    """Row sums of f_R * f_D into ``out``, one row block at a time.
-
-    ``f_d_rows(rows, buf)`` gives the f_D amplitudes of ``rows``, as a
-    view or written into ``buf``; the product goes into ``buf``.
-    ``after()``, when given, runs once each block is summed.
+    1 - u is exact on u's 2^-53 grid, so this is -log1p(-u), from numpy's
+    faster ``log`` loop.
     """
-    m, n_elements = f_r.shape
-    buf = np.empty((min(m, _block_rows(n_elements)), n_elements))
-    for rows in _row_blocks(m, n_elements):
-        prod = buf[:rows.stop - rows.start]
-        np.multiply(f_r[rows], f_d_rows(rows, prod), out=prod)
-        prod.sum(axis=1, out=out[rows])
-        if after is not None:
-            after()
-    return out
+    u = _uniforms(key, first, stride, out)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    return np.negative(u, out=u)
 
 
-def _x1_sq(f_r, f_d_rows):
-    """Squared row sums of f_R * f_D; see :func:`_row_sums`."""
-    x1 = _row_sums(f_r, f_d_rows, np.empty(len(f_r)))
-    return np.square(x1, out=x1)
+def _block_terms(key, span: tuple, eav_mode: str, block: tuple):
+    """The terms of the elements [lo, hi) = ``block`` of chunk ``span``, a row each.
 
-
-def _x1_split(f_r, f_d_rows, drawn: int, rng, before):
-    """``(X1^2, before())`` with f_D's second half drawn on a worker, or None.
-
-    ``f_d_rows`` is the caller's row-block f_D source (see
-    :func:`_row_sums`), which takes ``rng`` from f_D value ``drawn`` on.
-    This thread sums rows [0, h) from it, h = ceil(m/2) + ceil(3 margin /
-    N) with ``margin`` as in :func:`_fill_exponential`, and releases a
-    permit after each row block. A worker first calls ``before()``,
-    which must only read f_R, then draws f_D of rows [h, m) from a clone
-    stream (:func:`_clone_ahead`) into ``region``, the first h N floats
-    of f_R, from ``margin`` on: it writes, and square-roots, each block's
-    span only once this thread has summed that block. :func:`_bridge`
-    finds the clone's sample that is true f_D value h N + (bridge
-    samples); the second half then lies in place at ``region[lo:lo +
-    s2]``, the bridge samples just before the clone's and the few at the
-    end from the clone, and ``rng`` takes over the clone's state. The
-    bridge keeps lo within 3 margins, which h leaves room for. Without
-    a common start ``rng`` draws the rest there itself. Either way the
-    values, and ``rng`` after them, are the sequential draw's. The
-    worker runs on a one-worker executor, which joins it on leaving its
-    ``with`` block on every path; if this thread raises, it first sets
-    ``stop`` and releases every permit, so that the worker returns.
-    Returns None, having done nothing, when the second half is below
-    ``_SPLIT_MIN`` floats or :func:`_two_threads` says no.
+    Returns the rows f_Ri f_Di and, in ``phase_sum`` mode, f_Ri f_Ei
+    e^{j delta_i} (else None); ``span`` is one of :func:`_chunk_spans`.
     """
-    m, n = f_r.shape
-    half = -(-m // 2)
-    margin = int(1.7 * math.sqrt(half * n)) + 1
-    h = half + -(-3 * margin // n)
-    s2 = (m - h) * n  # f_D floats of rows [h, m)
-    if s2 < max(_SPLIT_MIN, 3 * margin) or not _two_threads(rng):
-        return None
-    region = f_r[:h].reshape(-1)
-    clone, probe = _clone_ahead(rng, h * n - drawn)
-    permits, stop = threading.Semaphore(0), threading.Event()
-
-    def draw_second_half():
-        pairs = before()
-        for rows in _row_blocks(h, n):
-            lo, hi = max(margin, rows.start * n), min(s2, rows.stop * n)
-            if lo >= s2:
-                break
-            permits.acquire()
-            if stop.is_set():
-                return None
-            if lo < hi:
-                span = region[lo:hi]
-                np.sqrt(clone.standard_exponential(out=span), out=span)
-        return pairs
-
-    x1 = np.empty(m)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(draw_second_half)
-        try:
-            _row_sums(f_r[:h], f_d_rows, x1[:h], after=permits.release)
-            bridge, skipped, synced = _bridge(rng, probe, 2 * margin, margin)
-        except BaseException:
-            stop.set()
-            permits.release(-(-h // _block_rows(n)))  # one per block
-            raise
-        pairs = worker.result()
-    at = margin + skipped
-    lo = at - bridge.size
-    region[lo:at] = bridge
-    if synced:
-        clone.standard_exponential(out=region[s2:lo + s2])
-        _take_over(rng, clone)
-        raw = (region[lo:at], region[s2:lo + s2])
-    else:
-        rng.standard_exponential(out=region[at:lo + s2])
-        raw = (region[lo:lo + s2],)
-    for part in raw:
-        np.sqrt(part, out=part)
-    f_d = region[lo:lo + s2].reshape(m - h, n)
-    _row_sums(f_r[h:], lambda rows, _: f_d[rows], x1[h:])
-    return np.square(x1, out=x1), pairs
-
-
-def _draw_chunk(group: tuple, rng, m: int, eav_mode: str) -> list:
-    """Draw m trials of ``(X1^2, e)`` for each N of ``group``; see :func:`draw_chunks`.
-
-    ``group`` is an ascending tuple of N; the pairs come back in its
-    order, each equal to what a fresh stream draws for that N alone. The
-    stream yields all of f_R, then all of f_D, then e (for
-    ``phase_sum``: all of f_E and then the phases instead of e), each
-    (m x N) in C order. So for N the values [0, Nm), [Nm, 2Nm) and
-    [2Nm, (2N+1)m) are f_R, f_D and e, and every smaller N's draws are a
-    prefix of the largest N's stream. That prefix is held whole: the
-    largest N's f_R, and as far as the smaller N's last e reaches, which
-    is at most one row of m further when each is at most half the
-    largest. The largest N's f_D continues from the prefix's rest with
-    fresh draws in row blocks of about ``_BLOCK`` elements, which
-    consumes the same numbers in the same order; each row's sum depends
-    on that row alone. In ``rayleigh`` mode a large f_D is drawn on two
-    threads (:func:`_x1_split`): this thread draws the first half of the
-    rows, and a worker scores the smaller N, then draws the second half
-    into the f_R rows this thread has summed. Amplitudes are sqrt(E),
-    E ~ Exp(1) (Rayleigh, unit average power).
-    """
-    *smaller, n_elements = group
-    held = _fill_exponential(
-        rng, np.empty(max([n_elements * m] + [(2 * n + 1) * m for n in smaller])))
-    e_raw = [held[2 * n * m:(2 * n + 1) * m].copy() for n in smaller]
-    np.sqrt(held, out=held)
-
-    def smaller_pairs():
-        pairs = []
-        for n, e in zip(smaller, e_raw):
-            f_r, f_d = held[:2 * n * m].reshape(2, m, n)
-            pairs.append((_x1_sq(f_r, lambda rows, _, f_d=f_d: f_d[rows]), e))
-        return pairs
-
-    f_r, rest = held[:n_elements * m].reshape(m, n_elements), held[n_elements * m:]
-
-    def f_d_rows(rows, buf):
-        flat = buf.reshape(-1)
-        start = rows.start * n_elements
-        kept = min(max(rest.size - start, 0), flat.size)
-        flat[:kept] = rest[start:start + kept]
-        fresh = rng.standard_exponential(out=flat[kept:])
-        np.sqrt(fresh, out=fresh)
-        return buf
-
-    # phase_sum reads f_R again for f_E, so only rayleigh may reuse its rows
-    split = (_x1_split(f_r, f_d_rows, rest.size, rng, smaller_pairs)
-             if eav_mode == "rayleigh" else None)
-    if split is None:
-        pairs = smaller_pairs()
-        x1 = _x1_sq(f_r, f_d_rows)
-    else:
-        x1, pairs = split
+    stream, size, start, m = span
+    lo, hi = block
+    at = stream * _STREAM_WORDS + start
+    amp = _exponentials(key, at + 2 * lo * size, size, np.empty((2 * (hi - lo), m)))
+    np.sqrt(amp, out=amp)
+    f_r, x1_terms = amp[0::2], amp[1::2]
+    np.multiply(x1_terms, f_r, out=x1_terms)
     if eav_mode == "rayleigh":
-        return pairs + [(x1, rng.standard_exponential(m))]
-    f_e = _fill_exponential(rng, np.empty((m, n_elements)))
+        return x1_terms, None
+    f_e = _exponentials(key, at + _F_E_WORDS + lo * size, size, np.empty((hi - lo, m)))
     np.sqrt(f_e, out=f_e)
-    f_re = np.multiply(f_r, f_e, out=f_r)
-    del f_e
-    x2 = np.empty(m, dtype=complex)
-    for rows in _row_blocks(m, n_elements):
-        z = np.exp(1j * rng.uniform(-math.pi, math.pi, (rows.stop - rows.start, n_elements)))
-        np.multiply(f_re[rows], z, out=z)
-        z.sum(axis=1, out=x2[rows])
-    return pairs + [(x1, np.abs(x2) ** 2)]
+    f_e *= f_r
+    u = _uniforms(key, at + _PHASE_WORDS + lo * size, size, np.empty((hi - lo, m)))
+    x2_terms = (u * (2.0 * math.pi) - math.pi) * 1j  # Generator.uniform(-pi, pi)'s map of u
+    np.exp(x2_terms, out=x2_terms)
+    x2_terms *= f_e
+    return x1_terms, x2_terms
+
+
+def _in_order(draw, blocks: list, workers: int, take) -> None:
+    """``take(draw(block))`` for each block in order, drawing on ``workers`` threads.
+
+    With fewer than two workers the caller draws. Otherwise one block
+    more than ``workers`` is submitted, so that each worker has a block
+    in flight while the caller takes the oldest result. The pool joins
+    its workers on leaving, also when ``draw`` or ``take`` raises.
+    """
+    if workers < 2:
+        for block in blocks:
+            take(draw(block))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = collections.deque()
+        for block in blocks:
+            in_flight.append(pool.submit(draw, block))
+            if len(in_flight) > workers:
+                take(in_flight.popleft().result())
+        for future in in_flight:
+            take(future.result())
+
+
+def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str) -> list:
+    """The ``(X1^2, e)`` of chunk ``span`` for each N of the ascending ``group``, in its order.
+
+    Each pair is what the chunk is for that N alone (see
+    :func:`draw_chunks`). The blocks' terms are added here in element
+    order, whichever thread drew them; in ``rayleigh`` mode every N
+    shares one e array.
+    """
+    stream, size, start, m = span
+    n_max = group[-1]
+    step = max(1, _BLOCK // (2 * m))
+    blocks = [(lo, min(lo + step, n_max)) for lo in range(0, n_max, step)]
+    workers = min(_usable_cpus(), len(blocks)) if 2 * n_max * m >= _SPLIT_MIN else 1
+    x1 = np.zeros(m)
+    if eav_mode == "rayleigh":
+        e = _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, np.empty((1, m)))[0]
+    else:
+        x2 = np.zeros(m, dtype=complex)
+    pairs, summed = [], 0
+
+    def take(terms):
+        nonlocal summed
+        x1_terms, x2_terms = terms
+        for i, row in enumerate(x1_terms):
+            np.add(x1, row, out=x1)
+            if x2_terms is not None:
+                np.add(x2, x2_terms[i], out=x2)
+            summed += 1
+            if summed == group[len(pairs)]:
+                pairs.append((np.square(x1), e if x2_terms is None else np.abs(x2) ** 2))
+
+    _in_order(lambda block: _block_terms(key, span, eav_mode, block), blocks, workers, take)
+    return pairs
 
 
 def draw_chunks(n_elements: int, mc: McConfig):
@@ -449,27 +274,11 @@ def draw_chunks(n_elements: int, mc: McConfig):
     SNRs, the threshold or the impairment levels, so one draw set serves
     every operating point with this N and ``mc``. Each chunk is computed
     by a helper that returns, so no amplitude array outlives it: the
-    peak is one (chunk x N) array plus one row block, or two (chunk x N)
-    arrays in ``phase_sum`` mode.
+    peak is the chunk's running sums and at most one block of about
+    ``_BLOCK`` amplitudes per worker thread plus one.
     """
-    for rng, m in _stream_chunks(mc):
-        yield _draw_chunk((n_elements,), rng, m, mc.eav_mode)[0]
-
-
-def _n_groups(n_values, mc: McConfig) -> list[tuple]:
-    """Ascending tuples of N that one :func:`_draw_chunk` call per stream serves.
-
-    Every N at most half the largest joins the largest N's group, so the
-    held prefix is at most (N_max + 1) m floats: the largest N's f_R plus
-    one row of m. Each other N is its own group, as is every N unless
-    the mode is ``rayleigh`` and every stream is one chunk.
-    """
-    n_values = sorted(set(n_values), reverse=True)
-    if not n_values or mc.eav_mode != "rayleigh" or -(-mc.trials // mc.stream_count) > _CHUNK:
-        return [(n,) for n in n_values]
-    top = n_values[0]
-    return [tuple(n for n in n_values[::-1] if 2 * n <= top) + (top,)] + [
-        (n,) for n in n_values[1:] if 2 * n > top]
+    for span in _chunk_spans(mc):
+        yield _draw_chunk((n_elements,), mc.seed, span, mc.eav_mode)[0]
 
 
 def model_law_chunks(stats: ChannelStats, mc: McConfig):
@@ -587,10 +396,9 @@ class PointAccumulator:
         return self.memo.arrays(self.chunks, key, compute)
 
     def update(self, x1_sq, e):
-        """Add one chunk of draws; returns the eavesdropper arrays it scored with."""
+        """Add one chunk of draws."""
         one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
-        eav = self._eavesdropper(e)
-        threshold, log_e = eav
+        threshold, log_e = self._eavesdropper(e)
         if threshold is not None:
             # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E), exact
             # for any positive threshold rate.
@@ -607,7 +415,6 @@ class PointAccumulator:
                 self.s6_sq += (v * v).sum()
         self.trials += x1_sq.size
         self.chunks += 1
-        return eav
 
     def estimates(self) -> dict:
         """The requested estimates; ``ValueError`` unless ``mc.trials`` trials were added."""
@@ -653,11 +460,7 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
         draws = draw_chunks(params.n_elements, mc)
     acc = PointAccumulator(params, mc, keys, memo)
     for x1_sq, e in draws:
-        # Hold this chunk's eavesdropper arrays until the next update, that
-        # is across the next lazy draw. Freed before the draw, they let
-        # glibc's heap keep freed amplitude arrays resident: drawing per
-        # point over N = 8..1024 at 1e5 trials peaked at 276 MiB, not 252.
-        held = acc.update(x1_sq, e)
+        acc.update(x1_sq, e)
     return acc.estimates()
 
 
@@ -665,21 +468,22 @@ def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
     """Score several operating points on one pass over the draws of their N values.
 
     Returns, for each of ``points``, what ``simulate_metrics(params, mc,
-    keys=keys)`` returns, bit for bit, but draws each Philox stream once
-    per group of N (see :func:`_n_groups`) rather than once per point: one
-    draw for the largest N of a group serves every smaller N in it. Each
-    chunk updates the accumulators of the points with its N, in stream
-    order, and is then dropped; nothing is stored.
+    keys=keys)`` returns, bit for bit, but draws each chunk once, for the
+    largest N, rather than once per point: every smaller N's draws are
+    the first element columns of the largest N's (see
+    :func:`_draw_chunk`). Each chunk updates the accumulators of the
+    points with its N, in stream order, and is then dropped; nothing is
+    stored.
     """
     accs = [PointAccumulator(params, mc, keys) for params in points]
     by_n: dict[int, list] = {}
     for params, acc in zip(points, accs):
         by_n.setdefault(params.n_elements, []).append(acc)
-    for group in _n_groups(by_n, mc):
-        for rng, m in _stream_chunks(mc):
-            for n, (x1_sq, e) in zip(group, _draw_chunk(group, rng, m, mc.eav_mode)):
-                for acc in by_n[n]:
-                    acc.update(x1_sq, e)
+    group = tuple(sorted(by_n))
+    for span in _chunk_spans(mc) if group else ():
+        for n, (x1_sq, e) in zip(group, _draw_chunk(group, mc.seed, span, mc.eav_mode)):
+            for acc in by_n[n]:
+                acc.update(x1_sq, e)
     return [acc.estimates() for acc in accs]
 
 

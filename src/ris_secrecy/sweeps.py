@@ -19,15 +19,11 @@ the per-point result, and costs 8 B per trial for each of the outage
 threshold and the rates it emits, on top of the draw set's 16 B.
 
 A sweep over ``n_elements`` stores no draws. Its points are scored on
-one pass of ``montecarlo.simulate_points``: a smaller N's draws are a
-prefix of a larger N's Philox stream, so each stream is drawn once for
-the largest N, every N at most half of it is cut from that prefix, and
-each point's accumulator takes its chunk as it is drawn. The held
-prefix is at most (N_max + 1) x trials-per-stream floats, one row more
-than the largest N's own f_R. Groups form only in ``rayleigh`` mode with
-one chunk per stream; otherwise each N draws its own streams, as a
-per-point simulation does. The values are bit for bit the per-point
-ones.
+one pass of ``montecarlo.simulate_points``: a smaller N's draws are the
+first element columns of a larger N's, so each chunk is drawn once for
+the largest N, every N's X1 is a snapshot of one running sum over the
+elements, and each point's accumulator takes its chunk as it is drawn.
+The values are bit for bit the per-point ones.
 """
 
 from __future__ import annotations
@@ -153,7 +149,7 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     """Each point's Monte Carlo estimates, or the exception that stopped them.
 
     An ``n_elements`` sweep scores all its points on one pass of
-    ``simulate_points``, which draws each stream once per group of N.
+    ``simulate_points``, which draws each chunk once for all its N.
     Any other sweep scores each point on the stored set of its
     ``(N, McConfig)`` key, made once before the first point and kept in
     ``draw_sets``; a ``snr_d_db`` sweep scores the eavesdropper link once

@@ -236,8 +236,8 @@ def test_run_sweep_mc_rows_equal_per_point_simulation_across_chunks():
 
 
 @pytest.mark.parametrize("n_mc", [
-    (3, 4, McConfig(trials=3000, seed=11, stream_count=2)),  # nothing groups
-    # N = 0 is an error point; N = 2 is half of 4, so its e lies past 4's f_R
+    (3, 4, McConfig(trials=3000, seed=11, stream_count=2)),
+    # N = 0 is an error point, which the grouped pass draws nothing for
     (0, 2, 4, McConfig(trials=3000, seed=11, stream_count=2)),
     (2, 5, McConfig(trials=_CHUNK + 1000, seed=11, stream_count=1)),  # two chunks per stream
 ], ids=["3-4", "0-2-4", "multi-chunk"])
@@ -260,23 +260,23 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
     drawn = []
     original = montecarlo._draw_chunk
 
-    def counting(group, rng, m, eav_mode):
+    def counting(group, *args):
         drawn.append(group)
-        return original(group, rng, m, eav_mode)
+        return original(group, *args)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
     spec = small_spec(axis=axis, values=values, outputs=("mc_sop",),
                       mc=McConfig(trials=2000, seed=11, stream_count=2))
     run_sweep(spec)
     # two streams of one chunk each per draw set; an n_elements sweep
-    # draws each stream once for its group of N (2 is at most half of 5)
+    # draws each stream once for all its N
     if axis == "n_elements":
         assert drawn == [tuple(sorted(values))] * 2
     else:
         assert drawn == [(spec.base.n_elements,)] * 2
 
     # a draw that raises is tried once, and its error fills every mc row
-    def failing(group, rng, m, eav_mode):
+    def failing(group, *args):
         drawn.append(group)
         raise MemoryError("no room for the draw")
 
@@ -336,25 +336,24 @@ def test_run_sweep_peak_memory_per_trial(outputs, mc_check, bytes_per_trial):
 
 
 # sha256 of the Monte Carlo rows (axis value, metric, value, std_error,
-# trials, seed) of each bundled preset curve at its own 1e5 trials,
-# computed before the sweep scored only the estimates it emits. Like
-# SIMULATE_GOLDEN in test_montecarlo.py, the mc_asc digests hold with
-# numpy 2.4.6 on x86-64 with and without its AVX512_SKX log2 loop.
+# trials, seed) of each bundled preset curve at its own 1e5 trials. Like
+# SIMULATE_GOLDEN in test_montecarlo.py, they hold with numpy 2.4.6 on
+# x86-64 with and without its AVX512 log and log2 loops.
 PRESET_MC_DIGESTS = {
-    ("fig2", "n5"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
-    ("fig2", "n10"): "e2b821a9d670bfae9d1fc1a00ca6dcde66356d9883a252e4c433d4eae96767d5",
-    ("fig3", "snr_e_m10db"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
-    ("fig3", "snr_e_0db"): "b727ee9d8c4b0477751eefd519b5c5937ed5581cf59e4697d89934d1ca34a808",
-    ("fig3", "snr_e_10db"): "1c44137a8e95d3706bc9816a0fdf0a3a9fad291fa49e391d389e10093bdc0ed5",
-    ("fig4", "kappa2_0"): "9c3534aef96ff7986e5374b79f4385f65ef6d4a7d949d8b9b5c2d4dfaf700710",
-    ("fig4", "kappa2_0p01"): "11c05aa88d22e07bcfa201c2486300486d12515e07eedd07aff9522c922741e0",
-    ("fig4", "kappa2_0p1"): "ef980001cb64a2baa6283d446af959f6788e6a1231393ebe4d69d1273ca1388a",
-    ("fig5", "n5"): "50be477d7636e0720e39015a59530224372df3e0ebe3464d2145abf7c93f08b9",
-    ("fig5", "n10"): "1adf7b78ecbf5bef6cb9aeb953519fec0421acfdf80b78b7cf34f09de01e9823",
-    ("fig5", "n15"): "cd29f5cfc577d13d319be792e795d1186fb194171da4ff0c65d549d7d540bfb7",
-    ("fig6", "kappa2_0p01"): "50be477d7636e0720e39015a59530224372df3e0ebe3464d2145abf7c93f08b9",
-    ("fig6", "kappa2_0p05"): "bdd48150f81def4858982b95e07c01bb0ca6c7765ef6b8f8fb21a52277844d4e",
-    ("fig6", "kappa2_0p1"): "4ba6a5774d53b6f83cf854ece1f9c3e6316d2892e94c5d22b16408d7a6b9a084",
+    ("fig2", "n5"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
+    ("fig2", "n10"): "e7787a48b39fb3d17bb0883bf6fa827708a911579f32c08daed9c329fe458ec2",
+    ("fig3", "snr_e_m10db"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
+    ("fig3", "snr_e_0db"): "2f1a59e01432d5ce9c43d9c9cb877c4de199c7e1fe582260f7dcdc173c0984ac",
+    ("fig3", "snr_e_10db"): "95f52a67037ab5210a44a9f60c4e82a57b9cff90dac6c36e456bb49fc656ef8c",
+    ("fig4", "kappa2_0"): "edd5ad00e5d86d186dd1ce08cf90830b94f661682a7157b45d155a96db93afec",
+    ("fig4", "kappa2_0p01"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
+    ("fig4", "kappa2_0p1"): "6f6fe9b52b500bb96b6e950ddba600187e082493d398da1efc50f85b567121a1",
+    ("fig5", "n5"): "ead81278c84053f288d94f5a275fa1ec975073ba8ac0672cc974f4b54199dfff",
+    ("fig5", "n10"): "d404d8797148c046a71fae24dea54f7db72fc3c4972d776e28e42f088f46cdbf",
+    ("fig5", "n15"): "14cff18a05f64d750f56079e8a6b93a7d85d4c44c2ffdfe5e5a2cc174310a2df",
+    ("fig6", "kappa2_0p01"): "ead81278c84053f288d94f5a275fa1ec975073ba8ac0672cc974f4b54199dfff",
+    ("fig6", "kappa2_0p05"): "2a32cbf582df67c122b80edd7c94e6d85f34dbfc2c3ba415b975ee787cdace35",
+    ("fig6", "kappa2_0p1"): "644a3c07ee44404179fe210a72ecf467252dc098276b273e7e63b7e191e80e63",
 }
 
 
@@ -430,7 +429,7 @@ def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
 def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
     drawn = []
 
-    def failing(group, rng, m, eav_mode):
+    def failing(group, *args):
         drawn.append(group)
         raise MemoryError("no room for the draw")
 
