@@ -368,6 +368,21 @@ def test_draw_reads_one_word_per_value_at_its_layout_position(monkeypatch, eav_m
         _merged((first, first + m) for first in firsts)
 
 
+@pytest.mark.parametrize("eav_mode, arrays", [("rayleigh", 1.25), ("phase_sum", 2.25)])
+def test_draw_chunk_peak_memory(eav_mode, arrays):
+    # tracemalloc sees numpy's data buffers. One N alone, on the CPUs
+    # there are, never holds more than `arrays` m x N float64 arrays;
+    # test_group_draw_peak_memory holds it to the tighter block bound
+    n, m = 1024, 4000
+    tracemalloc.start()
+    try:
+        _draw_chunk((n,), 0, (0, m, 0, m), eav_mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * m * n * 8
+
+
 @pytest.mark.parametrize("group", [(1024,), (512, 1024), (8, 16, 32, 64, 96, 128, 256, 512, 1024)],
                          ids=["1024", "512-1024", "large_n-grid"])
 def test_group_draw_peak_memory(monkeypatch, group):
@@ -420,43 +435,56 @@ class _Interrupted(Exception):
     """Raised on purpose in the middle of a draw on workers."""
 
 
-@pytest.mark.parametrize("where", ["worker", "caller"])
-def test_draw_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
-    # "worker": a block after the first raises on its worker thread;
-    # "caller": adding the first block raises while the others are drawn
+def _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller):
     monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    raised_on = []
-    if where == "worker":
-        block_terms = montecarlo._block_terms
-
-        def failing(key, span, eav_mode, block):
-            if block[0] > 0:
-                raised_on.append(threading.current_thread())
-                raise _Interrupted
-            return block_terms(key, span, eav_mode, block)
-
-        monkeypatch.setattr(montecarlo, "_block_terms", failing)
-    else:
-        in_order = montecarlo._in_order
-
-        def interrupted(draw, blocks, workers, take):
-            def take_none(terms):
-                raised_on.append(threading.current_thread())
-                raise _Interrupted
-
-            return in_order(draw, blocks, workers, take_none)
-
-        monkeypatch.setattr(montecarlo, "_in_order", interrupted)
     before = set(threading.enumerate())
     with pytest.raises(_Interrupted):
         _draw_chunk((8, 300), 5, (0, 2000, 0, 2000), "rayleigh")  # 10 blocks
     assert raised_on
-    assert (raised_on[0] is threading.current_thread()) == (where == "caller")
+    assert (raised_on[0] is threading.current_thread()) == on_caller
     started = [t for t in threading.enumerate() if t not in before]
     for thread in started:
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("where", ["worker"])
+def test_draw_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
+    # a block after the first raises on its worker thread
+    raised_on, block_terms = [], montecarlo._block_terms
+
+    def failing(key, span, eav_mode, block):
+        if block[0] > 0:
+            raised_on.append(threading.current_thread())
+            raise _Interrupted
+        return block_terms(key, span, eav_mode, block)
+
+    monkeypatch.setattr(montecarlo, "_block_terms", failing)
+    _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller=False)
+
+
+@pytest.mark.parametrize("where", ["rows", "bridge"])
+def test_f_d_split_stops_its_worker_when_the_caller_raises(monkeypatch, where):
+    # the caller raises while adding a block's rows: in "rows" the first
+    # block's, while blocks are still to be submitted; in "bridge" the
+    # last block's, after every block was submitted
+    raised_on, in_order = [], montecarlo._in_order
+
+    def interrupted(draw, blocks, workers, take):
+        taken = []
+
+        def take_until(terms):
+            taken.append(terms)
+            if len(taken) == (1 if where == "rows" else len(blocks)):
+                raised_on.append(threading.current_thread())
+                raise _Interrupted
+            take(terms)
+
+        return in_order(draw, blocks, workers, take_until)
+
+    monkeypatch.setattr(montecarlo, "_in_order", interrupted)
+    _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller=True)
 
 
 def test_draw_stays_on_the_caller_below_the_threshold_or_on_one_cpu(monkeypatch):
