@@ -15,7 +15,11 @@ seconds of one grouped ``montecarlo._draw_chunk`` over that grid for
 one stream's trials (25 000 at the default), with the process pinned to
 two of its CPUs and to one (``os.sched_setaffinity``, restored
 afterwards): the draw uses one worker thread per usable CPU. A pin the
-process cannot have is reported as null.
+process cannot have is reported as null. One layer up, ``presets_mc_s``: the
+median seconds of ``run_sweeps`` over the curves of each bundled preset
+with their Monte Carlo outputs only, at ``--trials`` trials, which is
+the draw and scoring of a ``ris-secrecy preset`` run without its closed
+forms.
 Prints one JSON line; takes about 30 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
@@ -43,7 +47,7 @@ from ris_secrecy.montecarlo import (
     simulate_metrics,
     simulate_points,
 )
-from ris_secrecy.sweeps import load_preset
+from ris_secrecy.sweeps import PRESET_NAMES, load_preset, run_sweeps
 
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
@@ -73,6 +77,13 @@ def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
         os.sched_setaffinity(0, allowed)
 
 
+def preset_mc_specs(name: str, trials: int) -> list:
+    """The curves of preset ``name`` at ``trials`` trials, with their Monte Carlo outputs only."""
+    return [dataclasses.replace(spec, outputs=tuple(m for m in spec.outputs if m.startswith("mc_")),
+                                mc=dataclasses.replace(spec.mc, trials=trials))
+            for spec in load_preset(name).values()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--trials", type=int, default=100_000, help="trials per point")
@@ -96,6 +107,9 @@ def main(argv=None) -> int:
             lambda: np.sqrt(_exponentials(mc.seed, 0, size, out), out=out), args.repeat)
     m = -(-args.trials // mc.stream_count)
     draws = {f"cpus_{cpus}": pinned_draw_s(cpus, m, mc.seed, args.repeat) for cpus in (2, 1)}
+    presets = {name: median_s(lambda specs=preset_mc_specs(name, args.trials): list(run_sweeps(specs)),
+                              args.repeat)
+               for name in PRESET_NAMES}
     print(json.dumps({
         "unit": "per s, median",
         "trials": args.trials,
@@ -109,6 +123,7 @@ def main(argv=None) -> int:
         "amplitudes_per_s": {k: round(v) for k, v in amplitudes.items()},
         "grouped_draw_m": m,
         "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
+        "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},
     }))
     return 0
 

@@ -18,10 +18,13 @@ presets' 1e5 trials) and scores every grid point on it (common random
 numbers), for the estimates it emits only; a ``snr_d_db`` sweep also
 scores the eavesdropper link, which it leaves unchanged, once per chunk
 through a :class:`LinkMemo`. The curves of one
-``sweeps.run_sweeps`` call share one set per (N, McConfig). An
-``n_elements`` sweep stores nothing: :func:`simulate_points` draws each
-chunk once, for the largest N, takes every N's X1 from the same running
-sum, and updates each point's accumulator with its chunk as it is drawn.
+``sweeps.run_sweeps`` call share one :class:`DrawSets` per McConfig,
+grown across N: while a later curve needs a larger N, it keeps each
+chunk's running sum X1 (8 B per trial), and that curve draws only its
+new element columns. An ``n_elements`` sweep stores nothing:
+:func:`simulate_points` draws each chunk once, for the largest N, takes
+every N's X1 from the same running sum, and updates each point's
+accumulator with its chunk as it is drawn.
 :func:`model_law_chunks` draws the Gaussian-sum model itself, to check
 the closed forms against the law they are derived for.
 
@@ -51,7 +54,10 @@ at 1e5 trials. A ``snr_d_db`` sweep's
 :class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
 outage threshold and rates that it emits, on top of the draw set's 16 B:
 a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of them
-and 370 MiB with both, against 219 MiB without the memo.
+and 370 MiB with both, against 219 MiB without the memo. A grown
+:class:`DrawSets` adds its running sum: ``mc_sop`` curves at N = 5, 10
+and 15 peak at 36 B per trial (``tracemalloc``) while N = 10 scores,
+against 28 B for one curve alone.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
@@ -230,25 +236,38 @@ def _in_order(draw, blocks: list, workers: int, take) -> None:
             take(future.result())
 
 
-def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str) -> list:
+def _new_sums(key, span: tuple, eav_mode: str) -> list:
+    """Chunk ``span``'s running sums over no element: ``[X1, e]`` with e drawn, or ``[X1, X2]``.
+
+    The first is ``rayleigh`` mode's, whose e depends on no element; the
+    second ``phase_sum`` mode's.
+    """
+    stream, size, start, m = span
+    if eav_mode == "rayleigh":
+        e = _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, np.empty((1, m)))[0]
+        return [np.zeros(m), e]
+    return [np.zeros(m), np.zeros(m, dtype=complex)]
+
+
+def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
+                sums: list | None = None) -> list:
     """The ``(X1^2, e)`` of chunk ``span`` for each N of the ascending ``group``, in its order.
 
     Each pair is what the chunk is for that N alone (see
-    :func:`draw_chunks`). The blocks' terms are added here in element
-    order, whichever thread drew them; in ``rayleigh`` mode every N
-    shares one e array.
+    :func:`draw_chunks`). Element columns [n0, group[-1]) are drawn and
+    added in element order, whichever thread drew them, to ``sums``: the
+    chunk's running sums over its first n0 columns (see
+    :func:`_new_sums`), which are extended in place; without them, new
+    ones over no column. Each N of ``group`` must exceed n0. In
+    ``rayleigh`` mode every N shares the sums' one e array.
     """
     stream, size, start, m = span
     n_max = group[-1]
     step = max(1, _BLOCK // (2 * m))
-    blocks = [(lo, min(lo + step, n_max)) for lo in range(0, n_max, step)]
-    workers = min(_usable_cpus(), len(blocks)) if 2 * n_max * m >= _SPLIT_MIN else 1
-    x1 = np.zeros(m)
-    if eav_mode == "rayleigh":
-        e = _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, np.empty((1, m)))[0]
-    else:
-        x2 = np.zeros(m, dtype=complex)
-    pairs, summed = [], 0
+    blocks = [(lo, min(lo + step, n_max)) for lo in range(n0, n_max, step)]
+    workers = min(_usable_cpus(), len(blocks)) if 2 * (n_max - n0) * m >= _SPLIT_MIN else 1
+    x1, eav = _new_sums(key, span, eav_mode) if sums is None else sums
+    pairs, summed = [], n0
 
     def take(terms):
         nonlocal summed
@@ -256,10 +275,10 @@ def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str) -> list:
         for i, row in enumerate(x1_terms):
             np.add(x1, row, out=x1)
             if x2_terms is not None:
-                np.add(x2, x2_terms[i], out=x2)
+                np.add(eav, x2_terms[i], out=eav)
             summed += 1
             if summed == group[len(pairs)]:
-                pairs.append((np.square(x1), e if x2_terms is None else np.abs(x2) ** 2))
+                pairs.append((np.square(x1), eav if x2_terms is None else np.abs(eav) ** 2))
 
     _in_order(lambda block: _block_terms(key, span, eav_mode, block), blocks, workers, take)
     return pairs
@@ -279,6 +298,61 @@ def draw_chunks(n_elements: int, mc: McConfig):
     """
     for span in _chunk_spans(mc):
         yield _draw_chunk((n_elements,), mc.seed, span, mc.eav_mode)[0]
+
+
+class DrawSets:
+    """The stored draw sets of one :class:`McConfig`, grown across N.
+
+    ``sets`` maps N to its list of ``(X1^2, e)`` chunks, those of
+    ``draw_chunks(N, mc)`` bit for bit, or to the error of the draw that
+    was to make it; :meth:`get` fills it. ``later`` holds the N that
+    later callers will ask for. A smaller N's draws are the first element
+    columns of a larger N's, so while ``later`` holds an N above the
+    ``drawn`` columns, each chunk's running sums are kept in ``sums``
+    (X1 and the sets' shared e in ``rayleigh`` mode, 8 B per trial more;
+    X1 and X2 in ``phase_sum`` mode) and a larger N draws its new columns
+    only. On the way, that draw takes the set of each N of ``later`` it
+    passes. :meth:`release` drops what ``later`` no longer needs.
+    """
+
+    def __init__(self, mc: McConfig):
+        self.mc = mc
+        self.later: tuple = ()
+        self.sets: dict = {}
+        self.drawn, self.sums = 0, None  # sums: [X1, e or X2] of each chunk
+
+    def get(self, n: int):
+        """N's set, or the error of its draw; a draw that raises is tried once."""
+        if n not in self.sets:
+            self._draw(n)
+        return self.sets[n]
+
+    def _draw(self, n: int) -> None:
+        mc = self.mc
+        spans = list(_chunk_spans(mc))
+        n0, sums = (self.drawn, self.sums) if self.sums is not None and n > self.drawn else (0, None)
+        # an extension that raises leaves no half-extended sums behind
+        self.drawn, self.sums = 0, None
+        group = tuple(sorted({n, *(k for k in self.later if n0 < k < n and k not in self.sets)}))
+        keep = any(k > n for k in self.later)
+        if sums is None:  # kept only for a larger N; else each chunk makes its own
+            sums = [_new_sums(mc.seed, span, mc.eav_mode) if keep else None for span in spans]
+        try:
+            chunks = [_draw_chunk(group, mc.seed, span, mc.eav_mode, n0, chunk_sums)
+                      for span, chunk_sums in zip(spans, sums)]
+        except Exception as exc:  # frees the failed draw's frames and arrays
+            self.sets.update(dict.fromkeys(group, exc.with_traceback(None)))
+            return
+        self.sets.update((k, list(sets)) for k, sets in zip(group, zip(*chunks)))
+        if keep:
+            self.drawn, self.sums = n, sums
+
+    def release(self) -> None:
+        """Drop the sets not in ``later``, and the sums unless ``later`` holds a larger N."""
+        for n in set(self.sets).difference(self.later):
+            del self.sets[n]
+        if not any(k > self.drawn for k in self.later):
+            self.drawn, self.sums = 0, None
 
 
 def model_law_chunks(stats: ChannelStats, mc: McConfig):

@@ -9,9 +9,12 @@ evaluated, and all randomness is pinned by the embedded Monte Carlo
 seed, so emitting the same spec twice produces byte-identical files.
 
 The Monte Carlo fading depends on N and the McConfig only. A sweep over
-any other axis scores all its points on one draw set, and the curves of
-one :func:`run_sweeps` call share one draw set per (N, McConfig), which
-changes no value. On that set a sweep over ``snr_d_db``, the axis of
+any other axis scores all its points on one draw set. The curves of one
+:func:`run_sweeps` call share one set per McConfig, grown across N: a
+smaller N's draws are the first element columns of a larger N's, so
+while a later curve needs a larger N, each chunk's running sum X1 is
+kept (8 B per trial) and that curve draws only its new columns. That
+changes no value. On its set a sweep over ``snr_d_db``, the axis of
 every bundled preset curve, scores the eavesdropper link, which the axis
 leaves unchanged, once per chunk and reuses those arrays at every point
 through a ``LinkMemo``, which it drops on return. That is bit for bit
@@ -42,7 +45,7 @@ import yaml
 
 from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
-from .montecarlo import LinkMemo, McConfig, draw_chunks, simulate_metrics, simulate_points
+from .montecarlo import DrawSets, LinkMemo, McConfig, simulate_metrics, simulate_points
 from .secrecy import NumericsConfig, avg_secrecy_capacity, sop, sop_asymptotic
 
 Axis = typing.Literal["snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th"]
@@ -150,29 +153,27 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 
     An ``n_elements`` sweep scores all its points on one pass of
     ``simulate_points``, which draws each chunk once for all its N.
-    Any other sweep scores each point on the stored set of its
-    ``(N, McConfig)`` key, made once before the first point and kept in
-    ``draw_sets``; a ``snr_d_db`` sweep scores the eavesdropper link once
-    per chunk of that set through a :class:`LinkMemo`. Nothing is drawn
+    Any other sweep scores each point on the stored set of its N, got
+    before the first point from the ``montecarlo.DrawSets`` of its
+    McConfig in ``draw_sets``. That is one per McConfig, grown across N:
+    it draws only the element columns that no earlier curve of the call
+    drew. A ``snr_d_db`` sweep scores the eavesdropper link once per
+    chunk of that set through a :class:`LinkMemo`. Nothing is drawn
     without a point. A draw that raises is tried once: its error, kept
-    under the key without its traceback, is given to every point of
-    every curve with that key.
+    under each N it was to make without its traceback, is given to every
+    point of every curve with that N and McConfig, and the running sums
+    it was extending are dropped.
     """
     keys = _mc_keys(spec)
     if not keys or not points:
         return [None] * len(points)
-    draw_key = _draw_key(spec)
     if spec.axis == "n_elements":
         try:
             return simulate_points(points, spec.mc, keys)
         except Exception as exc:  # recorded per mc row
             return [exc] * len(points)
-    if draw_key not in draw_sets:
-        try:
-            draw_sets[draw_key] = list(draw_chunks(*draw_key))
-        except Exception as exc:  # frees the failed draw's frames and arrays
-            draw_sets[draw_key] = exc.with_traceback(None)
-    draws, out = draw_sets[draw_key], []
+    n, mc = _draw_key(spec)
+    draws, out = draw_sets.setdefault(mc, DrawSets(mc)).get(n), []
     if isinstance(draws, Exception):
         return [draws] * len(points)
     # the eavesdropper link stays put
@@ -188,12 +189,13 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps ``(N, McConfig)`` to a stored draw set, or to the
-    error of its failed draw. The sweep scores on the set of its key and
-    stores it, or the error, there if it makes it; without ``draw_sets``
-    it makes its own and drops it on return. A ``snr_d_db`` sweep scores
-    the eavesdropper link once per chunk of that set, through a
-    :class:`LinkMemo` it drops on return. An
+    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``: the
+    stored draw sets of each N, grown across N, or the errors of their
+    failed draws. The sweep scores on the set of its N, got from there,
+    and adds the DrawSets if it makes it; without ``draw_sets`` it makes
+    its own, which keeps no running sums, and drops it on return. A
+    ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
+    that set, through a :class:`LinkMemo` it drops on return. An
     ``n_elements`` sweep stores nothing: it scores its points as each
     chunk is drawn.
     """
@@ -243,18 +245,28 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
 def run_sweeps(specs):
     """Yield :func:`run_sweep`'s table of each spec, in order.
 
-    Curves with the same ``(N, McConfig)`` score on one draw set: exact,
-    since the draws depend on nothing else. A set, or the error of its
-    draw, is dropped as soon as no later spec needs it, before the table
-    that used it last is yielded.
+    Curves with the same McConfig score on one ``montecarlo.DrawSets``:
+    exact, since the draws depend on nothing else and a smaller N's are
+    the first element columns of a larger N's. While a later spec needs
+    a larger N than those drawn, it keeps each chunk's running sums (8 B
+    per trial in ``rayleigh`` mode), so that N draws its new columns
+    only. A set, or the error of its draw, and the running sums are
+    dropped as soon as no later spec needs them, before the table that
+    used them last is yielded.
     """
     specs = list(specs)
     keys = [_draw_key(spec) for spec in specs]
     draw_sets: dict = {}
     for i, spec in enumerate(specs):
+        if keys[i] is not None:
+            mc = keys[i][1]
+            store = draw_sets.setdefault(mc, DrawSets(mc))
+            store.later = tuple(n for n, m in filter(None, keys[i + 1:]) if m == mc)
         table = run_sweep(spec, draw_sets)  # the module global, as wrapped when traced
-        for key in set(draw_sets).difference(keys[i + 1:]):
-            del draw_sets[key]
+        if keys[i] is not None:
+            store.release()
+            if not store.later:
+                del draw_sets[mc]
         yield table
 
 

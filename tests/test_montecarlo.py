@@ -16,6 +16,7 @@ from ris_secrecy.montecarlo import (
     _BLOCK,
     _CHUNK,
     ESTIMATES,
+    DrawSets,
     EstimateWithCI,
     LinkMemo,
     McConfig,
@@ -311,6 +312,38 @@ def test_group_draw_equals_each_n_alone_across_chunks(eav_mode):
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("order", [(5, 10, 15), (10, 5), (5, 10, 5)],
+                         ids=["ascending", "descending", "5-10-5"])
+def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
+    # callers ask for the N of `order` in turn, each telling the store the
+    # N still to come, as run_sweeps does. Two chunks in one stream; with
+    # two CPUs the first chunk's extension by 5 columns reads
+    # 10 _CHUNK >= _SPLIT_MIN words, so it runs on workers
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    mc = McConfig(trials=_CHUNK + 1000, seed=8, stream_count=1, eav_mode=eav_mode)
+    in_order, split_extensions = montecarlo._in_order, []
+
+    def recording(draw, blocks, workers, take):
+        if blocks[0][0] > 0 and workers > 1:
+            split_extensions.append(blocks[0][0])
+        return in_order(draw, blocks, workers, take)
+
+    store = DrawSets(mc)
+    for i, n in enumerate(order):
+        store.later = order[i + 1:]
+        monkeypatch.setattr(montecarlo, "_in_order", recording)
+        got = store.get(n)
+        monkeypatch.setattr(montecarlo, "_in_order", in_order)
+        _assert_same_pairs(got, list(draw_chunks(n, mc)))
+        store.release()
+        # running sums only while a larger N is still to come
+        assert (store.sums is not None) == any(k > n for k in order[i + 1:])
+    assert store.sets == {} and store.sums is None
+    # the first column of each extension that ran on workers
+    assert split_extensions == {(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5]}[order]
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 def test_draws_do_not_depend_on_the_worker_count(monkeypatch, eav_mode):
     # 10 blocks of 32 elements; the chunk's columns are strided in its stream
     monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
@@ -505,6 +538,30 @@ def test_draw_stays_on_the_caller_below_the_threshold_or_on_one_cpu(monkeypatch)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     _draw_chunk((1024,), 1, (0, 1024, 0, 1024), "rayleigh")
     assert drawn_on[-1] is not threading.current_thread()
+
+
+def test_extension_splits_on_the_words_it_draws(monkeypatch):
+    # 64 columns read _SPLIT_MIN words, so a fresh draw splits; extending
+    # sums over column 0 draws 63 columns, below the threshold
+    drawn_on, block_terms = [], montecarlo._block_terms
+
+    def recording(*args):
+        drawn_on.append(threading.current_thread())
+        return block_terms(*args)
+
+    monkeypatch.setattr(montecarlo, "_block_terms", recording)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    m = montecarlo._SPLIT_MIN // (2 * 64)
+    span = (0, m, 0, m)
+    sums = montecarlo._new_sums(1, span, "rayleigh")
+    [first] = _draw_chunk((1,), 1, span, "rayleigh", 0, sums)
+    drawn_on.clear()
+    [extended] = _draw_chunk((64,), 1, span, "rayleigh", 1, sums)
+    assert set(drawn_on) == {threading.current_thread()}
+    [fresh] = _draw_chunk((64,), 1, span, "rayleigh")
+    assert drawn_on[-1] is not threading.current_thread()
+    _assert_same_pairs([first, extended], _draw_chunk((1, 64), 1, span, "rayleigh"))
+    _assert_same_pairs([extended], [fresh])
 
 
 def test_stream_count_changes_partition_not_contract():

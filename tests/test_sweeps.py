@@ -376,7 +376,7 @@ def test_preset_mc_rows_golden_digest(name):
         assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
 
 
-# --- run_sweeps: one draw set per (N, McConfig) across curves -----------------
+# --- run_sweeps: one draw set per McConfig, grown across N --------------------
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
@@ -387,24 +387,40 @@ def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
         assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
 
 
-def count_draw_sets(monkeypatch) -> list:
-    """Patch ``sweeps.draw_chunks`` to log the (N, seed) of each draw set made."""
-    made, original = [], sweeps.draw_chunks
+def count_draws(monkeypatch) -> collections.Counter:
+    """Patch the draw to count, per (seed, stream), element columns, N sets and e draws."""
+    counts, draw_chunk, new_sums = collections.Counter(), montecarlo._draw_chunk, montecarlo._new_sums
 
-    def counting(n_elements, mc):
-        made.append((n_elements, mc.seed))
-        return original(n_elements, mc)
+    def counting_draw(group, key, span, eav_mode, n0=0, sums=None):
+        counts[key, span[0], "columns"] += group[-1] - n0
+        counts[key, span[0], "sets"] += len(group)
+        return draw_chunk(group, key, span, eav_mode, n0, sums)
 
-    monkeypatch.setattr(sweeps, "draw_chunks", counting)
-    return made
+    def counting_sums(key, span, eav_mode):
+        counts[key, span[0], "e"] += eav_mode == "rayleigh"
+        return new_sums(key, span, eav_mode)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", counting_draw)
+    monkeypatch.setattr(montecarlo, "_new_sums", counting_sums)
+    return counts
+
+
+def per_stream(seeds, streams, columns, sets) -> dict:
+    """The counts of :func:`count_draws` when each stream is one chunk and draws e once."""
+    return {(seed, stream, what): count for seed in seeds for stream in range(streams)
+            for what, count in (("columns", columns), ("sets", sets), ("e", 1))}
 
 
 @pytest.mark.parametrize("name, sets", [("fig2", 2), ("fig3", 1), ("fig4", 1),
                                         ("fig5", 3), ("fig6", 1)])
 def test_cli_preset_makes_one_draw_set_per_n_and_mc_config(tmp_path, monkeypatch, name, sets):
-    made = count_draw_sets(monkeypatch)
+    # one McConfig per preset, whose set is grown across N: each stream
+    # draws the element columns of the largest N once, and e once
+    columns = {"fig2": 10, "fig3": 5, "fig4": 5, "fig5": 15, "fig6": 5}[name]
+    counts = count_draws(monkeypatch)
     assert cli.main(["preset", name, "--out-dir", str(tmp_path), "--trials", "1000"]) == 0
-    assert len(made) == len(set(made)) == sets
+    seeds = {spec.mc.seed for spec in load_preset(name).values()}
+    assert counts == per_stream(seeds, 4, columns, sets)
 
 
 def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
@@ -416,14 +432,16 @@ def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
         return original(spec, draw_sets)
 
     monkeypatch.setattr(sweeps, "run_sweep", spy)
-    made = count_draw_sets(monkeypatch)
+    counts = count_draws(monkeypatch)
     held = []
     for _ in run_sweeps(specs):
-        held.append(sorted(n for n, _ in stores[0]))
+        store = stores[0].get(specs[0].mc)
+        held.append(store and (sorted(store.sets), store.sums is not None))
     assert all(store is stores[0] for store in stores)
-    # the N=5 set outlives the N=10 curve, the N=10 set does not
-    assert held == [[5], [5], []]
-    assert made == [(5, 11), (10, 11)]
+    # the N=5 set outlives the N=10 curve, the running sums do not
+    assert held == [([5], True), ([5], False), None]
+    # N=10 drew its last 5 columns only
+    assert counts == per_stream({11}, 2, 10, 2)
 
 
 def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
@@ -443,12 +461,56 @@ def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
         assert all(r.value is None and r.error == "no room for the draw" for r in mc_rows)
 
 
+def test_run_sweeps_failed_extension_leaves_no_partial_sums(monkeypatch):
+    # the extension from N=5 to 10 raises on the second of its two chunks,
+    # after the first chunk's running sums took their new columns
+    specs = [small_spec(base=base_params(n_elements=n)) for n in (5, 10, 10, 5, 15)]
+    want = [run_sweep(spec) for spec in specs]
+    failed, draw_chunk = [], montecarlo._draw_chunk
+
+    def failing(group, key, span, eav_mode, n0=0, sums=None):
+        pairs = draw_chunk(group, key, span, eav_mode, n0, sums)
+        if n0 > 0 and span[0] == 1:
+            failed.append(group)
+            raise MemoryError("no room for the draw")
+        return pairs
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
+    tables = list(run_sweeps(specs))
+    # tried once, for both N=10 curves
+    assert failed == [(10,)]
+    for table in tables[1:3]:
+        assert [(r.metric, r.value, r.error) for r in table if r.metric == "mc_sop"] == \
+            [("mc_sop", None, "no room for the draw")] * 3
+    # the N=5 set still serves, and N=15 is drawn afresh, not on the
+    # half-extended sums
+    assert tables[0] == want[0] and tables[3] == want[3] and tables[4] == want[4]
+
+
 def test_run_sweeps_does_not_share_across_seeds(monkeypatch):
     specs = [small_spec(mc=McConfig(trials=2000, seed=seed, stream_count=2)) for seed in (11, 12)]
-    made = count_draw_sets(monkeypatch)
+    counts = count_draws(monkeypatch)
     tables = list(run_sweeps(specs))
-    assert made == [(5, 11), (5, 12)]
+    assert counts == per_stream({11, 12}, 2, 5, 1)
     assert tables == [run_sweep(spec) for spec in specs]
+
+
+def test_run_sweeps_peak_memory_per_trial():
+    # tracemalloc sees numpy's data buffers. Curves at N = 5, 10, 15 grow
+    # one set: while the N=10 curve scores, the store holds its set (16 B
+    # per trial) and the running sum X1 (8 B) for the N=15 curve, and the
+    # curve's memo 8 B; the rest is one chunk's scoring arrays, as in
+    # test_run_sweep_peak_memory_per_trial's 28 B without the running sum
+    trials = 1_000_000
+    specs = [small_spec(base=base_params(n_elements=n), outputs=("mc_sop",),
+                        mc=McConfig(trials=trials, seed=11)) for n in (5, 10, 15)]
+    tracemalloc.start()
+    try:
+        list(run_sweeps(specs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= 36.0 + 0.5
 
 
 # --- table I/O ---------------------------------------------------------------
