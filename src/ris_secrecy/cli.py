@@ -97,6 +97,13 @@ _SELFTEST_SCENARIOS = (
     (10, 10.0, 0.0),
 )
 
+# (name, closed form, its adaptive-quadrature twin, Monte Carlo estimate)
+_SELFTEST_METRICS = (
+    ("sop", sop, sop_reference, "sop"),
+    ("asc", lambda *args: avg_secrecy_capacity(*args).value,
+     lambda *args: avg_secrecy_capacity_reference(*args).value, "asc_eq19"),
+)
+
 
 def _cmd_selftest(args) -> int:
     numerics = _override(NumericsConfig(quad_order=200), args, "quad_order")
@@ -117,21 +124,15 @@ def _cmd_selftest(args) -> int:
         stats = derive_stats(params)
         label = f"N={n:2d} snr_d={gd:5.1f}dB snr_e={ge:5.1f}dB"
 
-        s_cf = sop(params, stats, numerics)
-        s_ref = sop_reference(params, stats, numerics)
-        gap = abs(s_cf - s_ref)
-        good = gap < quad_tol
-        ok &= good
-        print(f"[{'PASS' if good else 'FAIL'}] {label} sop closed={s_cf:.8f} "
-              f"quadrature={s_ref:.8f} |diff|={gap:.2e}")
-
-        c_cf = avg_secrecy_capacity(params, stats, numerics)
-        c_ref = avg_secrecy_capacity_reference(params, stats, numerics)
-        gap = abs(c_cf.value - c_ref.value)
-        good = gap < quad_tol
-        ok &= good
-        print(f"[{'PASS' if good else 'FAIL'}] {label} asc closed={c_cf.value:.8f} "
-              f"quadrature={c_ref.value:.8f} |diff|={gap:.2e}")
+        closed = {}
+        for name, closed_form, twin, _ in _SELFTEST_METRICS:
+            closed[name] = value = closed_form(params, stats, numerics)
+            ref = twin(params, stats, numerics)
+            gap = abs(value - ref)
+            good = gap < quad_tol
+            ok &= good
+            print(f"[{'PASS' if good else 'FAIL'}] {label} {name} closed={value:.8f} "
+                  f"quadrature={ref:.8f} |diff|={gap:.2e}")
 
         if mc is not None:
             if args.strict_mc:
@@ -140,15 +141,15 @@ def _cmd_selftest(args) -> int:
             else:
                 est = simulate_metrics(params, mc)
                 against = "signal-level simulation"
-            for key, value in (("sop", s_cf), ("asc", c_cf.value)):
-                e = est["sop" if key == "sop" else "asc_eq19"]
-                gap = abs(value - e.value)
+            for name, _, _, key in _SELFTEST_METRICS:
+                e = est[key]
+                gap = abs(closed[name] - e.value)
                 units = gap / e.std_error if e.std_error > 0 else float("inf")
                 within = gap <= 3.0 * e.std_error
                 tag = "PASS" if within else ("FAIL" if args.strict_mc else "NOTE")
                 if args.strict_mc:
                     ok &= within
-                print(f"[{tag}] {label} {key} vs {against} gap={gap:.3e} "
+                print(f"[{tag}] {label} {name} vs {against} gap={gap:.3e} "
                       f"({units:.1f} standard errors)")
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL

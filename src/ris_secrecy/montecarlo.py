@@ -13,20 +13,19 @@ fading of each chunk as ``(X1^2, e)``, which depends only on N and the
 one operating point (snr_d, snr_e, c_th, kappa) over those chunks, and
 only the sums of the estimates it is asked for; :func:`simulate_metrics`
 scores one point with it. A sweep over any axis but ``n_elements``
-therefore draws one set, keeps it (16 B per trial, 1.6 MB at the
-presets' 1e5 trials) and scores every grid point on it (common random
-numbers), for the estimates it emits only; a ``snr_d_db`` sweep also
-scores the eavesdropper link, which it leaves unchanged, once per chunk
-through a :class:`LinkMemo`. The curves of one
-``sweeps.run_sweeps`` call share one :class:`DrawSets` per McConfig,
-grown across N: while a later curve needs a larger N, it keeps each
-chunk's running sum X1 (8 B per trial), and that curve draws only its
-new element columns. An ``n_elements`` sweep stores nothing:
-:func:`simulate_points` draws each chunk once, for the largest N, takes
-every N's X1 from the same running sum, and updates each point's
-accumulator with its chunk as it is drawn.
-:func:`model_law_chunks` draws the Gaussian-sum model itself, to check
-the closed forms against the law they are derived for.
+therefore draws one set, keeps it and scores every grid point on it
+(common random numbers), for the estimates it emits only; a
+``snr_d_db`` sweep also scores the eavesdropper link, which it leaves
+unchanged, once per chunk through a :class:`LinkMemo`. The curves of
+one ``sweeps.run_sweeps`` call share one :class:`DrawSets` per
+McConfig, which holds one N at a time between curves: each chunk's
+running sums, so that a later, larger N draws only its new element
+columns, or the chunks, for a later curve with the same N. An
+``n_elements`` sweep stores nothing: :func:`simulate_points` draws each
+chunk once, for the largest N, takes every N's X1 from the same running
+sum, and updates each point's accumulator with its chunk as it is
+drawn. :func:`model_law_chunks` draws the Gaussian-sum model itself, to
+check the closed forms against the law they are derived for.
 
 Stream layout: every fading value is drawn by inversion from one 64-bit
 Philox word, so each sits at a known word. Stream i is
@@ -50,14 +49,16 @@ threads (see :func:`_in_order`); below that, as for every preset, the
 caller draws them alone. A draw holds the running sums, each N's X1^2
 and e (m floats each; ``rayleigh`` mode shares one e) and at most one
 block per worker plus the one being added, 1 MiB each over N = 8..1024
-at 1e5 trials. A ``snr_d_db`` sweep's
-:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
-outage threshold and rates that it emits, on top of the draw set's 16 B:
-a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB with one of them
-and 370 MiB with both, against 219 MiB without the memo. A grown
-:class:`DrawSets` adds its running sum: ``mc_sop`` curves at N = 5, 10
-and 15 peak at 36 B per trial (``tracemalloc``) while N = 10 scores,
-against 28 B for one curve alone.
+at 1e5 trials. A stored draw set holds 16 B per trial (1.6 MB at the
+presets' 1e5 trials). A ``snr_d_db`` sweep's :class:`LinkMemo` keeps 8 B
+per trial for each of the eavesdropper's outage threshold and rates
+that it emits: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB
+with one of them and 370 MiB with both, against 219 MiB without the
+memo. One ``mc_sop`` curve peaks at 28 B per trial (``tracemalloc``).
+A :class:`DrawSets` that keeps running sums for a larger N adds X1, 8 B
+(in ``rayleigh`` mode e is the set's): ``mc_sop`` curves at N = 5, 10
+and 15, or 5, 10 and 5, peak at 36 B per trial, and at 28 B when no
+later N is larger (5, 5, 5 or 15, 10, 5).
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
@@ -301,58 +302,56 @@ def draw_chunks(n_elements: int, mc: McConfig):
 
 
 class DrawSets:
-    """The stored draw sets of one :class:`McConfig`, grown across N.
+    """The stored draws of one :class:`McConfig`, held for one N at a time.
 
-    ``sets`` maps N to its list of ``(X1^2, e)`` chunks, those of
-    ``draw_chunks(N, mc)`` bit for bit, or to the error of the draw that
-    was to make it; :meth:`get` fills it. ``later`` holds the N that
-    later callers will ask for. A smaller N's draws are the first element
-    columns of a larger N's, so while ``later`` holds an N above the
-    ``drawn`` columns, each chunk's running sums are kept in ``sums``
-    (X1 and the sets' shared e in ``rayleigh`` mode, 8 B per trial more;
-    X1 and X2 in ``phase_sum`` mode) and a larger N draws its new columns
-    only. On the way, that draw takes the set of each N of ``later`` it
-    passes. :meth:`release` drops what ``later`` no longer needs.
+    Callers ask :meth:`get` for the ``(X1^2, e)`` chunks of their N in
+    turn, those of ``draw_chunks(N, mc)`` bit for bit, each after setting
+    ``largest_later`` to the largest N a later caller will ask for (0 for
+    none). A smaller N's draws are the first element columns of a larger
+    N's, so while that is above the ``drawn`` columns the store keeps each
+    chunk's running sums ``sums``, and the larger N draws its new columns
+    only; otherwise, while it is N, it keeps N's chunks in ``kept``;
+    otherwise nothing. Any other N is drawn afresh, all its columns. A
+    draw that raises is tried once per N: its error, without its
+    traceback, stays in ``failed``.
     """
 
     def __init__(self, mc: McConfig):
         self.mc = mc
-        self.later: tuple = ()
-        self.sets: dict = {}
+        self.largest_later = 0
         self.drawn, self.sums = 0, None  # sums: [X1, e or X2] of each chunk
+        self.kept = None  # (N, its chunks)
+        self.failed: dict = {}
 
     def get(self, n: int):
-        """N's set, or the error of its draw; a draw that raises is tried once."""
-        if n not in self.sets:
-            self._draw(n)
-        return self.sets[n]
+        """N's chunks, or the error of its draw."""
+        if n in self.failed:
+            return self.failed[n]
+        chunks = self.kept[1] if self.kept is not None and self.kept[0] == n else None
+        self.kept = None  # not held through another N's draw
+        if chunks is None:
+            try:
+                chunks = self._draw(n)
+            except Exception as exc:  # frees the failed draw's frames and arrays
+                self.failed[n] = exc.with_traceback(None)
+                return self.failed[n]
+        if self.largest_later == n:
+            self.kept = n, chunks
+        return chunks
 
-    def _draw(self, n: int) -> None:
-        mc = self.mc
+    def _draw(self, n: int) -> list:
+        mc, keep = self.mc, self.largest_later > n
         spans = list(_chunk_spans(mc))
         n0, sums = (self.drawn, self.sums) if self.sums is not None and n > self.drawn else (0, None)
         # an extension that raises leaves no half-extended sums behind
         self.drawn, self.sums = 0, None
-        group = tuple(sorted({n, *(k for k in self.later if n0 < k < n and k not in self.sets)}))
-        keep = any(k > n for k in self.later)
         if sums is None:  # kept only for a larger N; else each chunk makes its own
             sums = [_new_sums(mc.seed, span, mc.eav_mode) if keep else None for span in spans]
-        try:
-            chunks = [_draw_chunk(group, mc.seed, span, mc.eav_mode, n0, chunk_sums)
-                      for span, chunk_sums in zip(spans, sums)]
-        except Exception as exc:  # frees the failed draw's frames and arrays
-            self.sets.update(dict.fromkeys(group, exc.with_traceback(None)))
-            return
-        self.sets.update((k, list(sets)) for k, sets in zip(group, zip(*chunks)))
+        chunks = [_draw_chunk((n,), mc.seed, span, mc.eav_mode, n0, chunk_sums)[0]
+                  for span, chunk_sums in zip(spans, sums)]
         if keep:
             self.drawn, self.sums = n, sums
-
-    def release(self) -> None:
-        """Drop the sets not in ``later``, and the sums unless ``later`` holds a larger N."""
-        for n in set(self.sets).difference(self.later):
-            del self.sets[n]
-        if not any(k > self.drawn for k in self.later):
-            self.drawn, self.sums = 0, None
+        return chunks
 
 
 def model_law_chunks(stats: ChannelStats, mc: McConfig):

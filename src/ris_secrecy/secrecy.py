@@ -75,30 +75,27 @@ class NumericsConfig:
     """Quadrature settings of the closed forms.
 
     ``quad_order`` is the Chebyshev node count; it is deliberately
-    independent of the surface element count. ``tail_epsilon`` bounds
-    the mass discarded when an integration limit has to be truncated
-    (ideal-hardware regimes with no saturation point); a theta2 of at
-    most 1e-12 counts as no saturation point. ``mc_check`` asks drivers
+    independent of the surface element count. ``mc_check`` asks drivers
     to cross-validate closed forms against simulation. The truncation of
-    the destination-law series is fixed in :mod:`.channel`.
+    the destination-law series is fixed in :mod:`.channel`, and that of
+    the integration limits by ``_TAIL_EPSILON``.
     """
 
     quad_order: int = 100
-    tail_epsilon: float = 1e-12
     mc_check: bool = False
 
     def __post_init__(self):
         check_field_types(self)
         if self.quad_order < 2:
             raise ValueError(f"quad_order must be >= 2, got {self.quad_order!r}")
-        if not 0.0 < self.tail_epsilon < 1e-3:
-            raise ValueError(f"tail_epsilon must be in (0, 1e-3), got {self.tail_epsilon!r}")
 
 
 DEFAULT_NUMERICS = NumericsConfig()
 
 # theta2 at or below this counts as no saturation crossing (_sop_region)
 _THETA2_EPSILON = 1e-12
+# mass discarded where an integration limit or the twins' X1 range is truncated
+_TAIL_EPSILON = 1e-12
 
 
 def theta_coefficients(params: SystemParams) -> ThetaSet:
@@ -168,15 +165,15 @@ class SopEvaluation:
     target_saturated: bool
 
 
-def _sop_region(thetas: ThetaSet, stats: ChannelStats, numerics: NumericsConfig):
+def _sop_region(thetas: ThetaSet, stats: ChannelStats):
     """Integration limit and certain-outage tail mass for the SOP integral."""
     if thetas.theta2 > _THETA2_EPSILON:
         upper = thetas.theta3 / thetas.theta2
         tail = math.exp(-upper / stats.lambda_e)
     else:
         # No saturation crossing: integrate the exponential out to where
-        # the discarded mass is below tail_epsilon.
-        upper = stats.lambda_e * math.log(1.0 / numerics.tail_epsilon)
+        # the discarded mass is below _TAIL_EPSILON.
+        upper = stats.lambda_e * math.log(1.0 / _TAIL_EPSILON)
         tail = 0.0
     return upper, tail
 
@@ -219,17 +216,16 @@ def _piecewise_quad(f, edges) -> float:
                for a, b in zip(edges, edges[1:]))
 
 
-def _conditional_expectation(h, stats: ChannelStats, g: float, cuts,
-                             tail_epsilon: float) -> float:
+def _conditional_expectation(h, stats: ChannelStats, g: float, cuts) -> float:
     """E[h(g X1^2)] over X1 ~ N(sqrt(lambda), sigma^2), by adaptive quadrature.
 
-    The range sqrt(lambda) +- sigma sqrt(2 ln(1/tail_epsilon)) is that of
+    The range sqrt(lambda) +- sigma sqrt(2 ln(1/_TAIL_EPSILON)) is that of
     :func:`_rho_d_tail_limit`. It is split at X1 = 0, at the mean and at
     +-c for each amplitude c in ``cuts``, where h has a kink or a narrow
     feature.
     """
     mu, sigma = math.sqrt(stats.lambda_), math.sqrt(stats.sigma2)
-    half = sigma * math.sqrt(2.0 * math.log(1.0 / tail_epsilon))
+    half = sigma * math.sqrt(2.0 * math.log(1.0 / _TAIL_EPSILON))
     inner = sorted(x for x in {0.0, mu, *cuts, *(-c for c in cuts)} if abs(x - mu) < half)
     total = _piecewise_quad(lambda x: h(g * x * x) * math.exp(-0.5 * ((x - mu) / sigma) ** 2),
                             [mu - half, *inner, mu + half])
@@ -237,7 +233,7 @@ def _conditional_expectation(h, stats: ChannelStats, g: float, cuts,
 
 
 def _outage_reference(a: float, b: float, c: float, d: float, stats: ChannelStats,
-                      g: float, tail_epsilon: float) -> float:
+                      g: float) -> float:
     """Twin of :func:`_outage_integral` in the other order: E[exp(-t(rho_D)/lambda_e)].
 
     Given rho_D = rho, outage needs rho_E > t(rho) = max(c rho - b, 0)/(a + d rho),
@@ -258,7 +254,7 @@ def _outage_reference(a: float, b: float, c: float, d: float, stats: ChannelStat
     cuts = [x_k, x_k - width, x_k + width]
     if d < 0.0:
         cuts.append(math.sqrt(a / (-d * g)))
-    return min(_conditional_expectation(outage_given, stats, g, cuts, tail_epsilon), 1.0)
+    return min(_conditional_expectation(outage_given, stats, g, cuts), 1.0)
 
 
 def sop_detail(params: SystemParams, stats: ChannelStats,
@@ -267,7 +263,7 @@ def sop_detail(params: SystemParams, stats: ChannelStats,
     th = theta_coefficients(params)
     if th.theta3 <= 0.0:
         return SopEvaluation(1.0, 0.0, 1.0, 0.0, True)
-    upper, tail = _sop_region(th, stats, numerics)
+    upper, tail = _sop_region(th, stats)
     total = _outage_integral(th.theta1, th.vartheta, th.theta3, th.theta2, upper,
                              stats, params.snr_d_linear, numerics)
     return SopEvaluation(min(total + tail, 1.0), total, tail, upper, False)
@@ -281,12 +277,16 @@ def sop(params: SystemParams, stats: ChannelStats,
 
 def sop_reference(params: SystemParams, stats: ChannelStats,
                   numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
-    """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last."""
+    """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last.
+
+    ``numerics`` is accepted and unused: ``perfbench/rowcheck.py`` and
+    the CLI's selftest pass each twin the arguments of its closed form.
+    """
     th = theta_coefficients(params)
     if th.theta3 <= 0.0:
         return 1.0
     return _outage_reference(th.theta1, th.vartheta, th.theta3, th.theta2, stats,
-                             params.snr_d_linear, numerics.tail_epsilon)
+                             params.snr_d_linear)
 
 
 def sop_asymptotic(params: SystemParams, stats: ChannelStats,
@@ -305,13 +305,12 @@ def sop_asymptotic(params: SystemParams, stats: ChannelStats,
 def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats) -> float:
     """Adaptive-quadrature twin of :func:`sop_asymptotic`, integrating over X1 last."""
     th, _ = _asymptotic_region(params)
-    return _outage_reference(th.gamma_th, 0.0, 1.0, th.theta4, stats,
-                             params.snr_d_linear, DEFAULT_NUMERICS.tail_epsilon)
+    return _outage_reference(th.gamma_th, 0.0, 1.0, th.theta4, stats, params.snr_d_linear)
 
 
-def _rho_d_tail_limit(stats: ChannelStats, snr_d_linear: float, eps: float) -> float:
-    # P(rho_D > x) ~ Q((sqrt(x/g) - sqrt(lambda))/sigma); invert at eps.
-    z = math.sqrt(2.0 * math.log(1.0 / eps))
+def _rho_d_tail_limit(stats: ChannelStats, snr_d_linear: float) -> float:
+    # P(rho_D > x) ~ Q((sqrt(x/g) - sqrt(lambda))/sigma); invert at _TAIL_EPSILON.
+    z = math.sqrt(2.0 * math.log(1.0 / _TAIL_EPSILON))
     return snr_d_linear * (math.sqrt(stats.lambda_) + math.sqrt(stats.sigma2) * z) ** 2
 
 
@@ -323,11 +322,11 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     over [0, 1/kappa_sum], with 1 - F_{gamma_D}(x) = P(rho_D > x/(1 -
     kappa_sum x)). With ideal destination hardware there is no
     saturation point; the integral is then truncated where the channel
-    CCDF falls below tail_epsilon.
+    CCDF falls below ``_TAIL_EPSILON``.
     """
     kd = params.kappa_d_sum
     g = params.snr_d_linear
-    upper = 1.0 / kd if kd > 0.0 else _rho_d_tail_limit(stats, g, numerics.tail_epsilon)
+    upper = 1.0 / kd if kd > 0.0 else _rho_d_tail_limit(stats, g)
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
     denom = 1.0 - kd * x
     live = denom > 0.0  # the SNDR cannot exceed the saturation point
@@ -396,7 +395,7 @@ def avg_secrecy_capacity(params: SystemParams, stats: ChannelStats,
 
     At kappa = 0 (ideal hardware) the destination rate has no saturation
     point, and its integral is truncated where the discarded mass is
-    below ``numerics.tail_epsilon``.
+    below ``_TAIL_EPSILON``.
     """
     r_d = destination_rate(params, stats, numerics)
     r_e = eavesdropper_rate(stats, params.kappa_e_sum)
@@ -409,10 +408,12 @@ def avg_secrecy_capacity_reference(params: SystemParams, stats: ChannelStats,
 
     R_D = E[log2(1 + gamma_D)] over X1, and R_E the same expectation over
     rho_E = lambda_e s, s ~ Exp(1), rather than through the E1 form.
+    ``numerics`` is accepted and unused: ``perfbench/rowcheck.py`` and
+    the CLI's selftest pass each twin the arguments of its closed form.
     """
     kd, ke, lam_e = params.kappa_d_sum, params.kappa_e_sum, stats.lambda_e
     r_d = _conditional_expectation(lambda rho: math.log2(1.0 + rho / (kd * rho + 1.0)),
-                                   stats, params.snr_d_linear, (), numerics.tail_epsilon)
+                                   stats, params.snr_d_linear, ())
     r_e = _piecewise_quad(lambda s: math.log2(1.0 + lam_e * s / (ke * lam_e * s + 1.0))
                           * math.exp(-s), [0.0, math.inf])
     return SecrecyCapacity(value=r_d - r_e, r_d=r_d, r_e=r_e)

@@ -10,16 +10,17 @@ seed, so emitting the same spec twice produces byte-identical files.
 
 The Monte Carlo fading depends on N and the McConfig only. A sweep over
 any other axis scores all its points on one draw set. The curves of one
-:func:`run_sweeps` call share one set per McConfig, grown across N: a
-smaller N's draws are the first element columns of a larger N's, so
-while a later curve needs a larger N, each chunk's running sum X1 is
-kept (8 B per trial) and that curve draws only its new columns. That
+:func:`run_sweeps` call share one ``montecarlo.DrawSets`` per McConfig,
+which holds one N at a time: a smaller N's draws are the first element
+columns of a larger N's, so while a later curve needs a larger N, each
+chunk's running sums are kept and that curve draws only its new
+columns; while a later curve needs the same N, its set is kept. That
 changes no value. On its set a sweep over ``snr_d_db``, the axis of
 every bundled preset curve, scores the eavesdropper link, which the axis
 leaves unchanged, once per chunk and reuses those arrays at every point
 through a ``LinkMemo``, which it drops on return. That is bit for bit
-the per-point result, and costs 8 B per trial for each of the outage
-threshold and the rates it emits, on top of the draw set's 16 B.
+the per-point result. The ``montecarlo`` docstring gives what each of
+these holds per trial.
 
 A sweep over ``n_elements`` stores no draws. Its points are scored on
 one pass of ``montecarlo.simulate_points``: a smaller N's draws are the
@@ -155,14 +156,12 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     ``simulate_points``, which draws each chunk once for all its N.
     Any other sweep scores each point on the stored set of its N, got
     before the first point from the ``montecarlo.DrawSets`` of its
-    McConfig in ``draw_sets``. That is one per McConfig, grown across N:
-    it draws only the element columns that no earlier curve of the call
-    drew. A ``snr_d_db`` sweep scores the eavesdropper link once per
-    chunk of that set through a :class:`LinkMemo`. Nothing is drawn
-    without a point. A draw that raises is tried once: its error, kept
-    under each N it was to make without its traceback, is given to every
-    point of every curve with that N and McConfig, and the running sums
-    it was extending are dropped.
+    McConfig in ``draw_sets``, which draws only what it does not hold.
+    A ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
+    that set through a :class:`LinkMemo`. Nothing is drawn without a
+    point. A draw that raises is tried once per N: its error is given to
+    every point of every curve with that N and McConfig, and the running
+    sums it was extending are dropped.
     """
     keys = _mc_keys(spec)
     if not keys or not points:
@@ -189,11 +188,11 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``: the
-    stored draw sets of each N, grown across N, or the errors of their
-    failed draws. The sweep scores on the set of its N, got from there,
-    and adds the DrawSets if it makes it; without ``draw_sets`` it makes
-    its own, which keeps no running sums, and drops it on return. A
+    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``, which
+    holds the draws of one N at a time and the errors of failed draws.
+    The sweep scores on the set of its N, got from there, and adds the
+    DrawSets if it makes it; without ``draw_sets`` it makes its own,
+    which holds nothing after the draw, and drops it on return. A
     ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
     that set, through a :class:`LinkMemo` it drops on return. An
     ``n_elements`` sweep stores nothing: it scores its points as each
@@ -245,14 +244,11 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
 def run_sweeps(specs):
     """Yield :func:`run_sweep`'s table of each spec, in order.
 
-    Curves with the same McConfig score on one ``montecarlo.DrawSets``:
-    exact, since the draws depend on nothing else and a smaller N's are
-    the first element columns of a larger N's. While a later spec needs
-    a larger N than those drawn, it keeps each chunk's running sums (8 B
-    per trial in ``rayleigh`` mode), so that N draws its new columns
-    only. A set, or the error of its draw, and the running sums are
-    dropped as soon as no later spec needs them, before the table that
-    used them last is yielded.
+    Curves with the same McConfig score on one ``montecarlo.DrawSets``,
+    which is exact, since the draws depend on nothing else. Before each
+    curve the store is told the largest N that a later curve with its
+    McConfig asks for. It is dropped after its last curve, before that
+    curve's table is yielded.
     """
     specs = list(specs)
     keys = [_draw_key(spec) for spec in specs]
@@ -260,13 +256,11 @@ def run_sweeps(specs):
     for i, spec in enumerate(specs):
         if keys[i] is not None:
             mc = keys[i][1]
-            store = draw_sets.setdefault(mc, DrawSets(mc))
-            store.later = tuple(n for n, m in filter(None, keys[i + 1:]) if m == mc)
+            later = [n for n, m in filter(None, keys[i + 1:]) if m == mc]
+            draw_sets.setdefault(mc, DrawSets(mc)).largest_later = max(later, default=0)
         table = run_sweep(spec, draw_sets)  # the module global, as wrapped when traced
-        if keys[i] is not None:
-            store.release()
-            if not store.later:
-                del draw_sets[mc]
+        if keys[i] is not None and not later:
+            del draw_sets[mc]
         yield table
 
 

@@ -311,36 +311,46 @@ def test_group_draw_equals_each_n_alone_across_chunks(eav_mode):
                            [chunks[chunk] for chunks in alone])
 
 
+GROWN_ORDERS = {  # order: element columns each call draws per chunk
+    (5, 10, 15): [5, 5, 5], (10, 5): [10, 5], (5, 10, 5): [5, 5, 5],
+    (5, 5, 10): [5, 5, 5], (10, 10, 5): [10, 0, 5],
+}
+
+
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
-@pytest.mark.parametrize("order", [(5, 10, 15), (10, 5), (5, 10, 5)],
-                         ids=["ascending", "descending", "5-10-5"])
+@pytest.mark.parametrize("order", list(GROWN_ORDERS),
+                         ids=["ascending", "descending", "5-10-5", "5-5-10", "10-10-5"])
 def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
     # callers ask for the N of `order` in turn, each telling the store the
-    # N still to come, as run_sweeps does. Two chunks in one stream; with
-    # two CPUs the first chunk's extension by 5 columns reads
+    # largest N still to come, as run_sweeps does. Two chunks in one
+    # stream; with two CPUs the first chunk's extension by 5 columns reads
     # 10 _CHUNK >= _SPLIT_MIN words, so it runs on workers
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc = McConfig(trials=_CHUNK + 1000, seed=8, stream_count=1, eav_mode=eav_mode)
-    in_order, split_extensions = montecarlo._in_order, []
+    in_order, split_extensions, columns = montecarlo._in_order, [], []
 
     def recording(draw, blocks, workers, take):
-        if blocks[0][0] > 0 and workers > 1:
+        columns[-1] += sum(hi - lo for lo, hi in blocks)
+        if blocks and blocks[0][0] > 0 and workers > 1:
             split_extensions.append(blocks[0][0])
         return in_order(draw, blocks, workers, take)
 
     store = DrawSets(mc)
     for i, n in enumerate(order):
-        store.later = order[i + 1:]
+        store.largest_later = later = max(order[i + 1:], default=0)
         monkeypatch.setattr(montecarlo, "_in_order", recording)
+        columns.append(0)
         got = store.get(n)
         monkeypatch.setattr(montecarlo, "_in_order", in_order)
         _assert_same_pairs(got, list(draw_chunks(n, mc)))
-        store.release()
-        # running sums only while a larger N is still to come
-        assert (store.sums is not None) == any(k > n for k in order[i + 1:])
-    assert store.sets == {} and store.sums is None
+        # one N at a time: its running sums while a larger N is still to
+        # come, else its chunks while the same N is, else nothing
+        assert (store.drawn, store.sums is not None) == ((n, True) if later > n else (0, False))
+        assert store.kept == ((n, got) if later == n else None)
+    assert columns == [2 * c for c in GROWN_ORDERS[order]]
     # the first column of each extension that ran on workers
-    assert split_extensions == {(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5]}[order]
+    assert split_extensions == {(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5],
+                                (5, 5, 10): [5], (10, 10, 5): []}[order]
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])

@@ -424,10 +424,10 @@ def test_asc_monotone_in_destination_snr():
 def test_numerics_config_validation():
     with pytest.raises(ValueError):
         NumericsConfig(quad_order=1)
-    with pytest.raises(ValueError):
-        NumericsConfig(tail_epsilon=0.0)
+    with pytest.raises(TypeError, match="tail_epsilon"):  # secrecy._TAIL_EPSILON, not a setting
+        NumericsConfig(tail_epsilon=1e-12)
     for kw in ({"quad_order": 2.5}, {"quad_order": 100.5}, {"quad_order": True},
-               {"tail_epsilon": "1e-12"}):
+               {"mc_check": "false"}):
         with pytest.raises(ValueError, match=next(iter(kw))):
             NumericsConfig(**kw)
     assert NumericsConfig(quad_order=np.int64(64)).quad_order == 64

@@ -405,10 +405,10 @@ def count_draws(monkeypatch) -> collections.Counter:
     return counts
 
 
-def per_stream(seeds, streams, columns, sets) -> dict:
-    """The counts of :func:`count_draws` when each stream is one chunk and draws e once."""
+def per_stream(seeds, streams, columns, sets, e=1) -> dict:
+    """The counts of :func:`count_draws` when each stream is one chunk and draws e ``e`` times."""
     return {(seed, stream, what): count for seed in seeds for stream in range(streams)
-            for what, count in (("columns", columns), ("sets", sets), ("e", 1))}
+            for what, count in (("columns", columns), ("sets", sets), ("e", e))}
 
 
 @pytest.mark.parametrize("name, sets", [("fig2", 2), ("fig3", 1), ("fig4", 1),
@@ -436,12 +436,14 @@ def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
     held = []
     for _ in run_sweeps(specs):
         store = stores[0].get(specs[0].mc)
-        held.append(store and (sorted(store.sets), store.sums is not None))
+        held.append(store and (store.drawn, store.sums is not None, store.kept))
     assert all(store is stores[0] for store in stores)
-    # the N=5 set outlives the N=10 curve, the running sums do not
-    assert held == [([5], True), ([5], False), None]
-    # N=10 drew its last 5 columns only
-    assert counts == per_stream({11}, 2, 10, 2)
+    # the running sums outlive the N=5 curve, for the N=10 curve; after
+    # it the store holds nothing, and the last curve drops the store
+    assert held == [(5, True, None), (0, False, None), None]
+    # N=10 drew its last 5 columns only, and the smaller N=5 after it is
+    # drawn afresh, e included
+    assert counts == per_stream({11}, 2, 15, 3, e=2)
 
 
 def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
@@ -462,17 +464,19 @@ def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
 
 
 def test_run_sweeps_failed_extension_leaves_no_partial_sums(monkeypatch):
-    # the extension from N=5 to 10 raises on the second of its two chunks,
-    # after the first chunk's running sums took their new columns
+    # the first extension, from N=5 to 10, raises on the second of its two
+    # chunks, after the first chunk's running sums took their new columns
     specs = [small_spec(base=base_params(n_elements=n)) for n in (5, 10, 10, 5, 15)]
     want = [run_sweep(spec) for spec in specs]
-    failed, draw_chunk = [], montecarlo._draw_chunk
+    failed, extensions, draw_chunk = [], [], montecarlo._draw_chunk
 
     def failing(group, key, span, eav_mode, n0=0, sums=None):
         pairs = draw_chunk(group, key, span, eav_mode, n0, sums)
-        if n0 > 0 and span[0] == 1:
-            failed.append(group)
-            raise MemoryError("no room for the draw")
+        if n0 > 0:
+            extensions.append((n0, group))
+            if span[0] == 1 and not failed:
+                failed.append(group)
+                raise MemoryError("no room for the draw")
         return pairs
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
@@ -482,8 +486,9 @@ def test_run_sweeps_failed_extension_leaves_no_partial_sums(monkeypatch):
     for table in tables[1:3]:
         assert [(r.metric, r.value, r.error) for r in table if r.metric == "mc_sop"] == \
             [("mc_sop", None, "no room for the draw")] * 3
-    # the N=5 set still serves, and N=15 is drawn afresh, not on the
-    # half-extended sums
+    # the second N=5 curve draws afresh and keeps new sums, which N=15
+    # extends, not the half-extended ones
+    assert extensions == [(5, (10,))] * 2 + [(5, (15,))] * 2
     assert tables[0] == want[0] and tables[3] == want[3] and tables[4] == want[4]
 
 
@@ -511,6 +516,40 @@ def test_run_sweeps_peak_memory_per_trial():
     finally:
         tracemalloc.stop()
     assert peak / trials <= 36.0 + 0.5
+
+
+@pytest.mark.parametrize("order, bytes_per_trial", [
+    ((5, 5, 5), 28.0), ((15, 10, 5), 28.0), ((5, 10, 5), 36.0),
+], ids=["5-5-5", "15-10-5", "5-10-5"])
+def test_run_sweeps_peak_memory_holds_one_n(order, bytes_per_trial):
+    # tracemalloc sees numpy's data buffers. The store holds one N at a
+    # time: the N=5 set for the next N=5 curve (5-5-5), nothing when
+    # every later N is smaller (15-10-5), or the running sum X1 (8 B per
+    # trial) for a larger N (the first curve of 5-10-5), on top of the
+    # scoring curve's 28 B of test_run_sweep_peak_memory_per_trial
+    trials = 1_000_000
+    specs = [small_spec(base=base_params(n_elements=n), outputs=("mc_sop",),
+                        mc=McConfig(trials=trials, seed=11)) for n in order]
+    tracemalloc.start()
+    try:
+        list(run_sweeps(specs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= bytes_per_trial + 0.5
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("order", [(15, 10, 5), (5, 10, 5), (10, 5, 10), (5, 5, 10), (10, 10, 5)],
+                         ids=lambda order: "-".join(map(str, order)))
+def test_run_sweeps_tables_equal_per_curve_run_sweep_in_any_n_order(order, eav_mode):
+    # curves of two McConfigs interleaved; each store grows, keeps or
+    # redraws its N as the order asks
+    mcs = [McConfig(trials=3000, seed=seed, stream_count=2, eav_mode=eav_mode)
+           for seed in (11, 12)]
+    specs = [small_spec(base=base_params(n_elements=n), outputs=("sop", "mc_sop", "mc_asc"), mc=mc)
+             for n in order for mc in mcs]
+    assert list(run_sweeps(specs)) == [run_sweep(spec) for spec in specs]
 
 
 # --- table I/O ---------------------------------------------------------------
@@ -563,7 +602,7 @@ def _round_trip_specs():
         base=SystemParams.from_geometry(7, geo, c_th=1.5, kappa_d_t2=0.02,
                                         kappa_d_r2=0.01, kappa_e_t2=0.03,
                                         kappa_e_r2=0.04),
-        numerics=NumericsConfig(quad_order=64, tail_epsilon=1e-10),
+        numerics=NumericsConfig(quad_order=64, mc_check=True),
         mc=McConfig(trials=5000, seed=99, stream_count=3, eav_mode="phase_sum"),
         kappa_convention="amplitude",
     ), id="geometry_phase_sum")
@@ -655,6 +694,8 @@ mc: {trials: 2000, seed: 1}
     ("quad_order: 50", "quad_order: 2.5", "numerics"),
     ("quad_order: 50", "quad_order: 50\n  series: {max_terms: 200}",
      "numerics: unknown field(s) ['series']"),
+    ("quad_order: 50", "quad_order: 50\n  tail_epsilon: 1.0e-12",
+     "numerics: unknown field(s) ['tail_epsilon']"),
     ("snr_d_db: 10.0", "snr_d_db: .nan", "base"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 'false'", "numerics"),
     ("quad_order: 50", "quad_order: 50\n  mc_check: 2", "numerics"),
@@ -670,7 +711,7 @@ mc: {trials: 2000, seed: 1}
 ], ids=["missing_n_elements", "geometry_missing_n0", "geometry_n0_zero",
         "geometry_n0_negative", "trials_1e5", "trials_float", "stream_count_above_trials",
         "n_elements_float", "snr_e_db_string", "quad_order_string",
-        "quad_order_float", "series_removed", "snr_d_db_nan", "mc_check_string",
+        "quad_order_float", "series_removed", "tail_epsilon_removed", "snr_d_db_nan", "mc_check_string",
         "mc_check_int", "snr_d_db_4000", "geometry_chi_200", "geometry_chi_minus_200"])
 def test_malformed_config_is_a_named_config_error(tmp_path, capsys, old, new, section):
     assert old in _GOOD_CONFIG
