@@ -18,14 +18,15 @@ therefore draws one set, keeps it and scores every grid point on it
 ``snr_d_db`` sweep also scores the eavesdropper link, which it leaves
 unchanged, once per chunk through a :class:`LinkMemo`. The curves of
 one ``sweeps.run_sweeps`` call share one :class:`DrawSets` per
-McConfig, which holds one N at a time between curves: each chunk's
-running sums, so that a later, larger N draws only its new element
-columns, or the chunks, for a later curve with the same N. An
-``n_elements`` sweep stores nothing: :func:`simulate_points` draws each
-chunk once, for the largest N, takes every N's X1 from the same running
-sum, and updates each point's accumulator with its chunk as it is
-drawn. :func:`model_law_chunks` draws the Gaussian-sum model itself, to
-check the closed forms against the law they are derived for.
+McConfig, which keeps one N's chunks between curves while a later curve
+asks for that N or a larger one. In ``rayleigh`` mode a larger N grows
+them, drawing only its new element columns; ``phase_sum`` mode draws a
+larger N afresh. An ``n_elements`` sweep stores nothing:
+:func:`simulate_points` draws each chunk once, for the largest N, takes
+every N's X1 from the same running sum, and updates each point's
+accumulator with its chunk as it is drawn. :func:`model_law_chunks`
+draws the Gaussian-sum model itself, to check the closed forms against
+the law they are derived for.
 
 Stream layout: every fading value is drawn by inversion from one 64-bit
 Philox word, so each sits at a known word. Stream i is
@@ -54,11 +55,10 @@ presets' 1e5 trials). A ``snr_d_db`` sweep's :class:`LinkMemo` keeps 8 B
 per trial for each of the eavesdropper's outage threshold and rates
 that it emits: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB
 with one of them and 370 MiB with both, against 219 MiB without the
-memo. One ``mc_sop`` curve peaks at 28 B per trial (``tracemalloc``).
-A :class:`DrawSets` that keeps running sums for a larger N adds X1, 8 B
-(in ``rayleigh`` mode e is the set's): ``mc_sop`` curves at N = 5, 10
-and 15, or 5, 10 and 5, peak at 36 B per trial, and at 28 B when no
-later N is larger (5, 5, 5 or 15, 10, 5).
+memo. One ``mc_sop`` curve peaks at 28 B per trial (``tracemalloc``),
+and so do ``mc_sop`` curves on one :class:`DrawSets` in any N order
+(5, 10, 15; 5, 10, 5; 15, 10, 5; 5, 5, 5): it holds at most one set,
+and growing it turns each chunk's X1^2 back into X1 in place.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
@@ -307,19 +307,20 @@ class DrawSets:
     Callers ask :meth:`get` for the ``(X1^2, e)`` chunks of their N in
     turn, those of ``draw_chunks(N, mc)`` bit for bit, each after setting
     ``largest_later`` to the largest N a later caller will ask for (0 for
-    none). A smaller N's draws are the first element columns of a larger
-    N's, so while that is above the ``drawn`` columns the store keeps each
-    chunk's running sums ``sums``, and the larger N draws its new columns
-    only; otherwise, while it is N, it keeps N's chunks in ``kept``;
-    otherwise nothing. Any other N is drawn afresh, all its columns. A
-    draw that raises is tried once per N: its error, without its
-    traceback, stays in ``failed``.
+    none). While that is at least N, N's chunks stay in ``kept``, and a
+    later call for N gets the same list. In ``rayleigh`` mode a larger N
+    grows it in place: X1, a sum of non-negative terms, is exactly the
+    sqrt of its rounded square, so each chunk's X1^2 is turned back into
+    its running sum and only the new element columns are drawn. The list
+    and arrays handed out for the smaller N are thus reused. Any other N,
+    and a larger one in ``phase_sum`` mode, is drawn afresh. A draw that
+    raises is tried once per N: its error, without its traceback, stays
+    in ``failed``.
     """
 
     def __init__(self, mc: McConfig):
         self.mc = mc
         self.largest_later = 0
-        self.drawn, self.sums = 0, None  # sums: [X1, e or X2] of each chunk
         self.kept = None  # (N, its chunks)
         self.failed: dict = {}
 
@@ -327,30 +328,26 @@ class DrawSets:
         """N's chunks, or the error of its draw."""
         if n in self.failed:
             return self.failed[n]
-        chunks = self.kept[1] if self.kept is not None and self.kept[0] == n else None
-        self.kept = None  # not held through another N's draw
-        if chunks is None:
-            try:
-                chunks = self._draw(n)
-            except Exception as exc:  # frees the failed draw's frames and arrays
-                self.failed[n] = exc.with_traceback(None)
-                return self.failed[n]
-        if self.largest_later == n:
+        mc = self.mc
+        n0, chunks = self.kept or (0, None)
+        self.kept = None  # a draw that raises leaves nothing kept
+        grows = 0 < n0 < n and mc.eav_mode == "rayleigh"
+        if n0 != n and not grows:
+            chunks = None  # not held through another N's draw
+        try:
+            if chunks is None:
+                chunks = [_draw_chunk((n,), mc.seed, span, mc.eav_mode)[0]
+                          for span in _chunk_spans(mc)]
+            elif grows:
+                for i, span in enumerate(_chunk_spans(mc)):
+                    x1_sq, e = chunks[i]
+                    chunks[i] = _draw_chunk((n,), mc.seed, span, mc.eav_mode, n0,
+                                            [np.sqrt(x1_sq, out=x1_sq), e])[0]
+        except Exception as exc:  # frees the failed draw's frames and arrays
+            self.failed[n] = exc.with_traceback(None)
+            return self.failed[n]
+        if self.largest_later >= n:
             self.kept = n, chunks
-        return chunks
-
-    def _draw(self, n: int) -> list:
-        mc, keep = self.mc, self.largest_later > n
-        spans = list(_chunk_spans(mc))
-        n0, sums = (self.drawn, self.sums) if self.sums is not None and n > self.drawn else (0, None)
-        # an extension that raises leaves no half-extended sums behind
-        self.drawn, self.sums = 0, None
-        if sums is None:  # kept only for a larger N; else each chunk makes its own
-            sums = [_new_sums(mc.seed, span, mc.eav_mode) if keep else None for span in spans]
-        chunks = [_draw_chunk((n,), mc.seed, span, mc.eav_mode, n0, chunk_sums)[0]
-                  for span, chunk_sums in zip(spans, sums)]
-        if keep:
-            self.drawn, self.sums = n, sums
         return chunks
 
 

@@ -11,10 +11,10 @@ seed, so emitting the same spec twice produces byte-identical files.
 The Monte Carlo fading depends on N and the McConfig only. A sweep over
 any other axis scores all its points on one draw set. The curves of one
 :func:`run_sweeps` call share one ``montecarlo.DrawSets`` per McConfig,
-which holds one N at a time: a smaller N's draws are the first element
-columns of a larger N's, so while a later curve needs a larger N, each
-chunk's running sums are kept and that curve draws only its new
-columns; while a later curve needs the same N, its set is kept. That
+which keeps one N's set while a later curve needs that N or a larger
+one. A smaller N's draws are the first element columns of a larger N's,
+so in ``rayleigh`` mode the larger N grows the kept set in place and
+draws only its new columns; in ``phase_sum`` mode it draws afresh. That
 changes no value. On its set a sweep over ``snr_d_db``, the axis of
 every bundled preset curve, scores the eavesdropper link, which the axis
 leaves unchanged, once per chunk and reuses those arrays at every point
@@ -160,8 +160,8 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     A ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
     that set through a :class:`LinkMemo`. Nothing is drawn without a
     point. A draw that raises is tried once per N: its error is given to
-    every point of every curve with that N and McConfig, and the running
-    sums it was extending are dropped.
+    every point of every curve with that N and McConfig, and the set it
+    was growing is dropped.
     """
     keys = _mc_keys(spec)
     if not keys or not points:
@@ -188,8 +188,8 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``, which
-    holds the draws of one N at a time and the errors of failed draws.
+    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``: one N's
+    set (grown in ``rayleigh`` mode only) and the errors of failed draws.
     The sweep scores on the set of its N, got from there, and adds the
     DrawSets if it makes it; without ``draw_sets`` it makes its own,
     which holds nothing after the draw, and drops it on return. A
@@ -247,8 +247,9 @@ def run_sweeps(specs):
     Curves with the same McConfig score on one ``montecarlo.DrawSets``,
     which is exact, since the draws depend on nothing else. Before each
     curve the store is told the largest N that a later curve with its
-    McConfig asks for. It is dropped after its last curve, before that
-    curve's table is yielded.
+    McConfig asks for, so that it keeps the set for a later curve to
+    reuse or, in ``rayleigh`` mode only, grow. It is dropped after its
+    last curve, before that curve's table is yielded.
     """
     specs = list(specs)
     keys = [_draw_key(spec) for spec in specs]

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ris_secrecy import montecarlo
@@ -311,9 +312,12 @@ def test_group_draw_equals_each_n_alone_across_chunks(eav_mode):
                            [chunks[chunk] for chunks in alone])
 
 
-GROWN_ORDERS = {  # order: element columns each call draws per chunk
-    (5, 10, 15): [5, 5, 5], (10, 5): [10, 5], (5, 10, 5): [5, 5, 5],
-    (5, 5, 10): [5, 5, 5], (10, 10, 5): [10, 0, 5],
+GROWN_ORDERS = {  # order: element columns each call draws per chunk, by eav_mode
+    (5, 10, 15): {"rayleigh": [5, 5, 5], "phase_sum": [5, 10, 15]},
+    (10, 5): {"rayleigh": [10, 5], "phase_sum": [10, 5]},
+    (5, 10, 5): {"rayleigh": [5, 5, 5], "phase_sum": [5, 10, 5]},
+    (5, 5, 10): {"rayleigh": [5, 0, 5], "phase_sum": [5, 0, 10]},
+    (10, 10, 5): {"rayleigh": [10, 0, 5], "phase_sum": [10, 0, 5]},
 }
 
 
@@ -335,7 +339,7 @@ def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
             split_extensions.append(blocks[0][0])
         return in_order(draw, blocks, workers, take)
 
-    store = DrawSets(mc)
+    store, kept = DrawSets(mc), None
     for i, n in enumerate(order):
         store.largest_later = later = max(order[i + 1:], default=0)
         monkeypatch.setattr(montecarlo, "_in_order", recording)
@@ -343,14 +347,46 @@ def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
         got = store.get(n)
         monkeypatch.setattr(montecarlo, "_in_order", in_order)
         _assert_same_pairs(got, list(draw_chunks(n, mc)))
-        # one N at a time: its running sums while a larger N is still to
-        # come, else its chunks while the same N is, else nothing
-        assert (store.drawn, store.sums is not None) == ((n, True) if later > n else (0, False))
-        assert store.kept == ((n, got) if later == n else None)
-    assert columns == [2 * c for c in GROWN_ORDERS[order]]
+        # the kept list is handed out again for its N and, in rayleigh
+        # mode, grown in place for a larger one
+        if kept is not None and (kept[0] == n or (kept[0] < n and eav_mode == "rayleigh")):
+            assert got is kept[1]
+        # one N at a time: its chunks while a later N is at least as large
+        kept = (n, got) if later >= n else None
+        assert (store.kept and (store.kept[0], id(store.kept[1]))) == \
+            (kept and (n, id(got)))
+    assert columns == [2 * c for c in GROWN_ORDERS[order][eav_mode]]
     # the first column of each extension that ran on workers
-    assert split_extensions == {(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5],
-                                (5, 5, 10): [5], (10, 10, 5): []}[order]
+    assert split_extensions == ({(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5],
+                                 (5, 5, 10): [5], (10, 10, 5): []}[order]
+                                if eav_mode == "rayleigh" else [])
+
+
+# DrawSets grows a kept set by taking each chunk's running sum X1 back
+# from its X1^2, so that sqrt must return X1 bit for bit
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("n", [1, 5, 1024])
+def test_sqrt_of_the_squared_running_sum_is_exact(n, eav_mode):
+    m = 4000
+    span = (1, 3 * m, m, m)
+    sums = montecarlo._new_sums(n, span, eav_mode)
+    [(x1_sq, _)] = _draw_chunk((n,), n, span, eav_mode, 0, sums)
+    x1 = sums[0]
+    assert x1_sq.tobytes() == np.square(x1).tobytes()
+    assert np.sqrt(x1_sq).tobytes() == x1.tobytes()
+
+
+# binary64 magnitudes whose rounded square is a finite normal number
+_NORMAL_SQUARE = st.floats(min_value=2.0 ** -511, max_value=math.sqrt(sys.float_info.max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NORMAL_SQUARE, min_size=1, max_size=256), st.booleans())
+def test_sqrt_of_a_rounded_square_is_exact(magnitudes, negate):
+    x = np.array(magnitudes)
+    if negate:
+        x = -x
+    assert np.sqrt(np.square(x)).tobytes() == np.abs(x).tobytes()
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
@@ -426,13 +462,20 @@ def test_draw_chunk_peak_memory(eav_mode, arrays):
     assert peak <= arrays * m * n * 8
 
 
+# bytes of the thread pool's threads, futures and deque that tracemalloc
+# counts in a draw: _in_order over 33 blocks on two workers, each drawing
+# nothing, peaked at 14.9-15.8 kB in 80 runs, on one CPU and on two
+POOL_OBJECTS = 32 * 1024
+
+
 @pytest.mark.parametrize("group", [(1024,), (512, 1024), (8, 16, 32, 64, 96, 128, 256, 512, 1024)],
                          ids=["1024", "512-1024", "large_n-grid"])
 def test_group_draw_peak_memory(monkeypatch, group):
     # tracemalloc sees numpy's data buffers. A draw holds each N's X1^2
     # and e (2 m floats each, at most), the running sums (m floats, 3 m in
     # phase_sum mode) and the blocks of two workers plus the one being
-    # added; a phase_sum block holds about three arrays of _BLOCK floats
+    # added; a phase_sum block holds about three arrays of _BLOCK floats.
+    # The traced window also holds the pool's Python objects
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     m = 4000
     for eav_mode, sums, arrays in (("rayleigh", 1, 1), ("phase_sum", 3, 3)):
@@ -442,7 +485,8 @@ def test_group_draw_peak_memory(monkeypatch, group):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= ((2 * len(group) + sums) * m + 3 * arrays * _BLOCK) * 8, eav_mode
+        assert peak <= ((2 * len(group) + sums) * m + 3 * arrays * _BLOCK) * 8 + POOL_OBJECTS, \
+            eav_mode
 
 
 def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):

@@ -436,11 +436,12 @@ def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
     held = []
     for _ in run_sweeps(specs):
         store = stores[0].get(specs[0].mc)
-        held.append(store and (store.drawn, store.sums is not None, store.kept))
+        held.append("dropped" if store is None else store.kept and store.kept[0])
     assert all(store is stores[0] for store in stores)
-    # the running sums outlive the N=5 curve, for the N=10 curve; after
-    # it the store holds nothing, and the last curve drops the store
-    assert held == [(5, True, None), (0, False, None), None]
+    # the N=5 set outlives its curve, for the N=10 curve that grows it;
+    # after that curve the store holds nothing, and the last curve drops
+    # the store
+    assert held == [5, None, "dropped"]
     # N=10 drew its last 5 columns only, and the smaller N=5 after it is
     # drawn afresh, e included
     assert counts == per_stream({11}, 2, 15, 3, e=2)
@@ -502,10 +503,10 @@ def test_run_sweeps_does_not_share_across_seeds(monkeypatch):
 
 def test_run_sweeps_peak_memory_per_trial():
     # tracemalloc sees numpy's data buffers. Curves at N = 5, 10, 15 grow
-    # one set: while the N=10 curve scores, the store holds its set (16 B
-    # per trial) and the running sum X1 (8 B) for the N=15 curve, and the
-    # curve's memo 8 B; the rest is one chunk's scoring arrays, as in
-    # test_run_sweep_peak_memory_per_trial's 28 B without the running sum
+    # one set in place: while a curve scores, the store holds its set (16 B
+    # per trial) and the curve's memo 8 B, and the rest is one chunk's
+    # scoring arrays, test_run_sweep_peak_memory_per_trial's 28 B. Growth
+    # turns a chunk's X1^2 back into X1 in place, so it holds no more
     trials = 1_000_000
     specs = [small_spec(base=base_params(n_elements=n), outputs=("mc_sop",),
                         mc=McConfig(trials=trials, seed=11)) for n in (5, 10, 15)]
@@ -515,18 +516,17 @@ def test_run_sweeps_peak_memory_per_trial():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / trials <= 36.0 + 0.5
+    assert peak / trials <= 28.0 + 0.5
 
 
-@pytest.mark.parametrize("order, bytes_per_trial", [
-    ((5, 5, 5), 28.0), ((15, 10, 5), 28.0), ((5, 10, 5), 36.0),
-], ids=["5-5-5", "15-10-5", "5-10-5"])
-def test_run_sweeps_peak_memory_holds_one_n(order, bytes_per_trial):
-    # tracemalloc sees numpy's data buffers. The store holds one N at a
-    # time: the N=5 set for the next N=5 curve (5-5-5), nothing when
-    # every later N is smaller (15-10-5), or the running sum X1 (8 B per
-    # trial) for a larger N (the first curve of 5-10-5), on top of the
-    # scoring curve's 28 B of test_run_sweep_peak_memory_per_trial
+@pytest.mark.parametrize("order", [(5, 5, 5), (15, 10, 5), (5, 10, 5)],
+                         ids=["5-5-5", "15-10-5", "5-10-5"])
+def test_run_sweeps_peak_memory_holds_one_n(order):
+    # tracemalloc sees numpy's data buffers. The store holds one set at a
+    # time: the N=5 set for the next N=5 curve (5-5-5) or for the N=10
+    # curve that grows it (5-10-5), or nothing when every later N is
+    # smaller (15-10-5), within the scoring curve's 28 B of
+    # test_run_sweep_peak_memory_per_trial
     trials = 1_000_000
     specs = [small_spec(base=base_params(n_elements=n), outputs=("mc_sop",),
                         mc=McConfig(trials=trials, seed=11)) for n in order]
@@ -536,7 +536,7 @@ def test_run_sweeps_peak_memory_holds_one_n(order, bytes_per_trial):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / trials <= bytes_per_trial + 0.5
+    assert peak / trials <= 28.0 + 0.5
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
