@@ -34,6 +34,8 @@ from ._schema import check_field_types
 lower_inc_gamma = upper_inc_gamma = None
 
 _FLOAT_MAX = np.finfo(float).max
+# exp(x) rounds to 0.0 for every x below log(2^-1075) = -745.13...
+_EXP_FLOOR = -746.0
 
 # The Poisson window of the destination-law series: at most _MAX_TERMS
 # terms, leaving out less than _REL_TOL of the mixing mass. A larger cap
@@ -288,11 +290,19 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, method: str, upper: 
     with the prefix sums C_j = sum_{k<=j} w_k and suffix sums
     S_j = sum_{k>j} w_k of the cached window: one incomplete gamma per
     x and a sum of positive terms, with no cancellation in either tail.
+
+    The terms t_j are exp of the matrix a_j log u - u - lnGamma(a_j+1),
+    formed in place in that order. ``exp`` is taken only where that
+    exponent is above _EXP_FLOOR; every other term stays the 0.0 that
+    ``exp`` would round it to, so no bit of the result changes, and
+    numpy's slow path for results that underflow to 0 (3-13 times a
+    normal ``exp``) is skipped. Terms with subnormal results, between
+    _EXP_FLOOR and about -708.4, still take that path.
     """
     if method not in ("marcum", "series"):
         raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0.0):
+    if (xs < 0.0).any():
         raise ValueError(f"{'ccdf' if upper else 'cdf'}_rho_d requires x >= 0, got x={x}")
     if method == "marcum":
         a = math.sqrt(stats.lambda_ / stats.sigma2)
@@ -305,15 +315,20 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, method: str, upper: 
         # clamped so that x = inf gives t = 0 rather than exp(inf - inf)
         u = np.minimum(xs / (2.0 * snr_d_linear * stats.sigma2), _FLOAT_MAX)
         with np.errstate(divide="ignore"):  # log(0) = -inf, so t = 0 at u = 0
-            log_u = np.log(u)[..., None]
-        t = np.exp(win.a * log_u - u[..., None] - win.log_gamma)
+            log_u = np.log(u)
+        power = np.multiply.outer(log_u, win.a)
+        power -= u[..., None]
+        power -= win.log_gamma
+        t = np.zeros_like(power)
+        np.exp(power, out=t, where=power > _EXP_FLOOR)
         if upper:
             end, coeff = sc.gammaincc(win.k[0] + 0.5, u), win.suffix
         else:
             end, coeff = sc.gammainc(win.k[-1] + 0.5, u), win.prefix
+        t *= coeff
         # a row-wise sum, not a matrix product, so that every element sums
         # exactly as a scalar call would
-        out = np.minimum(end * win.total + (t * coeff).sum(axis=-1), 1.0)
+        out = np.minimum(end * win.total + t.sum(axis=-1), 1.0)
         if upper:  # the window leaves out up to _REL_TOL; P(rho_D > 0) is 1
             out = np.where(xs > 0.0, out, 1.0)
     return float(out) if np.ndim(x) == 0 else out

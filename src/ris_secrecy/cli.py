@@ -11,9 +11,10 @@ Subcommands:
   simulator, and its gap (the error of the Gaussian-sum channel model)
   is only reported. ``--strict-mc`` instead simulates the Gaussian-sum
   model the closed forms are derived for, and fails the run beyond 3
-  standard errors. ``--seed`` and ``--strict-mc`` apply to that
-  comparison only, so without ``--trials`` they are a configuration
-  error.
+  standard errors (for the SOP, outside the Wilson score interval of
+  the outage count; see ``sweeps.mc_gap``). ``--seed`` and
+  ``--strict-mc`` apply to that comparison only, so without
+  ``--trials`` they are a configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 I/O error.
@@ -41,6 +42,7 @@ from .sweeps import (
     emit,
     load_config,
     load_preset,
+    mc_gap,
     run_sweeps,
 )
 
@@ -142,10 +144,8 @@ def _cmd_selftest(args) -> int:
                 est = simulate_metrics(params, mc)
                 against = "signal-level simulation"
             for name, _, _, key in _SELFTEST_METRICS:
-                e = est[key]
-                gap = abs(closed[name] - e.value)
-                units = gap / e.std_error if e.std_error > 0 else float("inf")
-                within = gap <= 3.0 * e.std_error
+                gap, se, within = mc_gap(closed[name], est[key], outage=key == "sop")
+                units = gap / se if se > 0 else float("inf")
                 tag = "PASS" if within else ("FAIL" if args.strict_mc else "NOTE")
                 if args.strict_mc:
                     ok &= within

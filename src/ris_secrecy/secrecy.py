@@ -144,7 +144,9 @@ def _chebyshev_on_interval(q: int, upper: float):
     integrands used here.
     """
     w, t, dt = _chebyshev_rule(q)
-    x = np.clip(0.5 * upper * (1.0 + t), 0.0, upper)
+    x = 0.5 * upper * (1.0 + t)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, upper, out=x)
     return x, 0.5 * upper * w * dt
 
 
@@ -194,16 +196,20 @@ def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
     """Chebyshev/series form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx.
 
     Where c - d x <= 0 the destination cannot reach the target, so the
-    CDF factor is 1.
+    CDF factor is 1. When every node is live, which is the common case,
+    the CDF takes the nodes as they are; its values are the same bits.
     """
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
     denom = c - d * x
-    live = denom > 0.0
-    f = np.ones_like(x)
-    f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, snr_d_linear,
-                        method="series")
+    if denom.min() > 0.0:
+        f = cdf_rho_d((a * x + b) / denom, stats, snr_d_linear, method="series")
+    else:
+        live = denom > 0.0
+        f = np.ones_like(x)
+        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, snr_d_linear,
+                            method="series")
     lam_e = stats.lambda_e
-    return float(np.sum(w * np.exp(-x / lam_e) / lam_e * f))
+    return float((w * np.exp(-x / lam_e) / lam_e * f).sum())
 
 
 def _piecewise_quad(f, edges) -> float:
@@ -329,10 +335,13 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     upper = 1.0 / kd if kd > 0.0 else _rho_d_tail_limit(stats, g)
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
     denom = 1.0 - kd * x
-    live = denom > 0.0  # the SNDR cannot exceed the saturation point
-    ccdf = np.zeros_like(x)
-    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
-    return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0)
+    if denom.min() > 0.0:  # every node live, the common case: no mask
+        ccdf = ccdf_rho_d(x / denom, stats, g, method="series")
+    else:
+        live = denom > 0.0  # the SNDR cannot exceed the saturation point
+        ccdf = np.zeros_like(x)
+        ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
+    return float((w * ccdf / (1.0 + x)).sum()) / math.log(2.0)
 
 
 def e1_scaled(t: float) -> float:

@@ -46,7 +46,14 @@ import yaml
 
 from ._schema import check_field_types, fits, type_hints
 from .channel import SystemParams, derive_stats
-from .montecarlo import DrawSets, LinkMemo, McConfig, simulate_metrics, simulate_points
+from .montecarlo import (
+    DrawSets,
+    EstimateWithCI,
+    LinkMemo,
+    McConfig,
+    simulate_metrics,
+    simulate_points,
+)
 from .secrecy import NumericsConfig, avg_secrecy_capacity, sop, sop_asymptotic
 
 Axis = typing.Literal["snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th"]
@@ -265,15 +272,31 @@ def run_sweeps(specs):
         yield table
 
 
+def mc_gap(value: float, est: EstimateWithCI, outage: bool) -> tuple[float, float, bool]:
+    """``(gap, standard error, within)`` of ``value`` against a Monte Carlo estimate.
+
+    ``within`` is gap <= 3 standard errors. A rate's standard error is
+    ``est.std_error``. An outage probability's is sqrt(p (1 - p)/n) at
+    p = ``value``, the score test: ``value`` is within exactly when it
+    lies inside the Wilson score interval of the outage count at z = 3
+    (Wilson, JASA 22, 1927; Brown, Cai and DasGupta, Stat. Sci. 16,
+    2001). The estimate's own standard error is 0 at 0 outages, where
+    any positive value would be flagged; the interval at 0 outages in
+    1e5 trials reaches 9.0e-5.
+    """
+    gap = abs(value - est.value)
+    se = math.sqrt(value * (1.0 - value) / est.trials) if outage else est.std_error
+    return gap, se, gap <= 3.0 * se
+
+
 def _annotate_mc_gap(row: Row, mc_est) -> Row:
-    """Flag analytic values that sit outside 3 standard errors of the MC."""
+    """Flag analytic values outside 3 standard errors of the MC (see :func:`mc_gap`)."""
     key = _MC_ESTIMATES.get("mc_" + row.metric)
     if key is None or row.value is None:
         return row
-    est = mc_est[key]
-    gap = abs(row.value - est.value)
-    if gap > 3.0 * est.std_error:
-        note = f"mc-gap {gap:.3e} exceeds 3*SE {3.0 * est.std_error:.3e}"
+    gap, se, within = mc_gap(row.value, mc_est[key], outage=key == "sop")
+    if not within:
+        note = f"mc-gap {gap:.3e} exceeds 3*SE {3.0 * se:.3e}"
         return dataclasses.replace(row, error=note)
     return row
 

@@ -235,6 +235,48 @@ def test_series_recurrence_matches_incomplete_gamma_matrix(n):
     assert ccdf_rho_d(math.inf, st_, g, method="series") == 0.0
 
 
+def _series_as_written(x, st_, g, upper):
+    """The series route as one expression, with ``exp`` of every term."""
+    win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2))
+    xs = np.asarray(x, dtype=float)
+    u = np.minimum(xs / (2.0 * g * st_.sigma2), np.finfo(float).max)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)[..., None]
+    t = np.exp(win.a * log_u - u[..., None] - win.log_gamma)
+    if upper:
+        end, coeff = sc.gammaincc(win.k[0] + 0.5, u), win.suffix
+    else:
+        end, coeff = sc.gammainc(win.k[-1] + 0.5, u), win.prefix
+    out = np.minimum(end * win.total + (t * coeff).sum(axis=-1), 1.0)
+    return np.where(xs > 0.0, out, 1.0) if upper else out
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 64, 128])
+def test_series_skips_only_terms_that_underflow_to_zero(n):
+    # the kernel takes exp only above -746; every other term is the 0.0
+    # exp would give, so its values are the written-out expression's bits
+    p = params_for(n=n)
+    st_ = derive_stats(p)
+    g = p.snr_d_linear
+    win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2))
+    mean = g * (st_.lambda_ + st_.sigma2)
+    far = g * (math.sqrt(st_.lambda_) + 40.0 * math.sqrt(st_.sigma2)) ** 2
+    xs = np.concatenate([[0.0], np.geomspace(1e-12 * mean, 4.0 * far, 400), [math.inf]])
+    u = xs[1:-1] / (2.0 * g * st_.sigma2)
+    power = np.log(u)[:, None] * win.a - u[:, None] - win.log_gamma
+    dead = power <= -746.0
+    assert (dead.any(axis=1) & ~dead.all(axis=1)).any()  # rows that cross -746
+    assert ((power > -746.0) & (power <= -708.4)).any()  # subnormal terms
+    for upper, fn in ((False, cdf_rho_d), (True, ccdf_rho_d)):
+        assert fn(xs, st_, g, "series").tobytes() == _series_as_written(xs, st_, g, upper).tobytes()
+        grid = xs[:400].reshape(20, 20)
+        assert fn(grid, st_, g, "series").tobytes() == _series_as_written(grid, st_, g, upper).tobytes()
+        for v in xs[::20].tolist() + [math.inf]:
+            got = fn(v, st_, g, "series")
+            assert type(got) is float
+            assert got.hex() == float(_series_as_written(v, st_, g, upper)).hex(), (upper, v)
+
+
 def test_poisson_window_is_cached_and_read_only():
     mean = 7.3
     win = _poisson_window(mean)

@@ -13,13 +13,21 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracle
-from ris_secrecy.channel import ConvergenceError, SystemParams, derive_stats
+from ris_secrecy.channel import (
+    ConvergenceError,
+    SystemParams,
+    ccdf_rho_d,
+    cdf_rho_d,
+    derive_stats,
+)
 from ris_secrecy.montecarlo import McConfig, model_law_chunks, simulate_metrics
 from ris_secrecy.secrecy import (
+    DEFAULT_NUMERICS,
     NumericsConfig,
     UnsupportedRegimeError,
     _chebyshev_on_interval,
     _chebyshev_rule,
+    _outage_integral,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
     destination_rate,
@@ -448,3 +456,59 @@ def test_chebyshev_caches_are_read_only():
     x, wx = _chebyshev_on_interval(q, 3.7)
     assert x.tolist() == np.clip(0.5 * 3.7 * (1.0 + t), 0.0, 3.7).tolist()
     assert wx.tolist() == (0.5 * 3.7 * w * dt).tolist()
+
+
+# --- nodes where the destination law is not needed ---------------------------
+
+def _outage_integral_masked(a, b, c, d, upper, stats, g, q):
+    """Reference for _outage_integral: the CDF at the live nodes only, 1 elsewhere."""
+    x, w = _chebyshev_on_interval(q, upper)
+    denom = c - d * x
+    live = denom > 0.0
+    f = np.ones_like(x)
+    f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method="series")
+    return float(np.sum(w * np.exp(-x / stats.lambda_e) / stats.lambda_e * f)), live
+
+
+def _destination_rate_masked(p, stats, q):
+    """Reference for destination_rate at kappa_d > 0: the CCDF at the live nodes only."""
+    kd = p.kappa_d_sum
+    x, w = _chebyshev_on_interval(q, 1.0 / kd)
+    denom = 1.0 - kd * x
+    live = denom > 0.0
+    ccdf = np.zeros_like(x)
+    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, p.snr_d_linear, method="series")
+    return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0), live
+
+
+@pytest.mark.parametrize("beyond", [False, True], ids=["all-live", "some-dead"])
+def test_outage_integral_live_shortcut_keeps_the_masked_bits(beyond):
+    # theta2 > 0, so the CDF argument's denominator theta3 - theta2 x is
+    # positive only below theta3/theta2: integrate up to there or past it
+    p = params_for(n=10)
+    stats = derive_stats(p)
+    th = theta_coefficients(p)
+    upper = th.theta3 / th.theta2 * (3.0 if beyond else 1.0)
+    args = (th.theta1, th.vartheta, th.theta3, th.theta2, upper, stats, p.snr_d_linear)
+    want, live = _outage_integral_masked(*args, DEFAULT_NUMERICS.quad_order)
+    assert live.all() != beyond
+    assert _outage_integral(*args, DEFAULT_NUMERICS).hex() == want.hex()
+
+
+@pytest.mark.parametrize("q", [100, 600], ids=["all-live", "some-dead"])
+def test_destination_rate_live_shortcut_keeps_the_masked_bits(q):
+    # kappa_d > 0; at 600 nodes the last one rounds onto the saturation point
+    p = params_for(n=10)
+    stats = derive_stats(p)
+    want, live = _destination_rate_masked(p, stats, q)
+    assert live.all() == (q == 100)
+    assert destination_rate(p, stats, NumericsConfig(quad_order=q)).hex() == want.hex()
+
+
+def test_outage_integral_with_no_live_node_still_raises_at_large_n():
+    # the CDF is still asked for its (empty) values, so N=256's oversized
+    # Poisson window raises as it does when nodes are live
+    p = params_for(n=256)
+    stats = derive_stats(p)
+    with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
+        _outage_integral(1.0, 0.0, -1.0, 1.0, 10.0, stats, p.snr_d_linear, DEFAULT_NUMERICS)

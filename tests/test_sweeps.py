@@ -30,6 +30,7 @@ from ris_secrecy.sweeps import (
     load_config,
     load_preset,
     load_table,
+    mc_gap,
     run_sweep,
     run_sweeps,
     save_config,
@@ -182,6 +183,41 @@ def test_run_sweep_mc_check_annotates_model_gaps():
     rows = run_sweep(spec)
     # at this operating point the Gaussian-sum model gap far exceeds 3 SE
     assert rows[0].error is not None and "mc-gap" in rows[0].error
+
+
+def _wilson_interval(outages, trials, z=3.0):
+    p, z2 = outages / trials, z * z
+    centre = (p + z2 / (2 * trials)) / (1 + z2 / trials)
+    half = z / (1 + z2 / trials) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("outages, trials", [(0, 100_000), (0, 2000), (37, 2000)])
+def test_mc_gap_accepts_an_outage_probability_inside_the_wilson_interval(outages, trials):
+    est = montecarlo.EstimateWithCI(outages / trials, 0.0, trials, 1)  # SE unused for the SOP
+    lo, hi = _wilson_interval(outages, trials)
+    cases = [(hi * (1 - 1e-9), True), (hi * (1 + 1e-9), False)]
+    if outages:  # at 0 outages the interval starts at 0
+        cases += [(lo * (1 + 1e-9), True), (lo * (1 - 1e-9), False)]
+    for value, within in cases:
+        assert mc_gap(value, est, outage=True)[2] is within, value
+        note = sweeps._annotate_mc_gap(Row("snr_d_db", 0.0, "sop", value), {"sop": est}).error
+        assert (note is None) is within
+    # a rate keeps its estimate's own standard error
+    rate = montecarlo.EstimateWithCI(2.0, 0.1, trials, 1)
+    assert [mc_gap(v, rate, outage=False)[2] for v in (2.29, 2.31, 1.71, 1.69)] == [
+        True, False, True, False]
+
+
+def test_mc_check_at_zero_outages_passes_a_correct_sop_and_flags_a_model_gap():
+    # 0 outages in 1e5 trials: the estimate's own SE is 0, but the Wilson
+    # interval reaches 9.0e-5, so the channel's 2.7e-6 at fig2 n5, 12 dB
+    # passes and the closed form's model-gapped 3.97e-3 there is flagged
+    est = {"sop": montecarlo.EstimateWithCI(0.0, 0.0, 100_000, 1)}
+    assert _wilson_interval(0, 100_000)[1] == pytest.approx(9.0e-5, rel=1e-3)
+    assert sweeps._annotate_mc_gap(Row("snr_d_db", 20.0, "sop", 2.7e-6), est).error is None
+    note = sweeps._annotate_mc_gap(Row("snr_d_db", 20.0, "sop", 3.97e-3), est).error
+    assert note is not None and note.startswith("mc-gap 3.970e-03")
 
 
 MC_AXES = (
@@ -868,6 +904,14 @@ def test_cli_selftest_strict_mc_gates_against_the_model_law(capsys):
     assert code == 0
     assert "selftest: PASS" in out
     assert "FAIL" not in out
+
+
+def test_cli_selftest_strict_mc_passes_where_the_short_run_sees_no_outage(capsys):
+    # 2000 trials expect 0.05 outages at N=10, 20/-10 dB (SOP 2.3e-5)
+    code = cli.main(["selftest", "--strict-mc", "--trials", "2000"])
+    out = capsys.readouterr().out
+    assert "[PASS] N=10 snr_d= 20.0dB snr_e=-10.0dB sop vs Gaussian-sum model" in out
+    assert (code, out.count("FAIL")) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig4"])
