@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Time one call of the destination-law kernel and of each closed form and its reference.
 
-The layer-by-layer view of the analytic path: the median wall time of one
+The layer-by-layer view of the analytic path: the wall time of one
 call of ``cdf_rho_d`` and ``ccdf_rho_d`` (series route, 100 points spread
 over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``,
 ``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
 the ``*_reference`` twins, at N in
 {1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
 levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). timeit's autorange runs
-each call first, which fills the caches before the timed rounds. Prints
-one JSON line, times in seconds; takes about 40 s.
+each call first, which fills the caches before the timed rounds. Each
+round then times every call in turn, round-robin, so that a phase of a
+slow core falls on all calls alike rather than on one. Prints one JSON
+line with the 25th, 50th and 75th percentiles over the rounds of each
+call, times in seconds; takes about 30 s.
 
     python scripts/kernel_timing.py
 """
@@ -40,39 +43,50 @@ from ris_secrecy.secrecy import (
 )
 
 ELEMENTS = (1, 10, 64, 128)
-ROUNDS = 15          # the median is taken over this many rounds
-ROUND_S = 0.02       # each round repeats the call for about this long
+ROUNDS = 15          # the percentiles are taken over this many rounds
+ROUND_S = 0.02       # each round repeats each call for about this long
 
 
-def per_call_s(call) -> float:
+def calls_per_round(call) -> int:
     number, total = timeit.Timer(call).autorange()  # also fills the caches
-    number = max(1, round(number * ROUND_S / total))
-    return statistics.median(timeit.repeat(call, number=number, repeat=ROUNDS)) / number
+    return max(1, round(number * ROUND_S / total))
+
+
+def calls_at(n: int) -> dict:
+    """The timed calls, by name, at N = ``n`` and the fig2 base point."""
+    p = SystemParams(n_elements=n, kappa_d_t2=0.01, kappa_d_r2=0.01,
+                     kappa_e_t2=0.01, kappa_e_r2=0.01,
+                     snr_d_db=10.0, snr_e_db=-10.0, c_th=1.0)
+    st = derive_stats(p)
+    g = p.snr_d_linear
+    xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
+    return {
+        "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method="series"),
+        "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method="series"),
+        "sop": lambda: sop(p, st),
+        "sop_asymptotic": lambda: sop_asymptotic(p, st),
+        "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),
+        "eavesdropper_rate": lambda: eavesdropper_rate(st, p.kappa_e_sum),
+        "sop_reference": lambda: sop_reference(p, st),
+        "sop_asymptotic_reference": lambda: sop_asymptotic_reference(p, st),
+        "avg_secrecy_capacity_reference": lambda: avg_secrecy_capacity_reference(p, st),
+    }
 
 
 def main() -> int:
-    result = {}
-    for n in ELEMENTS:
-        p = SystemParams(n_elements=n, kappa_d_t2=0.01, kappa_d_r2=0.01,
-                         kappa_e_t2=0.01, kappa_e_r2=0.01,
-                         snr_d_db=10.0, snr_e_db=-10.0, c_th=1.0)
-        st = derive_stats(p)
-        g = p.snr_d_linear
-        xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
-        calls = {
-            "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method="series"),
-            "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method="series"),
-            "sop": lambda: sop(p, st),
-            "sop_asymptotic": lambda: sop_asymptotic(p, st),
-            "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),
-            "eavesdropper_rate": lambda: eavesdropper_rate(st, p.kappa_e_sum),
-            "sop_reference": lambda: sop_reference(p, st),
-            "sop_asymptotic_reference": lambda: sop_asymptotic_reference(p, st),
-            "avg_secrecy_capacity_reference": lambda: avg_secrecy_capacity_reference(p, st),
-        }
-        result[str(n)] = {name: round(per_call_s(c), 9) for name, c in calls.items()}
+    calls = {(n, name): c for n in ELEMENTS for name, c in calls_at(n).items()}
+    number = {key: calls_per_round(c) for key, c in calls.items()}
+    times = {key: [] for key in calls}
+    for _ in range(ROUNDS):
+        for key, c in calls.items():
+            times[key].append(timeit.timeit(c, number=number[key]) / number[key])
+    result = {str(n): {} for n in ELEMENTS}
+    for (n, name), ts in times.items():
+        p25, p50, p75 = statistics.quantiles(ts, n=4, method="inclusive")
+        result[str(n)][name] = {"p25": round(p25, 9), "median": round(p50, 9),
+                                "p75": round(p75, 9)}
     print(json.dumps({
-        "unit": "s per call, median",
+        "unit": "s per call, quartiles over the rounds",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -28,14 +28,9 @@ import sys
 
 from .channel import SystemParams, derive_stats
 from .montecarlo import McConfig, model_law_chunks, simulate_metrics
-from .secrecy import (
-    NumericsConfig,
-    avg_secrecy_capacity,
-    avg_secrecy_capacity_reference,
-    sop,
-    sop_reference,
-)
+from .secrecy import NumericsConfig
 from .sweeps import (
+    ROUTES,
     ConfigError,
     PRESET_NAMES,
     SweepSpec,
@@ -99,12 +94,8 @@ _SELFTEST_SCENARIOS = (
     (10, 10.0, 0.0),
 )
 
-# (name, closed form, its adaptive-quadrature twin, Monte Carlo estimate)
-_SELFTEST_METRICS = (
-    ("sop", sop, sop_reference, "sop"),
-    ("asc", lambda *args: avg_secrecy_capacity(*args).value,
-     lambda *args: avg_secrecy_capacity_reference(*args).value, "asc_eq19"),
-)
+# the metrics with a Monte Carlo estimate, each checked against its twin and simulation
+_SELFTEST_METRICS = {name: route for name, route in ROUTES.items() if route.mc}
 
 
 def _cmd_selftest(args) -> int:
@@ -127,9 +118,9 @@ def _cmd_selftest(args) -> int:
         label = f"N={n:2d} snr_d={gd:5.1f}dB snr_e={ge:5.1f}dB"
 
         closed = {}
-        for name, closed_form, twin, _ in _SELFTEST_METRICS:
-            closed[name] = value = closed_form(params, stats, numerics)
-            ref = twin(params, stats, numerics)
+        for name, route in _SELFTEST_METRICS.items():
+            closed[name] = value = route.closed_form(params, stats, numerics)
+            ref = route.twin(params, stats, numerics)
             gap = abs(value - ref)
             good = gap < quad_tol
             ok &= good
@@ -143,8 +134,8 @@ def _cmd_selftest(args) -> int:
             else:
                 est = simulate_metrics(params, mc)
                 against = "signal-level simulation"
-            for name, _, _, key in _SELFTEST_METRICS:
-                gap, se, within = mc_gap(closed[name], est[key], outage=key == "sop")
+            for name, route in _SELFTEST_METRICS.items():
+                gap, se, within = mc_gap(closed[name], est[route.mc], outage=route.mc == "sop")
                 units = gap / se if se > 0 else float("inf")
                 tag = "PASS" if within else ("FAIL" if args.strict_mc else "NOTE")
                 if args.strict_mc:

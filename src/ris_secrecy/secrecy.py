@@ -8,7 +8,8 @@ independent numerical routes that integrate in opposite orders:
 * the closed form: Gauss-Chebyshev quadrature of the destination CDF
   (incomplete-gamma series) against the eavesdropper density, and
 * a ``*_reference`` twin: adaptive quadrature (scipy), over the Gaussian
-  destination amplitude, of the outage probability or rate given it.
+  destination amplitude, of the outage probability or rate given it. It
+  takes its closed form's arguments and ignores ``numerics``.
 
 Agreement between the two validates the series, the quadrature rule and
 the algebra at once. Both evaluate the Gaussian-sum model of the
@@ -190,24 +191,31 @@ def _asymptotic_region(params: SystemParams):
     return th, 1.0 / th.theta4
 
 
+def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: float,
+            upper_tail: bool):
+    """F_rhoD, or 1 - F_rhoD if ``upper_tail``, at (a x + b)/(c - d x) for each node x.
+
+    Where c - d x <= 0 the destination cannot reach the target (its SNDR
+    saturates), so the CDF is 1 there and the CCDF 0. When every node is
+    live, which is the common case, the law takes the nodes as they are;
+    its values are the same bits.
+    """
+    law = ccdf_rho_d if upper_tail else cdf_rho_d
+    denom = c - d * x
+    if denom.min() > 0.0:
+        return law((a * x + b) / denom, stats, g, method="series")
+    live = denom > 0.0
+    f = np.full_like(x, 0.0 if upper_tail else 1.0)
+    f[live] = law((a * x[live] + b) / denom[live], stats, g, method="series")
+    return f
+
+
 def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
                      stats: ChannelStats, snr_d_linear: float,
                      numerics: NumericsConfig) -> float:
-    """Chebyshev/series form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx.
-
-    Where c - d x <= 0 the destination cannot reach the target, so the
-    CDF factor is 1. When every node is live, which is the common case,
-    the CDF takes the nodes as they are; its values are the same bits.
-    """
+    """Chebyshev/series form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx."""
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
-    denom = c - d * x
-    if denom.min() > 0.0:
-        f = cdf_rho_d((a * x + b) / denom, stats, snr_d_linear, method="series")
-    else:
-        live = denom > 0.0
-        f = np.ones_like(x)
-        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, snr_d_linear,
-                            method="series")
+    f = _law_at(x, a, b, c, d, stats, snr_d_linear, upper_tail=False)
     lam_e = stats.lambda_e
     return float((w * np.exp(-x / lam_e) / lam_e * f).sum())
 
@@ -283,11 +291,7 @@ def sop(params: SystemParams, stats: ChannelStats,
 
 def sop_reference(params: SystemParams, stats: ChannelStats,
                   numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
-    """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last.
-
-    ``numerics`` is accepted and unused: ``perfbench/rowcheck.py`` and
-    the CLI's selftest pass each twin the arguments of its closed form.
-    """
+    """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last."""
     th = theta_coefficients(params)
     if th.theta3 <= 0.0:
         return 1.0
@@ -308,7 +312,8 @@ def sop_asymptotic(params: SystemParams, stats: ChannelStats,
     return min(total + math.exp(-upper / stats.lambda_e), 1.0)
 
 
-def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats) -> float:
+def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats,
+                             numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Adaptive-quadrature twin of :func:`sop_asymptotic`, integrating over X1 last."""
     th, _ = _asymptotic_region(params)
     return _outage_reference(th.gamma_th, 0.0, 1.0, th.theta4, stats, params.snr_d_linear)
@@ -334,13 +339,7 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
     g = params.snr_d_linear
     upper = 1.0 / kd if kd > 0.0 else _rho_d_tail_limit(stats, g)
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
-    denom = 1.0 - kd * x
-    if denom.min() > 0.0:  # every node live, the common case: no mask
-        ccdf = ccdf_rho_d(x / denom, stats, g, method="series")
-    else:
-        live = denom > 0.0  # the SNDR cannot exceed the saturation point
-        ccdf = np.zeros_like(x)
-        ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
+    ccdf = _law_at(x, 1.0, 0.0, 1.0, kd, stats, g, upper_tail=True)
     return float((w * ccdf / (1.0 + x)).sum()) / math.log(2.0)
 
 
@@ -417,8 +416,6 @@ def avg_secrecy_capacity_reference(params: SystemParams, stats: ChannelStats,
 
     R_D = E[log2(1 + gamma_D)] over X1, and R_E the same expectation over
     rho_E = lambda_e s, s ~ Exp(1), rather than through the E1 form.
-    ``numerics`` is accepted and unused: ``perfbench/rowcheck.py`` and
-    the CLI's selftest pass each twin the arguments of its closed form.
     """
     kd, ke, lam_e = params.kappa_d_sum, params.kappa_e_sum, stats.lambda_e
     r_d = _conditional_expectation(lambda rho: math.log2(1.0 + rho / (kd * rho + 1.0)),

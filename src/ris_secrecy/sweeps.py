@@ -54,7 +54,15 @@ from .montecarlo import (
     simulate_metrics,
     simulate_points,
 )
-from .secrecy import NumericsConfig, avg_secrecy_capacity, sop, sop_asymptotic
+from .secrecy import (
+    NumericsConfig,
+    avg_secrecy_capacity,
+    avg_secrecy_capacity_reference,
+    sop,
+    sop_asymptotic,
+    sop_asymptotic_reference,
+    sop_reference,
+)
 
 Axis = typing.Literal["snr_d_db", "n_elements", "kappa2", "snr_e_db", "c_th"]
 Metric = typing.Literal["sop", "sop_asymptotic", "asc", "mc_sop", "mc_asc"]
@@ -126,21 +134,29 @@ def _params_at(spec: SweepSpec, value) -> SystemParams:
     return dataclasses.replace(base, **{spec.axis: float(value)})
 
 
-_MC_ESTIMATES = {"mc_sop": "sop", "mc_asc": "asc_eq19"}
+class Route(typing.NamedTuple):
+    closed_form: typing.Callable  # the value at (params, stats, numerics)
+    twin: typing.Callable  # the same by adaptive quadrature, independent of the closed form
+    mc: str | None  # the key of the Monte Carlo estimate of ``mc_<metric>``, if emitted
 
-# Each analytic metric's value at (params, stats, numerics). The lambdas
-# look the closed forms up as module globals at call time, so that
-# wrappers installed on this module see every call.
-_CLOSED_FORMS = {
-    "sop": lambda params, stats, numerics: sop(params, stats, numerics),
-    "sop_asymptotic": lambda params, stats, numerics: sop_asymptotic(params, stats, numerics),
-    "asc": lambda params, stats, numerics: avg_secrecy_capacity(params, stats, numerics).value,
+
+# The one table of each analytic metric's routes, read by run_sweep, _mc_keys,
+# _annotate_mc_gap and the CLI's selftest. The closed-form lambdas look the
+# closed forms up as module globals at call time, so that wrappers installed
+# on this module see every call.
+ROUTES = {
+    "sop": Route(lambda p, s, n: sop(p, s, n), sop_reference, "sop"),
+    "sop_asymptotic": Route(lambda p, s, n: sop_asymptotic(p, s, n),
+                            sop_asymptotic_reference, None),
+    "asc": Route(lambda p, s, n: avg_secrecy_capacity(p, s, n).value,
+                 lambda p, s, n: avg_secrecy_capacity_reference(p, s, n).value, "asc_eq19"),
 }
 
 
 def _mc_keys(spec: SweepSpec) -> list[str]:
     """The Monte Carlo estimates a sweep emits or checks; only these are computed."""
-    return [k for m, k in _MC_ESTIMATES.items() if m in spec.outputs or spec.numerics.mc_check]
+    return [r.mc for m, r in ROUTES.items()
+            if r.mc and (f"mc_{m}" in spec.outputs or spec.numerics.mc_check)]
 
 
 def _draw_key(spec: SweepSpec):
@@ -195,15 +211,10 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
 def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets``: one N's
-    set (grown in ``rayleigh`` mode only) and the errors of failed draws.
-    The sweep scores on the set of its N, got from there, and adds the
-    DrawSets if it makes it; without ``draw_sets`` it makes its own,
-    which holds nothing after the draw, and drops it on return. A
-    ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
-    that set, through a :class:`LinkMemo` it drops on return. An
-    ``n_elements`` sweep stores nothing: it scores its points as each
-    chunk is drawn.
+    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets`` (see
+    :func:`run_sweeps`). The sweep scores on the set of its N, got from
+    there, and adds the DrawSets if it makes it; without ``draw_sets`` it
+    makes its own and drops it on return (see :func:`_mc_estimates`).
     """
     points = []  # (value, params, stats), or (value, error, None)
     for value in spec.values:
@@ -229,13 +240,13 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
             if metric not in spec.outputs:
                 continue
             try:
-                closed_form = _CLOSED_FORMS.get(metric)
-                if closed_form is not None:
-                    row = Row(spec.axis, value, metric, closed_form(params, stats, spec.numerics))
+                if metric in ROUTES:
+                    row = Row(spec.axis, value, metric,
+                              ROUTES[metric].closed_form(params, stats, spec.numerics))
                 elif isinstance(mc_est, Exception):  # raising it would grow a kept traceback
                     row = Row(spec.axis, value, metric, None, error=str(mc_est))
                 else:
-                    est = mc_est[_MC_ESTIMATES[metric]]
+                    est = mc_est[ROUTES[metric.removeprefix("mc_")].mc]
                     row = Row(spec.axis, value, metric, est.value, est.std_error,
                               est.trials, est.seed)
             except Exception as exc:
@@ -291,7 +302,7 @@ def mc_gap(value: float, est: EstimateWithCI, outage: bool) -> tuple[float, floa
 
 def _annotate_mc_gap(row: Row, mc_est) -> Row:
     """Flag analytic values outside 3 standard errors of the MC (see :func:`mc_gap`)."""
-    key = _MC_ESTIMATES.get("mc_" + row.metric)
+    key = ROUTES[row.metric].mc if row.metric in ROUTES else None
     if key is None or row.value is None:
         return row
     gap, se, within = mc_gap(row.value, mc_est[key], outage=key == "sop")

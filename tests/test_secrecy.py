@@ -5,6 +5,7 @@ of ``oracle`` (tests/oracle.py), and the oracle against Monte Carlo of the
 Gaussian-sum model.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from ris_secrecy.secrecy import (
     UnsupportedRegimeError,
     _chebyshev_on_interval,
     _chebyshev_rule,
+    _law_at,
     _outage_integral,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
@@ -40,6 +42,7 @@ from ris_secrecy.secrecy import (
     sop_reference,
     theta_coefficients,
 )
+from ris_secrecy.sweeps import ROUTES
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0, **kw):
@@ -128,17 +131,12 @@ def test_large_n_value_or_named_error(n, metric):
     # the series must not overflow however far the Poisson mode moves out
     p = params_for(n=n)
     stats = derive_stats(p)
-    closed, reference = {
-        "sop": (sop, sop_reference),
-        "sop_asymptotic": (sop_asymptotic, sop_asymptotic_reference),
-        "asc": (lambda p_, s_: avg_secrecy_capacity(p_, s_).value,
-                lambda p_, s_: avg_secrecy_capacity_reference(p_, s_).value),
-    }[metric]
+    route = ROUTES[metric]
     try:
-        value = closed(p, stats)
+        value = route.closed_form(p, stats, DEFAULT_NUMERICS)
     except (ConvergenceError, UnsupportedRegimeError):
         return
-    assert abs(value - reference(p, stats)) < 1e-6
+    assert abs(value - route.twin(p, stats, DEFAULT_NUMERICS)) < 1e-6
 
 
 def test_sop_low_snr_tends_to_one():
@@ -260,17 +258,25 @@ def test_asymptote_improves_with_snr():
 
 # --- references against the arbitrary-precision oracle -----------------------
 
+@functools.lru_cache(maxsize=None)
+def oracle_values(p):
+    """The oracle's sop, sop_asymptotic (None where theta4 <= 0), R_D and R_E, once per point."""
+    stats = derive_stats(p)
+    asym = oracle.sop_asymptotic(p, stats) if theta_coefficients(p).theta4 > 0.0 else None
+    return (oracle.sop(p, stats), asym, *oracle.rates(p, stats))
+
+
 def assert_references_match_oracle(p, tol):
     """Each reference within ``tol`` of the oracle: absolute for SOPs, relative for rates."""
     stats = derive_stats(p)
-    assert abs(sop_reference(p, stats) - oracle.sop(p, stats)) <= tol
-    if theta_coefficients(p).theta4 > 0.0:
-        assert abs(sop_asymptotic_reference(p, stats) - oracle.sop_asymptotic(p, stats)) <= tol
+    want_sop, want_asym, r_d, r_e = oracle_values(p)
+    assert abs(sop_reference(p, stats) - want_sop) <= tol
+    if want_asym is not None:
+        assert abs(sop_asymptotic_reference(p, stats) - want_asym) <= tol
     else:
         with pytest.raises(UnsupportedRegimeError):
             sop_asymptotic_reference(p, stats)
     ref = avg_secrecy_capacity_reference(p, stats)
-    r_d, r_e = oracle.rates(p, stats)
     assert ref.r_d == pytest.approx(r_d, rel=tol, abs=0.0)
     assert ref.r_e == pytest.approx(r_e, rel=tol, abs=0.0)
 
@@ -291,6 +297,34 @@ ORACLE_POINTS = [
 @pytest.mark.parametrize("p", ORACLE_POINTS)
 def test_references_match_oracle_at_frozen_points(p):
     assert_references_match_oracle(p, 1e-10)
+
+
+# (point, metric) where the closed form misses the oracle today, with its gap
+CLOSED_FORM_MISSES = {
+    ("n1_-20dB", "sop"): 5.3e-4, ("n1_-20dB", "sop_asymptotic"): 2.2e-2,
+    ("n1_-20dB", "asc"): 4.7e-6, ("n1_0dB", "sop"): 1.7e-3, ("n1_0dB", "sop_asymptotic"): 1.9e-3,
+    ("n64_60dB", "asc"): 2.4e-2, ("n34_56dB", "asc"): 8.4e-3,
+    ("fig2_n96", "asc"): 2.9e-6, ("fig2_n128", "asc"): 4.0e-6,
+}
+
+
+@pytest.mark.parametrize("p,metric", [
+    pytest.param(point.values[0], metric, id=f"{point.id}-{metric}",
+                 marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
+                                          reason="ROADMAP item 1")]
+                 if (point.id, metric) in CLOSED_FORM_MISSES else [])
+    for point in ORACLE_POINTS for metric in ROUTES
+])
+def test_closed_forms_match_oracle_or_name_their_failure(p, metric):
+    # absolute for the SOPs, relative to max(1, |value|) for the capacity
+    stats = derive_stats(p)
+    try:
+        value = ROUTES[metric].closed_form(p, stats, DEFAULT_NUMERICS)
+    except (ConvergenceError, UnsupportedRegimeError):
+        return
+    want_sop, want_asym, r_d, r_e = oracle_values(p)
+    want = {"sop": want_sop, "sop_asymptotic": want_asym, "asc": r_d - r_e}[metric]
+    assert abs(value - want) <= 1e-6 * (max(1.0, abs(want)) if metric == "asc" else 1.0)
 
 
 KAPPA2_LEVELS = (0.0, 1e-4, 1e-2, 0.1)
@@ -458,51 +492,49 @@ def test_chebyshev_caches_are_read_only():
     assert wx.tolist() == (0.5 * 3.7 * w * dt).tolist()
 
 
-# --- nodes where the destination law is not needed ---------------------------
+# --- the destination-law node step -----------------------------------------------
 
-def _outage_integral_masked(a, b, c, d, upper, stats, g, q):
-    """Reference for _outage_integral: the CDF at the live nodes only, 1 elsewhere."""
-    x, w = _chebyshev_on_interval(q, upper)
+def _masked_law(x, coeffs, stats, g, upper_tail):
+    """The law at the live nodes only, by each caller's expression before the node step."""
+    a, b, c, d = coeffs
     denom = c - d * x
     live = denom > 0.0
-    f = np.ones_like(x)
-    f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method="series")
-    return float(np.sum(w * np.exp(-x / stats.lambda_e) / stats.lambda_e * f)), live
+    f = np.full_like(x, 0.0 if upper_tail else 1.0)
+    if upper_tail:  # destination_rate's x/(1 - kappa_d x)
+        f[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
+    else:
+        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method="series")
+    return f, live
 
 
-def _destination_rate_masked(p, stats, q):
-    """Reference for destination_rate at kappa_d > 0: the CCDF at the live nodes only."""
-    kd = p.kappa_d_sum
-    x, w = _chebyshev_on_interval(q, 1.0 / kd)
-    denom = 1.0 - kd * x
-    live = denom > 0.0
-    ccdf = np.zeros_like(x)
-    ccdf[live] = ccdf_rho_d(x[live] / denom[live], stats, p.snr_d_linear, method="series")
-    return float(np.sum(w * ccdf / (1.0 + x))) / math.log(2.0), live
-
-
-@pytest.mark.parametrize("beyond", [False, True], ids=["all-live", "some-dead"])
-def test_outage_integral_live_shortcut_keeps_the_masked_bits(beyond):
-    # theta2 > 0, so the CDF argument's denominator theta3 - theta2 x is
-    # positive only below theta3/theta2: integrate up to there or past it
+@pytest.mark.parametrize("upper_tail", [False, True], ids=["cdf", "ccdf"])
+@pytest.mark.parametrize("some_dead", [False, True], ids=["all-live", "some-dead"])
+def test_law_at_keeps_the_masked_bits(upper_tail, some_dead):
     p = params_for(n=10)
-    stats = derive_stats(p)
-    th = theta_coefficients(p)
-    upper = th.theta3 / th.theta2 * (3.0 if beyond else 1.0)
-    args = (th.theta1, th.vartheta, th.theta3, th.theta2, upper, stats, p.snr_d_linear)
-    want, live = _outage_integral_masked(*args, DEFAULT_NUMERICS.quad_order)
-    assert live.all() != beyond
-    assert _outage_integral(*args, DEFAULT_NUMERICS).hex() == want.hex()
-
-
-@pytest.mark.parametrize("q", [100, 600], ids=["all-live", "some-dead"])
-def test_destination_rate_live_shortcut_keeps_the_masked_bits(q):
-    # kappa_d > 0; at 600 nodes the last one rounds onto the saturation point
-    p = params_for(n=10)
-    stats = derive_stats(p)
-    want, live = _destination_rate_masked(p, stats, q)
-    assert live.all() == (q == 100)
-    assert destination_rate(p, stats, NumericsConfig(quad_order=q)).hex() == want.hex()
+    stats, g = derive_stats(p), p.snr_d_linear
+    if upper_tail:
+        # kappa_d > 0; at 600 nodes the last one rounds onto the saturation point
+        q, coeffs = (600 if some_dead else 100), (1.0, 0.0, 1.0, p.kappa_d_sum)
+        x, w = _chebyshev_on_interval(q, 1.0 / p.kappa_d_sum)
+    else:
+        # theta2 > 0, so the CDF argument's denominator theta3 - theta2 x is
+        # positive only below theta3/theta2: integrate up to there or past it
+        th = theta_coefficients(p)
+        q, coeffs = 100, (th.theta1, th.vartheta, th.theta3, th.theta2)
+        upper = th.theta3 / th.theta2 * (3.0 if some_dead else 1.0)
+        x, w = _chebyshev_on_interval(q, upper)
+    want, live = _masked_law(x, coeffs, stats, g, upper_tail)
+    assert live.all() != some_dead
+    assert _law_at(x, *coeffs, stats, g, upper_tail).tobytes() == want.tobytes()
+    # and each caller sums those bits
+    numerics = NumericsConfig(quad_order=q)
+    if upper_tail:
+        got, want = (destination_rate(p, stats, numerics),
+                     float(np.sum(w * want / (1.0 + x))) / math.log(2.0))
+    else:
+        got, want = (_outage_integral(*coeffs, upper, stats, g, numerics),
+                     float(np.sum(w * np.exp(-x / stats.lambda_e) / stats.lambda_e * want)))
+    assert got.hex() == want.hex()
 
 
 def test_outage_integral_with_no_live_node_still_raises_at_large_n():

@@ -16,11 +16,12 @@ import pytest
 import yaml
 
 from ris_secrecy import cli, montecarlo, sweeps
-from ris_secrecy.channel import ConvergenceError, LinkGeometry, SystemParams
+from ris_secrecy.channel import ConvergenceError, LinkGeometry, SystemParams, derive_stats
 from ris_secrecy.montecarlo import _CHUNK, McConfig, simulate_metrics
 from ris_secrecy.secrecy import NumericsConfig
 from ris_secrecy.sweeps import (
     CSV_COLUMNS,
+    METRICS,
     ConfigError,
     PRESET_NAMES,
     Row,
@@ -121,6 +122,16 @@ def test_kappa_amplitude_convention_squares():
 
 
 # --- run_sweep ---------------------------------------------------------------
+
+def test_routes_cover_the_metrics_and_every_twin_takes_its_closed_form_arguments():
+    mc_metrics = [f"mc_{m}" for m, route in sweeps.ROUTES.items() if route.mc]
+    assert (*sweeps.ROUTES, *mc_metrics) == METRICS
+    spec = load_preset("fig2")["n5"]  # at its base point
+    stats = derive_stats(spec.base)
+    for metric, route in sweeps.ROUTES.items():
+        value = route.closed_form(spec.base, stats, spec.numerics)
+        assert abs(route.twin(spec.base, stats, spec.numerics) - value) < 1e-6, metric
+
 
 def test_run_sweep_row_layout_and_determinism():
     spec = small_spec()
