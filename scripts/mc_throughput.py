@@ -19,7 +19,10 @@ process cannot have is reported as null. One layer up, ``presets_mc_s``: the
 median seconds of ``run_sweeps`` over the curves of each bundled preset
 with their Monte Carlo outputs only, at ``--trials`` trials, which is
 the draw and scoring of a ``ris-secrecy preset`` run without its closed
-forms.
+forms. And ``grouped_peak_rss_mib``: the peak RSS of a fresh Python
+process after its imports and after one grouped ``simulate_points`` pass
+over the grid at ``--trials`` trials, the memory a ``large_n`` run needs
+above its imports.
 Prints one JSON line; takes about 30 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
@@ -31,6 +34,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -77,6 +81,43 @@ def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
         os.sched_setaffinity(0, allowed)
 
 
+def peak_rss_mib():
+    """This process's peak resident set size in MiB (Linux's ``VmHWM``), or None without one.
+
+    Not ``ru_maxrss``: Linux keeps it through exec, so a process started
+    from a larger one would read that one's peak.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            return next(round(int(line.split()[1]) / 1024, 1)
+                        for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def fig2_points(trials: int, ns=GRID):
+    """The fig2 base point's McConfig at ``trials`` trials, and that point at each N of ``ns``."""
+    spec = load_preset("fig2")["n5"]
+    return (dataclasses.replace(spec.mc, trials=trials),
+            [dataclasses.replace(spec.base, n_elements=n) for n in ns])
+
+
+def print_grouped_rss(trials: int) -> None:
+    """Print this process's peak RSS after its imports and after one grouped pass."""
+    after_import = peak_rss_mib()
+    mc, grid = fig2_points(trials)
+    simulate_points(grid, mc)
+    print(json.dumps({"after_import": after_import, "peak": peak_rss_mib()}))
+
+
+def grouped_peak_rss_mib(trials: int) -> dict:
+    """:func:`print_grouped_rss` in a fresh process, whose RSS holds nothing of this one's."""
+    code = f"import mc_throughput; mc_throughput.print_grouped_rss({trials})"
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
 def preset_mc_specs(name: str, trials: int) -> list:
     """The curves of preset ``name`` at ``trials`` trials, with their Monte Carlo outputs only."""
     return [dataclasses.replace(spec, outputs=tuple(m for m in spec.outputs if m.startswith("mc_")),
@@ -89,13 +130,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=100_000, help="trials per point")
     parser.add_argument("--repeat", type=int, default=3, help="rounds; the median is kept")
     args = parser.parse_args(argv)
-    spec = load_preset("fig2")["n5"]
-    mc = dataclasses.replace(spec.mc, trials=args.trials)
-    points = {n: dataclasses.replace(spec.base, n_elements=n) for n in SINGLE + GRID}
-    grid = [points[n] for n in GRID]
-    result = {f"n{n}": args.trials / median_s(lambda p=points[n]: simulate_metrics(p, mc),
-                                               args.repeat)
-              for n in SINGLE}
+    mc, singles = fig2_points(args.trials, SINGLE)
+    grid = fig2_points(args.trials)[1]
+    result = {f"n{p.n_elements}": args.trials / median_s(lambda p=p: simulate_metrics(p, mc),
+                                                         args.repeat)
+              for p in singles}
     grid_trials = args.trials * len(GRID)
     result["grid_per_n"] = grid_trials / median_s(
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
@@ -124,6 +163,7 @@ def main(argv=None) -> int:
         "grouped_draw_m": m,
         "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},
+        "grouped_peak_rss_mib": grouped_peak_rss_mib(args.trials),
     }))
     return 0
 

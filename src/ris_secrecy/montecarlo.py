@@ -24,7 +24,7 @@ them, drawing only its new element columns; ``phase_sum`` mode draws a
 larger N afresh. An ``n_elements`` sweep stores nothing:
 :func:`simulate_points` draws each chunk once, for the largest N, takes
 every N's X1 from the same running sum, and updates each point's
-accumulator with its chunk as it is drawn. :func:`model_law_chunks`
+accumulator as soon as the sum reaches its N. :func:`model_law_chunks`
 draws the Gaussian-sum model itself, to check the closed forms against
 the law they are derived for.
 
@@ -47,18 +47,24 @@ Memory: a chunk of m trials (at most ``_CHUNK``) is drawn in blocks of
 elements of about ``_BLOCK`` amplitudes. Once X1 reads ``_SPLIT_MIN``
 words, the blocks are drawn on up to :func:`_usable_cpus` worker
 threads (see :func:`_in_order`); below that, as for every preset, the
-caller draws them alone. A draw holds the running sums, each N's X1^2
-and e (m floats each; ``rayleigh`` mode shares one e) and at most one
-block per worker plus the one being added, 1 MiB each over N = 8..1024
-at 1e5 trials. A stored draw set holds 16 B per trial (1.6 MB at the
-presets' 1e5 trials). A ``snr_d_db`` sweep's :class:`LinkMemo` keeps 8 B
-per trial for each of the eavesdropper's outage threshold and rates
-that it emits: a 2-point N = 5 sweep at 1e7 trials peaks at 295 MiB
-with one of them and 370 MiB with both, against 219 MiB without the
-memo. One ``mc_sop`` curve peaks at 28 B per trial (``tracemalloc``),
-and so do ``mc_sop`` curves on one :class:`DrawSets` in any N order
-(5, 10, 15; 5, 10, 5; 15, 10, 5; 5, 5, 5): it holds at most one set,
-and growing it turns each chunk's X1^2 back into X1 in place.
+caller draws them alone. Each block is drawn into a buffer that the
+calling thread allocates, so that it stays in that thread's malloc
+arena, and reuses for a later block. A draw holds the running sums, the
+X1^2 and e of the N just reached (m floats each; ``rayleigh`` mode
+shares one e), which its caller scores or keeps before the sum goes on,
+and at most one buffer per worker plus the one being added: 0.8 MB each
+over N = 8..1024 at 1e5 trials, 2 MB in ``phase_sum`` mode. A grouped
+pass of :func:`simulate_points` over those N at 1e6 trials peaks 25
+MiB of RSS above the imports. A stored draw set holds 16 B per trial
+(1.6 MB at the presets' 1e5 trials). A ``snr_d_db`` sweep's
+:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
+outage threshold and rates that it emits: a 2-point N = 5 sweep at 1e7
+trials peaks at 295 MiB with one of them and 370 MiB with both, against
+219 MiB without the memo. One ``mc_sop`` curve peaks at 28 B per trial
+(``tracemalloc``), and so do ``mc_sop`` curves on one :class:`DrawSets`
+in any N order (5, 10, 15; 5, 10, 5; 15, 10, 5; 5, 5, 5): it holds at
+most one set, and growing it turns each chunk's X1^2 back into X1 in
+place.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
@@ -190,47 +196,63 @@ def _exponentials(key, first: int, stride: int, out: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _block_terms(key, span: tuple, eav_mode: str, block: tuple):
+def _block_floats(eav_mode: str, elements: int, m: int) -> int:
+    """float64 values of the buffer :func:`_block_terms` draws ``elements`` elements into."""
+    return (2 if eav_mode == "rayleigh" else 5) * elements * m
+
+
+def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
     """The terms of the elements [lo, hi) = ``block`` of chunk ``span``, a row each.
 
     Returns the rows f_Ri f_Di and, in ``phase_sum`` mode, f_Ri f_Ei
     e^{j delta_i} (else None); ``span`` is one of :func:`_chunk_spans`.
+    The rows are views of ``buf``, a 1-d float64 array of at least
+    :func:`_block_floats` values, and nothing else is allocated: in
+    ``phase_sum`` mode the complex rows come first, then the f_R and f_D
+    rows, then one row per element for the phase and, after it, f_E.
     """
     stream, size, start, m = span
     lo, hi = block
-    at = stream * _STREAM_WORDS + start
-    amp = _exponentials(key, at + 2 * lo * size, size, np.empty((2 * (hi - lo), m)))
+    k, at = hi - lo, stream * _STREAM_WORDS + start
+    rows = 0 if eav_mode == "rayleigh" else 2 * k  # float rows before f_R and f_D
+    amp = _exponentials(key, at + 2 * lo * size, size,
+                        buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
     np.sqrt(amp, out=amp)
     f_r, x1_terms = amp[0::2], amp[1::2]
     np.multiply(x1_terms, f_r, out=x1_terms)
     if eav_mode == "rayleigh":
         return x1_terms, None
-    f_e = _exponentials(key, at + _F_E_WORDS + lo * size, size, np.empty((hi - lo, m)))
+    x2_terms = buf[:rows * m].view(complex).reshape(k, m)
+    u = _uniforms(key, at + _PHASE_WORDS + lo * size, size, buf[4 * k * m:5 * k * m].reshape(k, m))
+    u *= 2.0 * math.pi  # Generator.uniform(-pi, pi)'s map of u
+    u -= math.pi
+    np.multiply(u, 1j, out=x2_terms)
+    np.exp(x2_terms, out=x2_terms)
+    f_e = _exponentials(key, at + _F_E_WORDS + lo * size, size, u)
     np.sqrt(f_e, out=f_e)
     f_e *= f_r
-    u = _uniforms(key, at + _PHASE_WORDS + lo * size, size, np.empty((hi - lo, m)))
-    x2_terms = (u * (2.0 * math.pi) - math.pi) * 1j  # Generator.uniform(-pi, pi)'s map of u
-    np.exp(x2_terms, out=x2_terms)
     x2_terms *= f_e
     return x1_terms, x2_terms
 
 
-def _in_order(draw, blocks: list, workers: int, take) -> None:
-    """``take(draw(block))`` for each block in order, drawing on ``workers`` threads.
+def _in_order(start, blocks: list, workers: int, take) -> None:
+    """``take(start(block)())`` for each block in order, drawing on ``workers`` threads.
 
-    With fewer than two workers the caller draws. Otherwise one block
-    more than ``workers`` is submitted, so that each worker has a block
-    in flight while the caller takes the oldest result. The pool joins
-    its workers on leaving, also when ``draw`` or ``take`` raises.
+    ``start(block)`` is called on the calling thread just before the
+    block is drawn, and returns the function that draws it. With fewer
+    than two workers the caller draws. Otherwise one block more than
+    ``workers`` is submitted, so that each worker has a block in flight
+    while the caller takes the oldest result. The pool joins its workers
+    on leaving, also when ``start``, a draw or ``take`` raises.
     """
     if workers < 2:
         for block in blocks:
-            take(draw(block))
+            take(start(block)())
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         in_flight = collections.deque()
         for block in blocks:
-            in_flight.append(pool.submit(draw, block))
+            in_flight.append(pool.submit(start(block)))
             if len(in_flight) > workers:
                 take(in_flight.popleft().result())
         for future in in_flight:
@@ -251,7 +273,7 @@ def _new_sums(key, span: tuple, eav_mode: str) -> list:
 
 
 def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
-                sums: list | None = None) -> list:
+                sums: list | None = None, give=None) -> list:
     """The ``(X1^2, e)`` of chunk ``span`` for each N of the ascending ``group``, in its order.
 
     Each pair is what the chunk is for that N alone (see
@@ -261,6 +283,14 @@ def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
     :func:`_new_sums`), which are extended in place; without them, new
     ones over no column. Each N of ``group`` must exceed n0. In
     ``rayleigh`` mode every N shares the sums' one e array.
+
+    Each pair is made as soon as the running sum reaches its N and is
+    handed to ``give(pair)``, on the calling thread while the workers
+    draw on; without ``give`` the pairs are collected in the list
+    returned. The blocks are drawn into buffers allocated on the calling
+    thread as each block starts, at most one per block in flight: a
+    buffer is reused once its block is summed, and dropped then when no
+    block is left to start.
     """
     stream, size, start, m = span
     n_max = group[-1]
@@ -268,20 +298,34 @@ def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
     blocks = [(lo, min(lo + step, n_max)) for lo in range(n0, n_max, step)]
     workers = min(_usable_cpus(), len(blocks)) if 2 * (n_max - n0) * m >= _SPLIT_MIN else 1
     x1, eav = _new_sums(key, span, eav_mode) if sums is None else sums
-    pairs, summed = [], n0
+    pairs = []
+    give = pairs.append if give is None else give
+    summed, given, unstarted = n0, 0, len(blocks)
+    spare, in_use = [], collections.deque()  # buffers, in_use in block order
+
+    def start_block(block):
+        nonlocal unstarted
+        unstarted -= 1
+        buf = spare.pop() if spare else np.empty(_block_floats(eav_mode, step, m))
+        in_use.append(buf)
+        return lambda: _block_terms(key, span, eav_mode, block, buf)
 
     def take(terms):
-        nonlocal summed
+        nonlocal summed, given
         x1_terms, x2_terms = terms
         for i, row in enumerate(x1_terms):
             np.add(x1, row, out=x1)
             if x2_terms is not None:
                 np.add(eav, x2_terms[i], out=eav)
             summed += 1
-            if summed == group[len(pairs)]:
-                pairs.append((np.square(x1), eav if x2_terms is None else np.abs(eav) ** 2))
+            if summed == group[given]:
+                given += 1
+                give((np.square(x1), eav if x2_terms is None else np.abs(eav) ** 2))
+        buf = in_use.popleft()
+        if unstarted:
+            spare.append(buf)
 
-    _in_order(lambda block: _block_terms(key, span, eav_mode, block), blocks, workers, take)
+    _in_order(start_block, blocks, workers, take)
     return pairs
 
 
@@ -541,9 +585,9 @@ def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
     keys=keys)`` returns, bit for bit, but draws each chunk once, for the
     largest N, rather than once per point: every smaller N's draws are
     the first element columns of the largest N's (see
-    :func:`_draw_chunk`). Each chunk updates the accumulators of the
-    points with its N, in stream order, and is then dropped; nothing is
-    stored.
+    :func:`_draw_chunk`). A chunk's pair for each N updates the
+    accumulators of the points with that N as soon as the draw reaches
+    it, in stream order, and is then dropped; nothing is stored.
     """
     accs = [PointAccumulator(params, mc, keys) for params in points]
     by_n: dict[int, list] = {}
@@ -551,9 +595,13 @@ def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
         by_n.setdefault(params.n_elements, []).append(acc)
     group = tuple(sorted(by_n))
     for span in _chunk_spans(mc) if group else ():
-        for n, (x1_sq, e) in zip(group, _draw_chunk(group, mc.seed, span, mc.eav_mode)):
-            for acc in by_n[n]:
-                acc.update(x1_sq, e)
+        ready = iter(group)
+
+        def score(pair):
+            for acc in by_n[next(ready)]:
+                acc.update(*pair)
+
+        _draw_chunk(group, mc.seed, span, mc.eav_mode, give=score)
     return [acc.estimates() for acc in accs]
 
 

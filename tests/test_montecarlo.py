@@ -28,6 +28,7 @@ from ris_secrecy.montecarlo import (
     model_law_chunks,
     sample_quantity,
     simulate_metrics,
+    simulate_points,
 )
 
 
@@ -489,6 +490,81 @@ def test_group_draw_peak_memory(monkeypatch, group):
             eav_mode
 
 
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+def test_block_terms_are_views_of_the_buffer_they_are_given(eav_mode):
+    # a whole block and a last, shorter one, each from a stream that is
+    # one chunk and from the middle of a longer one
+    m, step = 300, 4
+    for span in ((1, m, 0, m), (2, 3 * m + 5, m, m)):
+        for block in ((0, step), (8, 11)):
+            buf = np.empty(montecarlo._block_floats(eav_mode, step, m))
+            rows = [r for r in montecarlo._block_terms(7, span, eav_mode, block, buf)
+                    if r is not None]
+            assert len(rows) == (1 if eav_mode == "rayleigh" else 2)
+            for r in rows:
+                assert r.shape == (block[1] - block[0], m)
+                assert np.shares_memory(r, buf)
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+@pytest.mark.parametrize("cpus, buffers", [(2, 3), (1, 1)], ids=["two-workers", "caller"])
+def test_group_draw_reuses_one_buffer_per_block_in_flight(monkeypatch, eav_mode, cpus, buffers):
+    # 64 blocks of 16 elements; every buffer a block is drawn into stays
+    # referenced here, so a new one cannot take a freed one's place
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    given, taken, block_terms, in_order = [], [], montecarlo._block_terms, montecarlo._in_order
+
+    def recording_terms(key, span, eav_mode, block, buf):
+        given.append(buf)
+        return block_terms(key, span, eav_mode, block, buf)
+
+    def recording_order(start, blocks, workers, take):
+        def recording_take(terms):
+            taken.append(terms)
+            take(terms)
+
+        return in_order(start, blocks, workers, recording_take)
+
+    monkeypatch.setattr(montecarlo, "_block_terms", recording_terms)
+    monkeypatch.setattr(montecarlo, "_in_order", recording_order)
+    m, group = 4000, (8, 16, 32, 64, 96, 128, 256, 512, 1024)
+    pairs = _draw_chunk(group, 5, (0, m, 0, m), eav_mode)
+    distinct = list({id(buf): buf for buf in given}.values())
+    assert len(given) == len(taken) == 1024 // 16
+    assert len(distinct) == buffers
+    for terms in taken:
+        for rows in terms:
+            if rows is not None:
+                assert sum(np.shares_memory(rows, buf) for buf in distinct) == 1
+    _assert_same_pairs(pairs, [_reference_draw_chunk(n, 5, (0, m, 0, m), eav_mode)
+                               for n in group])
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+def test_simulate_points_peak_memory(monkeypatch, eav_mode):
+    # tracemalloc sees numpy's data buffers. One chunk over the large_n
+    # grid on two workers holds the running sums (2 m floats, 3 m in
+    # phase_sum mode), the pair of the N just reached (m floats, 2 m in
+    # phase_sum mode; rayleigh mode's e is the sums' own), the arrays
+    # that scoring it takes (four in PointAccumulator.update, plus one of
+    # slack) and the blocks of two workers plus the one being added. The
+    # traced window also holds the pool's Python objects
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    m = 20_000
+    mc = McConfig(trials=m, seed=0, stream_count=1, eav_mode=eav_mode)
+    points = [params_for(n) for n in (8, 16, 32, 64, 96, 128, 256, 512, 1024)]
+    step = max(1, _BLOCK // (2 * m))
+    sums, pair = (2, 1) if eav_mode == "rayleigh" else (3, 2)
+    tracemalloc.start()
+    try:
+        simulate_points(points, mc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((sums + pair + 5) * m + 3 * montecarlo._block_floats(eav_mode, step, m)) * 8 \
+        + POOL_OBJECTS
+
+
 def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
     # four callers, each with two workers of its own, on two or fewer
     # cores and with a short switch interval: no draw may read another's
@@ -541,11 +617,11 @@ def test_draw_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
     # a block after the first raises on its worker thread
     raised_on, block_terms = [], montecarlo._block_terms
 
-    def failing(key, span, eav_mode, block):
+    def failing(key, span, eav_mode, block, buf):
         if block[0] > 0:
             raised_on.append(threading.current_thread())
             raise _Interrupted
-        return block_terms(key, span, eav_mode, block)
+        return block_terms(key, span, eav_mode, block, buf)
 
     monkeypatch.setattr(montecarlo, "_block_terms", failing)
     _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller=False)

@@ -307,9 +307,9 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
     drawn = []
     original = montecarlo._draw_chunk
 
-    def counting(group, *args):
+    def counting(group, *args, **kwargs):
         drawn.append(group)
-        return original(group, *args)
+        return original(group, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
     spec = small_spec(axis=axis, values=values, outputs=("mc_sop",),
@@ -323,7 +323,7 @@ def test_run_sweep_draws_once_per_sweep_except_on_n_elements(monkeypatch, axis, 
         assert drawn == [(spec.base.n_elements,)] * 2
 
     # a draw that raises is tried once, and its error fills every mc row
-    def failing(group, *args):
+    def failing(group, *args, **kwargs):
         drawn.append(group)
         raise MemoryError("no room for the draw")
 
