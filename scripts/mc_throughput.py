@@ -22,7 +22,11 @@ the draw and scoring of a ``ris-secrecy preset`` run without its closed
 forms. And ``grouped_peak_rss_mib``: the peak RSS of a fresh Python
 process after its imports and after one grouped ``simulate_points`` pass
 over the grid at ``--trials`` trials, the memory a ``large_n`` run needs
-above its imports.
+above its imports. And ``curve_scoring_trials_per_s``: scoring alone,
+fig2's 21-point ``snr_d_db`` curve at N = 5 on its stored draw set,
+through one ``LinkMemo`` as ``sweeps.run_sweep`` scores it, once with
+the estimate behind ``mc_sop`` and once with the one behind ``mc_asc``
+(median of ten times ``--repeat`` rounds; trials times points per s).
 Prints one JSON line; takes about 30 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
@@ -45,13 +49,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.montecarlo import (
     _BLOCK,
+    LinkMemo,
     _draw_chunk,
     _exponentials,
     _usable_cpus,
+    draw_chunks,
     simulate_metrics,
     simulate_points,
 )
-from ris_secrecy.sweeps import PRESET_NAMES, load_preset, run_sweeps
+from ris_secrecy.sweeps import PRESET_NAMES, ROUTES, load_preset, run_sweeps
 
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
@@ -125,6 +131,25 @@ def preset_mc_specs(name: str, trials: int) -> list:
             for spec in load_preset(name).values()]
 
 
+def curve_scoring_trials_per_s(trials: int, repeat: int) -> dict:
+    """Trials times points per s of scoring fig2 ``n5``'s curve on its stored set, per output."""
+    spec = load_preset("fig2")["n5"]
+    mc = dataclasses.replace(spec.mc, trials=trials)
+    draws = list(draw_chunks(spec.base.n_elements, mc))
+    points = [dataclasses.replace(spec.base, snr_d_db=v) for v in spec.values]
+    result = {}
+    for metric in ("mc_sop", "mc_asc"):
+        keys = (ROUTES[metric.removeprefix("mc_")].mc,)
+
+        def score_curve():
+            memo = LinkMemo(draws)
+            for p in points:
+                simulate_metrics(p, mc, draws, keys=keys, memo=memo)
+
+        result[metric] = round(len(points) * trials / median_s(score_curve, 10 * repeat))
+    return result
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--trials", type=int, default=100_000, help="trials per point")
@@ -163,6 +188,7 @@ def main(argv=None) -> int:
         "grouped_draw_m": m,
         "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},
+        "curve_scoring_trials_per_s": curve_scoring_trials_per_s(args.trials, args.repeat),
         "grouped_peak_rss_mib": grouped_peak_rss_mib(args.trials),
     }))
     return 0

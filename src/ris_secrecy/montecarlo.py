@@ -16,7 +16,9 @@ scores one point with it. A sweep over any axis but ``n_elements``
 therefore draws one set, keeps it and scores every grid point on it
 (common random numbers), for the estimates it emits only; a
 ``snr_d_db`` sweep also scores the eavesdropper link, which it leaves
-unchanged, once per chunk through a :class:`LinkMemo`. The curves of
+unchanged, once per chunk through a :class:`LinkMemo`, and counts each
+point's outages on the critical destination SNR of each trial that the
+memo keeps, bit for bit as the direct test counts them. The curves of
 one ``sweeps.run_sweeps`` call share one :class:`DrawSets` per
 McConfig, which keeps one N's chunks between curves while a later curve
 asks for that N or a larger one. In ``rayleigh`` mode a larger N grows
@@ -57,8 +59,8 @@ over N = 8..1024 at 1e5 trials, 2 MB in ``phase_sum`` mode. A grouped
 pass of :func:`simulate_points` over those N at 1e6 trials peaks 25
 MiB of RSS above the imports. A stored draw set holds 16 B per trial
 (1.6 MB at the presets' 1e5 trials). A ``snr_d_db`` sweep's
-:class:`LinkMemo` keeps 8 B per trial for each of the eavesdropper's
-outage threshold and rates that it emits: a 2-point N = 5 sweep at 1e7
+:class:`LinkMemo` keeps 8 B per trial for each of the critical SNRs
+and the eavesdropper's rates that it emits: a 2-point N = 5 sweep at 1e7
 trials peaks at 295 MiB with one of them and 370 MiB with both, against
 219 MiB without the memo. One ``mc_sop`` curve peaks at 28 B per trial
 (``tracemalloc``), and so do ``mc_sop`` curves on one :class:`DrawSets`
@@ -226,12 +228,17 @@ def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray)
     u = _uniforms(key, at + _PHASE_WORDS + lo * size, size, buf[4 * k * m:5 * k * m].reshape(k, m))
     u *= 2.0 * math.pi  # Generator.uniform(-pi, pi)'s map of u
     u -= math.pi
-    np.multiply(u, 1j, out=x2_terms)
+    # float and complex operands are never mixed in one ufunc call: numpy
+    # would cast the float one through a 128 KiB buffer of its own
+    x2_terms.real = u
+    x2_terms.imag = 0.0
+    x2_terms *= 1j
     np.exp(x2_terms, out=x2_terms)
     f_e = _exponentials(key, at + _F_E_WORDS + lo * size, size, u)
     np.sqrt(f_e, out=f_e)
     f_e *= f_r
-    x2_terms *= f_e
+    x2_terms.real *= f_e  # (a + bi) f, up to the sign of a zero part, which |X2| drops
+    x2_terms.imag *= f_e
     return x1_terms, x2_terms
 
 
@@ -442,16 +449,108 @@ def _one_plus_sndr(unit, scale: float, kappa_sum: float):
     return g
 
 
+# The outage count on a memo's critical SNRs (see _critical_snrs): a
+# trial's c is kept where v = 1/(T - 1) - kappa_d lies in [v_lo, _V_HI],
+# v_lo = 4 _GUARD kappa_d (kappa_d + 7) + 2^-1000, and decides the trial
+# where it lies outside s (1 -+ _BAND)
+_GUARD = 2.0 ** -26
+_V_HI = 0.25 / _GUARD
+_BAND = 2.0 ** -24
+_SURE = 2.0 ** -40  # v at or below -_SURE: an outage at every snr_d
+
+
+def _critical_snrs(threshold, x1_sq, kappa_sum: float):
+    """Each trial's critical destination SNR c, written over its outage threshold T.
+
+    With kappa = kappa_sum, t = T - 1, w = 1 - kappa t and v = 1/t -
+    kappa = w/t, the outage test 1 + gamma_D < T at destination SNR s
+    holds, in exact arithmetic, for every s when w <= 0 or X1^2 = 0, and
+    otherwise exactly when s < c = t / (X1^2 w) = 1 / (X1^2 v). This
+    returns the computed c = fl(1 / fl(X1^2 fl(fl(1 / fl(T - 1)) -
+    kappa))) where the computed v lies in [v_lo, _V_HI], +inf where it
+    lies in (-kappa, -_SURE], and NaN elsewhere: where T - 1 or w is
+    near 0, T <= 1, or T is not finite. A :class:`PointAccumulator` on
+    a memo counts an outage where c > s (1 + _BAND) and none where c <
+    s (1 - _BAND), and puts every other trial, NaN included, to the
+    direct test.
+
+    Why that count is the direct test's, bit for bit (u = 2^-53, gamma_n
+    = n u / (1 - n u), Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3), for s in [1e-300, 1e300] and a chunk
+    where fl(s max X1^2) and fl(kappa s max X1^2) are finite (the
+    accumulator sends any other chunk to the direct test whole):
+
+    1. The direct test. With rho = s X1^2 >= 2^-1021 and
+       gamma(rho) = rho / (kappa rho + 1), ``_one_plus_sndr`` rounds 5
+       times: fl(1 + gamma) = (1 + gamma(rho)(1 + theta))(1 + eps) with
+       |theta| <= gamma_4 and |eps| <= u; an underflow in kappa g is
+       absorbed by the 1 it is added to. So the test reads an outage
+       where gamma(rho) <= t(1 - a) and none where gamma(rho) >= t(1 + a),
+       a = (u/t + gamma_5) / (1 - gamma_5). Where rho < 2^-1021 it reads
+       fl(1 + gamma) = 1 < T, an outage, as exact arithmetic does.
+    2. In s. The elasticity of gamma in rho is 1/(kappa rho + 1), which
+       is w at rho = c X1^2, so s <= c (1 - b) gives gamma <= t(1 - a)
+       and s >= c (1 + b) gives gamma >= t(1 + a) for b = a / (w - a).
+    3. c itself. fl(T - 1) and the reciprocal carry gamma_2, which the
+       subtraction of kappa magnifies by r/v = 1/w (r = 1/t); two more
+       roundings follow. So c is computed to a relative error of at most
+       3u + gamma_2/w to first order. Where fl(X1^2 v) < 2^-1022, c is
+       at least 2^1021 both computed and exact, above every s (1 +
+       _BAND), and step 1 reads an outage. Where it overflows, c is 0
+       computed and below 2^-1023 exact, under every s (1 - _BAND).
+    4. The band. hi = fl(s (1 + _BAND)) and lo = fl(s (1 - _BAND)) add u
+       each. Steps 1-3 decide each trial the direct test's way when
+       _BAND exceeds 4u + (2u + a)/w = u (4 + r (r + 7) / v) to first
+       order. On [v_lo, _V_HI], K r (r + 7) <= v (1/2 + 11 K) for K =
+       _GUARD and kappa < 2, so that is at most 4u + u / (2K)(1 + 22 K)
+       < 2^-27.9; _BAND = 2^-24 is 14 times that, which covers the
+       second-order terms and v's own relative error (below 2^-29
+       there).
+    5. The sure outages. A computed v in (-kappa, -_SURE] makes 0 < r
+       < 2 and the exact v below -2^-41, so w < -2^-42: every gamma
+       stays below 1/kappa = t/(1 - w) < t(1 - 2^-43), and a < 2^-50.
+
+    ``threshold`` is overwritten; no other m-float array is made.
+    """
+    c = threshold
+    v_lo = 4.0 * _GUARD * kappa_sum * (kappa_sum + 7.0) + 2.0 ** -1000
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c -= 1.0
+        np.divide(1.0, c, out=c)
+        c -= kappa_sum  # v
+        ill = c < v_lo
+        ill |= c > _V_HI
+        sure = c <= -_SURE
+        sure &= c > -kappa_sum
+        c *= x1_sq
+        np.divide(1.0, c, out=c)
+    c[ill] = np.nan
+    c[sure] = np.inf
+    return c
+
+
 class LinkMemo:
     """The eavesdropper link's per-chunk scoring arrays on one stored draw set.
 
     A sweep over ``snr_d_db`` scores all its points on ``draws`` with the
-    same eavesdropper (SNR scale, kappa-sum) and gamma_th, so that link's
-    arrays are the same at every point. The memo keeps one entry, replaced
-    when that key or the estimates asked for change, holding per chunk
-    only what the estimates read: the outage threshold gamma_th (1 +
-    gamma_E) for ``sop`` and log2(1 + gamma_E) for the rates. That is 8 B
-    per trial for each of the two, so at most the draw set's own 16 B.
+    same eavesdropper (SNR scale, kappa-sum), gamma_th and destination
+    kappa-sum, so what the estimates read of the eavesdropper is the same
+    at every point. The memo keeps one entry, replaced when that key or
+    the estimates asked for change, holding per chunk log2(1 + gamma_E)
+    for the rates and, for ``sop``, each trial's critical destination SNR
+    c (see :func:`_critical_snrs`) and the chunk's largest X1^2. That is
+    8 B per trial for each of the two, so at most the draw set's own 16 B.
+
+    The test 1 + gamma_D < gamma_th (1 + gamma_E) depends on a sweep
+    point only through its destination SNR s, and holds in exact
+    arithmetic exactly when s < c. So a point counts an outage wherever
+    c > s (1 + 2^-24) and none wherever c < s (1 - 2^-24), two passes
+    over c, and puts the rest to the direct test: c within that band of
+    s, c that is not accurate enough to decide (NaN), and a whole chunk
+    where s max X1^2 or its kappa-sum multiple overflows. The rounding
+    error bound of :func:`_critical_snrs` shows that the band holds
+    every trial the direct test could decide otherwise, so the count is
+    the direct test's, bit for bit.
     """
 
     def __init__(self, draws):
@@ -476,7 +575,8 @@ class PointAccumulator:
     square, the sums ``s6``/``s6_sq`` of max(v, 0) and its square, and
     the trial count; only the sums behind the estimates named in
     ``keys`` (a subset of :data:`ESTIMATES`) are computed. With a
-    :class:`LinkMemo` the eavesdropper's arrays of each chunk come from it.
+    :class:`LinkMemo` the eavesdropper's arrays of each chunk come from
+    it, and outages are counted on its critical SNRs.
     """
 
     def __init__(self, params: SystemParams, mc: McConfig, keys=ESTIMATES,
@@ -486,47 +586,96 @@ class PointAccumulator:
             raise ValueError(f"unknown estimates {sorted(unknown)}, expected a subset of {ESTIMATES}")
         self.mc = mc
         self.keys = tuple(k for k in ESTIMATES if k in keys)
+        self.sop = "sop" in self.keys
         self.rates = "asc_eq19" in self.keys or "asc_eq6" in self.keys
         self.d_scale, self.e_scale = _scales(params, mc.eav_mode)
         self.kappa_d_sum, self.kappa_e_sum = params.kappa_d_sum, params.kappa_e_sum
         self.gamma_th = params.gamma_th
         self.memo = memo
+        # what the memo's arrays depend on
+        self.memo_key = (self.e_scale, self.kappa_e_sum, self.gamma_th, self.kappa_d_sum, self.keys)
         self.chunks = 0
         self.trials = 0
         self.n_out = 0
         self.s19 = self.s19_sq = 0.0
         self.s6 = self.s6_sq = 0.0
 
+    def _threshold(self, e):
+        """The outage threshold gamma_th (1 + gamma_E) of a chunk, in a new array."""
+        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
+        return np.multiply(one_e, self.gamma_th, out=one_e)
+
     def _eavesdropper(self, e):
         """``(gamma_th (1 + gamma_E), log2(1 + gamma_E))`` of a chunk; None where not asked."""
-        def compute():
-            one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
-            threshold = self.gamma_th * one_e if "sop" in self.keys else None
-            return threshold, np.log2(one_e, out=one_e) if self.rates else None
+        if not self.rates:
+            return (self._threshold(e) if self.sop else None), None
+        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
+        threshold = self.gamma_th * one_e if self.sop else None
+        return threshold, np.log2(one_e, out=one_e)
 
-        if self.memo is None:
-            return compute()
-        key = (self.e_scale, self.kappa_e_sum, self.gamma_th, self.keys)
-        return self.memo.arrays(self.chunks, key, compute)
+    def _memo_arrays(self, x1_sq, e):
+        """``((c, max X1^2), log2(1 + gamma_E))`` of a chunk, what a :class:`LinkMemo` keeps."""
+        threshold, log_e = self._eavesdropper(e)
+        if threshold is None:
+            return None, log_e
+        return (_critical_snrs(threshold, x1_sq, self.kappa_d_sum), float(x1_sq.max())), log_e
+
+    def _outages(self, x1_sq, e, c, x1_sq_max: float) -> int:
+        """Outages of one chunk, counted on its critical SNRs ``c`` (see :class:`LinkMemo`).
+
+        The direct test decides the trials whose c is NaN or within
+        ``_BAND`` of the destination SNR, and the whole chunk where the
+        SNR times ``x1_sq_max``, or its kappa-sum multiple, overflows.
+        """
+        s, kappa = self.d_scale, self.kappa_d_sum
+        rho_max = s * x1_sq_max
+        n_out = 0
+        if rho_max < math.inf and kappa * rho_max < math.inf:
+            hi, lo = s * (1.0 + _BAND), s * (1.0 - _BAND)
+            n_out = np.count_nonzero(c > hi)
+            if n_out + np.count_nonzero(c < lo) == c.size:
+                return n_out
+            rest = np.flatnonzero(~((c > hi) | (c < lo)))
+            x1_sq, e = x1_sq[rest], e[rest]
+        # the direct test; the memo's build has reported the threshold's
+        # floating-point warnings once
+        with np.errstate(all="ignore"):
+            threshold = self._threshold(e)
+        return n_out + np.count_nonzero(_one_plus_sndr(x1_sq, s, kappa) < threshold)
 
     def update(self, x1_sq, e):
         """Add one chunk of draws."""
-        one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
-        threshold, log_e = self._eavesdropper(e)
-        if threshold is not None:
-            # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E), exact
-            # for any positive threshold rate.
-            self.n_out += np.count_nonzero(one_d < threshold)
+        # 1 + gamma_D first, for the rates and the direct outage test
+        one_d = None
+        if self.rates or self.sop and self.memo is None:
+            one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
+        if self.memo is None:
+            threshold, log_e = self._eavesdropper(e)
+            if self.sop:
+                # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E), exact
+                # for any positive threshold rate.
+                self.n_out += np.count_nonzero(one_d < threshold)
+                del threshold  # spent
+        else:
+            critical, log_e = self.memo.arrays(self.chunks, self.memo_key,
+                                               lambda: self._memo_arrays(x1_sq, e))
+            if self.sop:
+                self.n_out += self._outages(x1_sq, e, *critical)
         if self.rates:
             v = np.log2(one_d, out=one_d)
             v -= log_e
             if "asc_eq19" in self.keys:
                 self.s19 += v.sum()
-                self.s19_sq += (v * v).sum()
+                # v * v into a spent array: v itself unless asc_eq6 still needs it,
+                # then log2(1 + gamma_E) unless a memo keeps that
+                square = v
+                if "asc_eq6" in self.keys:
+                    square = log_e if self.memo is None else np.empty_like(v)
+                self.s19_sq += np.multiply(v, v, out=square).sum()
             if "asc_eq6" in self.keys:
                 np.maximum(v, 0.0, out=v)
                 self.s6 += v.sum()
-                self.s6_sq += (v * v).sum()
+                self.s6_sq += np.multiply(v, v, out=v).sum()
         self.trials += x1_sq.size
         self.chunks += 1
 
@@ -611,6 +760,10 @@ def sample_quantity(quantity: str, params: SystemParams, mc: McConfig) -> np.nda
         raise ValueError(f"unknown quantity {quantity!r}")
     parts = []
     for chunk in draw_chunks(params.n_elements, mc):
+        if quantity == "x1":
+            # X1, a sum of non-negative terms, is the sqrt of its rounded square
+            parts.append(np.sqrt(chunk[0]))
+            continue
         rho_d, rho_e = _rho(params, mc.eav_mode, *chunk)
         if quantity == "rho_d":
             parts.append(rho_d)
@@ -618,10 +771,8 @@ def sample_quantity(quantity: str, params: SystemParams, mc: McConfig) -> np.nda
             parts.append(rho_e)
         elif quantity == "gamma_d":
             parts.append(_sndr(rho_d, params.kappa_d_sum))
-        elif quantity == "gamma_e":
-            parts.append(_sndr(rho_e, params.kappa_e_sum))
         else:
-            parts.append(np.sqrt(rho_d / params.snr_d_linear))
+            parts.append(_sndr(rho_e, params.kappa_e_sum))
     return np.concatenate(parts)
 
 

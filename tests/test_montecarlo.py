@@ -1,10 +1,12 @@
 """Simulator contracts: determinism, trial invariants, moment oracles."""
 
+import dataclasses
 import hashlib
 import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ris_secrecy.montecarlo import (
     LinkMemo,
     McConfig,
     _chunk_spans,
+    _critical_snrs,
     _draw_chunk,
     draw_chunks,
     ks_distance,
@@ -97,6 +100,138 @@ def test_link_memo_serves_its_own_draw_set_only():
     for other in (list(draws), None):
         with pytest.raises(ValueError, match="another draw set"):
             simulate_metrics(p, mc, other, memo=memo)
+
+
+def _assert_memo_counts_are_direct(points, draws):
+    # each point scored without a memo, by the direct test, and with one
+    # LinkMemo for the whole sequence; repr compares the estimates bit for
+    # bit, NaN included, and the memo path warns only where the direct
+    # test does
+    mc = McConfig(trials=sum(x1_sq.size for x1_sq, _ in draws), seed=0, stream_count=1)
+    memo = LinkMemo(draws)
+    for params, keys in points:
+        runs = []
+        for m in (None, memo):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                est = simulate_metrics(params, mc, draws, keys=keys, memo=m)
+            runs.append((repr(est), {(w.category, str(w.message)) for w in warned}))
+        (direct, direct_warned), (counted, counted_warned) = runs
+        assert counted == direct, (params, keys)
+        assert counted_warned <= direct_warned, (params, keys)
+
+
+def test_critical_snrs_keep_only_what_their_bound_covers():
+    # one trial for each case of _critical_snrs at kappa_d = 0.02: kept,
+    # T - 1 at 2^-52 and 2^-26, T at 1 and below, T not finite,
+    # kappa_d (T - 1) a few ulps either side of 1, past 1, and X1^2 = 0
+    kappa = 0.02
+    ridge = 1.0 + 1.0 / kappa
+    threshold = np.array([2.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -26, 1.0, 0.5, math.inf, math.nan,
+                          np.nextafter(ridge, 0.0), ridge, np.nextafter(ridge, 99.0),
+                          1.0 + 2.0 / kappa, 3.0])
+    x1_sq = np.ones_like(threshold)
+    x1_sq[-1] = 0.0
+    c = _critical_snrs(threshold.copy(), x1_sq, kappa)
+    assert c[0] == 1.0 / (1.0 - kappa)
+    assert np.isnan(c[1:10]).all()
+    assert (c[10:] == math.inf).all()
+    # without the impairment only T - 1 decides, and no T makes w <= 0
+    c = _critical_snrs(threshold.copy(), x1_sq, 0.0)
+    assert c[0] == 1.0
+    assert np.isnan(c[1:7]).all()
+    assert np.isfinite(c[7:11]).all()
+    assert c[-1] == math.inf
+    # a chunk whose s X1^2 overflows at 0 dB and above, counted as the
+    # direct test counts it
+    draws = [(np.resize([1.0, 0.0, 2.0 ** -1074, sys.float_info.max, 1e300], 1000),
+              np.resize(np.linspace(0.0, 40.0, 7), 1000))]
+    base = params_for(snr_d_db=0.0)
+    _assert_memo_counts_are_direct(
+        [(dataclasses.replace(base, snr_d_db=v), ("sop",)) for v in (-3000.0, 0.0, 20.0, 3000.0)],
+        draws)
+
+
+_DBL_MAX = sys.float_info.max
+_KAPPA2 = st.sampled_from([0.0, 1e-300, 1e-4, 0.01, 0.1, 0.45, 0.999])
+_SNR_DB = st.one_of(st.sampled_from([-3000.0, -10.0, 0.0, 10.0, 30.0, 3000.0]),
+                    st.floats(-3000.0, 3000.0))
+# gamma_th = 1 + 2^-52 at 3.3e-16; 2^1023.9 times 1 + gamma_E overflows
+_C_TH = st.one_of(st.sampled_from([1e-17, 3.3e-16, 1e-9, 0.1, 1.0, 3.0, 1023.9]),
+                  st.floats(1e-3, 30.0))
+_E = st.one_of(st.sampled_from([0.0, 1e-300, 0.3, 1.0, 36.7]), st.floats(0.0, 40.0))
+# relative distances of c from a sweep SNR s: at s, a few ulps away, inside
+# the counted band, at its edges and past them
+_OFFSETS = st.sampled_from([0.0] + [sign * d for sign in (1.0, -1.0) for d in (
+    2.0 ** -52, 2.0 ** -40, montecarlo._BAND / 2, montecarlo._BAND, 2.0 * montecarlo._BAND,
+    2.0 ** -20, 0.5)])
+# relative distances of kappa_d (T - 1) from 1
+_RIDGE = st.sampled_from([0.0] + [sign * 2.0 ** -k for sign in (1.0, -1.0)
+                                  for k in (52, 44, 36, 28, 20)])
+
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
+@st.composite
+def _outage_sweeps(draw):
+    """A sweep of ``(params, keys)`` points and one chunk whose c lie where the guards act.
+
+    The points score ``sop`` at a few destination SNRs, then change each
+    part of the memo's key in turn: kappa_d, the eavesdropper SNR, c_th,
+    kappa_e and the estimates asked for.
+    """
+    base = SystemParams(n_elements=draw(st.sampled_from([1, 5])),
+                        kappa_d_t2=draw(_KAPPA2), kappa_d_r2=draw(_KAPPA2),
+                        kappa_e_t2=draw(_KAPPA2), kappa_e_r2=draw(_KAPPA2),
+                        snr_e_db=draw(_SNR_DB), c_th=draw(_C_TH))
+    snrs = draw(st.lists(_SNR_DB, min_size=1, max_size=4))
+    d_scales = [dataclasses.replace(base, snr_d_db=v).snr_d_linear for v in snrs]
+    e_scale, kappa = montecarlo._scales(base, "rayleigh")[1], base.kappa_d_sum
+    x1_sq, e = [], []
+    with np.errstate(all="ignore"):
+        for _ in range(draw(st.integers(1, 40))):
+            kind = draw(st.sampled_from(["near", "ridge", "raw", "overflow"]))
+            s, e_i = draw(st.sampled_from(d_scales)), draw(_E)
+            if kind == "ridge" and kappa > 0.0:
+                # e that puts kappa_d (T - 1) at 1 + r: T, then gamma_E, then rho_E
+                gamma_e = np.float64((1.0 + (1.0 + draw(_RIDGE)) / kappa) / base.gamma_th - 1.0)
+                rho_e = gamma_e / (1.0 - base.kappa_e_sum * gamma_e)
+                e_i = rho_e / e_scale if 0.0 <= rho_e / e_scale < math.inf else e_i
+            threshold = montecarlo._one_plus_sndr(np.array([e_i]), e_scale,
+                                                  base.kappa_e_sum)[0] * base.gamma_th
+            x = draw(st.floats(0.0, 1e6) | st.floats(0.0, _DBL_MAX))
+            if kind == "overflow":
+                x = min(_DBL_MAX / s * (1.0 + draw(_OFFSETS)), _DBL_MAX)
+            elif kind != "raw":
+                # c = 1 / (X1^2 v) at s (1 + offset), give or take a few ulps
+                v = 1.0 / (threshold - 1.0) - kappa
+                near = 1.0 / (s * (1.0 + draw(_OFFSETS)) * v)
+                if 0.0 <= near < math.inf:
+                    x = max(_nudged(float(near), draw(st.integers(-3, 3))), 0.0)
+            x1_sq.append(x)
+            e.append(e_i)
+    point = dataclasses.replace(base, snr_d_db=snrs[0])
+    points = [(dataclasses.replace(base, snr_d_db=v), ("sop",)) for v in snrs]
+    points += [(dataclasses.replace(point, kappa_d_t2=draw(_KAPPA2)), ("sop",)),
+               (dataclasses.replace(point, snr_e_db=draw(_SNR_DB)), ("sop",)),
+               (dataclasses.replace(point, c_th=draw(_C_TH)), ("sop",)),
+               (dataclasses.replace(point, kappa_e_t2=draw(_KAPPA2)), ("sop",)),
+               (point, ESTIMATES), (point, ("sop", "asc_eq6")), (point, ("sop",))]
+    return points, np.array(x1_sq), np.array(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_outage_sweeps())
+def test_memo_outage_count_equals_the_direct_test(case):
+    # two chunks, the second the first reversed, so that the memo keeps
+    # each chunk's own critical SNRs
+    points, x1_sq, e = case
+    x1_sq, e = np.resize(x1_sq, 1000), np.resize(e, 1000)
+    _assert_memo_counts_are_direct(points, [(x1_sq, e), (x1_sq[::-1].copy(), e[::-1].copy())])
 
 
 # sha256 of every (X1^2, e) chunk of draw_chunks (numpy 2.4.6, x86-64),
@@ -546,9 +681,12 @@ def test_simulate_points_peak_memory(monkeypatch, eav_mode):
     # grid on two workers holds the running sums (2 m floats, 3 m in
     # phase_sum mode), the pair of the N just reached (m floats, 2 m in
     # phase_sum mode; rayleigh mode's e is the sums' own), the arrays
-    # that scoring it takes (four in PointAccumulator.update, plus one of
+    # that scoring it takes (three in PointAccumulator.update, plus one of
     # slack) and the blocks of two workers plus the one being added. The
-    # traced window also holds the pool's Python objects
+    # traced window also holds the pool's Python objects. A worker
+    # allocates nothing else: a ufunc that mixed float and complex
+    # operands there would cast through a 128 KiB buffer, counted or not
+    # as the scheduler overlaps it with the caller's scoring
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     m = 20_000
     mc = McConfig(trials=m, seed=0, stream_count=1, eav_mode=eav_mode)
@@ -561,7 +699,7 @@ def test_simulate_points_peak_memory(monkeypatch, eav_mode):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= ((sums + pair + 5) * m + 3 * montecarlo._block_floats(eav_mode, step, m)) * 8 \
+    assert peak <= ((sums + pair + 4) * m + 3 * montecarlo._block_floats(eav_mode, step, m)) * 8 \
         + POOL_OBJECTS
 
 
@@ -711,6 +849,26 @@ def test_sample_quantity_sndr_map_and_reproducibility():
     assert rho_d.min() >= 0.0
     np.testing.assert_allclose(sample_quantity("gamma_d", p, mc),
                                rho_d / (0.02 * rho_d + 1.0), rtol=1e-14, atol=0.0)
+
+
+def test_sampled_x1_does_not_depend_on_the_snr():
+    # X1 is the sqrt of the drawn X1^2, whatever snr_d scales it by
+    mc = McConfig(trials=2000, seed=3)
+    x1 = np.sqrt(np.concatenate([x1_sq for x1_sq, _ in draw_chunks(5, mc)]))
+    for snr_d_db in (0.0, 60.0, 3000.0, -3000.0):
+        assert sample_quantity("x1", params_for(snr_d_db=snr_d_db), mc).tobytes() == x1.tobytes()
+
+
+def test_eavesdropper_model_moves_the_single_element_sop():
+    # at N = 1, phase_sum's X2^2 = E_R E_E is not exponential, and its
+    # mc_sop stands 8.5 SE from rayleigh's (0.2510 against 0.2626 at
+    # 2e5 trials, seed 5), so the mode still measures the exponential
+    # eavesdropper model's error
+    p = params_for(n=1)
+    a, b = (simulate_metrics(p, McConfig(trials=200_000, seed=5, eav_mode=mode),
+                             keys=("sop",))["sop"]
+            for mode in ("rayleigh", "phase_sum"))
+    assert abs(a.value - b.value) > 5.0 * math.hypot(a.std_error, b.std_error)
 
 
 def test_zero_impairment_sndr_equals_gain():

@@ -365,8 +365,8 @@ def test_run_sweep_scores_the_unswept_link_once_per_chunk(monkeypatch, axis, val
 ], ids=["mc_sop", "mc_asc", "mc_sop_and_mc_asc", "mc_check"])
 def test_run_sweep_peak_memory_per_trial(outputs, mc_check, bytes_per_trial):
     # tracemalloc sees numpy's data buffers. A stored draw set holds 16 B
-    # per trial and the eavesdropper's memo 8 B for each of the outage
-    # threshold and the rates, so 16 B at most (the mc_check case computes
+    # per trial and the eavesdropper's memo 8 B for each of the critical
+    # SNRs and the rates, so 16 B at most (the mc_check case computes
     # all three estimates); the rest is one chunk's scoring arrays (a
     # quarter of the trials per stream).
     trials = 1_000_000
