@@ -19,11 +19,12 @@ therefore draws one set, keeps it and scores every grid point on it
 unchanged, once per chunk through a :class:`LinkMemo`, and counts each
 point's outages on the critical destination SNR of each trial that the
 memo keeps, bit for bit as the direct test counts them. The curves of
-one ``sweeps.run_sweeps`` call share one :class:`DrawSets` per
-McConfig, which keeps one N's chunks between curves while a later curve
-asks for that N or a larger one. In ``rayleigh`` mode a larger N grows
-them, drawing only its new element columns; ``phase_sum`` mode draws a
-larger N afresh. An ``n_elements`` sweep stores nothing:
+one ``sweeps.run_sweeps`` call share one :class:`DrawSets`, which keeps
+the last set it handed out, under its McConfig and N, for a later curve
+with the same pair. In ``rayleigh`` mode a curve with the same McConfig
+and a larger N grows it, drawing only its new element columns; any
+other curve drops it and draws afresh. An ``n_elements`` sweep empties
+the store and stores nothing:
 :func:`simulate_points` draws each chunk once, for the largest N, takes
 every N's X1 from the same running sum, and updates each point's
 accumulator as soon as the sum reaches its N. :func:`model_law_chunks`
@@ -64,9 +65,10 @@ and the eavesdropper's rates that it emits: a 2-point N = 5 sweep at 1e7
 trials peaks at 295 MiB with one of them and 370 MiB with both, against
 219 MiB without the memo. One ``mc_sop`` curve peaks at 28 B per trial
 (``tracemalloc``), and so do ``mc_sop`` curves on one :class:`DrawSets`
-in any N order (5, 10, 15; 5, 10, 5; 15, 10, 5; 5, 5, 5): it holds at
-most one set, and growing it turns each chunk's X1^2 back into X1 in
-place.
+in any N order (5, 10, 15; 5, 10, 5; 15, 10, 5; 5, 5, 5), in any
+McConfig order (seeds 11, 12, 11) and before an ``n_elements`` curve:
+it holds at most one set, drops it before any fresh draw, and growing
+it turns each chunk's X1^2 back into X1 in place.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
@@ -353,52 +355,44 @@ def draw_chunks(n_elements: int, mc: McConfig):
 
 
 class DrawSets:
-    """The stored draws of one :class:`McConfig`, held for one N at a time.
+    """Stored Monte Carlo draws: at most one set, the last one handed out.
 
-    Callers ask :meth:`get` for the ``(X1^2, e)`` chunks of their N in
-    turn, those of ``draw_chunks(N, mc)`` bit for bit, each after setting
-    ``largest_later`` to the largest N a later caller will ask for (0 for
-    none). While that is at least N, N's chunks stay in ``kept``, and a
-    later call for N gets the same list. In ``rayleigh`` mode a larger N
-    grows it in place: X1, a sum of non-negative terms, is exactly the
-    sqrt of its rounded square, so each chunk's X1^2 is turned back into
-    its running sum and only the new element columns are drawn. The list
-    and arrays handed out for the smaller N are thus reused. Any other N,
-    and a larger one in ``phase_sum`` mode, is drawn afresh. A draw that
-    raises is tried once per N: its error, without its traceback, stays
-    in ``failed``.
+    :meth:`get` gives the ``(X1^2, e)`` chunks of ``draw_chunks(N, mc)``
+    bit for bit and keeps them in ``kept`` under ``(mc, N)``. A later call
+    with that key gets the same list. In ``rayleigh`` mode a call with
+    the same ``mc`` and a larger N grows it in place: X1, a sum of
+    non-negative terms, is exactly the sqrt of its rounded square, so
+    each chunk's X1^2 is turned back into its running sum and only the
+    new element columns are drawn. The list and arrays handed out for the
+    smaller N are thus reused. Any other call drops the kept set before
+    it draws afresh; setting ``kept`` to None drops it at once. A draw
+    that raises is tried once per key: its error, without its traceback,
+    stays in ``failed``.
     """
 
-    def __init__(self, mc: McConfig):
-        self.mc = mc
-        self.largest_later = 0
-        self.kept = None  # (N, its chunks)
+    def __init__(self):
+        self.kept = None  # ((mc, N), its chunks)
         self.failed: dict = {}
 
-    def get(self, n: int):
-        """N's chunks, or the error of its draw."""
-        if n in self.failed:
-            return self.failed[n]
-        mc = self.mc
-        n0, chunks = self.kept or (0, None)
+    def get(self, n: int, mc: McConfig):
+        """The chunks of N and ``mc``, or the error of their draw."""
+        if (mc, n) in self.failed:
+            return self.failed[mc, n]
+        (mc0, n0), chunks = self.kept or ((None, 0), None)
         self.kept = None  # a draw that raises leaves nothing kept
-        grows = 0 < n0 < n and mc.eav_mode == "rayleigh"
-        if n0 != n and not grows:
-            chunks = None  # not held through another N's draw
         try:
-            if chunks is None:
-                chunks = [_draw_chunk((n,), mc.seed, span, mc.eav_mode)[0]
-                          for span in _chunk_spans(mc)]
-            elif grows:
+            if mc0 == mc and n0 < n and mc.eav_mode == "rayleigh":
                 for i, span in enumerate(_chunk_spans(mc)):
                     x1_sq, e = chunks[i]
                     chunks[i] = _draw_chunk((n,), mc.seed, span, mc.eav_mode, n0,
                                             [np.sqrt(x1_sq, out=x1_sq), e])[0]
+            elif (mc0, n0) != (mc, n):
+                chunks = None  # not held through the new draw
+                chunks = list(draw_chunks(n, mc))
         except Exception as exc:  # frees the failed draw's frames and arrays
-            self.failed[n] = exc.with_traceback(None)
-            return self.failed[n]
-        if self.largest_later >= n:
-            self.kept = n, chunks
+            self.failed[mc, n] = exc.with_traceback(None)
+            return self.failed[mc, n]
+        self.kept = (mc, n), chunks
         return chunks
 
 

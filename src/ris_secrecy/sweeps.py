@@ -10,23 +10,24 @@ seed, so emitting the same spec twice produces byte-identical files.
 
 The Monte Carlo fading depends on N and the McConfig only. A sweep over
 any other axis scores all its points on one draw set. The curves of one
-:func:`run_sweeps` call share one ``montecarlo.DrawSets`` per McConfig,
-which keeps one N's set while a later curve needs that N or a larger
-one. A smaller N's draws are the first element columns of a larger N's,
-so in ``rayleigh`` mode the larger N grows the kept set in place and
-draws only its new columns; in ``phase_sum`` mode it draws afresh. That
-changes no value. On its set a sweep over ``snr_d_db``, the axis of
+:func:`run_sweeps` call share one ``montecarlo.DrawSets``, which keeps
+the last set it handed out for a later curve with the same N and
+McConfig. A smaller N's draws are the first element columns of a larger
+N's, so in ``rayleigh`` mode a curve with the same McConfig and a larger
+N grows the kept set in place and draws only its new columns; any other
+curve drops it and draws afresh. That changes no value. On its set a sweep over ``snr_d_db``, the axis of
 every bundled preset curve, scores the eavesdropper link, which the axis
 leaves unchanged, once per chunk and reuses those arrays at every point
 through a ``LinkMemo``, which it drops on return. That is bit for bit
 the per-point result. The ``montecarlo`` docstring gives what each of
 these holds per trial.
 
-A sweep over ``n_elements`` stores no draws. Its points are scored on
-one pass of ``montecarlo.simulate_points``: a smaller N's draws are the
-first element columns of a larger N's, so each chunk is drawn once for
-the largest N, every N's X1 is a snapshot of one running sum over the
-elements, and each point's accumulator takes its chunk as it is drawn.
+A sweep over ``n_elements`` empties the store and stores no draws. Its
+points are scored on one pass of ``montecarlo.simulate_points``: a
+smaller N's draws are the first element columns of a larger N's, so
+each chunk is drawn once for the largest N, every N's X1 is a snapshot
+of one running sum over the elements, and each point's accumulator
+takes its chunk as it is drawn.
 The values are bit for bit the per-point ones.
 """
 
@@ -159,43 +160,30 @@ def _mc_keys(spec: SweepSpec) -> list[str]:
             if r.mc and (f"mc_{m}" in spec.outputs or spec.numerics.mc_check)]
 
 
-def _draw_key(spec: SweepSpec):
-    """``(N, McConfig)`` of the one draw set the sweep scores on, or None.
-
-    The fading draws depend on N and the McConfig only, so every point of
-    a sweep over another axis is scored on one set. An ``n_elements``
-    sweep scores its points on one grouped pass instead, and a sweep
-    without Monte Carlo draws nothing.
-    """
-    if spec.axis == "n_elements" or not _mc_keys(spec):
-        return None
-    return spec.base.n_elements, spec.mc
-
-
-def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
+def _mc_estimates(spec: SweepSpec, points: list, store: DrawSets) -> list:
     """Each point's Monte Carlo estimates, or the exception that stopped them.
 
-    An ``n_elements`` sweep scores all its points on one pass of
-    ``simulate_points``, which draws each chunk once for all its N.
-    Any other sweep scores each point on the stored set of its N, got
-    before the first point from the ``montecarlo.DrawSets`` of its
-    McConfig in ``draw_sets``, which draws only what it does not hold.
-    A ``snr_d_db`` sweep scores the eavesdropper link once per chunk of
-    that set through a :class:`LinkMemo`. Nothing is drawn without a
-    point. A draw that raises is tried once per N: its error is given to
-    every point of every curve with that N and McConfig, and the set it
-    was growing is dropped.
+    An ``n_elements`` sweep empties ``store``, so that no stored set is
+    held through its pass, and scores all its points on one pass of
+    ``simulate_points``, which draws each chunk once for all its N. Any
+    other sweep scores each point on the set of its N and McConfig, got
+    before the first point from ``store``, which keeps, grows or redraws
+    it (see ``montecarlo.DrawSets``). A ``snr_d_db`` sweep scores the
+    eavesdropper link once per chunk of that set through a
+    :class:`LinkMemo`. Nothing is drawn without a point. A draw that
+    raises is tried once per store and key: its error is given to every
+    point of every curve with that N and McConfig.
     """
     keys = _mc_keys(spec)
     if not keys or not points:
         return [None] * len(points)
     if spec.axis == "n_elements":
+        store.kept = None
         try:
             return simulate_points(points, spec.mc, keys)
         except Exception as exc:  # recorded per mc row
             return [exc] * len(points)
-    n, mc = _draw_key(spec)
-    draws, out = draw_sets.setdefault(mc, DrawSets(mc)).get(n), []
+    draws, out = store.get(spec.base.n_elements, spec.mc), []
     if isinstance(draws, Exception):
         return [draws] * len(points)
     # the eavesdropper link stays put
@@ -208,13 +196,13 @@ def _mc_estimates(spec: SweepSpec, points: list, draw_sets: dict) -> list:
     return out
 
 
-def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
+def run_sweep(spec: SweepSpec, store: DrawSets | None = None) -> list[Row]:
     """Evaluate every requested metric at every grid point.
 
-    ``draw_sets`` maps a McConfig to its ``montecarlo.DrawSets`` (see
-    :func:`run_sweeps`). The sweep scores on the set of its N, got from
-    there, and adds the DrawSets if it makes it; without ``draw_sets`` it
-    makes its own and drops it on return (see :func:`_mc_estimates`).
+    The Monte Carlo rows are scored on draws from ``store``, a
+    ``montecarlo.DrawSets`` shared with other curves (see
+    :func:`run_sweeps`); without it the sweep makes its own and drops it
+    on return (see :func:`_mc_estimates`).
     """
     points = []  # (value, params, stats), or (value, error, None)
     for value in spec.values:
@@ -224,7 +212,7 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
         except ValueError as exc:
             points.append((value, exc, None))
     valid = [params for _, params, stats in points if stats is not None]
-    estimates = iter(_mc_estimates(spec, valid, {} if draw_sets is None else draw_sets))
+    estimates = iter(_mc_estimates(spec, valid, DrawSets() if store is None else store))
     rows: list[Row] = []
     for value, params, stats in points:
         point_rows: dict[str, Row] = {}
@@ -262,25 +250,15 @@ def run_sweep(spec: SweepSpec, draw_sets: dict | None = None) -> list[Row]:
 def run_sweeps(specs):
     """Yield :func:`run_sweep`'s table of each spec, in order.
 
-    Curves with the same McConfig score on one ``montecarlo.DrawSets``,
-    which is exact, since the draws depend on nothing else. Before each
-    curve the store is told the largest N that a later curve with its
-    McConfig asks for, so that it keeps the set for a later curve to
-    reuse or, in ``rayleigh`` mode only, grow. It is dropped after its
-    last curve, before that curve's table is yielded.
+    Every curve scores on one ``montecarlo.DrawSets``, which is exact,
+    since the draws depend on N and the McConfig only. The store keeps
+    the last set it handed out, so that a later curve with the same N
+    and McConfig reuses it and, in ``rayleigh`` mode, one with a larger
+    N grows it; any other curve draws afresh.
     """
-    specs = list(specs)
-    keys = [_draw_key(spec) for spec in specs]
-    draw_sets: dict = {}
-    for i, spec in enumerate(specs):
-        if keys[i] is not None:
-            mc = keys[i][1]
-            later = [n for n, m in filter(None, keys[i + 1:]) if m == mc]
-            draw_sets.setdefault(mc, DrawSets(mc)).largest_later = max(later, default=0)
-        table = run_sweep(spec, draw_sets)  # the module global, as wrapped when traced
-        if keys[i] is not None and not later:
-            del draw_sets[mc]
-        yield table
+    store = DrawSets()
+    for spec in specs:
+        yield run_sweep(spec, store)  # the module global, as wrapped when traced
 
 
 def mc_gap(value: float, est: EstimateWithCI, outage: bool) -> tuple[float, float, bool]:
@@ -436,17 +414,36 @@ def emit(table: list[Row], fmt: str, path=None) -> str:
 
 
 def load_table(path, fmt: str) -> list[Row]:
-    """Read back a table written by :func:`emit`."""
+    """Read back a table written by :func:`emit`.
+
+    An entry that makes no :class:`Row`, such as a CSV row with another
+    cell count than the header or a JSON entry with unknown or missing
+    keys, raises :class:`ConfigError` naming the path and the row,
+    counted from 1 after the CSV header.
+    """
     text = Path(path).read_text(encoding="utf-8")
     if fmt == "json":
-        return [Row(**entry) for entry in json.loads(text)]
-    if fmt != "csv":
+        records, make = json.loads(text), lambda entry: Row(**entry)
+    elif fmt == "csv":
+        records = csv.reader(io.StringIO(text))
+        header = next(records, None)
+        if header is None or tuple(header) != CSV_COLUMNS:
+            raise ConfigError(f"{path}: unexpected CSV header {header}")
+        # each cell's type is its Row field's annotation, X of an ``X | None``
+        parse = {col: (typing.get_args(hint) or (hint,))[0]
+                 for col, hint in type_hints(Row).items()}
+
+        def make(record):
+            if len(record) != len(CSV_COLUMNS):
+                raise ValueError(f"{len(record)} cells, expected {len(CSV_COLUMNS)}")
+            return Row(**{c: parse[c](cell) if cell else None
+                          for c, cell in zip(CSV_COLUMNS, record)})
+    else:
         raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ConfigError(f"{path}: unexpected CSV header {header}")
-    # each cell's type is its Row field's annotation, X of an ``X | None``
-    parse = {col: (typing.get_args(hint) or (hint,))[0] for col, hint in type_hints(Row).items()}
-    return [Row(**{c: parse[c](cell) if cell else None for c, cell in zip(CSV_COLUMNS, record)})
-            for record in reader]
+    rows = []
+    for i, record in enumerate(records, 1):
+        try:
+            rows.append(make(record))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: row {i}: {exc}") from exc
+    return rows

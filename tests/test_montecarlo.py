@@ -461,10 +461,10 @@ GROWN_ORDERS = {  # order: element columns each call draws per chunk, by eav_mod
 @pytest.mark.parametrize("order", list(GROWN_ORDERS),
                          ids=["ascending", "descending", "5-10-5", "5-5-10", "10-10-5"])
 def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
-    # callers ask for the N of `order` in turn, each telling the store the
-    # largest N still to come, as run_sweeps does. Two chunks in one
-    # stream; with two CPUs the first chunk's extension by 5 columns reads
-    # 10 _CHUNK >= _SPLIT_MIN words, so it runs on workers
+    # callers ask for the N of `order` in turn, as run_sweeps' curves do.
+    # Two chunks in one stream; with two CPUs the first chunk's extension
+    # by 5 columns reads 10 _CHUNK >= _SPLIT_MIN words, so it runs on
+    # workers
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc = McConfig(trials=_CHUNK + 1000, seed=8, stream_count=1, eav_mode=eav_mode)
     in_order, split_extensions, columns = montecarlo._in_order, [], []
@@ -475,22 +475,20 @@ def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
             split_extensions.append(blocks[0][0])
         return in_order(draw, blocks, workers, take)
 
-    store, kept = DrawSets(mc), None
-    for i, n in enumerate(order):
-        store.largest_later = later = max(order[i + 1:], default=0)
+    store, kept = DrawSets(), None
+    for n in order:
         monkeypatch.setattr(montecarlo, "_in_order", recording)
         columns.append(0)
-        got = store.get(n)
+        got = store.get(n, mc)
         monkeypatch.setattr(montecarlo, "_in_order", in_order)
         _assert_same_pairs(got, list(draw_chunks(n, mc)))
         # the kept list is handed out again for its N and, in rayleigh
         # mode, grown in place for a larger one
         if kept is not None and (kept[0] == n or (kept[0] < n and eav_mode == "rayleigh")):
             assert got is kept[1]
-        # one N at a time: its chunks while a later N is at least as large
-        kept = (n, got) if later >= n else None
-        assert (store.kept and (store.kept[0], id(store.kept[1]))) == \
-            (kept and (n, id(got)))
+        # one set at a time: the last one handed out
+        kept = (n, got)
+        assert store.kept[0] == (mc, n) and store.kept[1] is got
     assert columns == [2 * c for c in GROWN_ORDERS[order][eav_mode]]
     # the first column of each extension that ran on workers
     assert split_extensions == ({(5, 10, 15): [5, 10], (10, 5): [], (5, 10, 5): [5],

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -423,7 +424,7 @@ def test_preset_mc_rows_golden_digest(name):
         assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
 
 
-# --- run_sweeps: one draw set per McConfig, grown across N --------------------
+# --- run_sweeps: one draw store, grown across N -------------------------------
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
@@ -470,36 +471,38 @@ def test_cli_preset_makes_one_draw_set_per_n_and_mc_config(tmp_path, monkeypatch
     assert counts == per_stream(seeds, 4, columns, sets)
 
 
-def test_run_sweeps_frees_each_draw_set_after_its_last_curve(monkeypatch):
+def test_run_sweeps_holds_at_most_one_draw_set(monkeypatch):
     specs = [small_spec(base=base_params(n_elements=n)) for n in (5, 10, 5)]
     stores, original = [], sweeps.run_sweep
 
-    def spy(spec, draw_sets=None):
-        stores.append(draw_sets)
-        return original(spec, draw_sets)
+    def spy(spec, store=None):
+        stores.append(store)
+        return original(spec, store)
 
     monkeypatch.setattr(sweeps, "run_sweep", spy)
     counts = count_draws(monkeypatch)
     held = []
     for _ in run_sweeps(specs):
-        store = stores[0].get(specs[0].mc)
-        held.append("dropped" if store is None else store.kept and store.kept[0])
+        (mc, n), chunks = stores[0].kept
+        held.append((mc == specs[0].mc, n, len(chunks)))
     assert all(store is stores[0] for store in stores)
-    # the N=5 set outlives its curve, for the N=10 curve that grows it;
-    # after that curve the store holds nothing, and the last curve drops
-    # the store
-    assert held == [5, None, "dropped"]
+    # one store, which holds the last set it handed out and nothing else:
+    # the N=5 set, grown in place to N=10, then a fresh N=5 set
+    assert vars(stores[0]).keys() == {"kept", "failed"} and not stores[0].failed
+    assert held == [(True, 5, 2), (True, 10, 2), (True, 5, 2)]
     # N=10 drew its last 5 columns only, and the smaller N=5 after it is
     # drawn afresh, e included
     assert counts == per_stream({11}, 2, 15, 3, e=2)
 
 
 def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
-    drawn = []
+    drawn, draw_chunk = [], montecarlo._draw_chunk
 
-    def failing(group, *args):
-        drawn.append(group)
-        raise MemoryError("no room for the draw")
+    def failing(group, key, *args):  # only seed 12 draws
+        drawn.append((key, group))
+        if key != 12:
+            raise MemoryError("no room for the draw")
+        return draw_chunk(group, key, *args)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
     curves = load_preset("fig3")  # three curves on one (N, McConfig)
@@ -509,6 +512,16 @@ def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
         mc_rows = [r for r in table if r.metric.startswith("mc_")]
         assert len(mc_rows) == 21
         assert all(r.value is None and r.error == "no room for the draw" for r in mc_rows)
+    # McConfig A fails, B draws, and A's second curve gets A's error untried
+    drawn.clear()
+    specs = [small_spec(mc=McConfig(trials=2000, seed=seed, stream_count=2))
+             for seed in (11, 12, 11)]
+    tables = list(run_sweeps(specs))
+    assert drawn == [(11, (5,)), (12, (5,)), (12, (5,))]
+    for seed, table in zip((11, 12, 11), tables):
+        mc_rows = [(r.value is None, r.error) for r in table if r.metric == "mc_sop"]
+        assert mc_rows == [(seed == 11, "no room for the draw" if seed == 11 else None)] * 3
+    assert tables[1] == run_sweep(specs[1])
 
 
 def test_run_sweeps_failed_extension_leaves_no_partial_sums(monkeypatch):
@@ -571,8 +584,8 @@ def test_run_sweeps_peak_memory_per_trial():
 def test_run_sweeps_peak_memory_holds_one_n(order):
     # tracemalloc sees numpy's data buffers. The store holds one set at a
     # time: the N=5 set for the next N=5 curve (5-5-5) or for the N=10
-    # curve that grows it (5-10-5), or nothing when every later N is
-    # smaller (15-10-5), within the scoring curve's 28 B of
+    # curve that grows it (5-10-5), and it drops a set before it draws a
+    # smaller N (15-10-5), within the scoring curve's 28 B of
     # test_run_sweep_peak_memory_per_trial
     trials = 1_000_000
     specs = [small_spec(base=base_params(n_elements=n), outputs=("mc_sop",),
@@ -586,12 +599,46 @@ def test_run_sweeps_peak_memory_holds_one_n(order):
     assert peak / trials <= 28.0 + 0.5
 
 
+def test_run_sweeps_peak_memory_holds_one_mc_config(monkeypatch):
+    # tracemalloc sees numpy's data buffers. Curves of McConfigs A, B, A:
+    # the store drops A's set before it draws B's, and redraws A's for the
+    # third curve, so it never holds two sets
+    trials = 1_000_000
+    specs = [small_spec(outputs=("mc_sop",), mc=McConfig(trials=trials, seed=seed))
+             for seed in (11, 12, 11)]
+    counts = count_draws(monkeypatch)
+    tracemalloc.start()
+    try:
+        list(run_sweeps(specs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= 28.0 + 0.5
+    assert counts == {**per_stream({11}, 4, 10, 2, e=2), **per_stream({12}, 4, 5, 1)}
+
+
+def test_run_sweeps_peak_memory_holds_no_set_through_an_n_elements_curve():
+    # tracemalloc sees numpy's data buffers. The snr_d_db curve's N=5 set
+    # is dropped before the n_elements curve's grouped pass draws
+    trials = 1_000_000
+    mc = McConfig(trials=trials, seed=11)
+    specs = [small_spec(outputs=("mc_sop",), mc=mc),
+             small_spec(axis="n_elements", values=(5, 10), outputs=("mc_sop",), mc=mc)]
+    tracemalloc.start()
+    try:
+        list(run_sweeps(specs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= 28.0 + 0.5
+
+
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 @pytest.mark.parametrize("order", [(15, 10, 5), (5, 10, 5), (10, 5, 10), (5, 5, 10), (10, 10, 5)],
                          ids=lambda order: "-".join(map(str, order)))
 def test_run_sweeps_tables_equal_per_curve_run_sweep_in_any_n_order(order, eav_mode):
-    # curves of two McConfigs interleaved; each store grows, keeps or
-    # redraws its N as the order asks
+    # curves of two McConfigs interleaved; the one store redraws each
+    # curve's set, since the curve before it has the other McConfig
     mcs = [McConfig(trials=3000, seed=seed, stream_count=2, eav_mode=eav_mode)
            for seed in (11, 12)]
     specs = [small_spec(base=base_params(n_elements=n), outputs=("sop", "mc_sop", "mc_asc"), mc=mc)
@@ -611,6 +658,40 @@ def test_emit_and_reload_round_trip(tmp_path):
         path = tmp_path / f"t.{fmt}"
         emit(rows, fmt, path)
         assert load_table(path, fmt) == rows
+
+
+_HEADER = ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("lines, match", [
+    ([_HEADER, "snr_d_db,0.0,sop,0.5,,,,,extra"], r"row 1: 9 cells, expected 8"),
+    ([_HEADER, "snr_d_db,0.0,sop,0.5,,,,", "snr_d_db,2.0,sop"], r"row 2: 3 cells, expected 8"),
+    ([_HEADER, "snr_d_db,0.0,sop,0.5,,,"], r"row 1: 7 cells, expected 8"),
+    ([_HEADER, "snr_d_db,zero,sop,0.5,,,,"], r"row 1: could not convert"),
+    (["axis,axis_value,metric,value"], r"unexpected CSV header"),
+    ([], r"unexpected CSV header None"),
+], ids=["long-row", "short-row", "one-cell-short", "bad-cell", "header", "empty"])
+def test_load_table_rejects_a_malformed_csv_naming_path_and_row(tmp_path, lines, match):
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match) as info:
+        load_table(path, "csv")
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("entry, match", [
+    ({"axis": "snr_d_db", "axis_value": 0.0, "metric": "sop", "value": 0.5, "note": 1},
+     "unexpected keyword argument 'note'"),
+    ({"axis": "snr_d_db", "axis_value": 0.0, "metric": "sop"}, "missing 1 required"),
+    (["snr_d_db", 0.0, "sop", 0.5], "must be a mapping"),
+], ids=["unknown-key", "missing-key", "not-a-mapping"])
+def test_load_table_rejects_a_malformed_json_entry_naming_path_and_row(tmp_path, entry, match):
+    path = tmp_path / "t.json"
+    good = dataclasses.asdict(Row("snr_d_db", 0.0, "sop", 0.5))
+    path.write_text(json.dumps([good, entry]), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match) as info:
+        load_table(path, "json")
+    assert str(info.value).startswith(f"{path}: row 2: ")
 
 
 def test_emit_csv_schema_and_determinism(tmp_path):
@@ -876,7 +957,7 @@ def test_cli_exit_code_numerical_failure(tmp_path, monkeypatch):
 
     cfg = write_config(tmp_path, values=(0.0,), outputs=("sop",))
 
-    def boom(spec, draw_sets=None):
+    def boom(spec, store=None):
         raise ConvergenceError("series", 10, 1.0)
 
     monkeypatch.setattr(sweeps_mod, "run_sweep", boom)
