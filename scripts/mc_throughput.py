@@ -25,8 +25,10 @@ over the grid at ``--trials`` trials, the memory a ``large_n`` run needs
 above its imports. And ``curve_scoring_trials_per_s``: scoring alone,
 fig2's 21-point ``snr_d_db`` curve at N = 5 on its stored draw set,
 through one ``LinkMemo`` as ``sweeps.run_sweep`` scores it, once with
-the estimate behind ``mc_sop`` and once with the one behind ``mc_asc``
-(median of ten times ``--repeat`` rounds; trials times points per s).
+the estimate behind ``mc_sop``, once with the one behind ``mc_asc`` and
+once with both on one memo, as a curve emitting both outputs scores
+them (median of ten times ``--repeat`` rounds; trials times points per
+s).
 Prints one JSON line; takes about 30 s at the default size.
 
     python scripts/mc_throughput.py [--trials 100000] [--repeat 3]
@@ -132,21 +134,21 @@ def preset_mc_specs(name: str, trials: int) -> list:
 
 
 def curve_scoring_trials_per_s(trials: int, repeat: int) -> dict:
-    """Trials times points per s of scoring fig2 ``n5``'s curve on its stored set, per output."""
+    """Trials times points per s of scoring fig2 ``n5``'s curve on its stored set, per output set."""
     spec = load_preset("fig2")["n5"]
     mc = dataclasses.replace(spec.mc, trials=trials)
     draws = list(draw_chunks(spec.base.n_elements, mc))
     points = [dataclasses.replace(spec.base, snr_d_db=v) for v in spec.values]
     result = {}
-    for metric in ("mc_sop", "mc_asc"):
-        keys = (ROUTES[metric.removeprefix("mc_")].mc,)
+    for metrics in (("mc_sop",), ("mc_asc",), ("mc_sop", "mc_asc")):
+        keys = tuple(ROUTES[m.removeprefix("mc_")].mc for m in metrics)
 
         def score_curve():
             memo = LinkMemo(draws)
             for p in points:
                 simulate_metrics(p, mc, draws, keys=keys, memo=memo)
 
-        result[metric] = round(len(points) * trials / median_s(score_curve, 10 * repeat))
+        result["+".join(metrics)] = round(len(points) * trials / median_s(score_curve, 10 * repeat))
     return result
 
 

@@ -16,20 +16,20 @@ scores one point with it. A sweep over any axis but ``n_elements``
 therefore draws one set, keeps it and scores every grid point on it
 (common random numbers), for the estimates it emits only; a
 ``snr_d_db`` sweep also scores the eavesdropper link, which it leaves
-unchanged, once per chunk through a :class:`LinkMemo`, and counts each
-point's outages on the critical destination SNR of each trial that the
-memo keeps, bit for bit as the direct test counts them. The curves of
-one ``sweeps.run_sweeps`` call share one :class:`DrawSets`, which keeps
-the last set it handed out, under its McConfig and N, for a later curve
-with the same pair. In ``rayleigh`` mode a curve with the same McConfig
-and a larger N grows it, drawing only its new element columns; any
-other curve drops it and draws afresh. An ``n_elements`` sweep empties
-the store and stores nothing:
-:func:`simulate_points` draws each chunk once, for the largest N, takes
-every N's X1 from the same running sum, and updates each point's
-accumulator as soon as the sum reaches its N. :func:`model_law_chunks`
-draws the Gaussian-sum model itself, to check the closed forms against
-the law they are derived for.
+unchanged, once per chunk through a :class:`LinkMemo`. Every path
+counts a trial as an outage where its critical destination SNR, which
+the memo keeps, exceeds the point's (see :func:`_critical_snrs`). The
+curves of one ``sweeps.run_sweeps`` call share one :class:`DrawSets`,
+which keeps the last set it handed out, under its McConfig and N, for a
+later curve with the same pair. In ``rayleigh`` mode a curve with the
+same McConfig and a larger N grows it, drawing only its new element
+columns; any other curve drops it and draws afresh. An ``n_elements``
+sweep empties the store and stores nothing: :func:`simulate_points`
+draws each chunk once, for the largest N, takes every N's X1 from the
+same running sum, and updates each point's accumulator as soon as the
+sum reaches its N. :func:`model_law_chunks` draws the Gaussian-sum
+model itself, to check the closed forms against the law they are
+derived for.
 
 Stream layout: every fading value is drawn by inversion from one 64-bit
 Philox word, so each sits at a known word. Stream i is
@@ -443,83 +443,31 @@ def _one_plus_sndr(unit, scale: float, kappa_sum: float):
     return g
 
 
-# The outage count on a memo's critical SNRs (see _critical_snrs): a
-# trial's c is kept where v = 1/(T - 1) - kappa_d lies in [v_lo, _V_HI],
-# v_lo = 4 _GUARD kappa_d (kappa_d + 7) + 2^-1000, and decides the trial
-# where it lies outside s (1 -+ _BAND)
-_GUARD = 2.0 ** -26
-_V_HI = 0.25 / _GUARD
-_BAND = 2.0 ** -24
-_SURE = 2.0 ** -40  # v at or below -_SURE: an outage at every snr_d
-
-
 def _critical_snrs(threshold, x1_sq, kappa_sum: float):
     """Each trial's critical destination SNR c, written over its outage threshold T.
 
-    With kappa = kappa_sum, t = T - 1, w = 1 - kappa t and v = 1/t -
-    kappa = w/t, the outage test 1 + gamma_D < T at destination SNR s
-    holds, in exact arithmetic, for every s when w <= 0 or X1^2 = 0, and
-    otherwise exactly when s < c = t / (X1^2 w) = 1 / (X1^2 v). This
-    returns the computed c = fl(1 / fl(X1^2 fl(fl(1 / fl(T - 1)) -
-    kappa))) where the computed v lies in [v_lo, _V_HI], +inf where it
-    lies in (-kappa, -_SURE], and NaN elsewhere: where T - 1 or w is
-    near 0, T <= 1, or T is not finite. A :class:`PointAccumulator` on
-    a memo counts an outage where c > s (1 + _BAND) and none where c <
-    s (1 - _BAND), and puts every other trial, NaN included, to the
-    direct test.
+    A trial is an outage at destination SNR s where c > s. With t = T - 1
+    and v = 1/t - kappa_sum, the test 1 + gamma_D < T holds, in exact
+    arithmetic, exactly when s < c = 1 / (X1^2 v) where v > 0, and at
+    every s where v <= 0, that is 1 - kappa_sum t <= 0. This computes c
+    in floating point with v clamped at 0, which makes the rule for the
+    special cases:
 
-    Why that count is the direct test's, bit for bit (u = 2^-53, gamma_n
-    = n u / (1 - n u), Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 3), for s in [1e-300, 1e300] and a chunk
-    where fl(s max X1^2) and fl(kappa s max X1^2) are finite (the
-    accumulator sends any other chunk to the direct test whole):
-
-    1. The direct test. With rho = s X1^2 >= 2^-1021 and
-       gamma(rho) = rho / (kappa rho + 1), ``_one_plus_sndr`` rounds 5
-       times: fl(1 + gamma) = (1 + gamma(rho)(1 + theta))(1 + eps) with
-       |theta| <= gamma_4 and |eps| <= u; an underflow in kappa g is
-       absorbed by the 1 it is added to. So the test reads an outage
-       where gamma(rho) <= t(1 - a) and none where gamma(rho) >= t(1 + a),
-       a = (u/t + gamma_5) / (1 - gamma_5). Where rho < 2^-1021 it reads
-       fl(1 + gamma) = 1 < T, an outage, as exact arithmetic does.
-    2. In s. The elasticity of gamma in rho is 1/(kappa rho + 1), which
-       is w at rho = c X1^2, so s <= c (1 - b) gives gamma <= t(1 - a)
-       and s >= c (1 + b) gives gamma >= t(1 + a) for b = a / (w - a).
-    3. c itself. fl(T - 1) and the reciprocal carry gamma_2, which the
-       subtraction of kappa magnifies by r/v = 1/w (r = 1/t); two more
-       roundings follow. So c is computed to a relative error of at most
-       3u + gamma_2/w to first order. Where fl(X1^2 v) < 2^-1022, c is
-       at least 2^1021 both computed and exact, above every s (1 +
-       _BAND), and step 1 reads an outage. Where it overflows, c is 0
-       computed and below 2^-1023 exact, under every s (1 - _BAND).
-    4. The band. hi = fl(s (1 + _BAND)) and lo = fl(s (1 - _BAND)) add u
-       each. Steps 1-3 decide each trial the direct test's way when
-       _BAND exceeds 4u + (2u + a)/w = u (4 + r (r + 7) / v) to first
-       order. On [v_lo, _V_HI], K r (r + 7) <= v (1/2 + 11 K) for K =
-       _GUARD and kappa < 2, so that is at most 4u + u / (2K)(1 + 22 K)
-       < 2^-27.9; _BAND = 2^-24 is 14 times that, which covers the
-       second-order terms and v's own relative error (below 2^-29
-       there).
-    5. The sure outages. A computed v in (-kappa, -_SURE] makes 0 < r
-       < 2 and the exact v below -2^-41, so w < -2^-42: every gamma
-       stays below 1/kappa = t/(1 - w) < t(1 - 2^-43), and a < 2^-50.
+    - X1^2 = 0 or v <= 0 (T = inf included) gives c = +inf, an outage;
+    - T = 1 (gamma_th rounds to 1 and gamma_E = 0) gives c = 0, or NaN
+      where also X1^2 = 0: no outage;
+    - NaN c is no outage, as the direct test's NaN comparison gives.
 
     ``threshold`` is overwritten; no other m-float array is made.
     """
     c = threshold
-    v_lo = 4.0 * _GUARD * kappa_sum * (kappa_sum + 7.0) + 2.0 ** -1000
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c -= 1.0
         np.divide(1.0, c, out=c)
-        c -= kappa_sum  # v
-        ill = c < v_lo
-        ill |= c > _V_HI
-        sure = c <= -_SURE
-        sure &= c > -kappa_sum
+        c -= kappa_sum
+        np.maximum(c, 0.0, out=c)  # v < 0: an outage at every s, as v = 0
         c *= x1_sq
         np.divide(1.0, c, out=c)
-    c[ill] = np.nan
-    c[sure] = np.inf
     return c
 
 
@@ -532,19 +480,10 @@ class LinkMemo:
     at every point. The memo keeps one entry, replaced when that key or
     the estimates asked for change, holding per chunk log2(1 + gamma_E)
     for the rates and, for ``sop``, each trial's critical destination SNR
-    c (see :func:`_critical_snrs`) and the chunk's largest X1^2. That is
-    8 B per trial for each of the two, so at most the draw set's own 16 B.
-
-    The test 1 + gamma_D < gamma_th (1 + gamma_E) depends on a sweep
-    point only through its destination SNR s, and holds in exact
-    arithmetic exactly when s < c. So a point counts an outage wherever
-    c > s (1 + 2^-24) and none wherever c < s (1 - 2^-24), two passes
-    over c, and puts the rest to the direct test: c within that band of
-    s, c that is not accurate enough to decide (NaN), and a whole chunk
-    where s max X1^2 or its kappa-sum multiple overflows. The rounding
-    error bound of :func:`_critical_snrs` shows that the band holds
-    every trial the direct test could decide otherwise, so the count is
-    the direct test's, bit for bit.
+    c (see :func:`_critical_snrs`): 8 B per trial for each of the two, so
+    at most the draw set's own 16 B. A point at destination SNR s counts
+    its outages as c > s, in one pass over c, by the rule that scores a
+    point without a memo.
     """
 
     def __init__(self, draws):
@@ -568,9 +507,11 @@ class PointAccumulator:
     rate difference v = log2(1+gamma_D) - log2(1+gamma_E) and its
     square, the sums ``s6``/``s6_sq`` of max(v, 0) and its square, and
     the trial count; only the sums behind the estimates named in
-    ``keys`` (a subset of :data:`ESTIMATES`) are computed. With a
-    :class:`LinkMemo` the eavesdropper's arrays of each chunk come from
-    it, and outages are counted on its critical SNRs.
+    ``keys`` (a subset of :data:`ESTIMATES`) are computed. A trial is
+    an outage where its critical destination SNR exceeds the point's
+    (see :func:`_critical_snrs`). With a :class:`LinkMemo` the
+    eavesdropper's arrays of each chunk, those critical SNRs included,
+    come from it.
     """
 
     def __init__(self, params: SystemParams, mc: McConfig, keys=ESTIMATES,
@@ -594,68 +535,35 @@ class PointAccumulator:
         self.s19 = self.s19_sq = 0.0
         self.s6 = self.s6_sq = 0.0
 
-    def _threshold(self, e):
-        """The outage threshold gamma_th (1 + gamma_E) of a chunk, in a new array."""
-        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
-        return np.multiply(one_e, self.gamma_th, out=one_e)
+    def _link_arrays(self, x1_sq, e):
+        """``(c, log2(1 + gamma_E))`` of a chunk, None where not asked.
 
-    def _eavesdropper(self, e):
-        """``(gamma_th (1 + gamma_E), log2(1 + gamma_E))`` of a chunk; None where not asked."""
-        if not self.rates:
-            return (self._threshold(e) if self.sop else None), None
-        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
-        threshold = self.gamma_th * one_e if self.sop else None
-        return threshold, np.log2(one_e, out=one_e)
-
-    def _memo_arrays(self, x1_sq, e):
-        """``((c, max X1^2), log2(1 + gamma_E))`` of a chunk, what a :class:`LinkMemo` keeps."""
-        threshold, log_e = self._eavesdropper(e)
-        if threshold is None:
-            return None, log_e
-        return (_critical_snrs(threshold, x1_sq, self.kappa_d_sum), float(x1_sq.max())), log_e
-
-    def _outages(self, x1_sq, e, c, x1_sq_max: float) -> int:
-        """Outages of one chunk, counted on its critical SNRs ``c`` (see :class:`LinkMemo`).
-
-        The direct test decides the trials whose c is NaN or within
-        ``_BAND`` of the destination SNR, and the whole chunk where the
-        SNR times ``x1_sq_max``, or its kappa-sum multiple, overflows.
+        c is each trial's critical destination SNR (see
+        :func:`_critical_snrs`). The pair is what a :class:`LinkMemo` keeps.
         """
-        s, kappa = self.d_scale, self.kappa_d_sum
-        rho_max = s * x1_sq_max
-        n_out = 0
-        if rho_max < math.inf and kappa * rho_max < math.inf:
-            hi, lo = s * (1.0 + _BAND), s * (1.0 - _BAND)
-            n_out = np.count_nonzero(c > hi)
-            if n_out + np.count_nonzero(c < lo) == c.size:
-                return n_out
-            rest = np.flatnonzero(~((c > hi) | (c < lo)))
-            x1_sq, e = x1_sq[rest], e[rest]
-        # the direct test; the memo's build has reported the threshold's
-        # floating-point warnings once
-        with np.errstate(all="ignore"):
-            threshold = self._threshold(e)
-        return n_out + np.count_nonzero(_one_plus_sndr(x1_sq, s, kappa) < threshold)
+        critical = log_e = None
+        one_e = _one_plus_sndr(e, self.e_scale, self.kappa_e_sum)
+        if self.sop:
+            # the threshold gamma_th (1 + gamma_E), over 1 + gamma_E unless the rates need it
+            threshold = np.multiply(one_e, self.gamma_th, out=None if self.rates else one_e)
+            critical = _critical_snrs(threshold, x1_sq, self.kappa_d_sum)
+        if self.rates:
+            log_e = np.log2(one_e, out=one_e)
+        return critical, log_e
 
     def update(self, x1_sq, e):
         """Add one chunk of draws."""
-        # 1 + gamma_D first, for the rates and the direct outage test
-        one_d = None
-        if self.rates or self.sop and self.memo is None:
-            one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
         if self.memo is None:
-            threshold, log_e = self._eavesdropper(e)
-            if self.sop:
-                # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E), exact
-                # for any positive threshold rate.
-                self.n_out += np.count_nonzero(one_d < threshold)
-                del threshold  # spent
+            critical, log_e = self._link_arrays(x1_sq, e)
         else:
             critical, log_e = self.memo.arrays(self.chunks, self.memo_key,
-                                               lambda: self._memo_arrays(x1_sq, e))
-            if self.sop:
-                self.n_out += self._outages(x1_sq, e, *critical)
+                                               lambda: self._link_arrays(x1_sq, e))
+        if self.sop:
+            # R_S < C_th  <=>  1 + gamma_D < gamma_th (1 + gamma_E)  <=>  snr_d < c
+            self.n_out += np.count_nonzero(critical > self.d_scale)
+        del critical  # spent, unless a memo keeps it
         if self.rates:
+            one_d = _one_plus_sndr(x1_sq, self.d_scale, self.kappa_d_sum)
             v = np.log2(one_d, out=one_d)
             v -= log_e
             if "asc_eq19" in self.keys:
@@ -707,9 +615,10 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
     of the zero-clipped instantaneous secrecy rate); all three by default.
 
     ``memo`` is a :class:`LinkMemo` made for this ``draws`` list, which a
-    sweep over ``snr_d_db`` passes to each of its points in turn; the
-    estimates are the same with and without it. ``ValueError`` when
-    ``memo`` was made for other draws.
+    sweep over ``snr_d_db`` passes to each of its points in turn. It
+    keeps what the point would compute itself, so the estimates are the
+    same with and without it. ``ValueError`` when ``memo`` was made for
+    other draws.
     """
     if memo is not None and memo.draws is not draws:
         raise ValueError("memo was made for another draw set")

@@ -15,12 +15,14 @@ the last set it handed out for a later curve with the same N and
 McConfig. A smaller N's draws are the first element columns of a larger
 N's, so in ``rayleigh`` mode a curve with the same McConfig and a larger
 N grows the kept set in place and draws only its new columns; any other
-curve drops it and draws afresh. That changes no value. On its set a sweep over ``snr_d_db``, the axis of
-every bundled preset curve, scores the eavesdropper link, which the axis
-leaves unchanged, once per chunk and reuses those arrays at every point
-through a ``LinkMemo``, which it drops on return. That is bit for bit
-the per-point result. The ``montecarlo`` docstring gives what each of
-these holds per trial.
+curve drops it and draws afresh. That changes no value. On its set a
+sweep over ``snr_d_db``, the axis of every bundled preset curve, scores
+the eavesdropper link, which the axis leaves unchanged, once per chunk
+and reuses those arrays at every point through a ``LinkMemo``, which it
+drops on return. The memo keeps what each point would compute itself,
+each trial's critical destination SNR among them, so the values are the
+per-point ones. The ``montecarlo`` docstring gives what each of these
+holds per trial.
 
 A sweep over ``n_elements`` empties the store and stores no draws. Its
 points are scored on one pass of ``montecarlo.simulate_points``: a
@@ -417,13 +419,19 @@ def load_table(path, fmt: str) -> list[Row]:
     """Read back a table written by :func:`emit`.
 
     An entry that makes no :class:`Row`, such as a CSV row with another
-    cell count than the header or a JSON entry with unknown or missing
-    keys, raises :class:`ConfigError` naming the path and the row,
-    counted from 1 after the CSV header.
+    cell count than the header, a JSON entry with unknown or missing
+    keys, or a value its field's annotation rejects, raises
+    :class:`ConfigError` naming the path and the row, counted from 1
+    after the CSV header.
     """
     text = Path(path).read_text(encoding="utf-8")
     if fmt == "json":
-        records, make = json.loads(text), lambda entry: Row(**entry)
+        records = json.loads(text)
+
+        def make(entry):
+            row = Row(**entry)
+            check_field_types(row)
+            return row
     elif fmt == "csv":
         records = csv.reader(io.StringIO(text))
         header = next(records, None)

@@ -102,57 +102,48 @@ def test_link_memo_serves_its_own_draw_set_only():
             simulate_metrics(p, mc, other, memo=memo)
 
 
-def _assert_memo_counts_are_direct(points, draws):
-    # each point scored without a memo, by the direct test, and with one
-    # LinkMemo for the whole sequence; repr compares the estimates bit for
-    # bit, NaN included, and the memo path warns only where the direct
-    # test does
-    mc = McConfig(trials=sum(x1_sq.size for x1_sq, _ in draws), seed=0, stream_count=1)
-    memo = LinkMemo(draws)
-    for params, keys in points:
-        runs = []
-        for m in (None, memo):
+_DBL_MAX = sys.float_info.max
+# One trial per special case of the outage rule (see _critical_snrs) as
+# (params changed, X1^2, e, outage). Unless changed, N = 1, both links
+# are at 0 dB, c_th = 1, kappa_d = 0.02 and kappa_e = 0, so T = 2 (1 + e)
+# and kappa_d (T - 1) = 1 at e = 24.5.
+_RULE_CASES = {
+    "x1_sq-0": ({}, 0.0, 1.0, True),
+    "x1_sq-least": ({}, 2.0 ** -1074, 1.0, True),
+    "x1_sq-largest": ({}, _DBL_MAX, 1.0, False),
+    # X1^2 (1/(T - 1) - kappa_d) overflows to -inf, and c to -0
+    "x1_sq-largest-past-ridge": ({"kappa_d_t2": 0.9, "kappa_d_r2": 0.9}, _DBL_MAX, 1.0, True),
+    "ridge-below": ({}, 1e20, 24.5 * (1.0 - 2.0 ** -40), False),
+    "ridge-at": ({}, 1e20, 24.5, True),
+    "ridge-past": ({}, 1e20, 25.0, True),
+    "T-1": ({"c_th": 1e-17}, 1.0, 0.0, False),  # 2^c_th rounds to 1
+    "T-inf": ({}, 1.0, _DBL_MAX, True),
+    "kappa_d-0": ({"kappa_d_t2": 0.0, "kappa_d_r2": 0.0}, 4.0, 1.0, False),
+}
+
+
+def test_outage_rule_decides_each_special_case():
+    base = SystemParams(n_elements=1, kappa_d_t2=0.01, kappa_d_r2=0.01)
+    mc = McConfig(trials=1000, seed=0, stream_count=1)
+    for name, (changes, x1_sq, e, outage) in _RULE_CASES.items():
+        params = dataclasses.replace(base, **changes)
+        draws = [(np.full(1000, x1_sq), np.full(1000, e))]
+        for memo in (None, LinkMemo(draws)):
             with warnings.catch_warnings(record=True) as warned:
                 warnings.simplefilter("always")
-                est = simulate_metrics(params, mc, draws, keys=keys, memo=m)
-            runs.append((repr(est), {(w.category, str(w.message)) for w in warned}))
-        (direct, direct_warned), (counted, counted_warned) = runs
-        assert counted == direct, (params, keys)
-        assert counted_warned <= direct_warned, (params, keys)
+                est = simulate_metrics(params, mc, draws, keys=("sop",), memo=memo)
+            assert est["sop"].value == outage, (name, memo)
+            # only T's own product overflows, where T = inf
+            assert ({str(w.message) for w in warned}
+                    == ({"overflow encountered in multiply"} if name == "T-inf" else set())), name
+        # counting on c raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c = _critical_snrs(np.array([params.gamma_th * (1.0 + e)]), np.array([x1_sq]),
+                               params.kappa_d_sum)
+            assert np.count_nonzero(c > params.snr_d_linear) == outage, name
 
 
-def test_critical_snrs_keep_only_what_their_bound_covers():
-    # one trial for each case of _critical_snrs at kappa_d = 0.02: kept,
-    # T - 1 at 2^-52 and 2^-26, T at 1 and below, T not finite,
-    # kappa_d (T - 1) a few ulps either side of 1, past 1, and X1^2 = 0
-    kappa = 0.02
-    ridge = 1.0 + 1.0 / kappa
-    threshold = np.array([2.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -26, 1.0, 0.5, math.inf, math.nan,
-                          np.nextafter(ridge, 0.0), ridge, np.nextafter(ridge, 99.0),
-                          1.0 + 2.0 / kappa, 3.0])
-    x1_sq = np.ones_like(threshold)
-    x1_sq[-1] = 0.0
-    c = _critical_snrs(threshold.copy(), x1_sq, kappa)
-    assert c[0] == 1.0 / (1.0 - kappa)
-    assert np.isnan(c[1:10]).all()
-    assert (c[10:] == math.inf).all()
-    # without the impairment only T - 1 decides, and no T makes w <= 0
-    c = _critical_snrs(threshold.copy(), x1_sq, 0.0)
-    assert c[0] == 1.0
-    assert np.isnan(c[1:7]).all()
-    assert np.isfinite(c[7:11]).all()
-    assert c[-1] == math.inf
-    # a chunk whose s X1^2 overflows at 0 dB and above, counted as the
-    # direct test counts it
-    draws = [(np.resize([1.0, 0.0, 2.0 ** -1074, sys.float_info.max, 1e300], 1000),
-              np.resize(np.linspace(0.0, 40.0, 7), 1000))]
-    base = params_for(snr_d_db=0.0)
-    _assert_memo_counts_are_direct(
-        [(dataclasses.replace(base, snr_d_db=v), ("sop",)) for v in (-3000.0, 0.0, 20.0, 3000.0)],
-        draws)
-
-
-_DBL_MAX = sys.float_info.max
 _KAPPA2 = st.sampled_from([0.0, 1e-300, 1e-4, 0.01, 0.1, 0.45, 0.999])
 _SNR_DB = st.one_of(st.sampled_from([-3000.0, -10.0, 0.0, 10.0, 30.0, 3000.0]),
                     st.floats(-3000.0, 3000.0))
@@ -163,8 +154,7 @@ _E = st.one_of(st.sampled_from([0.0, 1e-300, 0.3, 1.0, 36.7]), st.floats(0.0, 40
 # relative distances of c from a sweep SNR s: at s, a few ulps away, inside
 # the counted band, at its edges and past them
 _OFFSETS = st.sampled_from([0.0] + [sign * d for sign in (1.0, -1.0) for d in (
-    2.0 ** -52, 2.0 ** -40, montecarlo._BAND / 2, montecarlo._BAND, 2.0 * montecarlo._BAND,
-    2.0 ** -20, 0.5)])
+    2.0 ** -52, 2.0 ** -40, 2.0 ** -25, 2.0 ** -24, 2.0 ** -23, 2.0 ** -20, 2.0 ** -19, 0.5)])
 # relative distances of kappa_d (T - 1) from 1
 _RIDGE = st.sampled_from([0.0] + [sign * 2.0 ** -k for sign in (1.0, -1.0)
                                   for k in (52, 44, 36, 28, 20)])
@@ -178,11 +168,13 @@ def _nudged(x: float, ulps: int) -> float:
 
 @st.composite
 def _outage_sweeps(draw):
-    """A sweep of ``(params, keys)`` points and one chunk whose c lie where the guards act.
+    """Operating points and one chunk of trials whose critical SNRs c lie near their SNRs.
 
-    The points score ``sop`` at a few destination SNRs, then change each
-    part of the memo's key in turn: kappa_d, the eavesdropper SNR, c_th,
-    kappa_e and the estimates asked for.
+    The points sit at a few destination SNRs, then change each of the
+    other parts of the threshold in turn: kappa_d, the eavesdropper SNR,
+    c_th and kappa_e. Each trial puts c within a few ulps of a relative
+    offset from one of those SNRs, puts kappa_d (T - 1) near 1, has s X1^2
+    near the largest double, or is drawn at random.
     """
     base = SystemParams(n_elements=draw(st.sampled_from([1, 5])),
                         kappa_d_t2=draw(_KAPPA2), kappa_d_r2=draw(_KAPPA2),
@@ -193,7 +185,7 @@ def _outage_sweeps(draw):
     e_scale, kappa = montecarlo._scales(base, "rayleigh")[1], base.kappa_d_sum
     x1_sq, e = [], []
     with np.errstate(all="ignore"):
-        for _ in range(draw(st.integers(1, 40))):
+        for _ in range(draw(st.integers(1, 20))):
             kind = draw(st.sampled_from(["near", "ridge", "raw", "overflow"]))
             s, e_i = draw(st.sampled_from(d_scales)), draw(_E)
             if kind == "ridge" and kappa > 0.0:
@@ -214,24 +206,35 @@ def _outage_sweeps(draw):
                     x = max(_nudged(float(near), draw(st.integers(-3, 3))), 0.0)
             x1_sq.append(x)
             e.append(e_i)
-    point = dataclasses.replace(base, snr_d_db=snrs[0])
-    points = [(dataclasses.replace(base, snr_d_db=v), ("sop",)) for v in snrs]
-    points += [(dataclasses.replace(point, kappa_d_t2=draw(_KAPPA2)), ("sop",)),
-               (dataclasses.replace(point, snr_e_db=draw(_SNR_DB)), ("sop",)),
-               (dataclasses.replace(point, c_th=draw(_C_TH)), ("sop",)),
-               (dataclasses.replace(point, kappa_e_t2=draw(_KAPPA2)), ("sop",)),
-               (point, ESTIMATES), (point, ("sop", "asc_eq6")), (point, ("sop",))]
+    points = [dataclasses.replace(base, snr_d_db=v) for v in snrs]
+    points += [dataclasses.replace(points[0], **{name: draw(values)}) for name, values in (
+        ("kappa_d_t2", _KAPPA2), ("snr_e_db", _SNR_DB), ("c_th", _C_TH), ("kappa_e_t2", _KAPPA2))]
     return points, np.array(x1_sq), np.array(e)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_outage_sweeps())
-def test_memo_outage_count_equals_the_direct_test(case):
-    # two chunks, the second the first reversed, so that the memo keeps
-    # each chunk's own critical SNRs
+def test_outage_rule_agrees_with_the_direct_test_away_from_ties(case):
+    # each trial's decision c > s against the direct test 1 + gamma_D < T,
+    # another rounding of the same exact event, where c lies more than a
+    # relative 2^-20 from s and both roundings are good to about 2^-23 in
+    # s: the direct test meets no inf or NaN, and u (1/t + 7) / |w| <
+    # 2^-23 for t = T - 1 and w = 1 - kappa_d t (to first order; Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3)
     points, x1_sq, e = case
-    x1_sq, e = np.resize(x1_sq, 1000), np.resize(e, 1000)
-    _assert_memo_counts_are_direct(points, [(x1_sq, e), (x1_sq[::-1].copy(), e[::-1].copy())])
+    for params in points:
+        s, e_scale = montecarlo._scales(params, "rayleigh")
+        kappa = params.kappa_d_sum
+        with np.errstate(all="ignore"):
+            threshold = montecarlo._one_plus_sndr(e, e_scale, params.kappa_e_sum) * params.gamma_th
+            rho = s * x1_sq
+            direct = 1.0 + rho / (kappa * rho + 1.0) < threshold
+            t = threshold - 1.0
+            sound = (np.isfinite(kappa * rho) & np.isfinite(rho)
+                     & (1.0 / t + 7.0 < 2.0 ** 30 * np.abs(1.0 - kappa * t)))
+            c = _critical_snrs(threshold, x1_sq, kappa)
+        compared = sound & ~(np.abs(c - s) <= 2.0 ** -20 * s)
+        np.testing.assert_array_equal((c > s)[compared], direct[compared], err_msg=repr(params))
 
 
 # sha256 of every (X1^2, e) chunk of draw_chunks (numpy 2.4.6, x86-64),

@@ -684,7 +684,9 @@ def test_load_table_rejects_a_malformed_csv_naming_path_and_row(tmp_path, lines,
      "unexpected keyword argument 'note'"),
     ({"axis": "snr_d_db", "axis_value": 0.0, "metric": "sop"}, "missing 1 required"),
     (["snr_d_db", 0.0, "sop", 0.5], "must be a mapping"),
-], ids=["unknown-key", "missing-key", "not-a-mapping"])
+    ({"axis": "snr_d_db", "axis_value": "zero", "metric": "sop", "value": "abc"},
+     "axis_value must be float, got 'zero'"),
+], ids=["unknown-key", "missing-key", "not-a-mapping", "string-values"])
 def test_load_table_rejects_a_malformed_json_entry_naming_path_and_row(tmp_path, entry, match):
     path = tmp_path / "t.json"
     good = dataclasses.asdict(Row("snr_d_db", 0.0, "sop", 0.5))
