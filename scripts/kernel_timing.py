@@ -7,12 +7,16 @@ over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``,
 ``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
 the ``*_reference`` twins, at N in
 {1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
-levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). timeit's autorange runs
-each call first, which fills the caches before the timed rounds. Each
-round then times every call in turn, round-robin, so that a phase of a
-slow core falls on all calls alike rather than on one. Prints one JSON
-line with the 25th, 50th and 75th percentiles over the rounds of each
-call, times in seconds; takes about 30 s.
+levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). It also replays the
+kernel (``channel._rho_d_law``) calls of one pass of the benchmark's
+``scan`` workload at seed 1, recorded from ``perfbench/workloads.py``,
+whose nodes reach the far tails that the 100-point grid does not.
+timeit's autorange runs each call first, which fills the caches before
+the timed rounds. Each round then times every call in turn,
+round-robin, so that a phase of a slow core falls on all calls alike
+rather than on one. Prints one JSON line with the 25th, 50th and 75th
+percentiles over the rounds of each call, in seconds per call and, for
+the replay, seconds per pass; takes about 30 s.
 
     python scripts/kernel_timing.py
 """
@@ -23,14 +27,17 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
+from ris_secrecy import channel
 from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats
 from ris_secrecy.secrecy import (
     avg_secrecy_capacity,
@@ -43,6 +50,7 @@ from ris_secrecy.secrecy import (
 )
 
 ELEMENTS = (1, 10, 64, 128)
+REPLAY = ("scan", 1)  # the workload and seed whose kernel calls are replayed
 ROUNDS = 15          # the percentiles are taken over this many rounds
 ROUND_S = 0.02       # each round repeats each call for about this long
 
@@ -73,18 +81,48 @@ def calls_at(n: int) -> dict:
     }
 
 
+def recorded_kernel_calls(workload: str, seed: int) -> list:
+    """The arguments of each ``channel._rho_d_law`` call of one benchmark pass."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    law, calls = channel._rho_d_law, []
+
+    def record(x, *args, **kwargs):
+        out = law(x, *args, **kwargs)
+        calls.append((np.copy(x), args, kwargs))
+        return out
+
+    channel._rho_d_law = record
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            failed = workloads.build(workload, seed).run_pass(Path(out_dir)).failed
+    finally:
+        channel._rho_d_law = law
+    if failed:
+        raise RuntimeError(f"the recorded {workload} pass failed: {failed}")
+    return calls
+
+
+def quartiles(ts) -> dict:
+    p25, p50, p75 = statistics.quantiles(ts, n=4, method="inclusive")
+    return {"p25": round(p25, 9), "median": round(p50, 9), "p75": round(p75, 9)}
+
+
 def main() -> int:
     calls = {(n, name): c for n in ELEMENTS for name, c in calls_at(n).items()}
+    replayed = recorded_kernel_calls(*REPLAY)
+    calls["replay"] = lambda: [channel._rho_d_law(x, *args, **kwargs)
+                               for x, args, kwargs in replayed]
     number = {key: calls_per_round(c) for key, c in calls.items()}
     times = {key: [] for key in calls}
     for _ in range(ROUNDS):
         for key, c in calls.items():
             times[key].append(timeit.timeit(c, number=number[key]) / number[key])
+    replay = times.pop("replay")
     result = {str(n): {} for n in ELEMENTS}
     for (n, name), ts in times.items():
-        p25, p50, p75 = statistics.quantiles(ts, n=4, method="inclusive")
-        result[str(n)][name] = {"p25": round(p25, 9), "median": round(p50, 9),
-                                "p75": round(p75, 9)}
+        result[str(n)][name] = quartiles(ts)
     print(json.dumps({
         "unit": "s per call, quartiles over the rounds",
         "nproc": os.cpu_count(),
@@ -92,6 +130,9 @@ def main() -> int:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "n_elements": result,
+        "kernel_replay": {"workload": REPLAY[0], "seed": REPLAY[1], "calls": len(replayed),
+                          "points": sum(x.size for x, _, _ in replayed),
+                          "s_per_pass": quartiles(replay)},
     }))
     return 0
 

@@ -34,8 +34,9 @@ from ._schema import check_field_types
 lower_inc_gamma = upper_inc_gamma = None
 
 _FLOAT_MAX = np.finfo(float).max
-# exp(x) rounds to 0.0 for every x below log(2^-1075) = -745.13...
-_EXP_FLOOR = -746.0
+# log(2^-1022) = -708.396...: exp of every x above it is a normal double,
+# and numpy's exp is slow wherever its result is subnormal or 0.0
+_EXP_FLOOR = math.log(np.finfo(float).tiny)
 
 # The Poisson window of the destination-law series: at most _MAX_TERMS
 # terms, leaving out less than _REL_TOL of the mixing mass. A larger cap
@@ -293,11 +294,12 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, method: str, upper: 
 
     The terms t_j are exp of the matrix a_j log u - u - lnGamma(a_j+1),
     formed in place in that order. ``exp`` is taken only where that
-    exponent is above _EXP_FLOOR; every other term stays the 0.0 that
-    ``exp`` would round it to, so no bit of the result changes, and
-    numpy's slow path for results that underflow to 0 (3-13 times a
-    normal ``exp``) is skipped. Terms with subnormal results, between
-    _EXP_FLOOR and about -708.4, still take that path.
+    exponent is above _EXP_FLOOR = log(2^-1022), where the term is a
+    normal double; every other term is left at 0.0, so numpy's slow path
+    for subnormal and zero results (3-13 times a normal ``exp``) is never
+    taken. A term left out is below 2^-1022 (1 + 3e-14) once scaled by its
+    prefix or suffix sum, so a value moves by at most 2^-1022 per window
+    term (4.5e-306 at _MAX_TERMS) plus a few ulps of its own.
     """
     if method not in ("marcum", "series"):
         raise ValueError(f"unknown method {method!r}, expected 'marcum' or 'series'")

@@ -117,20 +117,22 @@ def theta_coefficients(params: SystemParams) -> ThetaSet:
 
 @lru_cache(maxsize=32)
 def _chebyshev_rule(q: int):
-    """Weights w, map t(phi) and dt/dphi at the q first-kind Chebyshev nodes phi.
+    """Weights w, 1 + t(phi) and dt/dphi at the q first-kind Chebyshev nodes phi.
 
     sum w_n h(phi_n) approximates int_{-1}^{1} h(phi) dphi, and t is the
-    map of :func:`_chebyshev_on_interval`. Cached and read-only: every
+    map of :func:`_chebyshev_on_interval`. 1 + t is clipped to [0, 2]: it
+    rounds below 0 for 22 of q = 2...1000. Cached and read-only: every
     caller shares the same arrays.
     """
     n = np.arange(1, q + 1, dtype=float)
     phi = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * q))
     w = (math.pi / q) * np.sqrt(1.0 - phi * phi)
     t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
+    one_plus_t = np.clip(1.0 + t, 0.0, 2.0)
     dt = 15.0 * (1.0 - phi * phi) ** 2 / 8.0
-    for arr in (w, t, dt):
+    for arr in (w, one_plus_t, dt):
         arr.setflags(write=False)
-    return w, t, dt
+    return w, one_plus_t, dt
 
 
 def _chebyshev_on_interval(q: int, upper: float):
@@ -144,9 +146,9 @@ def _chebyshev_on_interval(q: int, upper: float):
     nodes and weights deliver ~1e-12 accuracy by q = 100 on the smooth
     integrands used here.
     """
-    w, t, dt = _chebyshev_rule(q)
-    x = 0.5 * upper * (1.0 + t)
-    np.maximum(x, 0.0, out=x)
+    w, one_plus_t, dt = _chebyshev_rule(q)
+    x = 0.5 * upper * one_plus_t
+    # 0.5 * upper rounds up for some upper < 2^-1021, and x then past upper
     np.minimum(x, upper, out=x)
     return x, 0.5 * upper * w * dt
 

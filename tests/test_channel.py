@@ -13,6 +13,7 @@ from ris_secrecy.channel import (
     ConvergenceError,
     LinkGeometry,
     SystemParams,
+    _EXP_FLOOR,
     _poisson_window,
     ccdf_rho_d,
     cdf_rho_d,
@@ -235,14 +236,15 @@ def test_series_recurrence_matches_incomplete_gamma_matrix(n):
     assert ccdf_rho_d(math.inf, st_, g, method="series") == 0.0
 
 
-def _series_as_written(x, st_, g, upper):
-    """The series route as one expression, with ``exp`` of every term."""
+def _series_as_written(x, st_, g, upper, floor=-math.inf):
+    """The series route as one expression, with every term whose exponent is <= ``floor`` at 0.0."""
     win = _poisson_window(st_.lambda_ / (2.0 * st_.sigma2))
     xs = np.asarray(x, dtype=float)
     u = np.minimum(xs / (2.0 * g * st_.sigma2), np.finfo(float).max)
     with np.errstate(divide="ignore"):
         log_u = np.log(u)[..., None]
-    t = np.exp(win.a * log_u - u[..., None] - win.log_gamma)
+    power = win.a * log_u - u[..., None] - win.log_gamma
+    t = np.where(power > floor, np.exp(power), 0.0)
     if upper:
         end, coeff = sc.gammaincc(win.k[0] + 0.5, u), win.suffix
     else:
@@ -253,8 +255,11 @@ def _series_as_written(x, st_, g, upper):
 
 @pytest.mark.parametrize("n", [1, 5, 10, 64, 128])
 def test_series_skips_only_terms_that_underflow_to_zero(n):
-    # the kernel takes exp only above -746; every other term is the 0.0
-    # exp would give, so its values are the written-out expression's bits
+    # the kernel takes exp only above _EXP_FLOOR = log(2^-1022): its values
+    # are the written-out expression's bits with the terms at or below the
+    # floor set to 0.0, and within 2^-1022 per window term (each such term
+    # scaled by a prefix or suffix sum <= 1 + 3e-14), plus 4 ulps of the
+    # value, of the expression that takes exp of every term
     p = params_for(n=n)
     st_ = derive_stats(p)
     g = p.snr_d_linear
@@ -264,17 +269,35 @@ def test_series_skips_only_terms_that_underflow_to_zero(n):
     xs = np.concatenate([[0.0], np.geomspace(1e-12 * mean, 4.0 * far, 400), [math.inf]])
     u = xs[1:-1] / (2.0 * g * st_.sigma2)
     power = np.log(u)[:, None] * win.a - u[:, None] - win.log_gamma
-    dead = power <= -746.0
-    assert (dead.any(axis=1) & ~dead.all(axis=1)).any()  # rows that cross -746
-    assert ((power > -746.0) & (power <= -708.4)).any()  # subnormal terms
+    flushed = power <= _EXP_FLOOR
+    assert (flushed.any(axis=1) & ~flushed.all(axis=1)).any()  # rows that cross the floor
+    assert ((power > -746.0) & flushed).any()  # terms exp would give as subnormals
+    bound = win.k.size * 2.0 ** -1022 * (1.0 + 3e-14)
+
+    def near_exact(got, exact):
+        return np.all(np.abs(got - exact) <= bound + 4.0 * np.spacing(np.abs(exact)))
+
     for upper, fn in ((False, cdf_rho_d), (True, ccdf_rho_d)):
-        assert fn(xs, st_, g, "series").tobytes() == _series_as_written(xs, st_, g, upper).tobytes()
         grid = xs[:400].reshape(20, 20)
-        assert fn(grid, st_, g, "series").tobytes() == _series_as_written(grid, st_, g, upper).tobytes()
+        for x in (xs, grid):
+            got = fn(x, st_, g, "series")
+            assert got.tobytes() == _series_as_written(x, st_, g, upper, _EXP_FLOOR).tobytes()
+            assert near_exact(got, _series_as_written(x, st_, g, upper)), (upper, n)
         for v in xs[::20].tolist() + [math.inf]:
             got = fn(v, st_, g, "series")
             assert type(got) is float
-            assert got.hex() == float(_series_as_written(v, st_, g, upper)).hex(), (upper, v)
+            assert got.hex() == float(_series_as_written(v, st_, g, upper, _EXP_FLOOR)).hex(), (upper, v)
+            assert near_exact(got, _series_as_written(v, st_, g, upper)), (upper, v)
+
+
+def test_no_series_term_kept_above_the_floor_can_underflow():
+    # every exponent the kernel keeps is above _EXP_FLOOR, so its term is
+    # a normal double on numpy's plain and vector exp loops alike
+    tiny = np.finfo(float).tiny
+    assert _EXP_FLOOR == math.log(tiny)
+    above = np.nextafter(_EXP_FLOOR, math.inf)
+    assert np.exp(above) >= tiny
+    assert np.all(np.exp(np.full(64, above)) >= tiny)
 
 
 def test_poisson_window_is_cached_and_read_only():

@@ -492,6 +492,20 @@ def test_chebyshev_caches_are_read_only():
     assert wx.tolist() == (0.5 * 3.7 * w * dt).tolist()
 
 
+@pytest.mark.parametrize("q", [2, 3, 24, 100, 657, 999])
+def test_chebyshev_nodes_are_the_clamped_map_bit_for_bit(q):
+    # 1 + t rounds below 0 at q = 657 and 999, and 0.5 * upper rounds up
+    # for an odd multiple of 2^-1074 and a normal upper below 2^-1021
+    phi = np.cos((2.0 * np.arange(1, q + 1) - 1.0) * math.pi / (2.0 * q))
+    t = (15.0 * phi - 10.0 * phi ** 3 + 3.0 * phi ** 5) / 8.0
+    tiny = np.finfo(float).tiny
+    for upper in (5e-324, 1.5e-323, 3.5e-323, tiny, tiny * (1.0 + 3 * 2.0 ** -52),
+                  1e-200, 3.7, 1e12, np.finfo(float).max):
+        x, _ = _chebyshev_on_interval(q, upper)
+        want = np.minimum(np.maximum(0.5 * upper * (1.0 + t), 0.0), upper)
+        assert x.tobytes() == want.tobytes(), upper
+
+
 # --- the destination-law node step -----------------------------------------------
 
 def _masked_law(x, coeffs, stats, g, upper_tail):
