@@ -16,11 +16,16 @@ the algebra at once. Both evaluate the Gaussian-sum model of the
 destination channel; the Monte Carlo module simulates the signal-level
 channel itself, so its gap to them measures the model's error as well.
 
-Both closed-form outage integrals have a finite upper limit only because
-the SNDRs saturate; the probability mass of the eavesdropper gain beyond
-that limit makes outage certain and must be added as a closed-form tail
-term (exp(-limit/lambda_e)). Dropping it is visibly wrong for lambda_e
-of a few: the tail reaches ~1e-2.
+Both outage probabilities are one integral with two coefficient sets.
+Its upper limit c/d is finite only because the SNDRs saturate; the
+eavesdropper mass beyond it makes outage certain and must be added as a
+closed-form tail term (exp(-limit/lambda_e)). Dropping it is visibly
+wrong for lambda_e of a few: the tail reaches ~1e-2. Where d <= 0, or
+where that tail underflows to 0.0, the integral is instead cut where the
+eavesdropper law has shed all but ``_TAIL_EPSILON``. This limit is
+derived from the inputs; a fixed theta2 threshold of 1e-12, applied to
+``sop`` only, spread the nodes over limits far past that point, which
+returned wrong values.
 
 The eavesdropper's ergodic rate is exact: a difference of two values of
 the scaled exponential integral e^t E1(t), which :func:`e1_scaled`
@@ -93,8 +98,6 @@ class NumericsConfig:
 
 DEFAULT_NUMERICS = NumericsConfig()
 
-# theta2 at or below this counts as no saturation crossing (_sop_region)
-_THETA2_EPSILON = 1e-12
 # mass discarded where an integration limit or the twins' X1 range is truncated
 _TAIL_EPSILON = 1e-12
 
@@ -158,9 +161,10 @@ class SopEvaluation:
     """Outage probability with its decomposition.
 
     ``tail_mass`` is the probability that the eavesdropper gain lies
-    beyond the integration limit (outage certain there);
-    ``target_saturated`` flags theta3 <= 0, where outage is certain for
-    every channel state and the value is exactly 1.
+    beyond the integration limit (outage certain there), 0 where the
+    limit is the truncation of :func:`_outage_probability`;
+    ``target_saturated`` flags c <= 0 (theta3 <= 0 for ``sop``), where
+    outage is certain for every channel state and the value is exactly 1.
     """
 
     value: float
@@ -170,27 +174,14 @@ class SopEvaluation:
     target_saturated: bool
 
 
-def _sop_region(thetas: ThetaSet, stats: ChannelStats):
-    """Integration limit and certain-outage tail mass for the SOP integral."""
-    if thetas.theta2 > _THETA2_EPSILON:
-        upper = thetas.theta3 / thetas.theta2
-        tail = math.exp(-upper / stats.lambda_e)
-    else:
-        # No saturation crossing: integrate the exponential out to where
-        # the discarded mass is below _TAIL_EPSILON.
-        upper = stats.lambda_e * math.log(1.0 / _TAIL_EPSILON)
-        tail = 0.0
-    return upper, tail
-
-
-def _asymptotic_region(params: SystemParams):
-    """Theta set and eavesdropper-gain limit 1/theta4 of the high-SNR event."""
+def _asymptotic_thetas(params: SystemParams) -> ThetaSet:
+    """Theta set of the high-SNR event, which needs theta4 > 0."""
     th = theta_coefficients(params)
     if th.theta4 <= 0.0:
         raise UnsupportedRegimeError(
             f"sop_asymptotic requires theta4 > 0, got theta4={th.theta4}"
         )
-    return th, 1.0 / th.theta4
+    return th
 
 
 def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: float,
@@ -220,6 +211,30 @@ def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
     f = _law_at(x, a, b, c, d, stats, snr_d_linear, upper_tail=False)
     lam_e = stats.lambda_e
     return float((w * np.exp(-x / lam_e) / lam_e * f).sum())
+
+
+def _outage_probability(a: float, b: float, c: float, d: float, stats: ChannelStats,
+                        snr_d_linear: float, numerics: NumericsConfig) -> SopEvaluation:
+    """Probability of the outage event rho_D < (a rho_E + b)/(c - d rho_E).
+
+    Where c <= 0 the target is out of reach and outage certain. Otherwise
+    the limit is derived, not set: upper = c/d (inf where d <= 0), with
+    certain-outage tail exp(-upper/lambda_e). Where that tail underflows
+    to 0.0 no representable eavesdropper mass lies beyond c/d, and the
+    integral is cut at lambda_e ln(1/_TAIL_EPSILON) with tail 0. The old
+    fixed rule (cut only where theta2 <= 1e-12, and never for
+    ``sop_asymptotic``) differed where c/d lies beyond ~745 lambda_e,
+    which it covered whole with the same nodes, and where 0 < d <= 1e-12
+    leaves a representable tail, which it dropped.
+    """
+    if c <= 0.0:
+        return SopEvaluation(1.0, 0.0, 1.0, 0.0, True)
+    upper = c / d if d > 0.0 else math.inf
+    tail = math.exp(-upper / stats.lambda_e)
+    if tail == 0.0:
+        upper = stats.lambda_e * math.log(1.0 / _TAIL_EPSILON)
+    total = _outage_integral(a, b, c, d, upper, stats, snr_d_linear, numerics)
+    return SopEvaluation(min(total + tail, 1.0), total, tail, upper, False)
 
 
 def _piecewise_quad(f, edges) -> float:
@@ -256,7 +271,10 @@ def _outage_reference(a: float, b: float, c: float, d: float, stats: ChannelStat
     and cannot happen where a + d rho <= 0. So the conditional probability
     is 1 up to X1 = x_k = sqrt(b/(c g)), falls on a scale of at most
     sqrt(a lambda_e/(c g)) beyond it, and reaches 0 where a + d rho = 0.
+    Where c <= 0 outage is certain, as in :func:`_outage_probability`.
     """
+    if c <= 0.0:
+        return 1.0
     lam_e = stats.lambda_e
 
     def outage_given(rho: float) -> float:
@@ -277,12 +295,8 @@ def sop_detail(params: SystemParams, stats: ChannelStats,
                numerics: NumericsConfig = DEFAULT_NUMERICS) -> SopEvaluation:
     """Secrecy outage probability, Chebyshev/series closed form."""
     th = theta_coefficients(params)
-    if th.theta3 <= 0.0:
-        return SopEvaluation(1.0, 0.0, 1.0, 0.0, True)
-    upper, tail = _sop_region(th, stats)
-    total = _outage_integral(th.theta1, th.vartheta, th.theta3, th.theta2, upper,
-                             stats, params.snr_d_linear, numerics)
-    return SopEvaluation(min(total + tail, 1.0), total, tail, upper, False)
+    return _outage_probability(th.theta1, th.vartheta, th.theta3, th.theta2, stats,
+                               params.snr_d_linear, numerics)
 
 
 def sop(params: SystemParams, stats: ChannelStats,
@@ -295,8 +309,6 @@ def sop_reference(params: SystemParams, stats: ChannelStats,
                   numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Adaptive-quadrature twin of :func:`sop`, integrating over X1 last."""
     th = theta_coefficients(params)
-    if th.theta3 <= 0.0:
-        return 1.0
     return _outage_reference(th.theta1, th.vartheta, th.theta3, th.theta2, stats,
                              params.snr_d_linear)
 
@@ -308,16 +320,15 @@ def sop_asymptotic(params: SystemParams, stats: ChannelStats,
     Only defined for theta4 > 0, where the ratio event has a finite
     saturation limit 1/theta4 for the eavesdropper gain.
     """
-    th, upper = _asymptotic_region(params)
-    total = _outage_integral(th.gamma_th, 0.0, 1.0, th.theta4, upper,
-                             stats, params.snr_d_linear, numerics)
-    return min(total + math.exp(-upper / stats.lambda_e), 1.0)
+    th = _asymptotic_thetas(params)
+    return _outage_probability(th.gamma_th, 0.0, 1.0, th.theta4, stats,
+                               params.snr_d_linear, numerics).value
 
 
 def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats,
                              numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Adaptive-quadrature twin of :func:`sop_asymptotic`, integrating over X1 last."""
-    th, _ = _asymptotic_region(params)
+    th = _asymptotic_thetas(params)
     return _outage_reference(th.gamma_th, 0.0, 1.0, th.theta4, stats, params.snr_d_linear)
 
 

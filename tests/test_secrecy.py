@@ -256,6 +256,38 @@ def test_asymptote_improves_with_snr():
     assert rel_gap(30.0) < rel_gap(10.0)
 
 
+# --- small saturation coefficients ------------------------------------------
+
+BAND_POINTS = [(1, 0.0, 20.0), (1, -20.0, -20.0), (8, 10.0, 0.0), (16, 0.0, 5.0)]
+BAND_KD2 = 1e-4  # kappa^2 of each destination level
+
+
+def band_params(n, gd, ge, coefficient, theta):
+    """c_th = 1 with the eavesdropper levels set so that ``coefficient`` equals theta."""
+    # gamma_th = 2: theta4 = 2 kd - ke and theta2 = 2 kd - (1 - kd) ke
+    kd = 2.0 * BAND_KD2
+    ke = (2.0 * kd - theta) / ((1.0 - kd) if coefficient == "theta2" else 1.0)
+    return params_for(n=n, snr_d_db=gd, snr_e_db=ge, c_th=1.0,
+                      kappa_d_t2=BAND_KD2, kappa_d_r2=BAND_KD2,
+                      kappa_e_t2=ke / 2.0, kappa_e_r2=ke / 2.0)
+
+
+@pytest.mark.parametrize("metric,coefficient", [("sop", "theta2"), ("sop_asymptotic", "theta4")])
+@pytest.mark.parametrize("n,gd,ge", BAND_POINTS)
+def test_small_saturation_coefficient_matches_adaptive_quadrature(n, gd, ge, metric, coefficient):
+    # theta from 1e-13 to 1e-4 puts the limit c/d from about 100 lambda_e
+    # to far past where exp(-c/(d lambda_e)) underflows
+    route = ROUTES[metric]
+    gaps = {}
+    for e in range(-13, -3):
+        p = band_params(n, gd, ge, coefficient, 10.0 ** e)
+        assert getattr(theta_coefficients(p), coefficient) == pytest.approx(10.0 ** e, rel=1e-6)
+        stats = derive_stats(p)
+        gaps[e] = abs(route.closed_form(p, stats, DEFAULT_NUMERICS)
+                      - route.twin(p, stats, DEFAULT_NUMERICS))
+    assert max(gaps.values()) <= 1e-9, gaps
+
+
 # --- references against the arbitrary-precision oracle -----------------------
 
 @functools.lru_cache(maxsize=None)
@@ -291,6 +323,14 @@ ORACLE_POINTS = [
     pytest.param(params_for(n=34, snr_d_db=56.3, snr_e_db=-14.75, k2=0.0, c_th=3.0), id="n34_56dB"),
     # the fig2 base point at large N, where the closed forms' series window is widest
     *(pytest.param(params_for(n=n), id=f"fig2_n{n}") for n in (96, 128, 256, 1024)),
+    # theta2 = 1e-11 and theta4 = 2e-12 at lambda_e = 100: both saturation
+    # limits lie so far out that exp(-c/(d lambda_e)) underflows to 0
+    pytest.param(params_for(n=1, snr_d_db=0.0, snr_e_db=20.0, c_th=1.0,
+                            kappa_d_t2=1e-6, kappa_d_r2=1e-6,
+                            kappa_e_t2=1.999999e-6, kappa_e_r2=1.999999e-6), id="n1_band"),
+    # scan seed 1's scan_040: c/d is about 222 lambda_e, a long interval
+    # whose tail is still representable
+    pytest.param(params_for(n=38, snr_d_db=-15.4, snr_e_db=9.2, k2=1e-4, c_th=0.1), id="n38_scan"),
 ]
 
 
@@ -299,19 +339,21 @@ def test_references_match_oracle_at_frozen_points(p):
     assert_references_match_oracle(p, 1e-10)
 
 
-# (point, metric) where the closed form misses the oracle today, with its gap
+# (point, metric) where the closed form misses the oracle today: its gap, and
+# the stage of ROADMAP item 1 that is to close it
 CLOSED_FORM_MISSES = {
-    ("n1_-20dB", "sop"): 5.3e-4, ("n1_-20dB", "sop_asymptotic"): 2.2e-2,
-    ("n1_-20dB", "asc"): 4.7e-6, ("n1_0dB", "sop"): 1.7e-3, ("n1_0dB", "sop_asymptotic"): 1.9e-3,
-    ("n64_60dB", "asc"): 2.4e-2, ("n34_56dB", "asc"): 8.4e-3,
-    ("fig2_n96", "asc"): 2.9e-6, ("fig2_n128", "asc"): 4.0e-6,
+    ("n1_-20dB", "asc"): (4.7e-6, "1b"), ("n64_60dB", "asc"): (2.4e-2, "1b"),
+    ("n34_56dB", "asc"): (8.4e-3, "1b"), ("fig2_n96", "asc"): (2.9e-6, "1b"),
+    ("fig2_n128", "asc"): (4.0e-6, "1b"), ("n1_band", "asc"): (1.8e-5, "1b"),
+    ("n38_scan", "sop"): (8.4e-5, "1a"), ("n38_scan", "sop_asymptotic"): (8.3e-5, "1a"),
 }
 
 
 @pytest.mark.parametrize("p,metric", [
     pytest.param(point.values[0], metric, id=f"{point.id}-{metric}",
-                 marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
-                                          reason="ROADMAP item 1")]
+                 marks=[pytest.mark.xfail(
+                     strict=True, raises=AssertionError,
+                     reason=f"ROADMAP item {CLOSED_FORM_MISSES[point.id, metric][1]}")]
                  if (point.id, metric) in CLOSED_FORM_MISSES else [])
     for point in ORACLE_POINTS for metric in ROUTES
 ])
