@@ -10,12 +10,12 @@ once for the largest N. All at the fig2 base point with its Monte Carlo
 settings (4 streams), at ``--trials`` trials per point. Throughput is
 trials scored per second, summed over the grid's points. Under it, the
 draw itself: Rayleigh amplitudes/s by inversion on one thread, over one
-block of 2^17 (``montecarlo._BLOCK``) and over 2^20 values. And the
-seconds of one grouped ``montecarlo._draw_chunk`` over that grid for
-one stream's trials (25 000 at the default), with the process pinned to
-two of its CPUs and to one (``os.sched_setaffinity``, restored
-afterwards): the draw uses one worker thread per usable CPU. A pin the
-process cannot have is reported as null. One layer up, ``presets_mc_s``: the
+block of 2^16 (``montecarlo._BLOCK``) and over 2^20 values. And the
+seconds of one grouped ``simulate_points`` pass over that grid, with the
+process pinned to two of its CPUs and to one (``os.sched_setaffinity``,
+restored afterwards): the pass draws and scores its chunks on one
+worker thread per usable CPU. A pin the process cannot have is reported
+as null. One layer up, ``presets_mc_s``: the
 median seconds of ``run_sweeps`` over the curves of each bundled preset
 with their Monte Carlo outputs only, at ``--trials`` trials, which is
 the draw and scoring of a ``ris-secrecy preset`` run without its closed
@@ -52,7 +52,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ris_secrecy.montecarlo import (
     _BLOCK,
     LinkMemo,
-    _draw_chunk,
     _exponentials,
     _usable_cpus,
     draw_chunks,
@@ -75,8 +74,8 @@ def median_s(call, repeat: int) -> float:
     return statistics.median(times)
 
 
-def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
-    """Median seconds of one grouped draw over ``GRID`` with the process on ``cpus`` CPUs."""
+def pinned_pass_s(cpus: int, mc, grid, repeat: int):
+    """Median seconds of one grouped pass over ``grid`` with the process on ``cpus`` CPUs."""
     if not hasattr(os, "sched_setaffinity"):
         return None
     allowed = sorted(os.sched_getaffinity(0))
@@ -84,7 +83,7 @@ def pinned_draw_s(cpus: int, m: int, seed: int, repeat: int):
         return None
     os.sched_setaffinity(0, allowed[:cpus])
     try:
-        return median_s(lambda: _draw_chunk(GRID, seed, (0, m, 0, m), "rayleigh"), repeat)
+        return median_s(lambda: simulate_points(grid, mc), repeat)
     finally:
         os.sched_setaffinity(0, allowed)
 
@@ -171,8 +170,7 @@ def main(argv=None) -> int:
         out = np.empty((1, size))
         amplitudes[f"one_thread_{size}"] = size / median_s(
             lambda: np.sqrt(_exponentials(mc.seed, 0, size, out), out=out), args.repeat)
-    m = -(-args.trials // mc.stream_count)
-    draws = {f"cpus_{cpus}": pinned_draw_s(cpus, m, mc.seed, args.repeat) for cpus in (2, 1)}
+    passes = {f"cpus_{cpus}": pinned_pass_s(cpus, mc, grid, args.repeat) for cpus in (2, 1)}
     presets = {name: median_s(lambda specs=preset_mc_specs(name, args.trials): list(run_sweeps(specs)),
                               args.repeat)
                for name in PRESET_NAMES}
@@ -187,8 +185,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
         "amplitudes_per_s": {k: round(v) for k, v in amplitudes.items()},
-        "grouped_draw_m": m,
-        "grouped_draw_s": {k: v if v is None else round(v, 4) for k, v in draws.items()},
+        "grouped_pass_s": {k: v if v is None else round(v, 4) for k, v in passes.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},
         "curve_scoring_trials_per_s": curve_scoring_trials_per_s(args.trials, args.repeat),
         "grouped_peak_rss_mib": grouped_peak_rss_mib(args.trials),

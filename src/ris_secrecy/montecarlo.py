@@ -47,18 +47,22 @@ drawn together, nor on the CPU count. Amplitudes are sqrt(E), E =
 E at -log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16.
 
 Memory: a chunk of m trials (at most ``_CHUNK``) is drawn in blocks of
-elements of about ``_BLOCK`` amplitudes. Once X1 reads ``_SPLIT_MIN``
-words, the blocks are drawn on up to :func:`_usable_cpus` worker
-threads (see :func:`_in_order`); below that, as for every preset, the
-caller draws them alone. Each block is drawn into a buffer that the
-calling thread allocates, so that it stays in that thread's malloc
-arena, and reuses for a later block. A draw holds the running sums, the
-X1^2 and e of the N just reached (m floats each; ``rayleigh`` mode
-shares one e), which its caller scores or keeps before the sum goes on,
-and at most one buffer per worker plus the one being added: 0.8 MB each
-over N = 8..1024 at 1e5 trials, 2 MB in ``phase_sum`` mode. A grouped
-pass of :func:`simulate_points` over those N at 1e6 trials peaks 25
-MiB of RSS above the imports. A stored draw set holds 16 B per trial
+elements of about ``_BLOCK`` amplitudes, each into the chunk's one block
+buffer. A whole chunk is the unit that worker threads run: once X1
+reads ``_POOL_MIN`` words over all the chunks of a draw, the chunks are
+drawn on up to :func:`_usable_cpus` threads, at most one in flight per
+worker (see :func:`_in_order`); below that, for one chunk or on one CPU,
+the caller draws them alone. Every array that outlives a chunk's task
+(its block buffer, running sums and e) is allocated on the calling
+thread, so that it stays in that thread's malloc arena; a kept X1^2 is
+the last N's running sum, squared in place. A chunk's draw holds its
+running sums, the X1^2 and e of the N just reached (m floats each;
+``rayleigh`` mode shares one e), which are scored or kept before the
+sum goes on, and its buffer: 0.8 MB over N = 8..1024 at 1e5 trials, 2
+MB in ``phase_sum`` mode. A grouped pass of :func:`simulate_points`
+scores each chunk on its worker, so each chunk in flight also holds its
+scoring arrays; over those N at 1e6 trials the pass peaks 35 MiB of RSS
+above the imports on two CPUs. A stored draw set holds 16 B per trial
 (1.6 MB at the presets' 1e5 trials). A ``snr_d_db`` sweep's
 :class:`LinkMemo` keeps 8 B per trial for each of the critical SNRs
 and the eavesdropper's rates that it emits: a 2-point N = 5 sweep at 1e7
@@ -72,9 +76,9 @@ it turns each chunk's X1^2 back into X1 in place.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
-counter-based Philox streams and per-stream partial sums are combined in
-stream order, so results do not depend on how the streams would be
-scheduled. The bits do depend on numpy's float64 ``log`` loop: its
+counter-based Philox streams and per-chunk partial sums are combined in
+stream order, so results do not depend on which thread draws or scores
+a chunk, nor when. The bits do depend on numpy's float64 ``log`` loop: its
 AVX512F build and its plain one differ by one ulp in about 3.5 values in
 10^3.
 
@@ -91,6 +95,7 @@ mode useful for measuring how good the exponential model is.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -103,8 +108,12 @@ from ._schema import check_field_types
 from .channel import ChannelStats, SystemParams
 
 _CHUNK = 1 << 18
-_BLOCK = 1 << 17  # amplitudes of f_R and f_D in one block of elements
-_SPLIT_MIN = 1 << 20  # a chunk whose X1 reads fewer words is drawn by the caller alone
+# amplitudes of f_R and f_D in one block of elements; each chunk in
+# flight holds one block, so two workers hold 2^17 amplitudes
+_BLOCK = 1 << 16
+# a draw whose X1 reads fewer words over all its chunks runs on the
+# caller: below 10^6 the pool's start-up outweighed a second CPU's draws
+_POOL_MIN = 1_000_000
 # word offsets from a stream's start: Philox.jumped() moves 2^128 counters
 # of four words, and the f_R / f_D columns end far below 2^100
 _STREAM_WORDS = 1 << 130
@@ -244,98 +253,120 @@ def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray)
     return x1_terms, x2_terms
 
 
-def _in_order(start, blocks: list, workers: int, take) -> None:
-    """``take(start(block)())`` for each block in order, drawing on ``workers`` threads.
+def _block_step(m: int) -> int:
+    """Elements in one block of a chunk of m trials: about ``_BLOCK`` amplitudes."""
+    return max(1, _BLOCK // (2 * m))
 
-    ``start(block)`` is called on the calling thread just before the
-    block is drawn, and returns the function that draws it. With fewer
-    than two workers the caller draws. Otherwise one block more than
-    ``workers`` is submitted, so that each worker has a block in flight
-    while the caller takes the oldest result. The pool joins its workers
-    on leaving, also when ``start``, a draw or ``take`` raises.
+
+def _new_sums(span: tuple, eav_mode: str) -> list:
+    """Chunk ``span``'s running sums over no element: ``[X1, e]`` or ``[X1, e, X2]``.
+
+    The first is ``rayleigh`` mode's, whose e depends on no element and
+    is drawn into it by :func:`_draw_chunk`; the second ``phase_sum``
+    mode's, whose e is where |X2|^2 of the last N goes. The arrays are
+    allocated here, on the calling thread.
     """
-    if workers < 2:
-        for block in blocks:
-            take(start(block)())
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = collections.deque()
-        for block in blocks:
-            in_flight.append(pool.submit(start(block)))
-            if len(in_flight) > workers:
-                take(in_flight.popleft().result())
-        for future in in_flight:
-            take(future.result())
-
-
-def _new_sums(key, span: tuple, eav_mode: str) -> list:
-    """Chunk ``span``'s running sums over no element: ``[X1, e]`` with e drawn, or ``[X1, X2]``.
-
-    The first is ``rayleigh`` mode's, whose e depends on no element; the
-    second ``phase_sum`` mode's.
-    """
-    stream, size, start, m = span
+    m = span[3]
     if eav_mode == "rayleigh":
-        e = _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, np.empty((1, m)))[0]
-        return [np.zeros(m), e]
-    return [np.zeros(m), np.zeros(m, dtype=complex)]
+        return [np.zeros(m), np.empty(m)]
+    return [np.zeros(m), np.empty(m), np.zeros(m, dtype=complex)]
 
 
-def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
-                sums: list | None = None, give=None) -> list:
+def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int, sums: list,
+                buf: np.ndarray, give=None) -> list:
     """The ``(X1^2, e)`` of chunk ``span`` for each N of the ascending ``group``, in its order.
 
     Each pair is what the chunk is for that N alone (see
-    :func:`draw_chunks`). Element columns [n0, group[-1]) are drawn and
-    added in element order, whichever thread drew them, to ``sums``: the
-    chunk's running sums over its first n0 columns (see
-    :func:`_new_sums`), which are extended in place; without them, new
-    ones over no column. Each N of ``group`` must exceed n0. In
-    ``rayleigh`` mode every N shares the sums' one e array.
+    :func:`draw_chunks`). ``sums`` are the chunk's running sums over its
+    first n0 element columns (see :func:`_new_sums`; where n0 is 0 they
+    are new and ``rayleigh`` mode's e is drawn here); element columns
+    [n0, group[-1]) are drawn in blocks of elements into ``buf`` and
+    added to them in element order. Each N of ``group`` must exceed n0.
 
     Each pair is made as soon as the running sum reaches its N and is
-    handed to ``give(pair)``, on the calling thread while the workers
-    draw on; without ``give`` the pairs are collected in the list
-    returned. The blocks are drawn into buffers allocated on the calling
-    thread as each block starts, at most one per block in flight: a
-    buffer is reused once its block is summed, and dropped then when no
-    block is left to start.
+    handed to ``give(pair)``; without ``give`` the pairs are collected
+    in the list returned. A smaller N's pair is new (``rayleigh`` mode
+    shares the one e), the last N's the sums' own arrays: X1 squared in
+    place and, in ``phase_sum`` mode, |X2|^2 written to e. Nothing this
+    allocates outlives the call.
     """
     stream, size, start, m = span
-    n_max = group[-1]
-    step = max(1, _BLOCK // (2 * m))
-    blocks = [(lo, min(lo + step, n_max)) for lo in range(n0, n_max, step)]
-    workers = min(_usable_cpus(), len(blocks)) if 2 * (n_max - n0) * m >= _SPLIT_MIN else 1
-    x1, eav = _new_sums(key, span, eav_mode) if sums is None else sums
+    n_max, step = group[-1], _block_step(m)
+    x1, e, *x2 = sums
+    if n0 == 0 and not x2:
+        _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, e.reshape(1, m))
     pairs = []
     give = pairs.append if give is None else give
-    summed, given, unstarted = n0, 0, len(blocks)
-    spare, in_use = [], collections.deque()  # buffers, in_use in block order
-
-    def start_block(block):
-        nonlocal unstarted
-        unstarted -= 1
-        buf = spare.pop() if spare else np.empty(_block_floats(eav_mode, step, m))
-        in_use.append(buf)
-        return lambda: _block_terms(key, span, eav_mode, block, buf)
-
-    def take(terms):
-        nonlocal summed, given
-        x1_terms, x2_terms = terms
+    summed, given = n0, 0
+    for lo in range(n0, n_max, step):
+        x1_terms, x2_terms = _block_terms(key, span, eav_mode, (lo, min(lo + step, n_max)), buf)
         for i, row in enumerate(x1_terms):
             np.add(x1, row, out=x1)
-            if x2_terms is not None:
-                np.add(eav, x2_terms[i], out=eav)
+            if x2:
+                np.add(x2[0], x2_terms[i], out=x2[0])
             summed += 1
             if summed == group[given]:
                 given += 1
-                give((np.square(x1), eav if x2_terms is None else np.abs(eav) ** 2))
-        buf = in_use.popleft()
-        if unstarted:
-            spare.append(buf)
-
-    _in_order(start_block, blocks, workers, take)
+                last = summed == n_max
+                x1_sq = np.square(x1, out=x1 if last else None)
+                if x2:
+                    e_n = np.abs(x2[0], out=e if last else None)
+                    give((x1_sq, np.square(e_n, out=e_n)))
+                else:
+                    give((x1_sq, e))
     return pairs
+
+
+def _chunk_task(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
+                sums: list | None = None, give=None):
+    """:func:`_draw_chunk` of chunk ``span`` as a function of no argument.
+
+    Its arrays are allocated here, on the calling thread, so that they
+    stay in that thread's malloc arena whichever thread draws: new
+    running sums unless ``sums`` are given, and one block buffer, which
+    the draw drops as it returns.
+    """
+    m = span[3]
+    sums = _new_sums(span, eav_mode) if sums is None else sums
+    held = [np.empty(_block_floats(eav_mode, _block_step(m), m))]
+    return lambda: _draw_chunk(group, key, span, eav_mode, n0, sums, held.pop(), give)
+
+
+def _workers(mc: McConfig, columns: int) -> int:
+    """Threads that draw ``columns`` element columns of every chunk of ``mc``.
+
+    The caller draws alone on one CPU, for one chunk, or where X1 reads
+    fewer than ``_POOL_MIN`` words over all the chunks.
+    """
+    if 2 * columns * mc.trials < _POOL_MIN:
+        return 1
+    return min(_usable_cpus(), sum(1 for _ in _chunk_spans(mc)))
+
+
+def _in_order(tasks, workers: int):
+    """The result of each of ``tasks``, in their order, computed on ``workers`` threads.
+
+    ``tasks`` yields functions of no argument; each is taken from it on
+    the calling thread just before it is submitted. With fewer than two
+    workers the caller runs them. Otherwise at most ``workers`` tasks are
+    in flight: the next is submitted as soon as the oldest one's result
+    is taken, before it is yielded. An error in a task reaches the
+    caller when its result is due. The pool joins its workers on leaving:
+    after the last result, when a task or ``tasks`` raises, or when this
+    generator is closed.
+    """
+    tasks = iter(tasks)
+    if workers < 2:
+        for task in tasks:
+            yield task()
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = collections.deque(pool.submit(task)
+                                      for task in itertools.islice(tasks, workers))
+        while in_flight:
+            result = in_flight.popleft().result()
+            in_flight.extend(pool.submit(task) for task in itertools.islice(tasks, 1))
+            yield result
 
 
 def draw_chunks(n_elements: int, mc: McConfig):
@@ -345,13 +376,13 @@ def draw_chunks(n_elements: int, mc: McConfig):
     eavesdropper gain at unit SNR: X2^2 / N ~ Exp(1) in ``rayleigh``
     mode, X2^2 itself in ``phase_sum`` mode. Neither depends on the
     SNRs, the threshold or the impairment levels, so one draw set serves
-    every operating point with this N and ``mc``. Each chunk is computed
-    by a helper that returns, so no amplitude array outlives it: the
-    peak is the chunk's running sums and at most one block of about
-    ``_BLOCK`` amplitudes per worker thread plus one.
+    every operating point with this N and ``mc``. The chunks are drawn
+    on up to :func:`_workers` threads, each ahead of the one the caller
+    holds by at most that many chunks. Closing the generator joins them.
     """
-    for span in _chunk_spans(mc):
-        yield _draw_chunk((n_elements,), mc.seed, span, mc.eav_mode)[0]
+    tasks = (_chunk_task((n_elements,), mc.seed, span, mc.eav_mode) for span in _chunk_spans(mc))
+    for pairs in _in_order(tasks, _workers(mc, n_elements)):
+        yield pairs[0]
 
 
 class DrawSets:
@@ -382,10 +413,10 @@ class DrawSets:
         self.kept = None  # a draw that raises leaves nothing kept
         try:
             if mc0 == mc and n0 < n and mc.eav_mode == "rayleigh":
-                for i, span in enumerate(_chunk_spans(mc)):
-                    x1_sq, e = chunks[i]
-                    chunks[i] = _draw_chunk((n,), mc.seed, span, mc.eav_mode, n0,
-                                            [np.sqrt(x1_sq, out=x1_sq), e])[0]
+                tasks = (_chunk_task((n,), mc.seed, span, mc.eav_mode, n0,
+                                     [np.sqrt(x1_sq, out=x1_sq), e])
+                         for span, (x1_sq, e) in zip(_chunk_spans(mc), chunks))
+                chunks[:] = [pairs[0] for pairs in _in_order(tasks, _workers(mc, n - n0))]
             elif (mc0, n0) != (mc, n):
                 chunks = None  # not held through the new draw
                 chunks = list(draw_chunks(n, mc))
@@ -581,6 +612,20 @@ class PointAccumulator:
         self.trials += x1_sq.size
         self.chunks += 1
 
+    def merge(self, other: PointAccumulator) -> None:
+        """Add the sums of ``other``, this point's accumulator over the next chunk.
+
+        Each of ``other``'s sums is one chunk's float, so it enters as if
+        that chunk had been added here.
+        """
+        self.n_out += other.n_out
+        self.s19 += other.s19
+        self.s19_sq += other.s19_sq
+        self.s6 += other.s6
+        self.s6_sq += other.s6_sq
+        self.trials += other.trials
+        self.chunks += other.chunks
+
     def estimates(self) -> dict:
         """The requested estimates; ``ValueError`` unless ``mc.trials`` trials were added."""
         t, seed = self.trials, self.mc.seed
@@ -622,10 +667,10 @@ def simulate_metrics(params: SystemParams, mc: McConfig, draws=None, *,
     """
     if memo is not None and memo.draws is not draws:
         raise ValueError("memo was made for another draw set")
-    if draws is None:
-        draws = draw_chunks(params.n_elements, mc)
     acc = PointAccumulator(params, mc, keys, memo)
-    for x1_sq, e in draws:
+    # a generator bound to no name is closed, and its pool joined, as an
+    # error leaves this frame, however long the error is kept
+    for x1_sq, e in draw_chunks(params.n_elements, mc) if draws is None else draws:
         acc.update(x1_sq, e)
     return acc.estimates()
 
@@ -637,23 +682,37 @@ def simulate_points(points, mc: McConfig, keys=ESTIMATES) -> list[dict]:
     keys=keys)`` returns, bit for bit, but draws each chunk once, for the
     largest N, rather than once per point: every smaller N's draws are
     the first element columns of the largest N's (see
-    :func:`_draw_chunk`). A chunk's pair for each N updates the
-    accumulators of the points with that N as soon as the draw reaches
-    it, in stream order, and is then dropped; nothing is stored.
+    :func:`_draw_chunk`). Each chunk is scored on the thread that draws
+    it, into accumulators of its own: its pair for each N updates those
+    of the points with that N as soon as the draw reaches it, and is then
+    dropped. The caller merges each chunk's accumulators into the
+    points' in stream order; nothing is stored.
     """
     accs = [PointAccumulator(params, mc, keys) for params in points]
-    by_n: dict[int, list] = {}
-    for params, acc in zip(points, accs):
-        by_n.setdefault(params.n_elements, []).append(acc)
-    group = tuple(sorted(by_n))
-    for span in _chunk_spans(mc) if group else ():
+    group = tuple(sorted({params.n_elements for params in points}))
+
+    def task(span):  # called on the calling thread, which allocates the chunk's arrays
+        parts = [PointAccumulator(params, mc, keys) for params in points]
         ready = iter(group)
 
         def score(pair):
-            for acc in by_n[next(ready)]:
-                acc.update(*pair)
+            n = next(ready)
+            for params, part in zip(points, parts):
+                if params.n_elements == n:
+                    part.update(*pair)
 
-        _draw_chunk(group, mc.seed, span, mc.eav_mode, give=score)
+        draw = _chunk_task(group, mc.seed, span, mc.eav_mode, give=score)
+
+        def run():
+            draw()
+            return parts
+
+        return run
+
+    if group:
+        for parts in _in_order(map(task, _chunk_spans(mc)), _workers(mc, group[-1])):
+            for acc, part in zip(accs, parts):
+                acc.merge(part)
     return [acc.estimates() for acc in accs]
 
 

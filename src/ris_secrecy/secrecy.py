@@ -225,12 +225,15 @@ def _outage_probability(a: float, b: float, c: float, d: float, stats: ChannelSt
     fixed rule (cut only where theta2 <= 1e-12, and never for
     ``sop_asymptotic``) differed where c/d lies beyond ~745 lambda_e,
     which it covered whole with the same nodes, and where 0 < d <= 1e-12
-    leaves a representable tail, which it dropped.
+    leaves a representable tail, which it dropped. Where the tail rounds
+    to 1.0, so does the value, and the integral over [0, c/d] is skipped.
     """
     if c <= 0.0:
         return SopEvaluation(1.0, 0.0, 1.0, 0.0, True)
     upper = c / d if d > 0.0 else math.inf
     tail = math.exp(-upper / stats.lambda_e)
+    if tail == 1.0:
+        return SopEvaluation(1.0, 0.0, 1.0, upper, False)
     if tail == 0.0:
         upper = stats.lambda_e * math.log(1.0 / _TAIL_EPSILON)
     total = _outage_integral(a, b, c, d, upper, stats, snr_d_linear, numerics)

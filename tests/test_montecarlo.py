@@ -1,5 +1,7 @@
 """Simulator contracts: determinism, trial invariants, moment oracles."""
 
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -7,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from ris_secrecy.montecarlo import (
     McConfig,
     _chunk_spans,
     _critical_snrs,
-    _draw_chunk,
     draw_chunks,
     ks_distance,
     model_law_chunks,
@@ -242,8 +244,8 @@ def test_outage_rule_agrees_with_the_direct_test_away_from_ties(case):
 # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR AVX512_SKX
 # AVX512_CLX AVX512_CNL AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ"),
 # which differ by one ulp in about 3.5 log values in 10^3. Keys: (N,
-# stream_count, trials, eav_mode); seed 2024 + N. With blocks of 2^17
-# amplitudes, N=300 at 1000 trials in one stream spans five blocks and
+# stream_count, trials, eav_mode); seed 2024 + N. With blocks of 2^16
+# amplitudes, N=300 at 1000 trials in one stream spans ten blocks and
 # ends on a ragged one, and the _CHUNK + 1000 stream spans two chunks.
 DRAW_DIGESTS = {
     (1, 1, 1000, "rayleigh"): (
@@ -379,9 +381,10 @@ def _uniform_words(seed, first, m):
     return (bit_gen.random_raw(skip + m)[skip:] >> np.uint64(11)) * 2.0 ** -53
 
 
-def _reference_draw_chunk(n, seed, span, eav_mode):
+def _reference_sums(n, seed, span, eav_mode):
     # the layout spelled out: every column from its own words, whole
-    # arrays, summed over the elements in order
+    # arrays, summed over the elements in order. Returns the running sum
+    # X1 and e (rayleigh) or X2 (phase_sum)
     stream, size, start, m = span
     at = stream * 2 ** 130 + start
 
@@ -396,8 +399,18 @@ def _reference_draw_chunk(n, seed, span, eav_mode):
             delta = _uniform_words(seed, at + 2 ** 102 + i * size, m) * (2.0 * math.pi) - math.pi
             x2 = x2 + np.exp(delta * 1j) * (amplitudes(at + 2 ** 101 + i * size) * f_r)
     if eav_mode == "rayleigh":
-        return x1 ** 2, -np.log(1.0 - _uniform_words(seed, at + 2 ** 100, m))
-    return x1 ** 2, np.abs(x2) ** 2
+        return x1, -np.log(1.0 - _uniform_words(seed, at + 2 ** 100, m))
+    return x1, x2
+
+
+def _reference_draw_chunk(n, seed, span, eav_mode):
+    x1, eav = _reference_sums(n, seed, span, eav_mode)
+    return x1 ** 2, eav if eav_mode == "rayleigh" else np.abs(eav) ** 2
+
+
+def _drawn(group, key, span, eav_mode, n0=0, sums=None):
+    """The pairs of one chunk's draw, its arrays allocated as every draw allocates them."""
+    return montecarlo._chunk_task(group, key, span, eav_mode, n0, sums)()
 
 
 def _assert_same_pairs(got, want):
@@ -415,7 +428,7 @@ def test_draw_chunk_equals_whole_array_reference(n, m, eav_mode):
     # chunk from the middle of a longer stream, where each column starts
     # at its own word
     for span in ((1, m, 0, m), (2, 3 * m + 5, m, m)):
-        _assert_same_pairs(_draw_chunk((n,), n + m, span, eav_mode),
+        _assert_same_pairs(_drawn((n,), n + m, span, eav_mode),
                            [_reference_draw_chunk(n, n + m, span, eav_mode)])
 
 
@@ -431,11 +444,9 @@ GROUPS = [  # (group, m)
 
 @pytest.mark.parametrize("group, m",
                          [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in GROUPS])
-def test_group_draw_equals_each_n_on_a_fresh_stream(monkeypatch, group, m):
-    # with two CPUs the draws of 2 N m >= _SPLIT_MIN words run on workers
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+def test_group_draw_equals_each_n_on_a_fresh_stream(group, m):
     span = (3, m, 0, m)
-    _assert_same_pairs(_draw_chunk(group, 3, span, "rayleigh"),
+    _assert_same_pairs(_drawn(group, 3, span, "rayleigh"),
                        [_reference_draw_chunk(n, 3, span, "rayleigh") for n in group])
 
 
@@ -447,7 +458,7 @@ def test_group_draw_equals_each_n_alone_across_chunks(eav_mode):
     spans = list(_chunk_spans(mc))
     assert len(spans) == 2
     for chunk, span in enumerate(spans):
-        _assert_same_pairs(_draw_chunk(group, mc.seed, span, eav_mode),
+        _assert_same_pairs(_drawn(group, mc.seed, span, eav_mode),
                            [chunks[chunk] for chunks in alone])
 
 
@@ -465,25 +476,25 @@ GROWN_ORDERS = {  # order: element columns each call draws per chunk, by eav_mod
                          ids=["ascending", "descending", "5-10-5", "5-5-10", "10-10-5"])
 def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
     # callers ask for the N of `order` in turn, as run_sweeps' curves do.
-    # Two chunks in one stream; with two CPUs the first chunk's extension
-    # by 5 columns reads 10 _CHUNK >= _SPLIT_MIN words, so it runs on
+    # Two chunks in one stream; with two CPUs an extension by 5 columns
+    # reads 10 (_CHUNK + 1000) >= _POOL_MIN words, so its chunks run on
     # workers
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc = McConfig(trials=_CHUNK + 1000, seed=8, stream_count=1, eav_mode=eav_mode)
-    in_order, split_extensions, columns = montecarlo._in_order, [], []
+    caller, draw_chunk, calls = threading.current_thread(), montecarlo._draw_chunk, []
 
-    def recording(draw, blocks, workers, take):
-        columns[-1] += sum(hi - lo for lo, hi in blocks)
-        if blocks and blocks[0][0] > 0 and workers > 1:
-            split_extensions.append(blocks[0][0])
-        return in_order(draw, blocks, workers, take)
+    def recording(group, key, span, eav_mode, n0, *args):
+        calls.append((group[-1] - n0, n0 if threading.current_thread() is not caller else 0))
+        return draw_chunk(group, key, span, eav_mode, n0, *args)
 
-    store, kept = DrawSets(), None
+    store, kept, columns, split_extensions = DrawSets(), None, [], []
     for n in order:
-        monkeypatch.setattr(montecarlo, "_in_order", recording)
-        columns.append(0)
+        monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
         got = store.get(n, mc)
-        monkeypatch.setattr(montecarlo, "_in_order", in_order)
+        monkeypatch.setattr(montecarlo, "_draw_chunk", draw_chunk)
+        columns.append(sum(c for c, _ in calls))
+        split_extensions += sorted({n0 for _, n0 in calls if n0})
+        calls.clear()
         _assert_same_pairs(got, list(draw_chunks(n, mc)))
         # the kept list is handed out again for its N and, in rayleigh
         # mode, grown in place for a larger one
@@ -506,9 +517,10 @@ def test_grown_sets_equal_fresh_draws(monkeypatch, order, eav_mode):
 def test_sqrt_of_the_squared_running_sum_is_exact(n, eav_mode):
     m = 4000
     span = (1, 3 * m, m, m)
-    sums = montecarlo._new_sums(n, span, eav_mode)
-    [(x1_sq, _)] = _draw_chunk((n,), n, span, eav_mode, 0, sums)
-    x1 = sums[0]
+    sums = montecarlo._new_sums(span, eav_mode)
+    [(x1_sq, _)] = _drawn((n,), n, span, eav_mode, 0, sums)
+    assert x1_sq is sums[0]  # the running sum, squared in place
+    x1 = _reference_sums(n, n, span, eav_mode)[0]
     assert x1_sq.tobytes() == np.square(x1).tobytes()
     assert np.sqrt(x1_sq).tobytes() == x1.tobytes()
 
@@ -526,17 +538,43 @@ def test_sqrt_of_a_rounded_square_is_exact(magnitudes, negate):
     assert np.sqrt(np.square(x)).tobytes() == np.abs(x).tobytes()
 
 
+def _copied(chunks):
+    return [tuple(a.copy() for a in pair) for pair in chunks]
+
+
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 def test_draws_do_not_depend_on_the_worker_count(monkeypatch, eav_mode):
-    # 10 blocks of 32 elements; the chunk's columns are strided in its stream
-    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
-    group, span = (1, 8, 64, 300), (2, 5000, 1000, 2000)
+    # five streams of 1000 trials, each in chunks of 700 and 300, so that
+    # a chunk's columns are strided in its stream; every draw of the
+    # three callers of the chunk map runs on as many workers as there
+    # are usable CPUs: a fresh set, a set of 8 columns grown to 64 (drawn
+    # afresh in phase_sum mode) and one grouped pass
+    monkeypatch.setattr(montecarlo, "_POOL_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 700)
+    mc = McConfig(trials=5000, seed=4, stream_count=5, eav_mode=eav_mode)
+    points = [params_for(n) for n in (1, 64, 8, 8)]
+    ran_on, in_order = [], montecarlo._in_order
+
+    def recording(tasks, workers):
+        ran_on.append(workers)
+        return in_order(tasks, workers)
+
+    monkeypatch.setattr(montecarlo, "_in_order", recording)
     got = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda workers=workers: workers)
-        got[workers] = _draw_chunk(group, 4, span, eav_mode)
-    _assert_same_pairs(got[2], got[1])
-    _assert_same_pairs(got[3], got[1])
+        store = DrawSets()
+        got[workers] = (list(draw_chunks(64, mc)), _copied(store.get(8, mc)),
+                        store.get(64, mc), simulate_points(points, mc))
+        assert ran_on == [workers] * 4
+        ran_on.clear()
+    for workers in (2, 3):
+        for drawn, want in zip(got[workers][:3], got[1][:3]):
+            assert len(drawn) == 10
+            _assert_same_pairs(drawn, want)
+        assert got[workers][3] == got[1][3]
+    _assert_same_pairs(got[1][2], got[1][0])
+    assert got[1][3] == [simulate_metrics(p, mc) for p in points]
 
 
 def _next_word(bit_gen):
@@ -573,7 +611,7 @@ def test_draw_reads_one_word_per_value_at_its_layout_position(monkeypatch, eav_m
 
     monkeypatch.setattr(montecarlo, "_philox_at", recording)
     n, (stream, size, start, m) = 5, span
-    _draw_chunk((n,), 9, span, eav_mode)
+    _drawn((n,), 9, span, eav_mode)
     at = stream * 2 ** 130 + start
     firsts = [at + j * size for j in range(2 * n)]  # f_R, f_D of each element
     if eav_mode == "rayleigh":
@@ -586,13 +624,13 @@ def test_draw_reads_one_word_per_value_at_its_layout_position(monkeypatch, eav_m
 
 @pytest.mark.parametrize("eav_mode, arrays", [("rayleigh", 1.25), ("phase_sum", 2.25)])
 def test_draw_chunk_peak_memory(eav_mode, arrays):
-    # tracemalloc sees numpy's data buffers. One N alone, on the CPUs
-    # there are, never holds more than `arrays` m x N float64 arrays;
-    # test_group_draw_peak_memory holds it to the tighter block bound
+    # tracemalloc sees numpy's data buffers. One N alone never holds more
+    # than `arrays` m x N float64 arrays; test_group_draw_peak_memory
+    # holds a chunk's draw to the tighter block bound
     n, m = 1024, 4000
     tracemalloc.start()
     try:
-        _draw_chunk((n,), 0, (0, m, 0, m), eav_mode)
+        _drawn((n,), 0, (0, m, 0, m), eav_mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -600,29 +638,31 @@ def test_draw_chunk_peak_memory(eav_mode, arrays):
 
 
 # bytes of the thread pool's threads, futures and deque that tracemalloc
-# counts in a draw: _in_order over 33 blocks on two workers, each drawing
-# nothing, peaked at 14.9-15.8 kB in 80 runs, on one CPU and on two
+# counts in a draw: _in_order over 33 tasks on two workers, each drawing
+# nothing, peaked at 13.4-16.4 kB in 80 runs, on one CPU and on two
 POOL_OBJECTS = 32 * 1024
+# bytes of the Python objects of one chunk's draw on the calling thread:
+# its generators, lists and tuples
+DRAW_OBJECTS = 4 * 1024
 
 
 @pytest.mark.parametrize("group", [(1024,), (512, 1024), (8, 16, 32, 64, 96, 128, 256, 512, 1024)],
                          ids=["1024", "512-1024", "large_n-grid"])
-def test_group_draw_peak_memory(monkeypatch, group):
-    # tracemalloc sees numpy's data buffers. A draw holds each N's X1^2
-    # and e (2 m floats each, at most), the running sums (m floats, 3 m in
-    # phase_sum mode) and the blocks of two workers plus the one being
-    # added; a phase_sum block holds about three arrays of _BLOCK floats.
-    # The traced window also holds the pool's Python objects
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+def test_group_draw_peak_memory(group):
+    # tracemalloc sees numpy's data buffers. One chunk's draw holds each
+    # N's X1^2 and e (2 m floats each, at most), its running sums (m
+    # floats, 3 m in phase_sum mode) and its one block buffer: _BLOCK
+    # floats, 2.5 _BLOCK in phase_sum mode, where numpy also takes 8192
+    # floats to multiply f_E by the strided rows of f_R
     m = 4000
-    for eav_mode, sums, arrays in (("rayleigh", 1, 1), ("phase_sum", 3, 3)):
+    for eav_mode, sums, block in (("rayleigh", 1, _BLOCK), ("phase_sum", 3, 2.5 * _BLOCK + 8192)):
         tracemalloc.start()
         try:
-            _draw_chunk(group, 0, (0, m, 0, m), eav_mode)
+            _drawn(group, 0, (0, m, 0, m), eav_mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= ((2 * len(group) + sums) * m + 3 * arrays * _BLOCK) * 8 + POOL_OBJECTS, \
+        assert peak <= ((2 * len(group) + sums) * m + block) * 8 + DRAW_OBJECTS, \
             eav_mode
 
 
@@ -643,85 +683,155 @@ def test_block_terms_are_views_of_the_buffer_they_are_given(eav_mode):
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
-@pytest.mark.parametrize("cpus, buffers", [(2, 3), (1, 1)], ids=["two-workers", "caller"])
-def test_group_draw_reuses_one_buffer_per_block_in_flight(monkeypatch, eav_mode, cpus, buffers):
-    # 64 blocks of 16 elements; every buffer a block is drawn into stays
-    # referenced here, so a new one cannot take a freed one's place
+@pytest.mark.parametrize("cpus", [2, 1], ids=["two-workers", "caller"])
+def test_group_draw_reuses_one_buffer_per_block_in_flight(monkeypatch, eav_mode, cpus):
+    # four chunks of 32 blocks of 8 elements. Each chunk draws every
+    # block into the one buffer made for it on the calling thread, and
+    # drops it before its result is taken; at most `cpus` chunks are in
+    # flight, so at most that many buffers live at once
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-    given, taken, block_terms, in_order = [], [], montecarlo._block_terms, montecarlo._in_order
+    caller = threading.current_thread()
+    chunk_task, block_terms, in_order = (montecarlo._chunk_task, montecarlo._block_terms,
+                                         montecarlo._in_order)
+    made_on, buffers, taken = [], collections.defaultdict(list), []
+
+    def recording_task(*args):
+        made_on.append(threading.current_thread())
+        return chunk_task(*args)
 
     def recording_terms(key, span, eav_mode, block, buf):
-        given.append(buf)
+        buffers[span].append((id(buf), weakref.ref(buf)))
         return block_terms(key, span, eav_mode, block, buf)
 
-    def recording_order(start, blocks, workers, take):
-        def recording_take(terms):
-            taken.append(terms)
-            take(terms)
+    def recording_order(tasks, workers):
+        pulled = []
 
-        return in_order(start, blocks, workers, recording_take)
+        def counted():
+            for task in tasks:
+                pulled.append(None)
+                yield task
 
+        for k, result in enumerate(in_order(counted(), workers)):
+            taken.append((len(pulled) - (k + 1), buffers[spans[k]][0][1]() is None))
+            yield result
+
+    monkeypatch.setattr(montecarlo, "_chunk_task", recording_task)
     monkeypatch.setattr(montecarlo, "_block_terms", recording_terms)
     monkeypatch.setattr(montecarlo, "_in_order", recording_order)
-    m, group = 4000, (8, 16, 32, 64, 96, 128, 256, 512, 1024)
-    pairs = _draw_chunk(group, 5, (0, m, 0, m), eav_mode)
-    distinct = list({id(buf): buf for buf in given}.values())
-    assert len(given) == len(taken) == 1024 // 16
-    assert len(distinct) == buffers
-    for terms in taken:
-        for rows in terms:
-            if rows is not None:
-                assert sum(np.shares_memory(rows, buf) for buf in distinct) == 1
-    _assert_same_pairs(pairs, [_reference_draw_chunk(n, 5, (0, m, 0, m), eav_mode)
-                               for n in group])
+    m, n = 4000, 256
+    mc = McConfig(trials=4 * m, seed=5, stream_count=4, eav_mode=eav_mode)
+    spans = list(_chunk_spans(mc))
+    pairs = list(draw_chunks(n, mc))
+    assert made_on == [caller] * 4
+    for span in spans:
+        assert len(buffers[span]) == n // montecarlo._block_step(m) == 32
+        assert len({buf_id for buf_id, _ in buffers[span]}) == 1
+    # (chunks in flight, buffer dropped) as each result is taken
+    assert [in_flight <= cpus and dropped for in_flight, dropped in taken] == [True] * 4
+    _assert_same_pairs(pairs, [_reference_draw_chunk(n, 5, span, eav_mode) for span in spans])
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 def test_simulate_points_peak_memory(monkeypatch, eav_mode):
-    # tracemalloc sees numpy's data buffers. One chunk over the large_n
-    # grid on two workers holds the running sums (2 m floats, 3 m in
-    # phase_sum mode), the pair of the N just reached (m floats, 2 m in
-    # phase_sum mode; rayleigh mode's e is the sums' own), the arrays
-    # that scoring it takes (three in PointAccumulator.update, plus one of
-    # slack) and the blocks of two workers plus the one being added. The
-    # traced window also holds the pool's Python objects. A worker
-    # allocates nothing else: a ufunc that mixed float and complex
-    # operands there would cast through a 128 KiB buffer, counted or not
-    # as the scheduler overlaps it with the caller's scoring
+    # tracemalloc sees numpy's data buffers. Two chunks over the large_n
+    # grid, on two workers at once. Each task holds its running sums (2 m
+    # floats, 4 m in phase_sum mode), the pair of the N just reached (m
+    # floats, 2 m in phase_sum mode; rayleigh mode's e is the sums' own),
+    # the arrays that scoring it takes (three in PointAccumulator.update,
+    # plus one of slack) and its block buffer. The traced window also
+    # holds the pool's Python objects. A worker allocates nothing else: a
+    # ufunc that mixed float and complex operands there would cast
+    # through a 128 KiB buffer, counted or not as the scheduler overlaps
+    # it with the other worker's scoring
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     m = 20_000
-    mc = McConfig(trials=m, seed=0, stream_count=1, eav_mode=eav_mode)
+    mc = McConfig(trials=2 * m, seed=0, stream_count=2, eav_mode=eav_mode)
     points = [params_for(n) for n in (8, 16, 32, 64, 96, 128, 256, 512, 1024)]
     step = max(1, _BLOCK // (2 * m))
-    sums, pair = (2, 1) if eav_mode == "rayleigh" else (3, 2)
+    sums, pair = (2, 1) if eav_mode == "rayleigh" else (4, 2)
+    task = (sums + pair + 4) * m + montecarlo._block_floats(eav_mode, step, m)
     tracemalloc.start()
     try:
         simulate_points(points, mc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= ((sums + pair + 4) * m + 3 * montecarlo._block_floats(eav_mode, step, m)) * 8 \
-        + POOL_OBJECTS
+    assert peak <= 2 * task * 8 + POOL_OBJECTS
+
+
+# a DrawSets that keeps an X1^2 array a worker allocated keeps it in that
+# worker's malloc arena, which raised the figures workload's peak RSS by
+# 2.2-2.6 MiB on two CPUs
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+def test_kept_draws_are_arrays_the_caller_allocated(monkeypatch, eav_mode):
+    monkeypatch.setattr(montecarlo, "_POOL_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    caller, new_sums, allocated, drawn_on = threading.current_thread(), montecarlo._new_sums, [], []
+
+    def recording_sums(span, eav_mode):
+        sums = new_sums(span, eav_mode)
+        allocated.append((threading.current_thread(), sums))
+        return sums
+
+    draw_chunk = montecarlo._draw_chunk
+
+    def recording_draw(*args):
+        drawn_on.append(threading.current_thread())
+        return draw_chunk(*args)
+
+    monkeypatch.setattr(montecarlo, "_new_sums", recording_sums)
+    monkeypatch.setattr(montecarlo, "_draw_chunk", recording_draw)
+    mc = McConfig(trials=4000, seed=2, stream_count=4, eav_mode=eav_mode)
+    store = DrawSets()
+    for n in (5, 10):  # a fresh set, then one grown (rayleigh) or drawn afresh (phase_sum)
+        chunks = store.get(n, mc)
+        assert len(chunks) == 4 and caller not in drawn_on
+        assert {thread for thread, _ in allocated} == {caller}
+        for x1_sq, e in chunks:
+            assert sum(np.shares_memory(x1_sq, sums[0]) and np.shares_memory(e, sums[1])
+                       for _, sums in allocated) == 1
+
+
+def _draw_through(caller: str, mc: McConfig) -> None:
+    """Draw on ``mc`` through one caller of the chunk map; raise what the draw met."""
+    if caller == "DrawSets":
+        drawn = DrawSets().get(64, mc)
+        if isinstance(drawn, Exception):
+            raise drawn
+    elif caller == "draw_chunks":
+        with contextlib.closing(draw_chunks(64, mc)) as chunks:
+            for _ in chunks:
+                pass
+    else:
+        simulate_points([params_for(8), params_for(64)], mc)
+
+
+CALLERS = ("DrawSets", "draw_chunks", "simulate_points")
 
 
 def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
     # four callers, each with two workers of its own, on two or fewer
-    # cores and with a short switch interval: no draw may read another's
-    # words or add another's blocks
-    group, m, seeds = (512, 1024), 2101, range(4)
-    span = (0, m, 0, m)
+    # cores and with a short switch interval: no chunk may read another
+    # draw's words or reach another caller
+    monkeypatch.setattr(montecarlo, "_POOL_MIN", 0)
+    mcs = [McConfig(trials=4 * 2101, seed=seed, stream_count=4) for seed in range(4)]
+    points = [params_for(n) for n in (64, 256)]
+
+    def draw(mc):
+        return list(draw_chunks(256, mc)), simulate_points(points, mc)
+
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    want = {seed: _draw_chunk(group, seed, span, "rayleigh") for seed in seeds}
+    want = {mc.seed: draw(mc) for mc in mcs}
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     got = {}
 
-    def run(seed):
-        got[seed] = _draw_chunk(group, seed, span, "rayleigh")
+    def run(mc):
+        got[mc.seed] = draw(mc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        callers = [threading.Thread(target=run, args=(mc,)) for mc in mcs]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -729,108 +839,138 @@ def test_concurrent_split_fills_keep_their_own_streams(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
-    for seed in seeds:
-        _assert_same_pairs(got[seed], want[seed])
+    for mc in mcs:
+        _assert_same_pairs(got[mc.seed][0], want[mc.seed][0])
+        assert got[mc.seed][1] == want[mc.seed][1]
 
 
 class _Interrupted(Exception):
     """Raised on purpose in the middle of a draw on workers."""
 
 
-def _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller):
-    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+def _assert_draw_raises_and_leaves_no_thread(monkeypatch, caller, raised_on, on_caller):
+    monkeypatch.setattr(montecarlo, "_POOL_MIN", 0)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    mc = McConfig(trials=5 * 2000, seed=5, stream_count=5)  # five chunks
     before = set(threading.enumerate())
     with pytest.raises(_Interrupted):
-        _draw_chunk((8, 300), 5, (0, 2000, 0, 2000), "rayleigh")  # 10 blocks
-    assert raised_on
-    assert (raised_on[0] is threading.current_thread()) == on_caller
+        _draw_through(caller, mc)
+    assert raised_on, caller
+    assert (raised_on[0] is threading.current_thread()) == on_caller, caller
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in started), caller
+
+
+@pytest.mark.parametrize("where", ["worker"])
+def test_draw_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
+    # the chunks after the first stream's raise on their worker threads,
+    # in each caller of the chunk map
+    block_terms = montecarlo._block_terms
+    for caller in CALLERS:
+        raised_on = []
+
+        def failing(key, span, eav_mode, block, buf):
+            if span[0] > 0:
+                raised_on.append(threading.current_thread())
+                raise _Interrupted
+            return block_terms(key, span, eav_mode, block, buf)
+
+        monkeypatch.setattr(montecarlo, "_block_terms", failing)
+        _assert_draw_raises_and_leaves_no_thread(monkeypatch, caller, raised_on, on_caller=False)
+
+
+@pytest.mark.parametrize("where", ["rows", "bridge"])
+def test_f_d_split_stops_its_worker_when_the_caller_raises(monkeypatch, where):
+    # the caller raises while it takes a chunk's result: in "rows" the
+    # first chunk's, while chunks are still to be submitted; in "bridge"
+    # the last one's, after every chunk was submitted. simulate_points
+    # merges each chunk's accumulators there, and a consumer of
+    # draw_chunks that stops closes it
+    chunks, in_order = 5, montecarlo._in_order
+    for caller in ("draw_chunks", "simulate_points"):
+        raised_on, taken = [], []
+
+        def interrupted(tasks, workers):
+            for result in in_order(tasks, workers):
+                taken.append(result)
+                if len(taken) == (1 if where == "rows" else chunks):
+                    raised_on.append(threading.current_thread())
+                    raise _Interrupted
+                yield result
+
+        monkeypatch.setattr(montecarlo, "_in_order", interrupted)
+        _assert_draw_raises_and_leaves_no_thread(monkeypatch, caller, raised_on, on_caller=True)
+
+
+def test_scoring_error_leaves_no_thread_while_it_is_kept(monkeypatch):
+    # simulate_metrics draws its own chunks on workers; the error of a
+    # point it could not score is kept with its traceback, as a sweep
+    # keeps a row's error, and must not keep the pool's threads alive
+    monkeypatch.setattr(montecarlo, "_POOL_MIN", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+    def failing(self, x1_sq, e):
+        raise _Interrupted
+
+    monkeypatch.setattr(montecarlo.PointAccumulator, "update", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(_Interrupted) as kept:
+        simulate_metrics(params_for(8), McConfig(trials=4000, stream_count=4))
+    assert kept.value.__traceback__ is not None
     started = [t for t in threading.enumerate() if t not in before]
     for thread in started:
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in started)
 
 
-@pytest.mark.parametrize("where", ["worker"])
-def test_draw_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, where):
-    # a block after the first raises on its worker thread
-    raised_on, block_terms = [], montecarlo._block_terms
-
-    def failing(key, span, eav_mode, block, buf):
-        if block[0] > 0:
-            raised_on.append(threading.current_thread())
-            raise _Interrupted
-        return block_terms(key, span, eav_mode, block, buf)
-
-    monkeypatch.setattr(montecarlo, "_block_terms", failing)
-    _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller=False)
-
-
-@pytest.mark.parametrize("where", ["rows", "bridge"])
-def test_f_d_split_stops_its_worker_when_the_caller_raises(monkeypatch, where):
-    # the caller raises while adding a block's rows: in "rows" the first
-    # block's, while blocks are still to be submitted; in "bridge" the
-    # last block's, after every block was submitted
-    raised_on, in_order = [], montecarlo._in_order
-
-    def interrupted(draw, blocks, workers, take):
-        taken = []
-
-        def take_until(terms):
-            taken.append(terms)
-            if len(taken) == (1 if where == "rows" else len(blocks)):
-                raised_on.append(threading.current_thread())
-                raise _Interrupted
-            take(terms)
-
-        return in_order(draw, blocks, workers, take_until)
-
-    monkeypatch.setattr(montecarlo, "_in_order", interrupted)
-    _assert_draw_raises_and_leaves_no_thread(monkeypatch, raised_on, on_caller=True)
-
-
 def test_draw_stays_on_the_caller_below_the_threshold_or_on_one_cpu(monkeypatch):
-    drawn_on, block_terms = [], montecarlo._block_terms
+    caller, drawn_on, draw_chunk = threading.current_thread(), [], montecarlo._draw_chunk
 
     def recording(*args):
         drawn_on.append(threading.current_thread())
-        return block_terms(*args)
+        return draw_chunk(*args)
 
-    monkeypatch.setattr(montecarlo, "_block_terms", recording)
+    monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    m = montecarlo._SPLIT_MIN // (2 * 64) - 1  # 2 N m words just below the threshold
-    _draw_chunk((64,), 1, (0, m, 0, m), "rayleigh")
-    assert set(drawn_on) == {threading.current_thread()}
+    # X1 reads 2 N trials words over the four chunks: just below the threshold
+    trials = montecarlo._POOL_MIN // (2 * 64) - 1
+    list(draw_chunks(64, McConfig(trials=trials, stream_count=4)))
+    assert drawn_on == [caller] * 4
+    # one chunk, however large
+    list(draw_chunks(1024, McConfig(trials=4096, stream_count=1)))
+    assert drawn_on == [caller] * 5
+    # one CPU
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    _draw_chunk((1024,), 1, (0, 1024, 0, 1024), "rayleigh")
-    assert set(drawn_on) == {threading.current_thread()}
+    list(draw_chunks(1024, McConfig(trials=4096, stream_count=4)))
+    assert drawn_on == [caller] * 9
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    _draw_chunk((1024,), 1, (0, 1024, 0, 1024), "rayleigh")
-    assert drawn_on[-1] is not threading.current_thread()
+    list(draw_chunks(1024, McConfig(trials=4096, stream_count=4)))
+    assert caller not in drawn_on[9:]
 
 
 def test_extension_splits_on_the_words_it_draws(monkeypatch):
-    # 64 columns read _SPLIT_MIN words, so a fresh draw splits; extending
-    # sums over column 0 draws 63 columns, below the threshold
-    drawn_on, block_terms = [], montecarlo._block_terms
+    # 64 columns read _POOL_MIN words over the four chunks, so a fresh
+    # draw splits; growing a set of one column draws 63, below the threshold
+    caller, drawn_on, draw_chunk = threading.current_thread(), [], montecarlo._draw_chunk
 
     def recording(*args):
         drawn_on.append(threading.current_thread())
-        return block_terms(*args)
+        return draw_chunk(*args)
 
-    monkeypatch.setattr(montecarlo, "_block_terms", recording)
+    monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    m = montecarlo._SPLIT_MIN // (2 * 64)
-    span = (0, m, 0, m)
-    sums = montecarlo._new_sums(1, span, "rayleigh")
-    [first] = _draw_chunk((1,), 1, span, "rayleigh", 0, sums)
+    mc = McConfig(trials=-(-montecarlo._POOL_MIN // (2 * 64)), seed=1, stream_count=4)
+    store = DrawSets()
+    first = _copied(store.get(1, mc))
     drawn_on.clear()
-    [extended] = _draw_chunk((64,), 1, span, "rayleigh", 1, sums)
-    assert set(drawn_on) == {threading.current_thread()}
-    [fresh] = _draw_chunk((64,), 1, span, "rayleigh")
-    assert drawn_on[-1] is not threading.current_thread()
-    _assert_same_pairs([first, extended], _draw_chunk((1, 64), 1, span, "rayleigh"))
-    _assert_same_pairs([extended], [fresh])
+    extended = store.get(64, mc)
+    assert drawn_on == [caller] * 4
+    fresh = list(draw_chunks(64, mc))
+    assert caller not in drawn_on[4:]
+    _assert_same_pairs(first, list(draw_chunks(1, mc)))
+    _assert_same_pairs(extended, fresh)
 
 
 def test_stream_count_changes_partition_not_contract():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracle
+from ris_secrecy import secrecy
 from ris_secrecy.channel import (
     ConvergenceError,
     SystemParams,
@@ -163,6 +164,20 @@ def test_sop_ideal_hardware_degenerate_region():
     assert not ev.target_saturated
     assert ev.tail_mass == 0.0
     assert abs(ev.value - sop_reference(p, stats)) < 1e-6
+
+
+def test_sop_asymptotic_skips_the_integral_where_the_tail_is_certain(monkeypatch):
+    # kappa^2 = 0.4 on both levels and c_th = 1022.5 put the high-SNR
+    # event's limit 1/theta4 at 1.97e-308, below which the eavesdropper
+    # law holds no representable mass: exp(-limit/lambda_e) rounds to 1
+    p = params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.4, c_th=1022.5)
+    stats = derive_stats(p)
+    assert 0.0 < 1.0 / theta_coefficients(p).theta4 < 1e-307
+    integrated = []
+    monkeypatch.setattr(secrecy, "_outage_integral", lambda *args: integrated.append(args))
+    assert sop_asymptotic(p, stats) == 1.0
+    assert sop(p, stats) == 1.0  # theta3 <= 0: saturated before any limit
+    assert integrated == []
 
 
 def test_sop_unreachable_target_saturates_to_one():

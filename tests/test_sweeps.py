@@ -437,19 +437,15 @@ def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
 
 def count_draws(monkeypatch) -> collections.Counter:
     """Patch the draw to count, per (seed, stream), element columns, N sets and e draws."""
-    counts, draw_chunk, new_sums = collections.Counter(), montecarlo._draw_chunk, montecarlo._new_sums
+    counts, draw_chunk = collections.Counter(), montecarlo._draw_chunk
 
-    def counting_draw(group, key, span, eav_mode, n0=0, sums=None):
+    def counting_draw(group, key, span, eav_mode, n0, *args):
         counts[key, span[0], "columns"] += group[-1] - n0
         counts[key, span[0], "sets"] += len(group)
-        return draw_chunk(group, key, span, eav_mode, n0, sums)
-
-    def counting_sums(key, span, eav_mode):
-        counts[key, span[0], "e"] += eav_mode == "rayleigh"
-        return new_sums(key, span, eav_mode)
+        counts[key, span[0], "e"] += n0 == 0 and eav_mode == "rayleigh"
+        return draw_chunk(group, key, span, eav_mode, n0, *args)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting_draw)
-    monkeypatch.setattr(montecarlo, "_new_sums", counting_sums)
     return counts
 
 
@@ -498,11 +494,12 @@ def test_run_sweeps_holds_at_most_one_draw_set(monkeypatch):
 def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
     drawn, draw_chunk = [], montecarlo._draw_chunk
 
-    def failing(group, key, *args):  # only seed 12 draws
-        drawn.append((key, group))
+    def failing(group, key, span, *args):  # only seed 12 draws
+        if span[0] == 0:  # a set's draw starts with stream 0, on any worker count
+            drawn.append((key, group))
         if key != 12:
             raise MemoryError("no room for the draw")
-        return draw_chunk(group, key, *args)
+        return draw_chunk(group, key, span, *args)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", failing)
     curves = load_preset("fig3")  # three curves on one (N, McConfig)
@@ -517,7 +514,7 @@ def test_run_sweeps_tries_a_failed_draw_once_per_key(monkeypatch):
     specs = [small_spec(mc=McConfig(trials=2000, seed=seed, stream_count=2))
              for seed in (11, 12, 11)]
     tables = list(run_sweeps(specs))
-    assert drawn == [(11, (5,)), (12, (5,)), (12, (5,))]
+    assert drawn == [(11, (5,)), (12, (5,))]
     for seed, table in zip((11, 12, 11), tables):
         mc_rows = [(r.value is None, r.error) for r in table if r.metric == "mc_sop"]
         assert mc_rows == [(seed == 11, "no room for the draw" if seed == 11 else None)] * 3
@@ -531,8 +528,8 @@ def test_run_sweeps_failed_extension_leaves_no_partial_sums(monkeypatch):
     want = [run_sweep(spec) for spec in specs]
     failed, extensions, draw_chunk = [], [], montecarlo._draw_chunk
 
-    def failing(group, key, span, eav_mode, n0=0, sums=None):
-        pairs = draw_chunk(group, key, span, eav_mode, n0, sums)
+    def failing(group, key, span, eav_mode, n0, *args):
+        pairs = draw_chunk(group, key, span, eav_mode, n0, *args)
         if n0 > 0:
             extensions.append((n0, group))
             if span[0] == 1 and not failed:
