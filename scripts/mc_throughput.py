@@ -10,12 +10,16 @@ once for the largest N. All at the fig2 base point with its Monte Carlo
 settings (4 streams), at ``--trials`` trials per point. Throughput is
 trials scored per second, summed over the grid's points. Under it, the
 draw itself: Rayleigh amplitudes/s by inversion on one thread, over one
-block of 2^16 (``montecarlo._BLOCK``) and over 2^20 values. And the
-seconds of one grouped ``simulate_points`` pass over that grid, with the
-process pinned to two of its CPUs and to one (``os.sched_setaffinity``,
-restored afterwards): the pass draws and scores its chunks on one
-worker thread per usable CPU. A pin the process cannot have is reported
-as null. One layer up, ``presets_mc_s``: the
+block of 2^16 (``montecarlo._BLOCK``) and over 2^20 values. Under those,
+``words_per_s``: the uniform doubles per second that one region's
+generator gives on one thread over 2^20 values, one 64-bit word each,
+which is the word source of every draw (see the ``montecarlo`` stream
+layout). Both draw into buffers whose pages are touched before the
+clock starts. And the seconds of one grouped ``simulate_points`` pass
+over that grid, with the process pinned to two of its CPUs and to one
+(``os.sched_setaffinity``, restored afterwards): the pass draws and
+scores its chunks on one worker thread per usable CPU. A pin the
+process cannot have is reported as null. One layer up, ``presets_mc_s``: the
 median seconds of ``run_sweeps`` over the curves of each bundled preset
 with their Monte Carlo outputs only, at ``--trials`` trials, which is
 the draw and scoring of a ``ris-secrecy preset`` run without its closed
@@ -50,9 +54,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.montecarlo import (
+    _AMPLITUDES,
     _BLOCK,
     LinkMemo,
     _exponentials,
+    _uniforms,
     _usable_cpus,
     draw_chunks,
     simulate_metrics,
@@ -63,6 +69,7 @@ from ris_secrecy.sweeps import PRESET_NAMES, ROUTES, load_preset, run_sweeps
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
 AMPLITUDES = (_BLOCK, 1 << 20)
+WORDS = 1 << 20
 
 
 def median_s(call, repeat: int) -> float:
@@ -165,11 +172,14 @@ def main(argv=None) -> int:
     result["grid_per_n"] = grid_trials / median_s(
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
     result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
+    region = (mc.seed, 0, _AMPLITUDES)  # stream 0's f_R and f_D words
     amplitudes = {}
     for size in AMPLITUDES:
-        out = np.empty((1, size))
+        out = np.ones((1, size))  # pages touched before the clock starts
         amplitudes[f"one_thread_{size}"] = size / median_s(
-            lambda: np.sqrt(_exponentials(mc.seed, 0, size, out), out=out), args.repeat)
+            lambda: np.sqrt(_exponentials(region, 0, size, out), out=out), args.repeat)
+    words = np.ones((1, WORDS))
+    words_per_s = WORDS / median_s(lambda: _uniforms(region, 0, WORDS, words), args.repeat)
     passes = {f"cpus_{cpus}": pinned_pass_s(cpus, mc, grid, args.repeat) for cpus in (2, 1)}
     presets = {name: median_s(lambda specs=preset_mc_specs(name, args.trials): list(run_sweeps(specs)),
                               args.repeat)
@@ -184,6 +194,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
+        "words_per_s": round(words_per_s),
         "amplitudes_per_s": {k: round(v) for k, v in amplitudes.items()},
         "grouped_pass_s": {k: v if v is None else round(v, 4) for k, v in passes.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},

@@ -32,19 +32,27 @@ model itself, to check the closed forms against the law they are
 derived for.
 
 Stream layout: every fading value is drawn by inversion from one 64-bit
-Philox word, so each sits at a known word. Stream i is
-``Philox(key=seed).jumped(i)``, whose words start at i 2^130, and holds
-S trials. From its start, element i's f_R and f_D take words [2iS,
-(2i+1)S) and [(2i+1)S, (2i+2)S), and e words from 2^100 on; in
-``phase_sum`` mode element i's f_E and residual phase take words from
-2^101 + iS and 2^102 + iS instead of e. Trial t is word t of each
-region, so a chunk is one trial range of every region, and a smaller
-N's draws are the first columns of a larger N's. X1 (and X2) is summed
-in element order, so each N's X1 is a snapshot of one running sum. The
-values therefore depend neither on the chunking, nor on which N are
-drawn together, nor on the CPU count. Amplitudes are sqrt(E), E =
--log(1 - u) with u uniform on the 2^-53 grid of [0, 1). Inversion caps
-E at -log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16.
+word of one region of its stream, so each sits at a known word. Stream
+i holds S trials and has four regions; region r is its own
+``PCG64DXSM`` bit generator, seeded by ``SeedSequence(seed,
+spawn_key=(i, r))`` and moved to a word by ``advance``:
+
+  ====== ============ =========================================
+  region mode         element i's values, trial t at word ...
+  ====== ============ =========================================
+  0      both         f_R at 2iS + t, f_D at (2i+1)S + t
+  1      rayleigh     e (no element) at t
+  2      phase_sum    f_E at iS + t
+  3      phase_sum    residual phase at iS + t
+  ====== ============ =========================================
+
+A chunk is one trial range of every region, and a smaller N's draws
+are the first columns of a larger N's. X1 (and X2) is summed in element
+order, so each N's X1 is a snapshot of one running sum. The values
+therefore depend neither on the chunking, nor on which N are drawn
+together, nor on the CPU count. Amplitudes are sqrt(E), E = -log(1 - u)
+with u uniform on the 2^-53 grid of [0, 1). Inversion caps E at
+-log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16.
 
 Memory: a chunk of m trials (at most ``_CHUNK``) is drawn in blocks of
 elements of about ``_BLOCK`` amplitudes, each into the chunk's one block
@@ -76,11 +84,11 @@ it turns each chunk's X1^2 back into X1 in place.
 
 Reproducibility contract: estimates are a pure function of (seed,
 stream_count, trials). Trials are partitioned over ``stream_count``
-counter-based Philox streams and per-chunk partial sums are combined in
-stream order, so results do not depend on which thread draws or scores
-a chunk, nor when. The bits do depend on numpy's float64 ``log`` loop: its
-AVX512F build and its plain one differ by one ulp in about 3.5 values in
-10^3.
+streams, each value is read at its word of the region table above, and
+per-chunk partial sums are combined in stream order, so results do not
+depend on which thread draws or scores a chunk, nor when. The bits do
+depend on numpy's float64 ``log`` loop: its AVX512F build and its plain
+one differ by one ulp in about 3.5 values in 10^3.
 
 Eavesdropper channel modes
 --------------------------
@@ -114,12 +122,9 @@ _BLOCK = 1 << 16
 # a draw whose X1 reads fewer words over all its chunks runs on the
 # caller: below 10^6 the pool's start-up outweighed a second CPU's draws
 _POOL_MIN = 1_000_000
-# word offsets from a stream's start: Philox.jumped() moves 2^128 counters
-# of four words, and the f_R / f_D columns end far below 2^100
-_STREAM_WORDS = 1 << 130
-_E_WORDS = 1 << 100
-_F_E_WORDS = 1 << 101
-_PHASE_WORDS = 1 << 102
+# the word regions of a stream, each drawn by a generator of its own (see
+# the module docstring's stream layout)
+_AMPLITUDES, _E, _F_E, _PHASE = range(4)
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,11 @@ def _stream_chunks(mc: McConfig):
         yield rng, m
 
 
-def _philox_at(key, position: int) -> np.random.Philox:
-    """A ``Philox`` bit generator with ``key`` whose next word is word ``position``."""
-    counter, skip = divmod(position, 4)
-    bit_gen = np.random.Philox(counter=counter % (1 << 256), key=key)
-    bit_gen.random_raw(skip)
-    return bit_gen
+def _region_at(region: tuple, position: int) -> np.random.PCG64DXSM:
+    """The bit generator of ``region`` = (seed, stream, index), at word ``position``."""
+    seed, stream, index = region
+    bit_gen = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream, index)))
+    return bit_gen.advance(position)
 
 
 def _usable_cpus() -> int:
@@ -184,26 +188,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _uniforms(key, first: int, stride: int, out: np.ndarray) -> np.ndarray:
+def _uniforms(region: tuple, first: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Uniforms on [0, 1) into the rows of ``out``, row r from word ``first + r stride`` on.
 
+    The words are those of ``region`` (see :func:`_region_at`).
     ``Generator.random`` reads one word per value, so when ``stride`` is
     the row length the rows are one run of words, drawn by one generator.
     """
     if stride == out.shape[1]:
-        return np.random.Generator(_philox_at(key, first)).random(out=out)
+        return np.random.Generator(_region_at(region, first)).random(out=out)
     for r, row in enumerate(out):
-        np.random.Generator(_philox_at(key, first + r * stride)).random(out=row)
+        np.random.Generator(_region_at(region, first + r * stride)).random(out=row)
     return out
 
 
-def _exponentials(key, first: int, stride: int, out: np.ndarray) -> np.ndarray:
+def _exponentials(region: tuple, first: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Exp(1) values -log(1 - u) of the uniforms u of :func:`_uniforms`, in place.
 
     1 - u is exact on u's 2^-53 grid, so this is -log1p(-u), from numpy's
     faster ``log`` loop.
     """
-    u = _uniforms(key, first, stride, out)
+    u = _uniforms(region, first, stride, out)
     np.subtract(1.0, u, out=u)
     np.log(u, out=u)
     return np.negative(u, out=u)
@@ -214,7 +219,18 @@ def _block_floats(eav_mode: str, elements: int, m: int) -> int:
     return (2 if eav_mode == "rayleigh" else 5) * elements * m
 
 
-def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
+def _multiply_rows(rows: np.ndarray, factors: np.ndarray) -> None:
+    """``rows *= factors``, one row at a time.
+
+    ``factors`` are every other row of a block (the f_R rows), and a
+    whole-array product with such strided rows makes numpy take up to
+    three 64 KiB iterator buffers; a product of two rows takes none.
+    """
+    for row, factor in zip(rows, factors):
+        np.multiply(row, factor, out=row)
+
+
+def _block_terms(seed, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
     """The terms of the elements [lo, hi) = ``block`` of chunk ``span``, a row each.
 
     Returns the rows f_Ri f_Di and, in ``phase_sum`` mode, f_Ri f_Ei
@@ -226,17 +242,17 @@ def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray)
     """
     stream, size, start, m = span
     lo, hi = block
-    k, at = hi - lo, stream * _STREAM_WORDS + start
+    k, at = hi - lo, start + lo * size  # element lo's first word in regions 2 and 3
     rows = 0 if eav_mode == "rayleigh" else 2 * k  # float rows before f_R and f_D
-    amp = _exponentials(key, at + 2 * lo * size, size,
+    amp = _exponentials((seed, stream, _AMPLITUDES), start + 2 * lo * size, size,
                         buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
     np.sqrt(amp, out=amp)
     f_r, x1_terms = amp[0::2], amp[1::2]
-    np.multiply(x1_terms, f_r, out=x1_terms)
+    _multiply_rows(x1_terms, f_r)
     if eav_mode == "rayleigh":
         return x1_terms, None
     x2_terms = buf[:rows * m].view(complex).reshape(k, m)
-    u = _uniforms(key, at + _PHASE_WORDS + lo * size, size, buf[4 * k * m:5 * k * m].reshape(k, m))
+    u = _uniforms((seed, stream, _PHASE), at, size, buf[4 * k * m:5 * k * m].reshape(k, m))
     u *= 2.0 * math.pi  # Generator.uniform(-pi, pi)'s map of u
     u -= math.pi
     # float and complex operands are never mixed in one ufunc call: numpy
@@ -245,9 +261,9 @@ def _block_terms(key, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray)
     x2_terms.imag = 0.0
     x2_terms *= 1j
     np.exp(x2_terms, out=x2_terms)
-    f_e = _exponentials(key, at + _F_E_WORDS + lo * size, size, u)
+    f_e = _exponentials((seed, stream, _F_E), at, size, u)
     np.sqrt(f_e, out=f_e)
-    f_e *= f_r
+    _multiply_rows(f_e, f_r)
     x2_terms.real *= f_e  # (a + bi) f, up to the sign of a zero part, which |X2| drops
     x2_terms.imag *= f_e
     return x1_terms, x2_terms
@@ -272,7 +288,7 @@ def _new_sums(span: tuple, eav_mode: str) -> list:
     return [np.zeros(m), np.empty(m), np.zeros(m, dtype=complex)]
 
 
-def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int, sums: list,
+def _draw_chunk(group: tuple, seed, span: tuple, eav_mode: str, n0: int, sums: list,
                 buf: np.ndarray, give=None) -> list:
     """The ``(X1^2, e)`` of chunk ``span`` for each N of the ascending ``group``, in its order.
 
@@ -294,12 +310,12 @@ def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int, sums: li
     n_max, step = group[-1], _block_step(m)
     x1, e, *x2 = sums
     if n0 == 0 and not x2:
-        _exponentials(key, stream * _STREAM_WORDS + _E_WORDS + start, size, e.reshape(1, m))
+        _exponentials((seed, stream, _E), start, size, e.reshape(1, m))
     pairs = []
     give = pairs.append if give is None else give
     summed, given = n0, 0
     for lo in range(n0, n_max, step):
-        x1_terms, x2_terms = _block_terms(key, span, eav_mode, (lo, min(lo + step, n_max)), buf)
+        x1_terms, x2_terms = _block_terms(seed, span, eav_mode, (lo, min(lo + step, n_max)), buf)
         for i, row in enumerate(x1_terms):
             np.add(x1, row, out=x1)
             if x2:
@@ -317,7 +333,7 @@ def _draw_chunk(group: tuple, key, span: tuple, eav_mode: str, n0: int, sums: li
     return pairs
 
 
-def _chunk_task(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
+def _chunk_task(group: tuple, seed, span: tuple, eav_mode: str, n0: int = 0,
                 sums: list | None = None, give=None):
     """:func:`_draw_chunk` of chunk ``span`` as a function of no argument.
 
@@ -329,7 +345,7 @@ def _chunk_task(group: tuple, key, span: tuple, eav_mode: str, n0: int = 0,
     m = span[3]
     sums = _new_sums(span, eav_mode) if sums is None else sums
     held = [np.empty(_block_floats(eav_mode, _block_step(m), m))]
-    return lambda: _draw_chunk(group, key, span, eav_mode, n0, sums, held.pop(), give)
+    return lambda: _draw_chunk(group, seed, span, eav_mode, n0, sums, held.pop(), give)
 
 
 def _workers(mc: McConfig, columns: int) -> int:
@@ -431,8 +447,9 @@ def model_law_chunks(stats: ChannelStats, mc: McConfig):
     """``(X1^2, e)`` chunks drawn from the Gaussian-sum model.
 
     X1 ~ N(sqrt(lambda_), sigma2) and e ~ Exp(1), the laws the closed
-    forms are derived for, drawn chunk by chunk from the same Philox
-    streams as :func:`draw_chunks` (X1 first, then e). Scoring them with
+    forms are derived for, drawn chunk by chunk, X1 first and then e,
+    from stream i's ``Philox(key=seed).jumped(i)`` (not the regions of
+    :func:`draw_chunks`), split as draw_chunks splits. Scoring them with
     :func:`simulate_metrics` checks a closed form against its own model
     rather than against the signal-level channel.
     """

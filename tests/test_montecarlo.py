@@ -249,47 +249,47 @@ def test_outage_rule_agrees_with_the_direct_test_away_from_ties(case):
 # ends on a ragged one, and the _CHUNK + 1000 stream spans two chunks.
 DRAW_DIGESTS = {
     (1, 1, 1000, "rayleigh"): (
-        "290c45247adf8717a968ecf096ab9518448358a974fbe1404523de78b82d3ccb",
-        "fe1a70cf29b575cbc31913307f0cdfd33e994c9fb831dc842e8bec31ca2611d2"),
+        "961245744bf76fe801606b099031d7cde84d239e2bf5d97ea390447fcae89c30",
+        "8444a63c2592cd868ab9636a233d498dda220c12725e6cd8783badcb6a82a66c"),
     (1, 3, 1000, "rayleigh"): (
-        "d00bc11f14eeef89af0fec9ce70dee113b48eed74f34ff07e05d16bb59eace02",
-        "76ea73e647f09cdbb46de3f0ed6af19e4d6b74b40b920a0359dcdeac33c41999"),
+        "b5e473c78ba6126acba7825b55ce527c0ebd2e6d3a62f96ecfd973346d7c90db",
+        "0ebf295b1e6c997f8c0c9c4b942b7e5fe6246ac197cdaad7b10b96cf9337cafa"),
     (5, 1, 1000, "rayleigh"): (
-        "a14057b91ec89ef45dd34b0b6efe71c059135a4f4c675d514986b9083065d595",
-        "1a48ea19933f7be790dbb7b5b73c1e9e96cf49d5c7ca2c694f197052751de055"),
+        "9bc42ad14c854184953c2de869aa202b76bff8be9b874338078e6ef1a6f59abe",
+        "9bc42ad14c854184953c2de869aa202b76bff8be9b874338078e6ef1a6f59abe"),
     (5, 3, 1000, "rayleigh"): (
-        "c224b025c9c286a01bd2767f7068a376119752ece64e6679408fe11dae3b6228",
-        "8f7cceca11cce9d3229b6b4eac879d6201d4923250636de42fb86b90cbe31cb1"),
+        "265e2ff33d4a6398f6d6602d4edbe4160616190082eca5c6ac9808608840b257",
+        "632e033813b4cfcd923cfd01b6568329fb4431028a0e5dcb8eeda149794976fc"),
     (300, 1, 1000, "rayleigh"): (
-        "60223c27fcff0d9551f7dfce301d4ab68089776a2d32f0bff5c90555386c7b54",
-        "9caed17d576912b080a827fe5142028fe3a6169a950f3bf6fef4ec63e23338a2"),
+        "d8c320eac33d49f7e49377e68906f4f296594fe1fb6389b6b90632d3f33c202f",
+        "e7e0e8659298d5c4df64229e096bbef920e602278d8a0bd462160d9d6a47c1e3"),
     (300, 3, 1000, "rayleigh"): (
-        "b2596d9985532d6fc8ba49b86bfef36826af0defee7ba60e2e1d69ede0cf8539",
-        "145fc2f5a522f731fa527e13e13add4c329af81d14d544718fac835d8b1aa65f"),
+        "716782051ea931920f3c7dbc0bf27b790c0c27fff90871e7565205efedb77040",
+        "5cf075443ba22e1b91598b4e34b1ab5bceb31c51020e58a962e7338bb8713ff9"),
     (5, 1, _CHUNK + 1000, "rayleigh"): (
-        "71b45da5534535f4cc96a5481c4561b9046113b743dc7e1f6f915ff45852b758",
-        "2c6335efab6948a67fb2efa86d06ad354ddc2e7ea1b1cc1031af58344efc58f2"),
+        "0bc0d6df37c32735c848b35400037517b4c5739eabe7e597955850af94466544",
+        "1b24d61ab647f2fdb4e8d0b1107d79330f3e89eecf5fdc3814133d00216044d4"),
     (1, 1, 1000, "phase_sum"): (
-        "5b660b39d9a63e825ba0fd5f83dfe245d98535a20481d6cf5dbf94c43f38827b",
-        "8a759aed012d13372271c9ed44e12b190dfcede2a6fe5ef8e8b9499a94743325"),
+        "699bde14603f31e7a72630b58daab17186aec3f6f2ad6822824b696d08b6e05e",
+        "5d9ecb25c02d86049fafdadf50dfc891f1aabdedd04583cf2becf9e899f6953e"),
     (1, 3, 1000, "phase_sum"): (
-        "bbe233d14ca18400fdd91a5091c31602ef52e5562d73cc1cb2760ef71c18333e",
-        "980a4745906a3be33205fbcebef463c9354c2799c24c436d94d95a7650d72071"),
+        "037f618b639995bbf4f8e3d6b7120550804482bd418ef13cc20192473543eb9c",
+        "aea15a84cbf3f146549365f69eb2163667974ccf81076f36fe21a2a99a747ae9"),
     (5, 1, 1000, "phase_sum"): (
-        "4a3accad6a1b00b9019e1dbc40ff61f8c4a0556ba450e2c11fb8974424a22579",
-        "3dde7f426fe7e240b16f4088288e618d1b937d2398c80348be85ba348d3599af"),
+        "eef1bea6f4eee9f8187b631d2e5b2963c4ae0f45ed9665238b4eef2d43c87fe1",
+        "ce04c009406dcecfb66ab187a04d8f1d6fd38d6428ce4785d77fdac98425abe6"),
     (5, 3, 1000, "phase_sum"): (
-        "ab920204b38ad751412c4f0357bfe52aa329813b968bee72f11e2c92c177ce00",
-        "322b712cd713068acf2390035949aa84606a6960b25111b5e16829fab7c2bc4b"),
+        "3e29d1f47a89042191d6b5f37e402a1f60c9a46bf1b737094b2f7b8ac9cb2ce4",
+        "e5bf7c73cf84fb04676b2bcd6664af16ed9446ae990e24e384c51b57ed91b605"),
     (300, 1, 1000, "phase_sum"): (
-        "ef922dc68262777e260d2f0b3209934840a9d98680920b4199941d9816b4827c",
-        "79f559c195f3b8d2913bf973d1eedfc1796106614e2ebdca6d946ae9027a4b48"),
+        "a97e22c52524a69c986d5b3e6afbfe8755c12457e91697349bf06e281166b257",
+        "cbc2193a96ba3aa15f98816f2982263e11038d14b082cb27e7655c24d9422829"),
     (300, 3, 1000, "phase_sum"): (
-        "07922ca14a3113f723569df1cb852c03f055b26865319156a60cb44e6929801a",
-        "721c69dfdf32a696c083b0e737d071ce8b29c4fab221903ff0f3e2dd2eb2952c"),
+        "8b9a170753dcb35dd00f6fad7dd37440669b67a86ad9effd5e1d6b479f00e273",
+        "3f5030322442108e9a691768aacebdbf1620f7031d86fdded82fa51f2b9e3ea6"),
     (5, 1, _CHUNK + 1000, "phase_sum"): (
-        "4f9c154fe59342427a3920bf299e9d82b6cb98afeeba387324ddbacaec8adc88",
-        "2851662cfc5bdf24d8613d3a47a42cb9dddf8efd7664687cfc3b7945d347f011"),
+        "0550aab053735981476819afeb46f9be9a0424d79c27374282c68c3157fa0092",
+        "4f70a2c2fa167768f10bec83c707a788fc105551d3d6e471f74548e28631d7ef"),
 }
 
 
@@ -305,50 +305,73 @@ def test_draw_chunks_golden_digest(key):
     assert h.hexdigest() in DRAW_DIGESTS[key]
 
 
+# sha256 of every (X1^2, e) chunk of model_law_chunks at params_for(5)
+# (numpy 2.4.6, x86-64; the same without numpy's AVX512 loops, since
+# numpy's normal and exponential samplers do not go through its log
+# ufunc). The model law keeps its Philox streams, so these bits are
+# the ones the acceptance gate (seeds 101, 102 and 3000 + N) and
+# ``selftest --strict-mc`` read. Keys: (seed, stream_count, trials);
+# the last config's streams each span two chunks.
+MODEL_LAW_DIGESTS = {
+    (101, 1, 3000): "f94128666a555aa93fa732e61bee351432ecf80d0d90f4d8a87f4a8fe3138a69",
+    (102, 3, 3000): "07e3656cf3eecc80e6fccb7117906cfd8b110ecec6a2c0b86d9b06c008959dd6",
+    (3005, 4, 4 * _CHUNK + 1000): "2e80b5aeba823f025765c12b2e3d3fe7c2df23e3881d4f60f96608b98078eb8d",
+}
+
+
+@pytest.mark.parametrize("key", list(MODEL_LAW_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_model_law_chunks_golden_digest(key):
+    seed, stream_count, trials = key
+    mc = McConfig(trials=trials, seed=seed, stream_count=stream_count)
+    h = hashlib.sha256()
+    for x1_sq, e in model_law_chunks(derive_stats(params_for(5)), mc):
+        for a in (x1_sq, e):
+            h.update(np.int64(a.size).tobytes())
+            h.update(a.tobytes())
+    assert h.hexdigest() == MODEL_LAW_DIGESTS[key]
+
+
 # (value, std_error) of every simulate_metrics estimate. The asc values go
 # through np.log2, whose float64 result may differ by 1 ULP between
 # numpy's AVX512_SKX loop and its plain one (about 2 elements in 10^4),
 # and the draws through np.log (see DRAW_DIGESTS); these sums came out the
-# same on both loops (numpy 2.4.6, x86-64), save the one value in
-# SIMULATE_GOLDEN_PLAIN_LOOP. Another numpy release may need new pins.
+# same on both loops (numpy 2.4.6, x86-64). Another numpy release may
+# need new pins.
 # Keys: (eav_mode, kappa^2, trials, stream_count); N=5, snr_d 5 dB,
 # snr_e 0 dB, c_th 1, seed 31. The _CHUNK + 1000 stream spans two chunks.
 SIMULATE_GOLDEN = {
     ("rayleigh", 0.0, 3000, 3): {
-        "sop": (0.06233333333333333, 0.004413913187822074),
-        "asc_eq19": (3.302815910411067, 0.027225865473598843),
-        "asc_eq6": (3.311344260100562, 0.026823967810633238)},
+        "sop": (0.07066666666666667, 0.00467877793477773),
+        "asc_eq19": (3.2884885759831257, 0.02741932693011411),
+        "asc_eq6": (3.296348618520425, 0.02706540142089655)},
     ("rayleigh", 0.0, _CHUNK + 1000, 1): {
-        "sop": (0.06544705560453593, 0.00048211459105276057),
-        "asc_eq19": (3.3172792282739527, 0.0029431083699904084),
-        "asc_eq6": (3.3253038090408453, 0.0029034612752924472)},
+        "sop": (0.06567126744292098, 0.0004828817759206859),
+        "asc_eq19": (3.3117774170409904, 0.0029386637865468886),
+        "asc_eq6": (3.319536118067217, 0.002900387848895309)},
     ("rayleigh", 0.01, 3000, 3): {
-        "sop": (0.09766666666666667, 0.00541995968278021),
-        "asc_eq19": (2.4728719268606696, 0.02109171272606381),
-        "asc_eq6": (2.479588920955635, 0.020782711547672337)},
+        "sop": (0.10633333333333334, 0.00562810079143209),
+        "asc_eq19": (2.4578865169798894, 0.021110734719540697),
+        "asc_eq6": (2.463895141989817, 0.02084764546920196)},
     ("rayleigh", 0.01, _CHUNK + 1000, 1): {
-        "sop": (0.10349086431763597, 0.0005937882928124723),
-        "asc_eq19": (2.4735680630796693, 0.002258870572610109),
-        "asc_eq6": (2.479925649823437, 0.0022279995498832895)},
+        "sop": (0.10368467455081629, 0.0005942797876325705),
+        "asc_eq19": (2.469807355914025, 0.002257757731300387),
+        "asc_eq6": (2.475966714898441, 0.002227922413343286)},
     ("phase_sum", 0.0, 3000, 3): {
-        "sop": (0.03666666666666667, 0.0034313370679771573),
-        "asc_eq19": (3.384403481209626, 0.02415507633856515),
-        "asc_eq6": (3.3870322698019817, 0.024006052292633466)},
+        "sop": (0.043666666666666666, 0.0037309466577482666),
+        "asc_eq19": (3.347975608909561, 0.024740344591676497),
+        "asc_eq6": (3.350859066985189, 0.024593987210981428)},
     ("phase_sum", 0.0, _CHUNK + 1000, 1): {
-        "sop": (0.03795260389748579, 0.000372496577788243),
-        "asc_eq19": (3.3907269525710597, 0.0026378591393462357),
-        "asc_eq6": (3.393085915848305, 0.002624987589536106)},
+        "sop": (0.039210470312832514, 0.00037837150337769013),
+        "asc_eq19": (3.3919584920366472, 0.0026438124979835547),
+        "asc_eq6": (3.3944673275960326, 0.002630096493258284)},
     ("phase_sum", 0.01, 3000, 3): {
-        "sop": (0.07333333333333333, 0.004759396164625493),
-        "asc_eq19": (2.5536346666827403, 0.01942110109229134),
-        "asc_eq6": (2.55539027553034, 0.01933257335725346)},
+        "sop": (0.07866666666666666, 0.0049152220099815845),
+        "asc_eq19": (2.5179339115773463, 0.0197359066323676),
+        "asc_eq6": (2.5201459274734384, 0.019628790645790376)},
     ("phase_sum", 0.01, _CHUNK + 1000, 1): {
-        "sop": (0.07587100598911622, 0.0005161874998533459),
-        "asc_eq19": (2.5461851488019365, 0.0021032939278297328),
-        "asc_eq6": (2.547975232791992, 0.002094053997564671)},
-}
-SIMULATE_GOLDEN_PLAIN_LOOP = {  # where numpy's plain log loops give other bits
-    ("phase_sum", 0.0, _CHUNK + 1000, 1): {"asc_eq6": (3.393085915848305, 0.002624987589536105)},
+        "sop": (0.07658544371142796, 0.0005184116331835419),
+        "asc_eq19": (2.5484356007183777, 0.0021083649287264553),
+        "asc_eq6": (2.55035763103422, 0.0020984168509997556)},
 }
 
 
@@ -359,8 +382,7 @@ def test_simulate_metrics_golden_estimates(key):
     mc = McConfig(trials=trials, seed=31, stream_count=stream_count, eav_mode=eav_mode)
     out = simulate_metrics(p, mc)
     got = {k: (est.value, est.std_error) for k, est in out.items()}
-    assert got in (SIMULATE_GOLDEN[key],
-                   {**SIMULATE_GOLDEN[key], **SIMULATE_GOLDEN_PLAIN_LOOP.get(key, {})})
+    assert got == SIMULATE_GOLDEN[key]
     assert all((est.trials, est.seed) == (trials, 31) for est in out.values())
 
 
@@ -374,32 +396,34 @@ def test_simulate_metrics_computes_only_the_requested_estimates():
         simulate_metrics(p, mc, keys=("sop", "ber"))
 
 
-def _uniform_words(seed, first, m):
-    """m uniforms on [0, 1) from Philox words ``first`` on, one 64-bit word each."""
-    counter, skip = divmod(first, 4)
-    bit_gen = np.random.Philox(counter=counter, key=seed)
-    return (bit_gen.random_raw(skip + m)[skip:] >> np.uint64(11)) * 2.0 ** -53
+def _region_uniforms(seed, stream, region, first, m):
+    """m uniforms on [0, 1) from words ``first`` on of one region, one raw 64-bit word each."""
+    bit_gen = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(stream, region)))
+    bit_gen.advance(first)
+    return (bit_gen.random_raw(m) >> np.uint64(11)) * 2.0 ** -53
 
 
 def _reference_sums(n, seed, span, eav_mode):
-    # the layout spelled out: every column from its own words, whole
-    # arrays, summed over the elements in order. Returns the running sum
-    # X1 and e (rayleigh) or X2 (phase_sum)
+    # the region table spelled out: every column from the raw words of its
+    # region's generator, whole arrays, summed over the elements in order.
+    # Returns the running sum X1 and e (rayleigh) or X2 (phase_sum)
     stream, size, start, m = span
-    at = stream * 2 ** 130 + start
 
-    def amplitudes(first):
-        return np.sqrt(-np.log(1.0 - _uniform_words(seed, first, m)))
+    def uniforms(region, first):
+        return _region_uniforms(seed, stream, region, start + first, m)
+
+    def amplitudes(region, first):
+        return np.sqrt(-np.log(1.0 - uniforms(region, first)))
 
     x1, x2 = np.zeros(m), np.zeros(m, dtype=complex)
     for i in range(n):
-        f_r = amplitudes(at + 2 * i * size)
-        x1 = x1 + amplitudes(at + (2 * i + 1) * size) * f_r
+        f_r = amplitudes(0, 2 * i * size)
+        x1 = x1 + amplitudes(0, (2 * i + 1) * size) * f_r
         if eav_mode == "phase_sum":
-            delta = _uniform_words(seed, at + 2 ** 102 + i * size, m) * (2.0 * math.pi) - math.pi
-            x2 = x2 + np.exp(delta * 1j) * (amplitudes(at + 2 ** 101 + i * size) * f_r)
+            delta = uniforms(3, i * size) * (2.0 * math.pi) - math.pi
+            x2 = x2 + np.exp(delta * 1j) * (amplitudes(2, i * size) * f_r)
     if eav_mode == "rayleigh":
-        return x1, -np.log(1.0 - _uniform_words(seed, at + 2 ** 100, m))
+        return x1, -np.log(1.0 - uniforms(1, 0))
     return x1, x2
 
 
@@ -577,49 +601,68 @@ def test_draws_do_not_depend_on_the_worker_count(monkeypatch, eav_mode):
     assert got[1][3] == [simulate_metrics(p, mc) for p in points]
 
 
-def _next_word(bit_gen):
-    """Index of the next 64-bit word a ``Philox`` bit generator reads.
+_PCG_MULTIPLIER = 0xDA942042E4DD58B5  # the 64-bit multiplier of PCG64DXSM's LCG step
 
-    Counter value c yields words 4(c - 1) .. 4c - 1, and ``buffer_pos``
-    of them are read.
+
+def _steps(state: int, later: int, inc: int) -> int:
+    """LCG steps, so words, from PCG64DXSM state ``state`` to ``later``.
+
+    O'Neill's distance algorithm (the PCG C++ library's
+    ``pcg_extras::distance``): fix the steps one bit at a time, from the
+    lowest; 2^k steps are the LCG map squared k times.
     """
-    state = bit_gen.state
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    return 4 * counter - (4 - state["buffer_pos"])
+    mask, mult, plus, bit, steps = (1 << 128) - 1, _PCG_MULTIPLIER, inc, 1, 0
+    while state != later:
+        if (state ^ later) & bit:
+            state = (state * mult + plus) & mask
+            steps |= bit
+        bit <<= 1
+        plus = (mult + 1) * plus & mask
+        mult = mult * mult & mask
+    return steps
 
 
 def _merged(runs):
-    """Sorted word ranges ``[lo, hi)`` with adjacent ones joined."""
+    """Sorted ``(stream, region, lo, hi)`` word ranges with adjacent ones of a region joined."""
     out = []
-    for lo, hi in sorted(runs):
-        if out and out[-1][1] == lo:
-            out[-1] = (out[-1][0], hi)
+    for stream, region, lo, hi in sorted(runs):
+        if out and out[-1][:2] == (stream, region) and out[-1][3] == lo:
+            out[-1] = (stream, region, out[-1][2], hi)
         else:
-            out.append((lo, hi))
+            out.append((stream, region, lo, hi))
     return out
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 @pytest.mark.parametrize("span", [(1, 250, 0, 250), (2, 700, 300, 250)], ids=["run", "strided"])
 def test_draw_reads_one_word_per_value_at_its_layout_position(monkeypatch, eav_mode, span):
-    made, philox_at = [], montecarlo._philox_at
+    # each generator's first word and the words it read, both from its
+    # LCG state: the seeded state, the state as the draw gets it and the
+    # state the draw leaves
+    made, region_at = [], montecarlo._region_at
 
-    def recording(key, position):
-        bit_gen = philox_at(key, position)
-        made.append((position, bit_gen))
+    def recording(region, position):
+        bit_gen = region_at(region, position)
+        made.append((region, bit_gen, bit_gen.state["state"]["state"]))
         return bit_gen
 
-    monkeypatch.setattr(montecarlo, "_philox_at", recording)
+    monkeypatch.setattr(montecarlo, "_region_at", recording)
     n, (stream, size, start, m) = 5, span
     _drawn((n,), 9, span, eav_mode)
-    at = stream * 2 ** 130 + start
-    firsts = [at + j * size for j in range(2 * n)]  # f_R, f_D of each element
+    read = []
+    for (seed, stream_i, region), bit_gen, first_state in made:
+        assert seed == 9
+        seeded = np.random.PCG64DXSM(np.random.SeedSequence(9, spawn_key=(stream_i, region)))
+        inc = seeded.state["state"]["inc"]
+        first = _steps(seeded.state["state"]["state"], first_state, inc)
+        read.append((stream_i, region, first,
+                     first + _steps(first_state, bit_gen.state["state"]["state"], inc)))
+    want = [(stream, 0, start + j * size) for j in range(2 * n)]  # f_R, f_D of each element
     if eav_mode == "rayleigh":
-        firsts.append(at + 2 ** 100)
+        want.append((stream, 1, start))
     else:
-        firsts += [at + region + i * size for region in (2 ** 101, 2 ** 102) for i in range(n)]
-    assert _merged((first, _next_word(bit_gen)) for first, bit_gen in made) == \
-        _merged((first, first + m) for first in firsts)
+        want += [(stream, region, start + i * size) for region in (2, 3) for i in range(n)]
+    assert _merged(read) == _merged((*w, w[2] + m) for w in want)
 
 
 @pytest.mark.parametrize("eav_mode, arrays", [("rayleigh", 1.25), ("phase_sum", 2.25)])
@@ -652,18 +695,20 @@ def test_group_draw_peak_memory(group):
     # tracemalloc sees numpy's data buffers. One chunk's draw holds each
     # N's X1^2 and e (2 m floats each, at most), its running sums (m
     # floats, 3 m in phase_sum mode) and its one block buffer: _BLOCK
-    # floats, 2.5 _BLOCK in phase_sum mode, where numpy also takes 8192
-    # floats to multiply f_E by the strided rows of f_R
-    m = 4000
-    for eav_mode, sums, block in (("rayleigh", 1, _BLOCK), ("phase_sum", 3, 2.5 * _BLOCK + 8192)):
-        tracemalloc.start()
-        try:
-            _drawn(group, 0, (0, m, 0, m), eav_mode)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= ((2 * len(group) + sums) * m + block) * 8 + DRAW_OBJECTS, \
-            eav_mode
+    # floats, 2.5 _BLOCK in phase_sum mode. Nothing else: the products
+    # with the strided f_R rows take no numpy iterator buffer, which a
+    # whole-block product would take in phase_sum mode at 4000 trials (8
+    # elements a block) and in both modes at 1000 (32 elements)
+    for m in (4000, 1000):
+        for eav_mode, sums, block in (("rayleigh", 1, _BLOCK), ("phase_sum", 3, 2.5 * _BLOCK)):
+            tracemalloc.start()
+            try:
+                _drawn(group, 0, (0, m, 0, m), eav_mode)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= ((2 * len(group) + sums) * m + block) * 8 + DRAW_OBJECTS, \
+                (m, eav_mode)
 
 
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
@@ -1002,7 +1047,7 @@ def test_sampled_x1_does_not_depend_on_the_snr():
 
 def test_eavesdropper_model_moves_the_single_element_sop():
     # at N = 1, phase_sum's X2^2 = E_R E_E is not exponential, and its
-    # mc_sop stands 8.5 SE from rayleigh's (0.2510 against 0.2626 at
+    # mc_sop stands 9.1 SE from rayleigh's (0.2528 against 0.2653 at
     # 2e5 trials, seed 5), so the mode still measures the exponential
     # eavesdropper model's error
     p = params_for(n=1)

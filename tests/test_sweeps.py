@@ -388,20 +388,20 @@ def test_run_sweep_peak_memory_per_trial(outputs, mc_check, bytes_per_trial):
 # SIMULATE_GOLDEN in test_montecarlo.py, they hold with numpy 2.4.6 on
 # x86-64 with and without its AVX512 log and log2 loops.
 PRESET_MC_DIGESTS = {
-    ("fig2", "n5"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
-    ("fig2", "n10"): "e7787a48b39fb3d17bb0883bf6fa827708a911579f32c08daed9c329fe458ec2",
-    ("fig3", "snr_e_m10db"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
-    ("fig3", "snr_e_0db"): "2f1a59e01432d5ce9c43d9c9cb877c4de199c7e1fe582260f7dcdc173c0984ac",
-    ("fig3", "snr_e_10db"): "95f52a67037ab5210a44a9f60c4e82a57b9cff90dac6c36e456bb49fc656ef8c",
-    ("fig4", "kappa2_0"): "edd5ad00e5d86d186dd1ce08cf90830b94f661682a7157b45d155a96db93afec",
-    ("fig4", "kappa2_0p01"): "7460b93578126ed38a71740ef58eae23b123a792f0e217886e5edfd1c7361e5e",
-    ("fig4", "kappa2_0p1"): "6f6fe9b52b500bb96b6e950ddba600187e082493d398da1efc50f85b567121a1",
-    ("fig5", "n5"): "ead81278c84053f288d94f5a275fa1ec975073ba8ac0672cc974f4b54199dfff",
-    ("fig5", "n10"): "d404d8797148c046a71fae24dea54f7db72fc3c4972d776e28e42f088f46cdbf",
-    ("fig5", "n15"): "14cff18a05f64d750f56079e8a6b93a7d85d4c44c2ffdfe5e5a2cc174310a2df",
-    ("fig6", "kappa2_0p01"): "ead81278c84053f288d94f5a275fa1ec975073ba8ac0672cc974f4b54199dfff",
-    ("fig6", "kappa2_0p05"): "2a32cbf582df67c122b80edd7c94e6d85f34dbfc2c3ba415b975ee787cdace35",
-    ("fig6", "kappa2_0p1"): "644a3c07ee44404179fe210a72ecf467252dc098276b273e7e63b7e191e80e63",
+    ("fig2", "n5"): "8f48436c36c482a9076b464b89ee9e912844b8200c00ad84571799fe9cb1d28c",
+    ("fig2", "n10"): "e9118cb510c644dd2ecf4d98877e26e1954a6655b296d9b76cb699afd0ce96e6",
+    ("fig3", "snr_e_m10db"): "8f48436c36c482a9076b464b89ee9e912844b8200c00ad84571799fe9cb1d28c",
+    ("fig3", "snr_e_0db"): "35bbf48f654d084457ba38de0757c7a7b543744e311d98956a19729c1b621c06",
+    ("fig3", "snr_e_10db"): "b1ae21e15eff3c05c3b1f9b441d5ba784e757eef74787357139894dbd8d80399",
+    ("fig4", "kappa2_0"): "d562d9914ac47815b4b12b69453534ec75c319972df0f109afe66ff38c89f48c",
+    ("fig4", "kappa2_0p01"): "8f48436c36c482a9076b464b89ee9e912844b8200c00ad84571799fe9cb1d28c",
+    ("fig4", "kappa2_0p1"): "43276543e3683dec44c7c64dd09956be06bbbaa65286df02cd4254d27b0a83d1",
+    ("fig5", "n5"): "820fa080fc68cae1c3e075fbd80af7dbc1d4729137d542c4941a277c1cd30e20",
+    ("fig5", "n10"): "fd695b8262587ad0030e23a638264c71890462bb2c27d69a2453c0061a39df60",
+    ("fig5", "n15"): "a24290db3ff7d2d1a429627be7b485b88eaabb68edd50ed51b7df46fa0d6148a",
+    ("fig6", "kappa2_0p01"): "820fa080fc68cae1c3e075fbd80af7dbc1d4729137d542c4941a277c1cd30e20",
+    ("fig6", "kappa2_0p05"): "c20c513fab047678bcb07e8fbfec9115f1b8756cb01d2abd94168e3ddb875681",
+    ("fig6", "kappa2_0p1"): "432c41e87717cd78b08b4083695a4cd5efb97e8db005053b7486ce9a4c8fbf11",
 }
 
 
