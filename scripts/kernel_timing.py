@@ -2,8 +2,9 @@
 """Time one call of the destination-law kernel and of each closed form and its reference.
 
 The layer-by-layer view of the analytic path: the wall time of one
-call of ``cdf_rho_d`` and ``ccdf_rho_d`` (series route, 100 points spread
-over the body and upper tail of rho_D), of ``sop``, ``sop_asymptotic``,
+call of ``cdf_rho_d`` and ``ccdf_rho_d`` on 100 points spread over the
+body and upper tail of rho_D (on the route that the closed forms read,
+and as ``*_series`` on the series route), of ``sop``, ``sop_asymptotic``,
 ``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
 the ``*_reference`` twins, at N in
 {1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
@@ -40,6 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ris_secrecy import channel
 from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats
 from ris_secrecy.secrecy import (
+    _LAW_ROUTE,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
     eavesdropper_rate,
@@ -69,8 +71,10 @@ def calls_at(n: int) -> dict:
     g = p.snr_d_linear
     xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
     return {
-        "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method="series"),
-        "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method="series"),
+        "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method=_LAW_ROUTE),
+        "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method=_LAW_ROUTE),
+        "cdf_rho_d_series": lambda: cdf_rho_d(xs, st, g, method="series"),
+        "ccdf_rho_d_series": lambda: ccdf_rho_d(xs, st, g, method="series"),
         "sop": lambda: sop(p, st),
         "sop_asymptotic": lambda: sop_asymptotic(p, st),
         "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),

@@ -58,6 +58,7 @@ from ris_secrecy.montecarlo import (
     _BLOCK,
     LinkMemo,
     _exponentials,
+    _region_at,
     _uniforms,
     _usable_cpus,
     draw_chunks,
@@ -173,13 +174,17 @@ def main(argv=None) -> int:
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
     result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
     region = (mc.seed, 0, _AMPLITUDES)  # stream 0's f_R and f_D words
+
+    def gen():
+        return np.random.Generator(_region_at(region, 0))
+
     amplitudes = {}
     for size in AMPLITUDES:
         out = np.ones((1, size))  # pages touched before the clock starts
         amplitudes[f"one_thread_{size}"] = size / median_s(
-            lambda: np.sqrt(_exponentials(region, 0, size, out), out=out), args.repeat)
+            lambda: np.sqrt(_exponentials(gen(), size, out), out=out), args.repeat)
     words = np.ones((1, WORDS))
-    words_per_s = WORDS / median_s(lambda: _uniforms(region, 0, WORDS, words), args.repeat)
+    words_per_s = WORDS / median_s(lambda: _uniforms(gen(), WORDS, words), args.repeat)
     passes = {f"cpus_{cpus}": pinned_pass_s(cpus, mc, grid, args.repeat) for cpus in (2, 1)}
     presets = {name: median_s(lambda specs=preset_mc_specs(name, args.trials): list(run_sweeps(specs)),
                               args.repeat)

@@ -47,8 +47,10 @@ spawn_key=(i, r))`` and moved to a word by ``advance``:
   ====== ============ =========================================
 
 A chunk is one trial range of every region, and a smaller N's draws
-are the first columns of a larger N's. X1 (and X2) is summed in element
-order, so each N's X1 is a snapshot of one running sum. The values
+are the first columns of a larger N's. A chunk draws each region it
+reads from one generator, advanced past the other chunks' words
+between its rows. X1 (and X2) is summed in element order, so each N's
+X1 is a snapshot of one running sum. The values
 therefore depend neither on the chunking, nor on which N are drawn
 together, nor on the CPU count. Amplitudes are sqrt(E), E = -log(1 - u)
 with u uniform on the 2^-53 grid of [0, 1). Inversion caps E at
@@ -188,27 +190,48 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _uniforms(region: tuple, first: int, stride: int, out: np.ndarray) -> np.ndarray:
-    """Uniforms on [0, 1) into the rows of ``out``, row r from word ``first + r stride`` on.
+def _chunk_regions(seed, span: tuple, eav_mode: str, n0: int) -> tuple:
+    """The generators of the element regions of chunk ``span``, at element n0's first words.
 
-    The words are those of ``region`` (see :func:`_region_at`).
+    Region 0 (f_R and f_D) and, in ``phase_sum`` mode, region 3 (the
+    phase) and region 2 (f_E), in that order. :func:`_block_terms` draws
+    the blocks of elements from n0 on from them, in element order, each
+    block going on from where the last one stopped.
+    """
+    stream, size, start, _ = span
+
+    def at(index, position):
+        return np.random.Generator(_region_at((seed, stream, index), position))
+
+    amplitudes = at(_AMPLITUDES, start + 2 * n0 * size)
+    if eav_mode == "rayleigh":
+        return (amplitudes,)
+    return amplitudes, at(_PHASE, start + n0 * size), at(_F_E, start + n0 * size)
+
+
+def _uniforms(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) into the rows of ``out`` from ``gen``, the rows ``stride`` words apart.
+
     ``Generator.random`` reads one word per value, so when ``stride`` is
-    the row length the rows are one run of words, drawn by one generator.
+    the row length the rows are one run of words; otherwise the
+    generator is advanced past the gap after each row. Either way it is
+    left at the first word of the row after the last.
     """
     if stride == out.shape[1]:
-        return np.random.Generator(_region_at(region, first)).random(out=out)
-    for r, row in enumerate(out):
-        np.random.Generator(_region_at(region, first + r * stride)).random(out=row)
+        return gen.random(out=out)
+    for row in out:
+        gen.random(out=row)
+        gen.bit_generator.advance(stride - row.size)
     return out
 
 
-def _exponentials(region: tuple, first: int, stride: int, out: np.ndarray) -> np.ndarray:
+def _exponentials(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndarray:
     """Exp(1) values -log(1 - u) of the uniforms u of :func:`_uniforms`, in place.
 
     1 - u is exact on u's 2^-53 grid, so this is -log1p(-u), from numpy's
     faster ``log`` loop.
     """
-    u = _uniforms(region, first, stride, out)
+    u = _uniforms(gen, stride, out)
     np.subtract(1.0, u, out=u)
     np.log(u, out=u)
     return np.negative(u, out=u)
@@ -230,29 +253,29 @@ def _multiply_rows(rows: np.ndarray, factors: np.ndarray) -> None:
         np.multiply(row, factor, out=row)
 
 
-def _block_terms(seed, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
+def _block_terms(regions: tuple, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
     """The terms of the elements [lo, hi) = ``block`` of chunk ``span``, a row each.
 
     Returns the rows f_Ri f_Di and, in ``phase_sum`` mode, f_Ri f_Ei
     e^{j delta_i} (else None); ``span`` is one of :func:`_chunk_spans`.
-    The rows are views of ``buf``, a 1-d float64 array of at least
-    :func:`_block_floats` values, and nothing else is allocated: in
-    ``phase_sum`` mode the complex rows come first, then the f_R and f_D
-    rows, then one row per element for the phase and, after it, f_E.
+    ``regions`` are the chunk's generators (see :func:`_chunk_regions`),
+    at element lo's first words. The rows are views of ``buf``, a 1-d
+    float64 array of at least :func:`_block_floats` values, and nothing
+    else is allocated: in ``phase_sum`` mode the complex rows come first,
+    then the f_R and f_D rows, then one row per element for the phase
+    and, after it, f_E.
     """
-    stream, size, start, m = span
-    lo, hi = block
-    k, at = hi - lo, start + lo * size  # element lo's first word in regions 2 and 3
+    _, size, _, m = span
+    k = block[1] - block[0]
     rows = 0 if eav_mode == "rayleigh" else 2 * k  # float rows before f_R and f_D
-    amp = _exponentials((seed, stream, _AMPLITUDES), start + 2 * lo * size, size,
-                        buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
+    amp = _exponentials(regions[0], size, buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
     np.sqrt(amp, out=amp)
     f_r, x1_terms = amp[0::2], amp[1::2]
     _multiply_rows(x1_terms, f_r)
     if eav_mode == "rayleigh":
         return x1_terms, None
     x2_terms = buf[:rows * m].view(complex).reshape(k, m)
-    u = _uniforms((seed, stream, _PHASE), at, size, buf[4 * k * m:5 * k * m].reshape(k, m))
+    u = _uniforms(regions[1], size, buf[4 * k * m:5 * k * m].reshape(k, m))
     u *= 2.0 * math.pi  # Generator.uniform(-pi, pi)'s map of u
     u -= math.pi
     # float and complex operands are never mixed in one ufunc call: numpy
@@ -261,7 +284,7 @@ def _block_terms(seed, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray
     x2_terms.imag = 0.0
     x2_terms *= 1j
     np.exp(x2_terms, out=x2_terms)
-    f_e = _exponentials((seed, stream, _F_E), at, size, u)
+    f_e = _exponentials(regions[2], size, u)
     np.sqrt(f_e, out=f_e)
     _multiply_rows(f_e, f_r)
     x2_terms.real *= f_e  # (a + bi) f, up to the sign of a zero part, which |X2| drops
@@ -310,12 +333,14 @@ def _draw_chunk(group: tuple, seed, span: tuple, eav_mode: str, n0: int, sums: l
     n_max, step = group[-1], _block_step(m)
     x1, e, *x2 = sums
     if n0 == 0 and not x2:
-        _exponentials((seed, stream, _E), start, size, e.reshape(1, m))
+        _exponentials(np.random.Generator(_region_at((seed, stream, _E), start)), size,
+                      e.reshape(1, m))
     pairs = []
     give = pairs.append if give is None else give
     summed, given = n0, 0
+    regions = _chunk_regions(seed, span, eav_mode, n0)
     for lo in range(n0, n_max, step):
-        x1_terms, x2_terms = _block_terms(seed, span, eav_mode, (lo, min(lo + step, n_max)), buf)
+        x1_terms, x2_terms = _block_terms(regions, span, eav_mode, (lo, min(lo + step, n_max)), buf)
         for i, row in enumerate(x1_terms):
             np.add(x1, row, out=x1)
             if x2:

@@ -6,12 +6,13 @@ eavesdropper channel gains. Each metric is provided twice, through
 independent numerical routes that integrate in opposite orders:
 
 * the closed form: Gauss-Chebyshev quadrature of the destination CDF
-  (incomplete-gamma series) against the eavesdropper density, and
+  (its erfc form, each tail formed directly) against the eavesdropper
+  density, and
 * a ``*_reference`` twin: adaptive quadrature (scipy), over the Gaussian
   destination amplitude, of the outage probability or rate given it. It
   takes its closed form's arguments and ignores ``numerics``.
 
-Agreement between the two validates the series, the quadrature rule and
+Agreement between the two validates the law, the quadrature rule and
 the algebra at once. Both evaluate the Gaussian-sum model of the
 destination channel; the Monte Carlo module simulates the signal-level
 channel itself, so its gap to them measures the model's error as well.
@@ -43,7 +44,7 @@ import numpy as np
 from scipy import special as sc
 
 from ._schema import check_field_types
-from .channel import ChannelStats, SystemParams, cdf_rho_d, ccdf_rho_d
+from .channel import ChannelStats, SystemParams, _poisson_window, cdf_rho_d, ccdf_rho_d
 
 
 class UnsupportedRegimeError(ValueError):
@@ -82,9 +83,9 @@ class NumericsConfig:
 
     ``quad_order`` is the Chebyshev node count; it is deliberately
     independent of the surface element count. ``mc_check`` asks drivers
-    to cross-validate closed forms against simulation. The truncation of
-    the destination-law series is fixed in :mod:`.channel`, and that of
-    the integration limits by ``_TAIL_EPSILON``.
+    to cross-validate closed forms against simulation. The destination
+    law is not truncated (its erfc form, see :func:`_law_at`); the
+    integration limits are, by ``_TAIL_EPSILON``.
     """
 
     quad_order: int = 100
@@ -100,6 +101,9 @@ DEFAULT_NUMERICS = NumericsConfig()
 
 # mass discarded where an integration limit or the twins' X1 range is truncated
 _TAIL_EPSILON = 1e-12
+
+# the route of channel.cdf_rho_d/ccdf_rho_d that the closed forms read
+_LAW_ROUTE = "marcum"
 
 
 def theta_coefficients(params: SystemParams) -> ThetaSet:
@@ -188,25 +192,33 @@ def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: f
             upper_tail: bool):
     """F_rhoD, or 1 - F_rhoD if ``upper_tail``, at (a x + b)/(c - d x) for each node x.
 
+    The law is the erfc route of :func:`.channel.cdf_rho_d`, each tail
+    formed directly. The closed forms keep the domain of the series
+    route: where its Poisson window would need more than
+    ``channel._MAX_TERMS`` terms (N >= 256), the 100-node rule
+    under-resolves, and this raises the window's ConvergenceError, live
+    nodes or not.
+
     Where c - d x <= 0 the destination cannot reach the target (its SNDR
     saturates), so the CDF is 1 there and the CCDF 0. When every node is
     live, which is the common case, the law takes the nodes as they are;
     its values are the same bits.
     """
+    _poisson_window(stats.lambda_ / (2.0 * stats.sigma2))
     law = ccdf_rho_d if upper_tail else cdf_rho_d
     denom = c - d * x
     if denom.min() > 0.0:
-        return law((a * x + b) / denom, stats, g, method="series")
+        return law((a * x + b) / denom, stats, g, method=_LAW_ROUTE)
     live = denom > 0.0
     f = np.full_like(x, 0.0 if upper_tail else 1.0)
-    f[live] = law((a * x[live] + b) / denom[live], stats, g, method="series")
+    f[live] = law((a * x[live] + b) / denom[live], stats, g, method=_LAW_ROUTE)
     return f
 
 
 def _outage_integral(a: float, b: float, c: float, d: float, upper: float,
                      stats: ChannelStats, snr_d_linear: float,
                      numerics: NumericsConfig) -> float:
-    """Chebyshev/series form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx."""
+    """Chebyshev form of int_0^upper F_rhoD((a x + b)/(c - d x)) f_rhoE(x) dx."""
     x, w = _chebyshev_on_interval(numerics.quad_order, upper)
     f = _law_at(x, a, b, c, d, stats, snr_d_linear, upper_tail=False)
     lam_e = stats.lambda_e
@@ -296,7 +308,7 @@ def _outage_reference(a: float, b: float, c: float, d: float, stats: ChannelStat
 
 def sop_detail(params: SystemParams, stats: ChannelStats,
                numerics: NumericsConfig = DEFAULT_NUMERICS) -> SopEvaluation:
-    """Secrecy outage probability, Chebyshev/series closed form."""
+    """Secrecy outage probability, Chebyshev closed form."""
     th = theta_coefficients(params)
     return _outage_probability(th.theta1, th.vartheta, th.theta3, th.theta2, stats,
                                params.snr_d_linear, numerics)
@@ -345,7 +357,7 @@ def destination_rate(params: SystemParams, stats: ChannelStats,
                      numerics: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Ergodic rate of the destination, E[log2(1 + gamma_D)], bits/s/Hz.
 
-    Chebyshev/series form of (1/ln 2) int (1 - F_{gamma_D}(x))/(1+x) dx
+    Chebyshev form of (1/ln 2) int (1 - F_{gamma_D}(x))/(1+x) dx
     over [0, 1/kappa_sum], with 1 - F_{gamma_D}(x) = P(rho_D > x/(1 -
     kappa_sum x)). With ideal destination hardware there is no
     saturation point; the integral is then truncated where the channel

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +321,29 @@ def test_ccdf_complements_cdf():
         for method in ("marcum", "series"):
             total = cdf_rho_d(x, st_, g, method=method) + ccdf_rho_d(x, st_, g, method=method)
             assert total == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 1024])
+@pytest.mark.parametrize("snr_d_db", [-20.0, 0.0, 40.0])
+def test_erfc_route_keeps_both_tails(n, snr_d_db):
+    # each tail is formed directly: against mpmath at 50 digits, at the
+    # amplitudes mu + z sigma > 0 for |z| <= 30, the CDF is within 1e-13
+    # relative where F >= 1e-7, and the CCDF within 1e-12 relative where
+    # 1 - F >= 1e-300 (1 - F formed as 1 - CDF misses the lower tail by 1.6e-10)
+    p = params_for(n=n, snr_d_db=snr_d_db)
+    st_, g = derive_stats(p), p.snr_d_linear
+    amp = math.sqrt(st_.lambda_) + np.linspace(-30.0, 30.0, 241) * math.sqrt(st_.sigma2)
+    xs = g * amp[amp > 0.0] ** 2
+    cdf, ccdf = cdf_rho_d(xs, st_, g), ccdf_rho_d(xs, st_, g)
+    with mp.workdps(50):
+        a = mp.sqrt(mp.mpf(st_.lambda_) / st_.sigma2)
+        for x, got_f, got_q in zip(xs, cdf, ccdf):
+            b = mp.sqrt(mp.mpf(x) / (mp.mpf(g) * st_.sigma2))
+            q = (mp.erfc((b - a) / mp.sqrt(2)) + mp.erfc((b + a) / mp.sqrt(2))) / 2
+            if 1 - q >= 1e-7:
+                assert abs(got_f - (1 - q)) <= 1e-13 * (1 - q), x
+            if q >= 1e-300:
+                assert abs(got_q - q) <= 1e-12 * q, x
 
 
 def test_cdf_against_model_law_samples():

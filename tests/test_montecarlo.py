@@ -633,30 +633,42 @@ def _merged(runs):
     return out
 
 
+class _Recording(np.random.PCG64DXSM):
+    """A region's generator that logs its LCG state before and after each ``advance``."""
+
+    def advance(self, delta):
+        self.log.append(self.state["state"]["state"])
+        super().advance(delta)
+        self.log.append(self.state["state"]["state"])
+        return self
+
+
 @pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
 @pytest.mark.parametrize("span", [(1, 250, 0, 250), (2, 700, 300, 250)], ids=["run", "strided"])
 def test_draw_reads_one_word_per_value_at_its_layout_position(monkeypatch, eav_mode, span):
-    # each generator's first word and the words it read, both from its
-    # LCG state: the seeded state, the state as the draw gets it and the
-    # state the draw leaves
+    # the runs of words each generator read, from its LCG states: the
+    # seeded state, the state as the draw gets it, the states around each
+    # advance past a gap, and the state the draw leaves
     made, region_at = [], montecarlo._region_at
 
     def recording(region, position):
-        bit_gen = region_at(region, position)
-        made.append((region, bit_gen, bit_gen.state["state"]["state"]))
+        bit_gen = _Recording()
+        bit_gen.state = {**region_at(region, position).state, "bit_generator": "_Recording"}
+        bit_gen.log = [bit_gen.state["state"]["state"]]
+        made.append((region, bit_gen))
         return bit_gen
 
     monkeypatch.setattr(montecarlo, "_region_at", recording)
     n, (stream, size, start, m) = 5, span
     _drawn((n,), 9, span, eav_mode)
     read = []
-    for (seed, stream_i, region), bit_gen, first_state in made:
+    for (seed, stream_i, region), bit_gen in made:
         assert seed == 9
         seeded = np.random.PCG64DXSM(np.random.SeedSequence(9, spawn_key=(stream_i, region)))
         inc = seeded.state["state"]["inc"]
-        first = _steps(seeded.state["state"]["state"], first_state, inc)
-        read.append((stream_i, region, first,
-                     first + _steps(first_state, bit_gen.state["state"]["state"], inc)))
+        states = [*bit_gen.log, bit_gen.state["state"]["state"]]
+        words = [_steps(seeded.state["state"]["state"], s, inc) for s in states]
+        read += [(stream_i, region, lo, hi) for lo, hi in zip(words[::2], words[1::2]) if hi > lo]
     want = [(stream, 0, start + j * size) for j in range(2 * n)]  # f_R, f_D of each element
     if eav_mode == "rayleigh":
         want.append((stream, 1, start))
@@ -719,7 +731,8 @@ def test_block_terms_are_views_of_the_buffer_they_are_given(eav_mode):
     for span in ((1, m, 0, m), (2, 3 * m + 5, m, m)):
         for block in ((0, step), (8, 11)):
             buf = np.empty(montecarlo._block_floats(eav_mode, step, m))
-            rows = [r for r in montecarlo._block_terms(7, span, eav_mode, block, buf)
+            regions = montecarlo._chunk_regions(7, span, eav_mode, block[0])
+            rows = [r for r in montecarlo._block_terms(regions, span, eav_mode, block, buf)
                     if r is not None]
             assert len(rows) == (1 if eav_mode == "rayleigh" else 2)
             for r in rows:

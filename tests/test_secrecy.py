@@ -8,6 +8,7 @@ Gaussian-sum model.
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,21 +91,24 @@ def test_sop_matches_adaptive_quadrature(n, gd, ge):
 
 
 # (sop, sop_asymptotic, asc) at the GRID points and the fig2 base at N=96,
-# as the scalar-loop series evaluated them; the kernel must keep them.
+# as the scalar-loop series evaluated them, except the asc values at
+# snr_e = 0 dB, N=10 and N=96: those are the erfc law's, 1.4e-12 to 3.5e-12
+# above the series', which left out up to 1e-12 of the mixing mass (see
+# test_closed_forms_are_their_quadrature_rule_exactly).
 FROZEN = {
     (5, 0.0, -10.0): (0.03859599205068675, 0.019180931616858393, 2.982867296298715),
-    (5, 0.0, 0.0): (0.3568262023401368, 0.31783680282597254, 1.4554098844676622),
+    (5, 0.0, 0.0): (0.3568262023401368, 0.31783680282597254, 1.455409884469053),
     (5, 10.0, -10.0): (0.005246221644889901, 0.0031894157045135227, 4.599073966720361),
-    (5, 10.0, 0.0): (0.03064742854964658, 0.026920559721588112, 3.0716165548893084),
+    (5, 10.0, 0.0): (0.03064742854964658, 0.026920559721588112, 3.0716165548908503),
     (5, 20.0, -10.0): (0.0014679433493161272, 0.0009284441772860679, 5.063808441267518),
-    (5, 20.0, 0.0): (0.004170752862187167, 0.0037430755939624467, 3.5363510294364655),
-    (10, 0.0, -10.0): (0.0014011654677169394, 0.0008650312760608755, 3.903808471710432),
-    (10, 0.0, 0.0): (0.19727301268734027, 0.1811795152150139, 2.0639484186493045),
-    (10, 10.0, -10.0): (8.955823179268203e-05, 6.427288859656583e-05, 4.691680038861375),
-    (10, 10.0, 0.0): (0.020248221069426843, 0.017345874968667296, 2.8518199858002475),
-    (10, 20.0, -10.0): (2.2707745304432514e-05, 1.691149313467272e-05, 4.8137486341738605),
-    (10, 20.0, 0.0): (0.009155083471574186, 0.007567028352825289, 2.9738885811127327),
-    (96, 10.0, -10.0): (0.006770767894168361, 0.00552192869827094, 3.026101720050582),
+    (5, 20.0, 0.0): (0.004170752862187167, 0.0037430755939624467, 3.536351029438036),
+    (10, 0.0, -10.0): (0.0014011654677169394, 0.0008650312760608755, 3.9038084717126877),
+    (10, 0.0, 0.0): (0.19727301268734027, 0.1811795152150139, 2.0639484186517443),
+    (10, 10.0, -10.0): (8.955823179268203e-05, 6.427288859656583e-05, 4.691680038863745),
+    (10, 10.0, 0.0): (0.020248221069426843, 0.017345874968667296, 2.851819985802801),
+    (10, 20.0, -10.0): (2.2707745304432514e-05, 1.691149313467272e-05, 4.8137486341762425),
+    (10, 20.0, 0.0): (0.009155083471574186, 0.007567028352825289, 2.9738885811152986),
+    (96, 10.0, -10.0): (0.006770767894168361, 0.00552192869827094, 3.0261017200540583),
 }
 
 
@@ -115,6 +119,50 @@ def test_closed_forms_frozen_values(n, gd, ge):
     got = (sop(p, stats), sop_asymptotic(p, stats), avg_secrecy_capacity(p, stats).value)
     for value, want in zip(got, FROZEN[n, gd, ge]):
         assert value == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def _exact_law(arg: float, stats, g: float, upper_tail: bool):
+    """rho_D's CCDF, or its CDF, at the float ``arg`` from mpmath's erfc (40 digits)."""
+    with mp.workdps(40):
+        a = mp.sqrt(mp.mpf(stats.lambda_) / stats.sigma2)
+        b = mp.sqrt(mp.mpf(arg) / (mp.mpf(g) * stats.sigma2))
+        ccdf = (mp.erfc((b - a) / mp.sqrt(2)) + mp.erfc((b + a) / mp.sqrt(2))) / 2
+        return ccdf if upper_tail else 1 - ccdf
+
+
+def _exact_rule_sum(upper, coeffs, weight, stats, g, upper_tail):
+    """The closed forms' 100-node sum of weight(x) * law((a x + b)/(c - d x)), law exact."""
+    x, w = _chebyshev_on_interval(DEFAULT_NUMERICS.quad_order, upper)
+    a, b, c, d = coeffs
+    denom = c - d * x
+    with np.errstate(divide="ignore"):
+        arg = (a * x + b) / denom  # the float arguments that _law_at forms
+    dead = mp.mpf(0 if upper_tail else 1)
+    with mp.workdps(40):
+        return mp.fsum(mp.mpf(wi) * weight(mp.mpf(xi))
+                       * (_exact_law(float(ai), stats, g, upper_tail) if live else dead)
+                       for xi, wi, ai, live in zip(x, w, arg, denom > 0.0))
+
+
+@pytest.mark.parametrize("n,gd,ge", sorted(FROZEN))
+def test_closed_forms_are_their_quadrature_rule_exactly(n, gd, ge):
+    # each closed form is its 100-node rule with only the rounding of doubles:
+    # the same sum with an exact law lies within 1e-14 (the rate) and 1e-15
+    # (the outage integrals); the series route misses by up to 3.9e-12 and
+    # 9.8e-15, for the mixing mass its window leaves out
+    p = params_for(n=n, snr_d_db=gd, snr_e_db=ge)
+    stats, g, kd = derive_stats(p), p.snr_d_linear, p.kappa_d_sum
+    want = _exact_rule_sum(1.0 / kd, (1.0, 0.0, 1.0, kd), lambda x: 1 / (1 + x),
+                           stats, g, upper_tail=True) / mp.log(2)
+    assert abs(destination_rate(p, stats) - want) < 1e-14
+    lam_e = mp.mpf(stats.lambda_e)
+    th = theta_coefficients(p)
+    for coeffs in ((th.theta1, th.vartheta, th.theta3, th.theta2),
+                   (th.gamma_th, 0.0, 1.0, th.theta4)):
+        ev = secrecy._outage_probability(*coeffs, stats, g, DEFAULT_NUMERICS)
+        want = _exact_rule_sum(ev.upper_limit, coeffs, lambda x: mp.exp(-x / lam_e) / lam_e,
+                               stats, g, upper_tail=False)
+        assert abs(ev.integral - want) < 1e-15, coeffs
 
 
 LARGE_N_CASES = [
@@ -572,9 +620,9 @@ def _masked_law(x, coeffs, stats, g, upper_tail):
     live = denom > 0.0
     f = np.full_like(x, 0.0 if upper_tail else 1.0)
     if upper_tail:  # destination_rate's x/(1 - kappa_d x)
-        f[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method="series")
+        f[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method=secrecy._LAW_ROUTE)
     else:
-        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method="series")
+        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method=secrecy._LAW_ROUTE)
     return f, live
 
 
