@@ -202,7 +202,11 @@ def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: f
     Where c - d x <= 0 the destination cannot reach the target (its SNDR
     saturates), so the CDF is 1 there and the CCDF 0. When every node is
     live, which is the common case, the law takes the nodes as they are;
-    its values are the same bits.
+    its values are the same bits. That shortcut is kept for speed: one
+    masked divide for every case (``np.divide(..., where=denom > 0)``
+    onto +inf) gives the same bits, but read ``scan`` wall_s 0.0511 s
+    against 0.0495 s in the median of 10 alternating runs, slower in 9
+    of 10 (2-CPU Intel Xeon).
     """
     _poisson_window(stats.lambda_ / (2.0 * stats.sigma2))
     law = ccdf_rho_d if upper_tail else cdf_rho_d
