@@ -3,15 +3,14 @@
 
 The layer-by-layer view of the analytic path: the wall time of one
 call of ``cdf_rho_d`` and ``ccdf_rho_d`` on 100 points spread over the
-body and upper tail of rho_D (on the route that the closed forms read,
-and as ``*_series`` on the series route), of ``sop``, ``sop_asymptotic``,
+body and upper tail of rho_D, of ``sop``, ``sop_asymptotic``,
 ``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
-the ``*_reference`` twins, at N in
-{1, 10, 64, 128} and the fig2 base point (kappa^2 = 0.01 on all four
-levels, snr_d = 10 dB, snr_e = -10 dB, c_th = 1). It also replays the
-kernel (``channel._rho_d_law``) calls of one pass of the benchmark's
-``scan`` workload at seed 1, recorded from ``perfbench/workloads.py``,
-whose nodes reach the far tails that the 100-point grid does not.
+the ``*_reference`` twins, at N in {1, 10, 64, 128} and the fig2 base
+point (kappa^2 = 0.01 on all four levels, snr_d = 10 dB, snr_e = -10 dB,
+c_th = 1). It also replays the kernel (``channel._rho_d_law``) calls of
+one pass of the benchmark's ``scan`` workload at seed 1, recorded from
+``perfbench/workloads.py``, whose nodes reach the far tails that the
+100-point grid does not.
 timeit's autorange runs each call first, which fills the caches before
 the timed rounds. Each round then times every call in turn,
 round-robin, so that a phase of a slow core falls on all calls alike
@@ -41,7 +40,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from ris_secrecy import channel
 from ris_secrecy.channel import SystemParams, ccdf_rho_d, cdf_rho_d, derive_stats
 from ris_secrecy.secrecy import (
-    _LAW_ROUTE,
     avg_secrecy_capacity,
     avg_secrecy_capacity_reference,
     eavesdropper_rate,
@@ -71,10 +69,8 @@ def calls_at(n: int) -> dict:
     g = p.snr_d_linear
     xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
     return {
-        "cdf_rho_d": lambda: cdf_rho_d(xs, st, g, method=_LAW_ROUTE),
-        "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g, method=_LAW_ROUTE),
-        "cdf_rho_d_series": lambda: cdf_rho_d(xs, st, g, method="series"),
-        "ccdf_rho_d_series": lambda: ccdf_rho_d(xs, st, g, method="series"),
+        "cdf_rho_d": lambda: cdf_rho_d(xs, st, g),
+        "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g),
         "sop": lambda: sop(p, st),
         "sop_asymptotic": lambda: sop_asymptotic(p, st),
         "avg_secrecy_capacity": lambda: avg_secrecy_capacity(p, st),

@@ -60,7 +60,7 @@ def main() -> int:
         p = scenario(n)
         stats = derive_stats(p)
         x = np.sort(sample_quantity("rho_d", p, McConfig(trials=args.trials, seed=args.seed)))
-        ks = ks_distance(x, lambda xs: cdf_rho_d(xs, stats, p.snr_d_linear, method="marcum"))
+        ks = ks_distance(x, lambda xs: cdf_rho_d(xs, stats, p.snr_d_linear))
         print(f"  N={n:4d}: KS = {ks:.4f}   (0.048 * sqrt(5/N) = {0.048 * (5 / n) ** 0.5:.4f})")
 
     # at snr_e = 0 dB the eavesdropper takes part in outage at every N; the

@@ -17,6 +17,11 @@ the algebra at once. Both evaluate the Gaussian-sum model of the
 destination channel; the Monte Carlo module simulates the signal-level
 channel itself, so its gap to them measures the model's error as well.
 
+The closed forms hold for N <= 245. Beyond that their 100-node rule no
+longer resolves the destination law, and they raise
+:class:`.channel.ConvergenceError` from :func:`_check_domain` rather
+than return an unchecked value; the twins have no such bound.
+
 Both outage probabilities are one integral with two coefficient sets.
 Its upper limit c/d is finite only because the SNDRs saturate; the
 eavesdropper mass beyond it makes outage certain and must be added as a
@@ -44,7 +49,7 @@ import numpy as np
 from scipy import special as sc
 
 from ._schema import check_field_types
-from .channel import ChannelStats, SystemParams, _poisson_window, cdf_rho_d, ccdf_rho_d
+from .channel import ChannelStats, ConvergenceError, SystemParams, cdf_rho_d, ccdf_rho_d
 
 
 class UnsupportedRegimeError(ValueError):
@@ -102,8 +107,11 @@ DEFAULT_NUMERICS = NumericsConfig()
 # mass discarded where an integration limit or the twins' X1 range is truncated
 _TAIL_EPSILON = 1e-12
 
-# the route of channel.cdf_rho_d/ccdf_rho_d that the closed forms read
-_LAW_ROUTE = "marcum"
+# The closed forms' domain (see _check_domain): the Poisson mixture of
+# rho_D's law, grown from its mode, must leave out less than _REL_TOL of
+# its mass within _MAX_TERMS terms.
+_MAX_TERMS = 200
+_REL_TOL = 1e-12
 
 
 def theta_coefficients(params: SystemParams) -> ThetaSet:
@@ -188,16 +196,43 @@ def _asymptotic_thetas(params: SystemParams) -> ThetaSet:
     return th
 
 
+@lru_cache(maxsize=128)
+def _check_domain(mean: float) -> None:
+    """Raise ConvergenceError where the closed forms leave their domain.
+
+    rho_D/(2 g sigma^2) is a Poisson(``mean``) mixture of chi-square laws
+    with odd degrees of freedom, ``mean`` = lambda/(2 sigma^2). The check
+    scans outward from the Poisson mode for the window that leaves out
+    less than _REL_TOL/2 of the mixing mass on each side (Ding, AS 275)
+    and raises where that window needs more than _MAX_TERMS terms. That
+    bounds the domain where the 100-node rule resolves the law, N <= 245:
+    past it the closed forms return values off their twins by up to
+    1.8e-5, and the error names that instead. ROADMAP item 19 replaces
+    this check with the closed forms' own error estimate.
+
+    Cached per mean, because the scan costs some 800 incomplete gammas
+    and every closed-form evaluation at the same N asks for it; the cache
+    holds no exceptions, so a mean outside the domain raises on every call.
+    """
+    mode = math.floor(mean)
+    k = np.arange(max(mode - _MAX_TERMS, 0), mode + _MAX_TERMS + 1)
+    half = 0.5 * _REL_TOL
+    # P(K < k) = Q(k, mean) rises with k and P(K > k) = P(k+1, mean) falls
+    starts = k[(k <= mode) & (sc.gammaincc(k, mean) < half)]
+    ends = k[(k >= mode) & (sc.gammainc(k + 1, mean) < half)]
+    if not (starts.size and ends.size and ends[0] - starts[-1] < _MAX_TERMS):
+        lo = max(mode - _MAX_TERMS // 2, 0)
+        left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + _MAX_TERMS, mean)
+        raise ConvergenceError("rho_D mixture series", _MAX_TERMS, float(left_out))
+
+
 def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: float,
             upper_tail: bool):
     """F_rhoD, or 1 - F_rhoD if ``upper_tail``, at (a x + b)/(c - d x) for each node x.
 
-    The law is the erfc route of :func:`.channel.cdf_rho_d`, each tail
-    formed directly. The closed forms keep the domain of the series
-    route: where its Poisson window would need more than
-    ``channel._MAX_TERMS`` terms (N >= 256), the 100-node rule
-    under-resolves, and this raises the window's ConvergenceError, live
-    nodes or not.
+    The law is the erfc form of :func:`.channel.cdf_rho_d`, each tail
+    formed directly. Outside the closed forms' domain (N >= 246, see
+    :func:`_check_domain`) this raises ConvergenceError, live nodes or not.
 
     Where c - d x <= 0 the destination cannot reach the target (its SNDR
     saturates), so the CDF is 1 there and the CCDF 0. When every node is
@@ -208,14 +243,14 @@ def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: f
     against 0.0495 s in the median of 10 alternating runs, slower in 9
     of 10 (2-CPU Intel Xeon).
     """
-    _poisson_window(stats.lambda_ / (2.0 * stats.sigma2))
+    _check_domain(stats.lambda_ / (2.0 * stats.sigma2))
     law = ccdf_rho_d if upper_tail else cdf_rho_d
     denom = c - d * x
     if denom.min() > 0.0:
-        return law((a * x + b) / denom, stats, g, method=_LAW_ROUTE)
+        return law((a * x + b) / denom, stats, g)
     live = denom > 0.0
     f = np.full_like(x, 0.0 if upper_tail else 1.0)
-    f[live] = law((a * x[live] + b) / denom[live], stats, g, method=_LAW_ROUTE)
+    f[live] = law((a * x[live] + b) / denom[live], stats, g)
     return f
 
 

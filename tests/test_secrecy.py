@@ -91,10 +91,10 @@ def test_sop_matches_adaptive_quadrature(n, gd, ge):
 
 
 # (sop, sop_asymptotic, asc) at the GRID points and the fig2 base at N=96,
-# as the scalar-loop series evaluated them, except the asc values at
-# snr_e = 0 dB, N=10 and N=96: those are the erfc law's, 1.4e-12 to 3.5e-12
-# above the series', which left out up to 1e-12 of the mixing mass (see
-# test_closed_forms_are_their_quadrature_rule_exactly).
+# as an earlier incomplete-gamma series form of the law evaluated them,
+# except the asc values at snr_e = 0 dB, N=10 and N=96: those are the erfc
+# law's, 1.4e-12 to 3.5e-12 above the series', which left out up to 1e-12
+# of the mixing mass (see test_closed_forms_are_their_quadrature_rule_exactly).
 FROZEN = {
     (5, 0.0, -10.0): (0.03859599205068675, 0.019180931616858393, 2.982867296298715),
     (5, 0.0, 0.0): (0.3568262023401368, 0.31783680282597254, 1.455409884469053),
@@ -148,8 +148,7 @@ def _exact_rule_sum(upper, coeffs, weight, stats, g, upper_tail):
 def test_closed_forms_are_their_quadrature_rule_exactly(n, gd, ge):
     # each closed form is its 100-node rule with only the rounding of doubles:
     # the same sum with an exact law lies within 1e-14 (the rate) and 1e-15
-    # (the outage integrals); the series route misses by up to 3.9e-12 and
-    # 9.8e-15, for the mixing mass its window leaves out
+    # (the outage integrals)
     p = params_for(n=n, snr_d_db=gd, snr_e_db=ge)
     stats, g, kd = derive_stats(p), p.snr_d_linear, p.kappa_d_sum
     want = _exact_rule_sum(1.0 / kd, (1.0, 0.0, 1.0, kd), lambda x: 1 / (1 + x),
@@ -176,8 +175,8 @@ LARGE_N_CASES = [
 
 @pytest.mark.parametrize("n,metric", LARGE_N_CASES)
 def test_large_n_value_or_named_error(n, metric):
-    # a closed form either agrees with its reference or names its failure;
-    # the series must not overflow however far the Poisson mode moves out
+    # a closed form either agrees with its reference or names its failure,
+    # and never overflows however large N is
     p = params_for(n=n)
     stats = derive_stats(p)
     route = ROUTES[metric]
@@ -186,6 +185,22 @@ def test_large_n_value_or_named_error(n, metric):
     except (ConvergenceError, UnsupportedRegimeError):
         return
     assert abs(value - route.twin(p, stats, DEFAULT_NUMERICS)) < 1e-6
+
+
+@pytest.mark.parametrize("metric,at_245", [
+    ("sop", 0.14082), ("sop_asymptotic", 0.12999), ("asc", 2.15988)])
+def test_closed_forms_domain_ends_between_n245_and_n246(metric, at_245):
+    # the fig2 base point: N=245 (mixture mean 197.2) gives a value, N=246
+    # (198.0) the domain check's ConvergenceError, on every call, since
+    # failures are not cached
+    route = ROUTES[metric]
+    p = params_for(n=245)
+    assert route.closed_form(p, derive_stats(p), DEFAULT_NUMERICS) == pytest.approx(
+        at_245, rel=0.0, abs=5e-6)
+    p = params_for(n=246)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
+            route.closed_form(p, derive_stats(p), DEFAULT_NUMERICS)
 
 
 def test_sop_low_snr_tends_to_one():
@@ -384,7 +399,7 @@ ORACLE_POINTS = [
     # ideal hardware at high SNR: the rate integrand spans ~1e10
     pytest.param(params_for(n=64, snr_d_db=60.0, snr_e_db=0.0, k2=0.0), id="n64_60dB"),
     pytest.param(params_for(n=34, snr_d_db=56.3, snr_e_db=-14.75, k2=0.0, c_th=3.0), id="n34_56dB"),
-    # the fig2 base point at large N, where the closed forms' series window is widest
+    # the fig2 base point at large N, at and past the edge of the closed forms' domain
     *(pytest.param(params_for(n=n), id=f"fig2_n{n}") for n in (96, 128, 256, 1024)),
     # theta2 = 1e-11 and theta4 = 2e-12 at lambda_e = 100: both saturation
     # limits lie so far out that exp(-c/(d lambda_e)) underflows to 0
@@ -620,9 +635,9 @@ def _masked_law(x, coeffs, stats, g, upper_tail):
     live = denom > 0.0
     f = np.full_like(x, 0.0 if upper_tail else 1.0)
     if upper_tail:  # destination_rate's x/(1 - kappa_d x)
-        f[live] = ccdf_rho_d(x[live] / denom[live], stats, g, method=secrecy._LAW_ROUTE)
+        f[live] = ccdf_rho_d(x[live] / denom[live], stats, g)
     else:
-        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g, method=secrecy._LAW_ROUTE)
+        f[live] = cdf_rho_d((a * x[live] + b) / denom[live], stats, g)
     return f, live
 
 
@@ -657,8 +672,8 @@ def test_law_at_keeps_the_masked_bits(upper_tail, some_dead):
 
 
 def test_outage_integral_with_no_live_node_still_raises_at_large_n():
-    # the CDF is still asked for its (empty) values, so N=256's oversized
-    # Poisson window raises as it does when nodes are live
+    # the domain check runs before any node is read, so N=256 raises as it
+    # does when nodes are live
     p = params_for(n=256)
     stats = derive_stats(p)
     with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
