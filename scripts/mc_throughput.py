@@ -9,9 +9,11 @@ on one grouped pass with ``simulate_points``, which draws each chunk
 once for the largest N. All at the fig2 base point with its Monte Carlo
 settings (4 streams), at ``--trials`` trials per point. Throughput is
 trials scored per second, summed over the grid's points. Under it, the
-draw itself: Rayleigh amplitudes/s by inversion on one thread, over one
-block of 2^16 (``montecarlo._BLOCK``) and over 2^20 values. Under those,
-``words_per_s``: the uniform doubles per second that one region's
+draw kernel: ``element_terms_per_s``, the f_R f_D terms per second that
+``montecarlo._block_terms`` forms on one thread over the 1024 element
+columns of one chunk of 25 000 trials, one element a block, which is
+the shape of a ``large_n`` draw (1e5 trials over 4 streams). Under
+that, ``words_per_s``: the uniform doubles per second that one region's
 generator gives on one thread over 2^20 values, one 64-bit word each,
 which is the word source of every draw (see the ``montecarlo`` stream
 layout). Both draw into buffers whose pages are touched before the
@@ -55,9 +57,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ris_secrecy.montecarlo import (
     _AMPLITUDES,
-    _BLOCK,
     LinkMemo,
-    _exponentials,
+    _block_floats,
+    _block_terms,
+    _chunk_regions,
     _region_at,
     _uniforms,
     _usable_cpus,
@@ -69,7 +72,7 @@ from ris_secrecy.sweeps import PRESET_NAMES, ROUTES, load_preset, run_sweeps
 
 SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
-AMPLITUDES = (_BLOCK, 1 << 20)
+TERM_TRIALS = 25_000  # one chunk of a large_n draw: 1e5 trials over 4 streams
 WORDS = 1 << 20
 
 
@@ -159,6 +162,19 @@ def curve_scoring_trials_per_s(trials: int, repeat: int) -> dict:
     return result
 
 
+def element_terms_per_s(seed: int, repeat: int) -> float:
+    """f_R f_D terms per s of ``_block_terms`` over GRID[-1] one-element blocks of TERM_TRIALS."""
+    span = (0, TERM_TRIALS, 0, TERM_TRIALS)  # stream 0, a chunk that is the whole stream
+    buf = np.ones(_block_floats("rayleigh", 1, TERM_TRIALS))  # pages touched before the clock
+
+    def draw():
+        regions = _chunk_regions(seed, span, "rayleigh", 0)
+        for lo in range(GRID[-1]):
+            _block_terms(regions, span, "rayleigh", (lo, lo + 1), buf)
+
+    return GRID[-1] * TERM_TRIALS / median_s(draw, repeat)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--trials", type=int, default=100_000, help="trials per point")
@@ -178,11 +194,6 @@ def main(argv=None) -> int:
     def gen():
         return np.random.Generator(_region_at(region, 0))
 
-    amplitudes = {}
-    for size in AMPLITUDES:
-        out = np.ones((1, size))  # pages touched before the clock starts
-        amplitudes[f"one_thread_{size}"] = size / median_s(
-            lambda: np.sqrt(_exponentials(gen(), size, out), out=out), args.repeat)
     words = np.ones((1, WORDS))
     words_per_s = WORDS / median_s(lambda: _uniforms(gen(), WORDS, words), args.repeat)
     passes = {f"cpus_{cpus}": pinned_pass_s(cpus, mc, grid, args.repeat) for cpus in (2, 1)}
@@ -200,7 +211,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
         "words_per_s": round(words_per_s),
-        "amplitudes_per_s": {k: round(v) for k, v in amplitudes.items()},
+        "element_terms_per_s": round(element_terms_per_s(mc.seed, args.repeat)),
         "grouped_pass_s": {k: v if v is None else round(v, 4) for k, v in passes.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},
         "curve_scoring_trials_per_s": curve_scoring_trials_per_s(args.trials, args.repeat),

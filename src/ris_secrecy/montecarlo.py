@@ -54,7 +54,10 @@ X1 is a snapshot of one running sum. The values
 therefore depend neither on the chunking, nor on which N are drawn
 together, nor on the CPU count. Amplitudes are sqrt(E), E = -log(1 - u)
 with u uniform on the 2^-53 grid of [0, 1). Inversion caps E at
--log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16.
+-log(2^-53) ~ 36.7, which Exp(1) exceeds with probability 1.1e-16. The
+product of two amplitudes is formed under one root, f_R f_D =
+sqrt(log(1 - u_R) log(1 - u_D)) (and f_R f_E alike), which is within 2
+ulp (2^-51 relative) of the product of the two roots.
 
 Memory: a chunk of m trials (at most ``_CHUNK``) is drawn in blocks of
 elements of about ``_BLOCK`` amplitudes, each into the chunk's one block
@@ -225,16 +228,20 @@ def _uniforms(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def _exponentials(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndarray:
-    """Exp(1) values -log(1 - u) of the uniforms u of :func:`_uniforms`, in place.
+def _log_complements(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndarray:
+    """log(1 - u) <= 0 of the uniforms u of :func:`_uniforms`, in place.
 
-    1 - u is exact on u's 2^-53 grid, so this is -log1p(-u), from numpy's
+    1 - u is exact on u's 2^-53 grid, so this is log1p(-u), from numpy's
     faster ``log`` loop.
     """
     u = _uniforms(gen, stride, out)
     np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    return np.negative(u, out=u)
+    return np.log(u, out=u)
+
+
+def _exponentials(gen: np.random.Generator, stride: int, out: np.ndarray) -> np.ndarray:
+    """Exp(1) values -log(1 - u) of the uniforms u of :func:`_uniforms`, in place."""
+    return np.negative(_log_complements(gen, stride, out), out=out)
 
 
 def _block_floats(eav_mode: str, elements: int, m: int) -> int:
@@ -242,15 +249,20 @@ def _block_floats(eav_mode: str, elements: int, m: int) -> int:
     return (2 if eav_mode == "rayleigh" else 5) * elements * m
 
 
-def _multiply_rows(rows: np.ndarray, factors: np.ndarray) -> None:
-    """``rows *= factors``, one row at a time.
+def _root_products(rows: np.ndarray, factors: np.ndarray) -> None:
+    """``rows = sqrt(rows * factors)``, one row at a time.
 
-    ``factors`` are every other row of a block (the f_R rows), and a
-    whole-array product with such strided rows makes numpy take up to
-    three 64 KiB iterator buffers; a product of two rows takes none.
+    Both are log(1 - u) rows, so each product of two is >= 0 and its
+    root is the product of the two amplitudes sqrt(-log(1 - u)). One
+    root in place of two moves a term by at most 2 ulp (2^-51
+    relative). ``factors`` are every other row of a block (the
+    log(1 - u_R) rows), and a whole-array product with such strided rows
+    makes numpy take up to three 64 KiB iterator buffers; a product of
+    two rows takes none.
     """
     for row, factor in zip(rows, factors):
         np.multiply(row, factor, out=row)
+        np.sqrt(row, out=row)
 
 
 def _block_terms(regions: tuple, span: tuple, eav_mode: str, block: tuple, buf: np.ndarray):
@@ -264,14 +276,18 @@ def _block_terms(regions: tuple, span: tuple, eav_mode: str, block: tuple, buf: 
     else is allocated: in ``phase_sum`` mode the complex rows come first,
     then the f_R and f_D rows, then one row per element for the phase
     and, after it, f_E.
+
+    Each amplitude row holds log(1 - u) of its region-0 (or region-2)
+    uniforms, and a term is one root of two of them (see
+    :func:`_root_products`): f_R f_D = sqrt(log(1 - u_R) log(1 - u_D)).
+    The f_R rows stay logs until f_R f_E is formed from them too.
     """
     _, size, _, m = span
     k = block[1] - block[0]
     rows = 0 if eav_mode == "rayleigh" else 2 * k  # float rows before f_R and f_D
-    amp = _exponentials(regions[0], size, buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
-    np.sqrt(amp, out=amp)
-    f_r, x1_terms = amp[0::2], amp[1::2]
-    _multiply_rows(x1_terms, f_r)
+    logs = _log_complements(regions[0], size, buf[rows * m:(rows + 2 * k) * m].reshape(2 * k, m))
+    log_r, x1_terms = logs[0::2], logs[1::2]
+    _root_products(x1_terms, log_r)
     if eav_mode == "rayleigh":
         return x1_terms, None
     x2_terms = buf[:rows * m].view(complex).reshape(k, m)
@@ -284,9 +300,8 @@ def _block_terms(regions: tuple, span: tuple, eav_mode: str, block: tuple, buf: 
     x2_terms.imag = 0.0
     x2_terms *= 1j
     np.exp(x2_terms, out=x2_terms)
-    f_e = _exponentials(regions[2], size, u)
-    np.sqrt(f_e, out=f_e)
-    _multiply_rows(f_e, f_r)
+    f_e = _log_complements(regions[2], size, u)
+    _root_products(f_e, log_r)  # f_R f_E
     x2_terms.real *= f_e  # (a + bi) f, up to the sign of a zero part, which |X2| drops
     x2_terms.imag *= f_e
     return x1_terms, x2_terms

@@ -249,47 +249,47 @@ def test_outage_rule_agrees_with_the_direct_test_away_from_ties(case):
 # ends on a ragged one, and the _CHUNK + 1000 stream spans two chunks.
 DRAW_DIGESTS = {
     (1, 1, 1000, "rayleigh"): (
-        "961245744bf76fe801606b099031d7cde84d239e2bf5d97ea390447fcae89c30",
-        "8444a63c2592cd868ab9636a233d498dda220c12725e6cd8783badcb6a82a66c"),
+        "c1123e53fd92ef9b20be5d992ea70b2e7ba2fcf72a042d6f7b21d208e112951a",
+        "33f1146bc3263648f4c4e0fa2926b3e7f4a8204b9b233d4ca1efcdccdbffb85d"),
     (1, 3, 1000, "rayleigh"): (
-        "b5e473c78ba6126acba7825b55ce527c0ebd2e6d3a62f96ecfd973346d7c90db",
-        "0ebf295b1e6c997f8c0c9c4b942b7e5fe6246ac197cdaad7b10b96cf9337cafa"),
+        "69690ece6638039f052625e93c4657cfa41ae492218ee4e1973410ad227f6a97",
+        "1851884aed1e707cb164c2d06b82cc2b126b577364fb674105facbf674588d7b"),
     (5, 1, 1000, "rayleigh"): (
-        "9bc42ad14c854184953c2de869aa202b76bff8be9b874338078e6ef1a6f59abe",
-        "9bc42ad14c854184953c2de869aa202b76bff8be9b874338078e6ef1a6f59abe"),
+        "e1b8e1cdfe180522402b59d903704f4197a370b58e543ec187035793d49e628b",
+        "c1fda00ac0a0d54d39f484393dd4b5cb6e2ffc0fde76df311ce9d02219106df0"),
     (5, 3, 1000, "rayleigh"): (
-        "265e2ff33d4a6398f6d6602d4edbe4160616190082eca5c6ac9808608840b257",
-        "632e033813b4cfcd923cfd01b6568329fb4431028a0e5dcb8eeda149794976fc"),
+        "e09b92b7f338ed4b4bb002abfd9b9124bb0aebc319fd90f5443949c7eb367c02",
+        "b94b4a2f80f30cb92872666d6f72e3868391bfaaf8b840abda9c8f0426e3123e"),
     (300, 1, 1000, "rayleigh"): (
-        "d8c320eac33d49f7e49377e68906f4f296594fe1fb6389b6b90632d3f33c202f",
-        "e7e0e8659298d5c4df64229e096bbef920e602278d8a0bd462160d9d6a47c1e3"),
+        "3271c3d9bf86427b0546299fc895bddc2d9c240f34a031be61b5e8336bce96a0",
+        "e049cc4b2ca80e177cc97b99d06743b7f3f04c6e87f93c7345e4fb6d6aca3928"),
     (300, 3, 1000, "rayleigh"): (
-        "716782051ea931920f3c7dbc0bf27b790c0c27fff90871e7565205efedb77040",
-        "5cf075443ba22e1b91598b4e34b1ab5bceb31c51020e58a962e7338bb8713ff9"),
+        "04a85c2f94fab238f17cebaaf482402afec013ea5b21e44090f4b050a7329638",
+        "69e7e66c05e148510388ae06da34d556a93e7cd37bdd62ac506e8fb28dc74351"),
     (5, 1, _CHUNK + 1000, "rayleigh"): (
-        "0bc0d6df37c32735c848b35400037517b4c5739eabe7e597955850af94466544",
-        "1b24d61ab647f2fdb4e8d0b1107d79330f3e89eecf5fdc3814133d00216044d4"),
+        "48e0c74d9d4ba13cd38fff7ed403d46b1d50c3b9815d18d68c0832d578f8c0d6",
+        "70eeac18e460dad81f4d813cf41d139787b474149d3da12213669f780a9bf5ce"),
     (1, 1, 1000, "phase_sum"): (
-        "699bde14603f31e7a72630b58daab17186aec3f6f2ad6822824b696d08b6e05e",
-        "5d9ecb25c02d86049fafdadf50dfc891f1aabdedd04583cf2becf9e899f6953e"),
+        "d898311623bc060d22eea3ea50b0c53b723d6887695a485d6f2809245ebfc8f0",
+        "562b583672eafaf14edaf98f662b2755895871867fc1ca31747dbac04ab8083e"),
     (1, 3, 1000, "phase_sum"): (
-        "037f618b639995bbf4f8e3d6b7120550804482bd418ef13cc20192473543eb9c",
-        "aea15a84cbf3f146549365f69eb2163667974ccf81076f36fe21a2a99a747ae9"),
+        "9fc6bb15141e68a3484870dcb8c4ffed93a48b5094cc2efad986825f17e5ace6",
+        "dc444b3d139e980ae3c571722dcad4510e03e1ee9f151b4d205527c21ba926d0"),
     (5, 1, 1000, "phase_sum"): (
-        "eef1bea6f4eee9f8187b631d2e5b2963c4ae0f45ed9665238b4eef2d43c87fe1",
-        "ce04c009406dcecfb66ab187a04d8f1d6fd38d6428ce4785d77fdac98425abe6"),
+        "11d2f7b01a2a88fa99be667e6dc79032c3e2e5f9cd62a66d206742108168ef02",
+        "4ece4ffc54b750433d113b45a8019f52039d8de8e84cc9ee3accd8335b88878b"),
     (5, 3, 1000, "phase_sum"): (
-        "3e29d1f47a89042191d6b5f37e402a1f60c9a46bf1b737094b2f7b8ac9cb2ce4",
-        "e5bf7c73cf84fb04676b2bcd6664af16ed9446ae990e24e384c51b57ed91b605"),
+        "4ed8399d533d34ea9e495441460d833d88ab748a2fb36c4cdb0853d879e1f6dd",
+        "0e31b5ea9b6196b8bb2ac6f0226815505633a826128949ffd82d26e4ea03c986"),
     (300, 1, 1000, "phase_sum"): (
-        "a97e22c52524a69c986d5b3e6afbfe8755c12457e91697349bf06e281166b257",
-        "cbc2193a96ba3aa15f98816f2982263e11038d14b082cb27e7655c24d9422829"),
+        "a600a4469cffeb71f51141c7297e652139e8121cad912ddbcf9c15b4d172f0c3",
+        "9990dfe99f63bb0584ca9c10769213765b486a07471021178049a835a454e72a"),
     (300, 3, 1000, "phase_sum"): (
-        "8b9a170753dcb35dd00f6fad7dd37440669b67a86ad9effd5e1d6b479f00e273",
-        "3f5030322442108e9a691768aacebdbf1620f7031d86fdded82fa51f2b9e3ea6"),
+        "a3b052bd70ecc9f71893cd1a0ab040b03513ded93e344c7c48b6883532b52e23",
+        "b2183aa5b34887b0646eb14ece1389854f78d6b81d8722fca2549956a8f81b31"),
     (5, 1, _CHUNK + 1000, "phase_sum"): (
-        "0550aab053735981476819afeb46f9be9a0424d79c27374282c68c3157fa0092",
-        "4f70a2c2fa167768f10bec83c707a788fc105551d3d6e471f74548e28631d7ef"),
+        "1aa888f7e7faabacb7bc92124813e8d6bb94963043d2b2a41d8e94df55a7c901",
+        "0e8ac7c7ca83edb4326248854656df5b44eaa6a05cdceda3aabfb7adc6629013"),
 }
 
 
@@ -342,8 +342,8 @@ def test_model_law_chunks_golden_digest(key):
 SIMULATE_GOLDEN = {
     ("rayleigh", 0.0, 3000, 3): {
         "sop": (0.07066666666666667, 0.00467877793477773),
-        "asc_eq19": (3.2884885759831257, 0.02741932693011411),
-        "asc_eq6": (3.296348618520425, 0.02706540142089655)},
+        "asc_eq19": (3.288488575983125, 0.027419326930114146),
+        "asc_eq6": (3.2963486185204243, 0.02706540142089658)},
     ("rayleigh", 0.0, _CHUNK + 1000, 1): {
         "sop": (0.06567126744292098, 0.0004828817759206859),
         "asc_eq19": (3.3117774170409904, 0.0029386637865468886),
@@ -359,7 +359,7 @@ SIMULATE_GOLDEN = {
     ("phase_sum", 0.0, 3000, 3): {
         "sop": (0.043666666666666666, 0.0037309466577482666),
         "asc_eq19": (3.347975608909561, 0.024740344591676497),
-        "asc_eq6": (3.350859066985189, 0.024593987210981428)},
+        "asc_eq6": (3.350859066985189, 0.024593987210981407)},
     ("phase_sum", 0.0, _CHUNK + 1000, 1): {
         "sop": (0.039210470312832514, 0.00037837150337769013),
         "asc_eq19": (3.3919584920366472, 0.0026438124979835547),
@@ -405,23 +405,25 @@ def _region_uniforms(seed, stream, region, first, m):
 
 def _reference_sums(n, seed, span, eav_mode):
     # the region table spelled out: every column from the raw words of its
-    # region's generator, whole arrays, summed over the elements in order.
-    # Returns the running sum X1 and e (rayleigh) or X2 (phase_sum)
+    # region's generator, whole arrays, summed over the elements in order,
+    # each product of two amplitudes formed under one root as the draw
+    # forms it: f_R f_D = sqrt(log(1 - u_R) log(1 - u_D)). Returns the
+    # running sum X1 and e (rayleigh) or X2 (phase_sum)
     stream, size, start, m = span
 
     def uniforms(region, first):
         return _region_uniforms(seed, stream, region, start + first, m)
 
-    def amplitudes(region, first):
-        return np.sqrt(-np.log(1.0 - uniforms(region, first)))
+    def logs(region, first):
+        return np.log(1.0 - uniforms(region, first))
 
     x1, x2 = np.zeros(m), np.zeros(m, dtype=complex)
     for i in range(n):
-        f_r = amplitudes(0, 2 * i * size)
-        x1 = x1 + amplitudes(0, (2 * i + 1) * size) * f_r
+        log_r = logs(0, 2 * i * size)
+        x1 = x1 + np.sqrt(logs(0, (2 * i + 1) * size) * log_r)
         if eav_mode == "phase_sum":
             delta = uniforms(3, i * size) * (2.0 * math.pi) - math.pi
-            x2 = x2 + np.exp(delta * 1j) * (amplitudes(2, i * size) * f_r)
+            x2 = x2 + np.exp(delta * 1j) * np.sqrt(logs(2, i * size) * log_r)
     if eav_mode == "rayleigh":
         return x1, -np.log(1.0 - uniforms(1, 0))
     return x1, x2
@@ -454,6 +456,37 @@ def test_draw_chunk_equals_whole_array_reference(n, m, eav_mode):
     for span in ((1, m, 0, m), (2, 3 * m + 5, m, m)):
         _assert_same_pairs(_drawn((n,), n + m, span, eav_mode),
                            [_reference_draw_chunk(n, n + m, span, eav_mode)])
+
+
+@pytest.mark.parametrize("eav_mode", ["rayleigh", "phase_sum"])
+def test_element_terms_are_the_inversion_product_to_two_ulps(eav_mode):
+    # every f_R f_D (and f_R f_E) term of one block of 64 elements,
+    # against the product of the two inversion amplitudes
+    # sqrt(-log(1 - u)) from the regions' raw words: one root in place of
+    # two moves a term by at most 2 ulp
+    n, m = 64, 4000
+    span = (2, 3 * m + 5, m, m)
+    stream, size, start, _ = span
+    buf = np.empty(montecarlo._block_floats(eav_mode, n, m))
+    regions = montecarlo._chunk_regions(17, span, eav_mode, 0)
+    x1_terms, _ = montecarlo._block_terms(regions, span, eav_mode, (0, n), buf)
+    got = {"f_D": x1_terms}
+    if eav_mode == "phase_sum":
+        got["f_E"] = buf[4 * n * m:5 * n * m].reshape(n, m)  # the f_R f_E rows, after the phase
+
+    def amplitudes(region, first):
+        u = _region_uniforms(17, stream, region, start + first, m)
+        return np.sqrt(-np.log(1.0 - u))
+
+    for i in range(n):
+        f_r = amplitudes(0, 2 * i * size)
+        want = {"f_D": amplitudes(0, (2 * i + 1) * size) * f_r}
+        if eav_mode == "phase_sum":
+            want["f_E"] = amplitudes(2, i * size) * f_r
+        for name, terms in got.items():
+            row = terms[i]
+            assert not np.isnan(row).any() and (row >= 0.0).all(), (name, i)
+            assert (np.abs(row - want[name]) <= 2.0 ** -51 * want[name]).all(), (name, i)
 
 
 GROUPS = [  # (group, m)

@@ -386,7 +386,10 @@ def test_run_sweep_peak_memory_per_trial(outputs, mc_check, bytes_per_trial):
 # sha256 of the Monte Carlo rows (axis value, metric, value, std_error,
 # trials, seed) of each bundled preset curve at its own 1e5 trials. Like
 # SIMULATE_GOLDEN in test_montecarlo.py, they hold with numpy 2.4.6 on
-# x86-64 with and without its AVX512 log and log2 loops.
+# x86-64 with and without its AVX512 log and log2 loops, but for fig6's
+# kappa2_0p05 curve: the std_error of its mc_asc row at -4 dB differs by
+# 2 ulp between the loops, so its pin is a pair, the AVX512F loop's first
+# and the plain one's second (as in DRAW_DIGESTS).
 PRESET_MC_DIGESTS = {
     ("fig2", "n5"): "8f48436c36c482a9076b464b89ee9e912844b8200c00ad84571799fe9cb1d28c",
     ("fig2", "n10"): "e9118cb510c644dd2ecf4d98877e26e1954a6655b296d9b76cb699afd0ce96e6",
@@ -396,13 +399,21 @@ PRESET_MC_DIGESTS = {
     ("fig4", "kappa2_0"): "d562d9914ac47815b4b12b69453534ec75c319972df0f109afe66ff38c89f48c",
     ("fig4", "kappa2_0p01"): "8f48436c36c482a9076b464b89ee9e912844b8200c00ad84571799fe9cb1d28c",
     ("fig4", "kappa2_0p1"): "43276543e3683dec44c7c64dd09956be06bbbaa65286df02cd4254d27b0a83d1",
-    ("fig5", "n5"): "820fa080fc68cae1c3e075fbd80af7dbc1d4729137d542c4941a277c1cd30e20",
-    ("fig5", "n10"): "fd695b8262587ad0030e23a638264c71890462bb2c27d69a2453c0061a39df60",
-    ("fig5", "n15"): "a24290db3ff7d2d1a429627be7b485b88eaabb68edd50ed51b7df46fa0d6148a",
-    ("fig6", "kappa2_0p01"): "820fa080fc68cae1c3e075fbd80af7dbc1d4729137d542c4941a277c1cd30e20",
-    ("fig6", "kappa2_0p05"): "c20c513fab047678bcb07e8fbfec9115f1b8756cb01d2abd94168e3ddb875681",
-    ("fig6", "kappa2_0p1"): "432c41e87717cd78b08b4083695a4cd5efb97e8db005053b7486ce9a4c8fbf11",
+    ("fig5", "n5"): "d7123e480dd08bcc8c78dc9960919045342b68a52c90dba0ba237a8d693b8630",
+    ("fig5", "n10"): "dec86aff0fc0c3e68749fe354d813939397e340580b087627815ec8c8ac5fa62",
+    ("fig5", "n15"): "8ed82d213bf7e732761a46555b153c8ec11daf52d6740f457173cfe27ad31cc8",
+    ("fig6", "kappa2_0p01"): "d7123e480dd08bcc8c78dc9960919045342b68a52c90dba0ba237a8d693b8630",
+    ("fig6", "kappa2_0p05"): (
+        "f1f3492ef1f722d2c5d8eaa1ebec08a4316ef85057136ccca1f69af6b75a541e",
+        "a4ba94ff23fe974b4fed87b6a4c8dcef09b0255280ec990b7fb28f09b05cf2a4"),
+    ("fig6", "kappa2_0p1"): "c86a74a4dfd538ebedffca61e1663ee35b1285a347b999ed226476ac50d42e57",
 }
+
+
+def _pinned_digests(name: str, label: str) -> tuple:
+    """The digests PRESET_MC_DIGESTS accepts for one preset curve."""
+    pin = PRESET_MC_DIGESTS[name, label]
+    return pin if isinstance(pin, tuple) else (pin,)
 
 
 def _mc_digest(table) -> str:
@@ -421,7 +432,7 @@ def test_preset_mc_rows_golden_digest(name):
     for label, spec in curves.items():
         table = run_sweep(spec)
         assert sum(r.metric in ("mc_sop", "mc_asc") for r in table) == len(spec.values)
-        assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
+        assert _mc_digest(table) in _pinned_digests(name, label), label
 
 
 # --- run_sweeps: one draw store, grown across N -------------------------------
@@ -432,7 +443,7 @@ def test_run_sweeps_tables_equal_per_curve_run_sweep(name):
     tables = list(run_sweeps(curves.values()))
     assert tables == [run_sweep(spec) for spec in curves.values()]
     for label, table in zip(curves, tables):
-        assert _mc_digest(table) == PRESET_MC_DIGESTS[name, label], label
+        assert _mc_digest(table) in _pinned_digests(name, label), label
 
 
 def count_draws(monkeypatch) -> collections.Counter:
