@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Time one call of the destination-law kernel and of each closed form and its reference.
+"""Time one call of each layer of the analytic path, from a grid point's params to each closed form.
 
 The layer-by-layer view of the analytic path: the wall time of one
-call of ``cdf_rho_d`` and ``ccdf_rho_d`` on 100 points spread over the
-body and upper tail of rho_D, of ``sop``, ``sop_asymptotic``,
+grid point's ``SystemParams`` build (``dataclasses.replace`` of one SNR,
+as ``sweeps.run_sweep`` builds each point) and of one ``derive_stats``
+call, of one call of ``cdf_rho_d`` and ``ccdf_rho_d`` on 100 points
+spread over the body and upper tail of rho_D, of ``sop``, ``sop_asymptotic``,
 ``avg_secrecy_capacity`` and its exact ``eavesdropper_rate`` term, and of
 the ``*_reference`` twins, at N in {1, 10, 64, 128} and the fig2 base
 point (kappa^2 = 0.01 on all four levels, snr_d = 10 dB, snr_e = -10 dB,
@@ -21,6 +23,7 @@ the replay, seconds per pass; takes about 30 s.
     python scripts/kernel_timing.py
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +72,8 @@ def calls_at(n: int) -> dict:
     g = p.snr_d_linear
     xs = np.linspace(0.0, g * (math.sqrt(st.lambda_) + 8.0 * math.sqrt(st.sigma2)) ** 2, 100)
     return {
+        "grid_point_params": lambda: dataclasses.replace(p, snr_d_db=12.0),
+        "derive_stats": lambda: derive_stats(p),
         "cdf_rho_d": lambda: cdf_rho_d(xs, st, g),
         "ccdf_rho_d": lambda: ccdf_rho_d(xs, st, g),
         "sop": lambda: sop(p, st),

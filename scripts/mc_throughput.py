@@ -16,7 +16,9 @@ the shape of a ``large_n`` draw (1e5 trials over 4 streams). Under
 that, ``words_per_s``: the uniform doubles per second that one region's
 generator gives on one thread over 2^20 values, one 64-bit word each,
 which is the word source of every draw (see the ``montecarlo`` stream
-layout). Both draw into buffers whose pages are touched before the
+layout). One fill takes a few ms, so each round repeats it for at least
+0.1 s, and the median rate of at least 7 rounds (``--repeat`` if more)
+is kept. Both draw into buffers whose pages are touched before the
 clock starts. And the seconds of one grouped ``simulate_points`` pass
 over that grid, with the process pinned to two of its CPUs and to one
 (``os.sched_setaffinity``, restored afterwards): the pass draws and
@@ -43,6 +45,7 @@ Prints one JSON line; takes about 30 s at the default size.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import platform
 import statistics
@@ -74,6 +77,8 @@ SINGLE = (5, 1024)
 GRID = (8, 16, 32, 64, 96, 128, 256, 512, 1024)  # the large_n workload's grid
 TERM_TRIALS = 25_000  # one chunk of a large_n draw: 1e5 trials over 4 streams
 WORDS = 1 << 20
+WORDS_ROUND_S = 0.1  # each words_per_s round repeats the WORDS fill for at least this long
+WORDS_ROUNDS = 7     # and the median of at least this many rounds is kept
 
 
 def median_s(call, repeat: int) -> float:
@@ -162,6 +167,20 @@ def curve_scoring_trials_per_s(trials: int, repeat: int) -> dict:
     return result
 
 
+def words_per_s(region, repeat: int) -> float:
+    """Uniform doubles per s of ``region``'s generator, WORDS a fill and WORDS_ROUND_S a round."""
+    words = np.ones((1, WORDS))  # pages touched before the clock
+
+    def fill():
+        _uniforms(np.random.Generator(_region_at(region, 0)), WORDS, words)
+
+    fill()
+    once = median_s(fill, 1)
+    fills = max(1, math.ceil(WORDS_ROUND_S / once))
+    return fills * WORDS / median_s(lambda: [fill() for _ in range(fills)],
+                                    max(WORDS_ROUNDS, repeat))
+
+
 def element_terms_per_s(seed: int, repeat: int) -> float:
     """f_R f_D terms per s of ``_block_terms`` over GRID[-1] one-element blocks of TERM_TRIALS."""
     span = (0, TERM_TRIALS, 0, TERM_TRIALS)  # stream 0, a chunk that is the whole stream
@@ -189,13 +208,7 @@ def main(argv=None) -> int:
     result["grid_per_n"] = grid_trials / median_s(
         lambda: [simulate_metrics(p, mc) for p in grid], args.repeat)
     result["grid_grouped"] = grid_trials / median_s(lambda: simulate_points(grid, mc), args.repeat)
-    region = (mc.seed, 0, _AMPLITUDES)  # stream 0's f_R and f_D words
-
-    def gen():
-        return np.random.Generator(_region_at(region, 0))
-
-    words = np.ones((1, WORDS))
-    words_per_s = WORDS / median_s(lambda: _uniforms(gen(), WORDS, words), args.repeat)
+    words = words_per_s((mc.seed, 0, _AMPLITUDES), args.repeat)  # stream 0's f_R and f_D words
     passes = {f"cpus_{cpus}": pinned_pass_s(cpus, mc, grid, args.repeat) for cpus in (2, 1)}
     presets = {name: median_s(lambda specs=preset_mc_specs(name, args.trials): list(run_sweeps(specs)),
                               args.repeat)
@@ -210,7 +223,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "trials_per_s": {k: round(v) for k, v in result.items()},
-        "words_per_s": round(words_per_s),
+        "words_per_s": round(words),
         "element_terms_per_s": round(element_terms_per_s(mc.seed, args.repeat)),
         "grouped_pass_s": {k: v if v is None else round(v, 4) for k, v in passes.items()},
         "presets_mc_s": {k: round(v, 4) for k, v in presets.items()},

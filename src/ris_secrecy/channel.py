@@ -214,21 +214,31 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, upper: bool):
     (e- + e+)/2 from there on, each the complement of the other. Neither
     tail is thus taken as 1 minus the other; only F near x = 0, where e-
     and e+ meet, loses relative accuracy (see :func:`cdf_rho_d`).
+
+    The arithmetic runs in place on two arrays of its own, at least 1-d,
+    so it never writes into x, and a 100-node call, whose cost is numpy's
+    per-call overhead, makes few calls. Each element keeps the operation
+    order of the plain expression: b < a is exactly d = b - a < 0, since
+    two unequal finite doubles never subtract to 0, and e- + (-e+) is
+    e- - e+.
     """
     xs = np.asarray(x, dtype=float)
     if not (xs >= 0.0).all():  # NaN fails
         raise ValueError(f"{'ccdf' if upper else 'cdf'}_rho_d requires x >= 0, got x={x}")
     a = math.sqrt(stats.lambda_ / stats.sigma2)
-    b = np.sqrt(xs / (snr_d_linear * stats.sigma2))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    e_minus = sc.erfc(np.abs(b - a) * inv_sqrt2)
-    e_plus = sc.erfc((b + a) * inv_sqrt2)
-    below = b < a
+    b = np.divide(xs, snr_d_linear * stats.sigma2, out=np.empty(xs.shape or (1,)))
+    np.sqrt(b, out=b)
+    d = b - a
+    below = d < 0.0
+    e_plus = sc.erfc(np.multiply(np.add(b, a, out=b), inv_sqrt2, out=b), out=b)
+    e_minus = sc.erfc(np.multiply(np.abs(d, out=d), inv_sqrt2, out=d), out=d)
     # F below the mean amplitude, 1 - F from it on: a difference or a
     # sum of the two tails, each formed directly
-    tail = 0.5 * np.where(below, e_minus - e_plus, e_minus + e_plus)
-    out = np.where(below == upper, 1.0 - tail, tail)
-    return float(out) if np.ndim(x) == 0 else out
+    np.negative(e_plus, out=e_plus, where=below)
+    tail = np.multiply(np.add(e_minus, e_plus, out=e_minus), 0.5, out=e_minus)
+    np.subtract(1.0, tail, out=tail, where=below if upper else ~below)
+    return tail.item() if xs.ndim == 0 else tail
 
 
 def pdf_rho_d(x: float, stats: ChannelStats, snr_d_linear: float) -> float:

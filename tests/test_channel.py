@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy import special as sc
 from scipy import stats as sst
 
 from ris_secrecy.channel import (
@@ -19,6 +20,7 @@ from ris_secrecy.channel import (
     pdf_rho_d,
 )
 from ris_secrecy.montecarlo import ks_distance
+from ris_secrecy.secrecy import _chebyshev_on_interval, _law_at, theta_coefficients
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0):
@@ -254,6 +256,74 @@ def test_erfc_route_keeps_both_tails(n, snr_d_db):
                 assert abs(got_f - (1 - q)) <= 1e-13 * (1 - q), x
             if q >= 1e-300:
                 assert abs(got_q - q) <= 1e-12 * q, x
+
+
+def _two_where_law(x, stats, g, upper):
+    """rho_D's law by the two-``np.where`` expression of the erfc route, the bit reference."""
+    xs = np.asarray(x, dtype=float)
+    a = math.sqrt(stats.lambda_ / stats.sigma2)
+    b = np.sqrt(xs / (g * stats.sigma2))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    e_minus = sc.erfc(np.abs(b - a) * inv_sqrt2)
+    e_plus = sc.erfc((b + a) * inv_sqrt2)
+    below = b < a
+    tail = 0.5 * np.where(below, e_minus - e_plus, e_minus + e_plus)
+    out = np.where(below == upper, 1.0 - tail, tail)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _two_where_law_at(x, a, b, c, d, stats, g, upper_tail):
+    """``_law_at`` by its masked expression over :func:`_two_where_law`."""
+    denom = c - d * x
+    live = denom > 0.0
+    f = np.full_like(x, 0.0 if upper_tail else 1.0)
+    f[live] = _two_where_law((a * x[live] + b) / denom[live], stats, g, upper_tail)
+    return f
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 10, 64, 1024])
+def test_rho_d_law_is_bitwise_the_two_where_form(n):
+    # the in-place kernel gives the bits of the expression it replaced, on
+    # nodes on both sides of the mean amplitude (within a few ulps of it
+    # too), at 0 and +inf, for 0-d, 2-D and empty input, and leaves the
+    # caller's array as it was
+    p = params_for(n=n)
+    st_, g = derive_stats(p), p.snr_d_linear
+    amp = math.sqrt(st_.lambda_) + np.linspace(-12.0, 12.0, 97) * math.sqrt(st_.sigma2)
+    at_mean = g * st_.sigma2 * (st_.lambda_ / st_.sigma2) * (1.0 + np.arange(-4, 5) * 2.0 ** -52)
+    xs = np.concatenate([[0.0, math.inf], at_mean, g * amp[amp > 0.0] ** 2])
+    below = np.sqrt(xs / (g * st_.sigma2)) < math.sqrt(st_.lambda_ / st_.sigma2)
+    assert below.any() and not below.all()
+    for law, upper in ((cdf_rho_d, False), (ccdf_rho_d, True)):
+        for x in (xs, np.stack([xs, xs[::-1]]), np.empty(0), np.empty((0, 3))):
+            before = x.copy()
+            got, want = law(x, st_, g), _two_where_law(x, st_, g, upper)
+            assert got.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(want))
+            assert x.tobytes() == before.tobytes()
+        for x in (0.0, math.inf, float(at_mean[4]), np.float64(xs[-1]), np.array(xs[20])):
+            got = law(x, st_, g)
+            assert type(got) is float
+            assert _bits(got) == _bits(_two_where_law(x, st_, g, upper))
+    if n > 245:  # past the closed forms' domain, where _law_at raises
+        return
+    # _law_at's masked branch: the nodes run to three times the saturation
+    # point c/d, so two thirds of them have c - d x <= 0
+    th = theta_coefficients(p)
+    for coeffs, upper_tail in (((th.theta1, th.vartheta, th.theta3, th.theta2), False),
+                               ((th.gamma_th, 0.0, 1.0, th.theta4), False),
+                               ((1.0, 0.0, 1.0, p.kappa_d_sum), True)):
+        a, b, c, d = coeffs
+        x, _ = _chebyshev_on_interval(100, 3.0 * c / d)
+        before = x.copy()
+        assert (c - d * x <= 0.0).any()
+        got = _law_at(x, *coeffs, st_, g, upper_tail)
+        assert np.array_equal(_bits(got), _bits(_two_where_law_at(x, *coeffs, st_, g, upper_tail)))
+        assert x.tobytes() == before.tobytes()
 
 
 def test_cdf_against_model_law_samples():
