@@ -31,19 +31,21 @@ SNR_DB_LIMIT = 3000.0  # 10**(dB/10) is a positive finite float within +-3000 dB
 
 
 class ConvergenceError(ArithmeticError):
-    """A series did not reach its tolerance within its cap on the number of terms.
+    """A numerical rule does not reach its tolerance with ``terms`` terms.
 
-    The closed forms of :mod:`.secrecy` raise it from their domain check,
-    past the N where their 100-node rule no longer resolves the law.
+    ``residual`` is its measured error, or NaN where none was measured
+    (the message then leaves it out). The closed forms of :mod:`.secrecy`
+    raise it past N = 245 (``secrecy._MAX_MEAN``), where their quadrature
+    rule no longer resolves the destination law; ``terms`` is then the
+    rule's node count.
     """
 
     def __init__(self, name: str, terms: int, residual: float):
         self.name = name
         self.terms = terms
         self.residual = residual
-        super().__init__(
-            f"{name}: no convergence after {terms} terms (residual {residual:.3e})"
-        )
+        detail = "" if math.isnan(residual) else f" (residual {residual:.3e})"
+        super().__init__(f"{name}: no convergence after {terms} terms{detail}")
 
 
 def db_to_linear(db: float) -> float:

@@ -17,10 +17,11 @@ the algebra at once. Both evaluate the Gaussian-sum model of the
 destination channel; the Monte Carlo module simulates the signal-level
 channel itself, so its gap to them measures the model's error as well.
 
-The closed forms hold for N <= 245. Beyond that their 100-node rule no
-longer resolves the destination law, and they raise
-:class:`.channel.ConvergenceError` from :func:`_check_domain` rather
-than return an unchecked value; the twins have no such bound.
+The closed forms hold for N <= 245, the bound ``_MAX_MEAN`` on the
+mixture mean lambda/(2 sigma^2) of the destination law. Beyond it their
+100-node rule no longer resolves that law, and :func:`_law_at` raises
+:class:`.channel.ConvergenceError` rather than return an unchecked
+value; the twins have no such bound.
 
 Both outage probabilities are one integral with two coefficient sets.
 Its upper limit c/d is finite only because the SNDRs saturate; the
@@ -104,14 +105,22 @@ class NumericsConfig:
 
 DEFAULT_NUMERICS = NumericsConfig()
 
-# mass discarded where an integration limit or the twins' X1 range is truncated
+# mass discarded where an integration limit or the twins' X1 range is
+# truncated, as the exponential limit lambda_e ln(1/eps) and the Gaussian
+# half-width, in standard deviations, sqrt(2 ln(1/eps))
 _TAIL_EPSILON = 1e-12
+_TAIL_LOG = math.log(1.0 / _TAIL_EPSILON)
+_TAIL_Z = math.sqrt(2.0 * _TAIL_LOG)
 
-# The closed forms' domain (see _check_domain): the Poisson mixture of
-# rho_D's law, grown from its mode, must leave out less than _REL_TOL of
-# its mass within _MAX_TERMS terms.
-_MAX_TERMS = 200
-_REL_TOL = 1e-12
+# The closed forms' domain, N <= 245, as a bound on the mixture mean
+# lambda/(2 sigma^2) of rho_D's law: derive_stats makes it
+# N pi^2/(32 (1 - pi^2/16)), and this is its value at N = 245.5, midway
+# between 197.218 (N = 245) and 198.023 (N = 246). Past N = 245 the
+# 100-node rule no longer resolves the law (values off their twins by up
+# to 1.8e-5); it is where the law's former Poisson mixture series needed
+# more than 200 terms. ROADMAP item 25 replaces the bound with the closed
+# forms' own error estimate.
+_MAX_MEAN = 245.5 * math.pi ** 2 / (32.0 * (1.0 - math.pi ** 2 / 16.0))
 
 
 def theta_coefficients(params: SystemParams) -> ThetaSet:
@@ -200,43 +209,14 @@ def _asymptotic_thetas(params: SystemParams) -> ThetaSet:
     return th
 
 
-@lru_cache(maxsize=128)
-def _check_domain(mean: float) -> None:
-    """Raise ConvergenceError where the closed forms leave their domain.
-
-    rho_D/(2 g sigma^2) is a Poisson(``mean``) mixture of chi-square laws
-    with odd degrees of freedom, ``mean`` = lambda/(2 sigma^2). The check
-    scans outward from the Poisson mode for the window that leaves out
-    less than _REL_TOL/2 of the mixing mass on each side (Ding, AS 275)
-    and raises where that window needs more than _MAX_TERMS terms. That
-    bounds the domain where the 100-node rule resolves the law, N <= 245:
-    past it the closed forms return values off their twins by up to
-    1.8e-5, and the error names that instead. ROADMAP item 19 replaces
-    this check with the closed forms' own error estimate.
-
-    Cached per mean, because the scan costs some 800 incomplete gammas
-    and every closed-form evaluation at the same N asks for it; the cache
-    holds no exceptions, so a mean outside the domain raises on every call.
-    """
-    mode = math.floor(mean)
-    k = np.arange(max(mode - _MAX_TERMS, 0), mode + _MAX_TERMS + 1)
-    half = 0.5 * _REL_TOL
-    # P(K < k) = Q(k, mean) rises with k and P(K > k) = P(k+1, mean) falls
-    starts = k[(k <= mode) & (sc.gammaincc(k, mean) < half)]
-    ends = k[(k >= mode) & (sc.gammainc(k + 1, mean) < half)]
-    if not (starts.size and ends.size and ends[0] - starts[-1] < _MAX_TERMS):
-        lo = max(mode - _MAX_TERMS // 2, 0)
-        left_out = sc.gammaincc(lo, mean) + sc.gammainc(lo + _MAX_TERMS, mean)
-        raise ConvergenceError("rho_D mixture series", _MAX_TERMS, float(left_out))
-
-
 def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: float,
             upper_tail: bool):
     """F_rhoD, or 1 - F_rhoD if ``upper_tail``, at (a x + b)/(c - d x) for each node x.
 
     The law is the erfc form of :func:`.channel.cdf_rho_d`, each tail
-    formed directly. Outside the closed forms' domain (N >= 246, see
-    :func:`_check_domain`) this raises ConvergenceError, live nodes or not.
+    formed directly. Where the mixture mean lambda/(2 sigma^2) exceeds
+    ``_MAX_MEAN``, past the closed forms' domain N <= 245, this raises
+    ConvergenceError before any node is read, live nodes or not.
 
     Where c - d x <= 0 the destination cannot reach the target (its SNDR
     saturates), so the CDF is 1 there and the CCDF 0. When every node is
@@ -249,7 +229,11 @@ def _law_at(x, a: float, b: float, c: float, d: float, stats: ChannelStats, g: f
     0.0476 s in the median of 10 alternating runs, slower in 7 of 10
     (2-CPU Intel Xeon).
     """
-    _check_domain(stats.lambda_ / (2.0 * stats.sigma2))
+    mean = stats.lambda_ / (2.0 * stats.sigma2)
+    if not mean <= _MAX_MEAN:
+        raise ConvergenceError(
+            f"closed forms past N = 245 (mixture mean {mean:.3f} > {_MAX_MEAN:.3f})",
+            x.size, math.nan)
     law = ccdf_rho_d if upper_tail else cdf_rho_d
     denom = d * x
     np.subtract(c, denom, out=denom)
@@ -302,7 +286,7 @@ def _outage_probability(a: float, b: float, c: float, d: float, stats: ChannelSt
     if tail == 1.0:
         return SopEvaluation(1.0, 0.0, 1.0, upper, False)
     if tail == 0.0:
-        upper = stats.lambda_e * math.log(1.0 / _TAIL_EPSILON)
+        upper = stats.lambda_e * _TAIL_LOG
     total = _outage_integral(a, b, c, d, upper, stats, snr_d_linear, numerics)
     return SopEvaluation(min(total + tail, 1.0), total, tail, upper, False)
 
@@ -326,7 +310,7 @@ def _conditional_expectation(h, stats: ChannelStats, g: float, cuts) -> float:
     feature.
     """
     mu, sigma = math.sqrt(stats.lambda_), math.sqrt(stats.sigma2)
-    half = sigma * math.sqrt(2.0 * math.log(1.0 / _TAIL_EPSILON))
+    half = sigma * _TAIL_Z
     inner = sorted(x for x in {0.0, mu, *cuts, *(-c for c in cuts)} if abs(x - mu) < half)
     total = _piecewise_quad(lambda x: h(g * x * x) * math.exp(-0.5 * ((x - mu) / sigma) ** 2),
                             [mu - half, *inner, mu + half])
@@ -404,8 +388,7 @@ def sop_asymptotic_reference(params: SystemParams, stats: ChannelStats,
 
 def _rho_d_tail_limit(stats: ChannelStats, snr_d_linear: float) -> float:
     # P(rho_D > x) ~ Q((sqrt(x/g) - sqrt(lambda))/sigma); invert at _TAIL_EPSILON.
-    z = math.sqrt(2.0 * math.log(1.0 / _TAIL_EPSILON))
-    return snr_d_linear * (math.sqrt(stats.lambda_) + math.sqrt(stats.sigma2) * z) ** 2
+    return snr_d_linear * (math.sqrt(stats.lambda_) + math.sqrt(stats.sigma2) * _TAIL_Z) ** 2
 
 
 def destination_rate(params: SystemParams, stats: ChannelStats,

@@ -376,7 +376,8 @@ def load_preset(name: str) -> dict[str, SweepSpec]:
     """Load a bundled figure preset: an ordered {curve label: sweep} map."""
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
-    text = resources.files("ris_secrecy").joinpath("presets", f"{name}.yaml").read_text("utf-8")
+    # this tree's presets, also where the package is loaded under another name
+    text = resources.files(__package__).joinpath("presets", f"{name}.yaml").read_text("utf-8")
     data = yaml.load(text, Loader=_YAML_LOADER)
     curves = _require_mapping(_require_mapping(data, name).get("curves"), f"{name}.curves")
     return {label: _from_mapping(SweepSpec, m, f"{name}.curves.{label}")

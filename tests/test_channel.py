@@ -20,7 +20,7 @@ from ris_secrecy.channel import (
     pdf_rho_d,
 )
 from ris_secrecy.montecarlo import ks_distance
-from ris_secrecy.secrecy import _chebyshev_on_interval, _law_at, theta_coefficients
+from ris_secrecy.secrecy import _MAX_MEAN, _chebyshev_on_interval, _law_at, theta_coefficients
 
 
 def params_for(n=5, snr_d_db=10.0, snr_e_db=-10.0, k2=0.01, c_th=1.0):
@@ -309,7 +309,7 @@ def test_rho_d_law_is_bitwise_the_two_where_form(n):
             got = law(x, st_, g)
             assert type(got) is float
             assert _bits(got) == _bits(_two_where_law(x, st_, g, upper))
-    if n > 245:  # past the closed forms' domain, where _law_at raises
+    if st_.lambda_ / (2.0 * st_.sigma2) > _MAX_MEAN:  # past the closed forms' domain
         return
     # _law_at's masked branch: the nodes run to three times the saturation
     # point c/d, so two thirds of them have c - d x <= 0

@@ -17,6 +17,7 @@ from scipy import integrate
 import oracle
 from ris_secrecy import secrecy
 from ris_secrecy.channel import (
+    ChannelStats,
     ConvergenceError,
     SystemParams,
     ccdf_rho_d,
@@ -190,17 +191,53 @@ def test_large_n_value_or_named_error(n, metric):
 @pytest.mark.parametrize("metric,at_245", [
     ("sop", 0.14082), ("sop_asymptotic", 0.12999), ("asc", 2.15988)])
 def test_closed_forms_domain_ends_between_n245_and_n246(metric, at_245):
-    # the fig2 base point: N=245 (mixture mean 197.2) gives a value, N=246
-    # (198.0) the domain check's ConvergenceError, on every call, since
-    # failures are not cached
+    # the fig2 base point: N=245 (mixture mean 197.218) gives a value, N=246
+    # (198.023) the ConvergenceError of the bound between them, on every call
     route = ROUTES[metric]
     p = params_for(n=245)
     assert route.closed_form(p, derive_stats(p), DEFAULT_NUMERICS) == pytest.approx(
         at_245, rel=0.0, abs=5e-6)
     p = params_for(n=246)
     for _ in range(2):
-        with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
+        with pytest.raises(ConvergenceError, match="N = 245"):
             route.closed_form(p, derive_stats(p), DEFAULT_NUMERICS)
+
+
+_EDGE = secrecy._MAX_MEAN
+
+
+@pytest.mark.parametrize("mean", [
+    196.5537, 196.5547, 196.7871, 197.3546, 198.1265, 198.1538,
+    math.nextafter(_EDGE, 0.0), _EDGE, math.nextafter(_EDGE, math.inf)])
+def test_closed_forms_domain_is_monotone_in_the_mixture_mean(mean):
+    # a hand-built ChannelStats (sigma^2 = 1, lambda = 2 mean) meets one
+    # edge: a value at or below the bound, ConvergenceError above it. The
+    # first six means are where the old Poisson-window scan flipped
+    stats = ChannelStats(lambda_=2.0 * mean, sigma2=1.0, lambda_e=1.0)
+    assert stats.lambda_ / (2.0 * stats.sigma2) == mean
+    p = params_for(n=245)
+    x, _ = _chebyshev_on_interval(100, 1e3)
+    if mean <= _EDGE:
+        assert np.isfinite(_law_at(x, 1.0, 0.0, 1.0, 0.02, stats, 10.0, False)).all()
+        assert 0.0 <= sop(p, stats) <= 1.0
+    else:
+        with pytest.raises(ConvergenceError, match="N = 245"):
+            _law_at(x, 1.0, 0.0, 1.0, 0.02, stats, 10.0, False)
+        with pytest.raises(ConvergenceError, match="N = 245"):
+            sop(p, stats)
+
+
+def test_closed_forms_domain_is_n_up_to_245():
+    # derive_stats' mixture mean grows with N, so its points raise exactly
+    # from N = 246 on
+    raised = []
+    for n in range(1, 1025):
+        p = params_for(n=n)
+        try:
+            sop(p, derive_stats(p))
+        except ConvergenceError:
+            raised.append(n)
+    assert raised == list(range(246, 1025))
 
 
 def test_sop_low_snr_tends_to_one():
@@ -672,9 +709,9 @@ def test_law_at_keeps_the_masked_bits(upper_tail, some_dead):
 
 
 def test_outage_integral_with_no_live_node_still_raises_at_large_n():
-    # the domain check runs before any node is read, so N=256 raises as it
-    # does when nodes are live
+    # the domain bound is checked before any node is read, so N=256 raises
+    # as it does when nodes are live
     p = params_for(n=256)
     stats = derive_stats(p)
-    with pytest.raises(ConvergenceError, match="no convergence after 200 terms"):
+    with pytest.raises(ConvergenceError, match="N = 245"):
         _outage_integral(1.0, 0.0, -1.0, 1.0, 10.0, stats, p.snr_d_linear, DEFAULT_NUMERICS)

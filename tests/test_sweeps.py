@@ -3,10 +3,12 @@
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -888,6 +890,30 @@ def test_bundled_presets_load_with_expected_defaults(name):
         assert spec.mc.trials == 100_000
     if name in ("fig2", "fig3"):
         assert all(s.base.kappa_d_t2 == 0.01 for s in curves.values())
+
+
+def test_load_preset_reads_its_own_tree(tmp_path, monkeypatch):
+    # a copy of the package loaded under another name reads its own
+    # presets, not those of the installed ris_secrecy
+    pkg = tmp_path / "ris_secrecy_copy"
+    shutil.copytree(Path(sweeps.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    preset = pkg / "presets" / "fig3.yaml"
+    text = preset.read_text("utf-8")
+    assert text.count("seed: 20250810") == 3
+    preset.write_text(text.replace("seed: 20250810", "seed: 7", 1), "utf-8")
+    spec = importlib.util.spec_from_file_location(
+        pkg.name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, pkg.name, module)
+    try:
+        spec.loader.exec_module(module)
+        curves = importlib.import_module(f"{pkg.name}.sweeps").load_preset("fig3")
+    finally:
+        for name in [m for m in sys.modules if m.startswith(f"{pkg.name}.")]:
+            del sys.modules[name]
+    assert [c.mc.seed for c in curves.values()] == [7, 20250810, 20250810]
+    assert [c.mc.seed for c in load_preset("fig3").values()] == [20250810] * 3
 
 
 def test_fig_presets_vary_the_documented_parameter():
