@@ -225,7 +225,8 @@ def _rho_d_law(x, stats: ChannelStats, snr_d_linear: float, upper: bool):
     e- - e+.
     """
     xs = np.asarray(x, dtype=float)
-    if not (xs >= 0.0).all():  # NaN fails
+    # NaN and -inf fail; an empty x passes
+    if not np.minimum.reduce(xs, axis=None, initial=np.inf) >= 0.0:
         raise ValueError(f"{'ccdf' if upper else 'cdf'}_rho_d requires x >= 0, got x={x}")
     a = math.sqrt(stats.lambda_ / stats.sigma2)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)

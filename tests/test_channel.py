@@ -218,7 +218,8 @@ def test_cdf_rho_d_limits_and_array_input():
         out = fn(grid, st_, g)
         assert out.shape == grid.shape
         assert out.tolist() == [[fn(float(v), st_, g) for v in row] for row in grid]
-    for bad in (np.array([1.0, -1.0]), math.nan, np.array([1.0, math.nan])):
+    for bad in (np.array([1.0, -1.0]), math.nan, np.array([1.0, math.nan]),
+                -math.inf, np.array([1.0, -math.inf]), np.array(math.nan)):
         for fn in (cdf_rho_d, ccdf_rho_d):
             with pytest.raises(ValueError, match="requires x >= 0"):
                 fn(bad, st_, g)

@@ -309,9 +309,9 @@ def test_draw_chunks_golden_digest(key):
 # (numpy 2.4.6, x86-64; the same without numpy's AVX512 loops, since
 # numpy's normal and exponential samplers do not go through its log
 # ufunc). The model law keeps its Philox streams, so these bits are
-# the ones the acceptance gate (seeds 101, 102 and 3000 + N) and
-# ``selftest --strict-mc`` read. Keys: (seed, stream_count, trials);
-# the last config's streams each span two chunks.
+# the ones ``selftest --strict-mc`` and
+# test_oracle_matches_model_law_monte_carlo read. Keys: (seed,
+# stream_count, trials); the last config's streams each span two chunks.
 MODEL_LAW_DIGESTS = {
     (101, 1, 3000): "f94128666a555aa93fa732e61bee351432ecf80d0d90f4d8a87f4a8fe3138a69",
     (102, 3, 3000): "07e3656cf3eecc80e6fccb7117906cfd8b110ecec6a2c0b86d9b06c008959dd6",

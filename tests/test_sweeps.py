@@ -878,6 +878,24 @@ def test_presets_parse_alike_with_and_without_libyaml(monkeypatch, name):
     monkeypatch.setattr(sweeps, "_YAML_LOADER", yaml.SafeLoader)
     assert load_preset(name) == fast
 
+
+# sha256 of repr(list(load_preset(name).items())), which tells 1 from
+# 1.0: a preset's text may change shape, but not the sweeps it states
+PRESET_SPEC_DIGESTS = {
+    "fig2": "d1ba3d408d65b4498685138660159e1a9111b5336c96b9c61b3718337083a770",
+    "fig3": "47e34f92e08d3d37e3f5d591933a7b943bfcfb8e20d9d47a920219386320b2cb",
+    "fig4": "a95973438132fe8c4e4ad6630920d687f7c656a09c84a60270eae1fc38ec1e16",
+    "fig5": "30efda2896fda9b1f13238ead7b3af77cb8437bb0a062ec44b9654a22dcf5862",
+    "fig6": "2ab759abad5692b07da9d8d4eaaf7d6d763f38703228482bf9cfd162af8eec2e",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_specs_golden_digest(name):
+    text = repr(list(load_preset(name).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SPEC_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_bundled_presets_load_with_expected_defaults(name):
     curves = load_preset(name)
@@ -900,8 +918,9 @@ def test_load_preset_reads_its_own_tree(tmp_path, monkeypatch):
                     ignore=shutil.ignore_patterns("__pycache__"))
     preset = pkg / "presets" / "fig3.yaml"
     text = preset.read_text("utf-8")
-    assert text.count("seed: 20250810") == 3
-    preset.write_text(text.replace("seed: 20250810", "seed: 7", 1), "utf-8")
+    # the first curve states the seed; the later ones merge it in
+    assert text.count("seed: 20250810") == 1
+    preset.write_text(text.replace("seed: 20250810", "seed: 7"), "utf-8")
     spec = importlib.util.spec_from_file_location(
         pkg.name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
@@ -912,7 +931,7 @@ def test_load_preset_reads_its_own_tree(tmp_path, monkeypatch):
     finally:
         for name in [m for m in sys.modules if m.startswith(f"{pkg.name}.")]:
             del sys.modules[name]
-    assert [c.mc.seed for c in curves.values()] == [7, 20250810, 20250810]
+    assert [c.mc.seed for c in curves.values()] == [7] * 3
     assert [c.mc.seed for c in load_preset("fig3").values()] == [20250810] * 3
 
 
